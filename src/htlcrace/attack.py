@@ -25,12 +25,14 @@ replaceability and any competing victim spend would be rejected).
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from .chain import ChainState, DEFAULT_BLOCKMAXWEIGHT, OutputRef, Transaction, TxOutput
+from .chain import (
+    ChainState, DEFAULT_BLOCKMAXWEIGHT, MAX_TX_WEIGHT, OutputRef, REJECT_NOT_REPLACEABLE,
+    Transaction, TxOutput,
+)
 from .channel import (
     Channel, ChannelParams, FUNDING_TX_WEIGHT, Wallet,
     WeightSchedule, fee_for_weight, open_channel, profile_params,
@@ -137,6 +139,20 @@ class AttackReport:
     trace: tuple[TraceRow, ...]
 
 
+@dataclass(slots=True)
+class _Span:
+    """Unresolved HTLC ids lo .. hi - 1 of one channel, alike in the race: the
+    pending claim cohort on them and whose it is, whether the attacker was
+    refused, and whether the victim bumped its fee (`kid`: its CPFP child)."""
+    lo: int
+    hi: int
+    claim: str = ""
+    side: str = ""  # "" | "victim" | "attacker"
+    blocked: bool = False
+    bumped: bool = False
+    kid: str = ""
+
+
 def validate_config(cfg: AttackConfig) -> None:
     if cfg.num_victim_channels < 1:
         raise ConfigError("num_victim_channels must be at least 1")
@@ -157,7 +173,15 @@ def validate_config(cfg: AttackConfig) -> None:
         raise ConfigError("minimize strategy requires a feerate_series")
     if cfg.anchor_mode and not cfg.victim_claims_replaceable:
         raise ConfigError("anchor_mode needs replaceable victim claims to re-issue them")
-    cfg.victim_params()  # raises on unknown profile
+    spec = cfg.background_traffic
+    if spec is not None and not (0 < spec.weight_low <= spec.weight_high <= MAX_TX_WEIGHT
+                                 and 0 <= spec.feerate_low <= spec.feerate_high):
+        raise ConfigError("traffic needs 0 < weight_low <= weight_high <= "
+                          f"{MAX_TX_WEIGHT} and 0 <= feerate_low <= feerate_high")
+    try:
+        cfg.victim_params()
+    except ValueError as exc:  # an unknown profile name
+        raise ConfigError(str(exc)) from exc
 
 
 @contextmanager
@@ -191,24 +215,20 @@ class _Run:
         self.victim_params = cfg.victim_params()
         self.expiry = cfg.htlc_expiry_height
         self.channels: list[tuple[Channel, Channel, str]] = []  # (incoming, outgoing, victim)
-        # Bookkeeping keyed by (channel index, htlc id).
-        self.meta: dict[str, tuple[str, int, int]] = {}  # txid -> (kind, idx, htlc id)
-        self.victim_pending: dict[tuple[int, int], str] = {}
-        self.attacker_pending: dict[tuple[int, int], str] = {}
-        self.unresolved: dict[tuple[int, int], None] = {}
-        self.blocked: set[tuple[int, int]] = set()
-        self.bumped: set[tuple[int, int]] = set()
-        self.claims_released: set[int] = set()
+        self.meta: dict[str, tuple[str, int, int]] = {}  # txid -> (kind, channel, first htlc id)
+        # Per channel: the unresolved HTLCs as spans, the HTLC value, and how
+        # many HTLCs the attacker has confirmed claims on.
+        self.spans: list[list[_Span]] = []
+        self.values: list[int] = []
+        self.stolen: list[int] = []
+        self.open_htlcs = 0
+        self.claims_released: dict[int, None] = {}  # channels, in release order
         self.released_channels: set[int] = set()
         self.victim_fees = 0
         self.attacker_cost = 0
-        self.victim_claim_confirmed = 0
-        self.attacker_claim_confirmed = 0
         self.trace: list[TraceRow] = []
         self.launch_feerate = 0
-        self.htlc_value = 0
         self.htlcs_per_channel = 0
-        self.no_bump_funds = False
 
     # -- phases ------------------------------------------------------------
 
@@ -302,13 +322,15 @@ class _Run:
             if value < cfg.min_htlc_amount:
                 raise ConfigError(
                     f"HTLC value {value} below configured minimum {cfg.min_htlc_amount}")
-            self.htlc_value = value
             tag = f"{i:03d}"
             hashes = ["h" + tag + suffix for suffix in suffixes]
             preimages = ["p" + tag + suffix for suffix in suffixes]
             htlcs = ch_in.add_htlcs(SOURCE, value, hashes, preimages, self.expiry)
             ch_out.add_htlcs(name, value, hashes, preimages, out_expiry, known_to=(TARGET,))
-            self.unresolved.update(dict.fromkeys((i, htlc.id) for htlc in htlcs))
+            self.spans.append([_Span(htlcs[0].id, htlcs[-1].id + 1)])
+            self.values.append(value)
+            self.stolen.append(0)
+            self.open_htlcs += count
 
     def _release_channel(self, i: int) -> None:
         """Phase III for one channel: the target settles the forwarded HTLCs,
@@ -348,7 +370,7 @@ class _Run:
             subs += self._background_pass()
             block = self._mine()
             if self.chain.height > expiry:
-                if not self.unresolved:
+                if not self.open_htlcs:
                     break  # every HTLC has a confirmed claim; report is final
                 if subs == 0 and not len(self.chain.mempool):
                     break
@@ -400,17 +422,32 @@ class _Run:
         ch_in, _, name = self.channels[i]
         claims = ch_in.claimable_successes(
             name, h, rbf_signal=self.cfg.victim_claims_replaceable)
-        submit = self.chain.submit
-        meta = self.meta
-        victim_pending = self.victim_pending
-        for hid, tx in claims.items():
-            result = submit(tx)
+        for first, tx in claims.items():
+            result = self.chain.submit(tx)
             if not result.ok:
                 raise AssertionError(f"victim claim rejected: {result.reason}")
-            meta[tx.id] = ("vclaim", i, hid)
-            victim_pending[(i, hid)] = tx.id
-        self.claims_released.add(i)
+            self.meta[tx.id] = ("vclaim", i, first)
+            for span in self._cut(i, first, first + tx.count):
+                span.claim, span.side = tx.id, "victim"
+        self.claims_released[i] = None
         return len(claims)
+
+    def _cut(self, i: int, lo: int, hi: int) -> list[_Span]:
+        """Split channel i's spans at lo and hi; the spans in between."""
+        kept: list[_Span] = []
+        for span in self.spans[i]:
+            bounds = [span.lo, *(c for c in (lo, hi) if span.lo < c < span.hi), span.hi]
+            kept += [replace(span, lo=a, hi=b) for a, b in zip(bounds, bounds[1:])]
+        self.spans[i] = kept
+        return [span for span in kept if lo <= span.lo and span.hi <= hi]
+
+    def _unbumped_victim_spans(self):
+        """(channel, span) for every HTLC run with a pending victim claim not
+        yet fee-bumped, in the order the victims submitted their claims."""
+        for i in self.claims_released:
+            for span in list(self.spans[i]):
+                if span.side == "victim" and not span.bumped:
+                    yield i, span
 
     def _attacker_pass(self, h: int) -> int:
         """Timeout-remote claims for every HTLC output not yet confirmed-spent,
@@ -418,51 +455,39 @@ class _Run:
         cfg = self.cfg
         chain = self.chain
         pending = chain.mempool.pending
-        children = chain.mempool.children
         w_timeout = self.weights.htlc_timeout
-        bump = cfg.attacker_fee_bump_increment
-        replaceable = cfg.attacker_claims_replaceable
-        blocked = self.blocked
-        meta = self.meta
-        attacker_pending = self.attacker_pending
-        victim_pending = self.victim_pending
         subs = 0
-        for key in self.unresolved:  # only _mine removes keys
-            if key in blocked:
-                continue
-            mine = attacker_pending.get(key)
-            if mine is not None and mine in pending:
-                continue
-            i, hid = key
+        for i, spans in enumerate(self.spans):
             ch_in = self.channels[i][0]
             if ch_in.published is None:
-                continue  # victim has not closed yet; output does not exist
-            fee = fee_for_weight(ch_in.feerate, w_timeout)
-            victim_tx = victim_pending.get(key)
-            if victim_tx is not None and victim_tx in pending:
-                evicted = [pending[victim_tx]]
-                evicted += [pending[child] for child in children.get(victim_tx, ())]
-                need = sum(e.fee for e in evicted) + bump
-                for ev in evicted:
-                    need = max(need, ev.fee * w_timeout // ev.weight + 1)
-                fee = max(fee, need)
-            tx = ch_in.build_htlc_claim(
-                SOURCE, hid, "timeout-remote", h, fee_override=fee,
-                rbf_signal=replaceable)
-            result = chain.submit(tx)
-            if result.ok:
-                meta[tx.id] = ("aclaim", i, hid)
-                attacker_pending[key] = tx.id
-                for evicted_id in result.evicted:
-                    entry = meta.get(evicted_id)
-                    if entry is not None and entry[0] == "vclaim":
-                        victim_pending.pop((entry[1], entry[2]), None)
-                subs += 1
-            elif result.reason == "conflict-not-replaceable":
-                blocked.add(key)
-            else:
-                raise AssertionError(
-                    f"unexpected replacement rejection: {result.reason}")
+                continue  # victim has not closed yet; outputs do not exist
+            for span in list(spans):
+                if span.blocked or span.side == "attacker":
+                    continue
+                fee = fee_for_weight(ch_in.feerate, w_timeout)
+                if span.side == "victim":
+                    evicted = [pending[span.claim]]
+                    if span.kid:
+                        evicted.append(pending[span.kid])
+                    paid = sum(e.fee for e in evicted)
+                    least = max([paid + 1] + [e.fee * w_timeout // e.weight + 1
+                                              for e in evicted])
+                    if least > self.values[i]:
+                        continue  # no fee the HTLC can pay outbids the claim
+                    fee = max(fee, least, paid + cfg.attacker_fee_bump_increment)
+                tx = ch_in.build_htlc_claims(
+                    SOURCE, span.lo, span.hi - span.lo, "timeout-remote", h,
+                    fee_override=fee, rbf_signal=cfg.attacker_claims_replaceable)
+                result = chain.submit(tx)
+                if result.ok:
+                    self.meta[tx.id] = ("aclaim", i, span.lo)
+                    span.claim, span.side, span.kid = tx.id, "attacker", ""
+                    subs += 1
+                elif result.reason == REJECT_NOT_REPLACEABLE:
+                    span.blocked = True
+                else:
+                    raise AssertionError(
+                        f"unexpected replacement rejection: {result.reason}")
         return subs
 
     def _victim_bump_pass(self, h: int) -> int:
@@ -481,28 +506,24 @@ class _Run:
         cfg = self.cfg
         chain = self.chain
         subs = 0
-        for key, old_id in list(self.victim_pending.items()):
-            if key in self.bumped or old_id not in chain.mempool.pending:
-                continue
+        for i, span in self._unbumped_victim_spans():
             if not cfg.victim_bump_funds:
-                self.no_bump_funds = True  # nothing spendable: behaves like baseline
-                break
-            i, hid = key
+                break  # nothing spendable: behaves like baseline
             ch_in, _, name = self.channels[i]
-            old = chain.mempool.pending[old_id]
+            old = chain.mempool.pending[span.claim]
             weight = self.weights.htlc_success + 280
             fee = max(fee_for_weight(cfg.victim_bump_feerate, weight),
                       old.fee + 1, old.fee * weight // old.weight + 1)
-            spare = chain.grant(name, fee)
-            tx = ch_in.build_htlc_claim(
-                name, hid, "success-local", h, fee_override=fee, rbf_signal=True,
-                extra_input=spare, extra_value=fee, anchor=True)
+            count = span.hi - span.lo
+            spare = chain.grant(name, fee, count=count)
+            tx = ch_in.build_htlc_claims(
+                name, span.lo, count, "success-local", h, fee_override=fee,
+                rbf_signal=True, extra_input=spare, extra_value=fee, anchor=True)
             result = chain.submit(tx)
             if not result.ok:
                 raise AssertionError(f"victim fee bump rejected: {result.reason}")
-            self.meta[tx.id] = ("vclaim", i, hid)
-            self.victim_pending[key] = tx.id
-            self.bumped.add(key)
+            self.meta[tx.id] = ("vclaim", i, span.lo)
+            span.claim, span.bumped = tx.id, True
             subs += 1
         return subs
 
@@ -513,22 +534,21 @@ class _Run:
         cfg = self.cfg
         chain = self.chain
         subs = 0
-        for key, parent_id in list(self.victim_pending.items()):
-            parent = chain.mempool.pending.get(parent_id)
-            if parent is None or key in self.bumped:
-                continue
-            i, hid = key
+        for i, span in self._unbumped_victim_spans():
             name = self.channels[i][2]
+            parent = chain.mempool.pending[span.claim]
+            member = span.lo - self.meta[span.claim][2]
             out_value = parent.outputs[0].value
             fee = min(fee_for_weight(cfg.cpfp_child_feerate, CPFP_CHILD_WEIGHT), out_value)
             child = Transaction(
-                id=f"{parent_id}-bump", inputs=(OutputRef(parent_id, 0),),
+                id=f"{parent.id}-bump{member}", inputs=(OutputRef(parent.id, member),),
                 outputs=(TxOutput(out_value - fee, name, "claim"),),
-                weight=CPFP_CHILD_WEIGHT, fee=fee, rbf_signal=True, origin=name)
+                weight=CPFP_CHILD_WEIGHT, fee=fee, rbf_signal=True, origin=name,
+                count=span.hi - span.lo)
             result = chain.submit(child)
             if result.ok:
-                self.meta[child.id] = ("bump", i, hid)
-                self.bumped.add(key)
+                self.meta[child.id] = ("bump", i, span.lo)
+                span.bumped, span.kid = True, child.id
                 subs += 1
         return subs
 
@@ -559,36 +579,30 @@ class _Run:
     def _mine(self):
         block = self.chain.mine_block()
         meta = self.meta
-        unresolved = self.unresolved
-        incoming = [c[0] for c in self.channels]
         victim_conf = attacker_conf = victim_fees = attacker_cost = 0
         for tx in block.txs:
             entry = meta.get(tx.id)
             if entry is None:
                 continue
-            kind, i, hid = entry
-            if kind == "vclaim":
-                victim_fees += tx.fee
-                incoming[i].mark_claimed(hid, by_timeout=False)
-                key = (i, hid)
-                unresolved.pop(key, None)
-                self.victim_pending.pop(key, None)
-                victim_conf += 1
-            elif kind == "aclaim":
-                attacker_cost += tx.fee
-                incoming[i].mark_claimed(hid, by_timeout=True)
-                key = (i, hid)
-                unresolved.pop(key, None)
-                self.attacker_pending.pop(key, None)
-                attacker_conf += 1
-            elif kind in ("commit", "fund"):
-                attacker_cost += tx.fee
-            elif kind == "bump":
-                victim_fees += tx.fee
+            kind, i, first = entry
+            count = tx.count
+            if kind == "vclaim" or kind == "bump":
+                victim_fees += tx.fee * count
+            else:
+                attacker_cost += tx.fee * count
+            if kind == "vclaim" or kind == "aclaim":
+                lo = first + tx.first
+                self.channels[i][0].mark_claimed(lo, kind == "aclaim", count)
+                for span in self._cut(i, lo, lo + count):
+                    self.spans[i].remove(span)
+                self.open_htlcs -= count
+                if kind == "aclaim":
+                    attacker_conf += count
+                    self.stolen[i] += count
+                else:
+                    victim_conf += count
         self.victim_fees += victim_fees
         self.attacker_cost += attacker_cost
-        self.victim_claim_confirmed += victim_conf
-        self.attacker_claim_confirmed += attacker_conf
         self.trace.append(TraceRow(block.height, block.weight_used,
                                    victim_conf, attacker_conf))
         return block
@@ -596,38 +610,30 @@ class _Run:
     # -- reporting -----------------------------------------------------------
 
     def _classify(self) -> AttackReport:
-        chain = self.chain
-        stolen = victim_claimed = unresolved = 0
-        stolen_value = 0
-        per_channel = [0] * len(self.channels)
-        for i, (ch_in, _, name) in enumerate(self.channels):
-            for htlc in ch_in.all_htlcs.values():
-                if htlc.state == "claimed-by-success":
-                    victim_claimed += 1
-                    continue
-                if htlc.state == "claimed-by-timeout":
-                    stolen += 1
-                    stolen_value += htlc.amount
-                    per_channel[i] += 1
-                    continue
-                mine = self.attacker_pending.get((i, htlc.id))
-                if mine is not None and mine in chain.mempool:
+        stolen = unresolved = stolen_value = 0
+        per_channel = []
+        for i, (ch_in, _, _) in enumerate(self.channels):
+            taken = self.stolen[i]
+            for span in self.spans[i]:
+                if span.side == "attacker":
                     # Quiescent but decided: the attacker's claim is the only
                     # live spend and does not signal replaceability, so the
                     # victim can never displace it.
-                    htlc.state = "claimed-by-timeout"
-                    stolen += 1
-                    stolen_value += htlc.amount
-                    per_channel[i] += 1
+                    ch_in.mark_claimed(span.lo, True, span.hi - span.lo)
+                    taken += span.hi - span.lo
                 else:
-                    unresolved += 1
+                    unresolved += span.hi - span.lo
+            stolen += taken
+            stolen_value += taken * self.values[i]
+            per_channel.append(taken)
+        victim_claimed = sum(row.victim_claims_confirmed for row in self.trace)
         total = sum(len(c[0].all_htlcs) for c in self.channels)
         if stolen + victim_claimed + unresolved != total:
             raise AssertionError("theft accounting does not add up")
         return AttackReport(
             num_victim_channels=self.cfg.num_victim_channels,
             htlcs_per_channel=self.htlcs_per_channel,
-            htlc_value=self.htlc_value,
+            htlc_value=self.values[-1],
             total_htlcs=total,
             stolen_htlcs=stolen,
             victim_claimed_htlcs=victim_claimed,
@@ -636,7 +642,7 @@ class _Run:
             victim_fees_paid=self.victim_fees,
             attacker_cost=self.attacker_cost,
             launch_feerate=self.launch_feerate,
-            end_height=chain.height,
+            end_height=self.chain.height,
             per_channel_stolen=tuple(per_channel),
             trace=tuple(self.trace),
         )
@@ -665,6 +671,15 @@ def min_channels_guaranteed_theft(victim_params: ChannelParams | str,
     return window * blockmaxweight // per_channel + 1
 
 
+def map_runs(fn, work: list, jobs: int = 1) -> list:
+    """fn over work, spread over `jobs` forked processes when that helps."""
+    if jobs > 1 and len(work) > 1:
+        import multiprocessing  # only parallel runs pay for importing it
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+            return pool.map(fn, work)
+    return [fn(w) for w in work]
+
+
 def _sweep_one(cfg: AttackConfig) -> tuple[int, AttackReport]:
     return cfg.num_victim_channels, run_attack(cfg)
 
@@ -674,10 +689,7 @@ def sweep_channels(template: AttackConfig, n_values, jobs: int = 1):
     template seed and n, so curves reproduce regardless of `jobs`."""
     configs = [replace(template, num_victim_channels=n, seed=template.seed + 7919 * n)
                for n in n_values]
-    if jobs > 1 and len(configs) > 1:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            return pool.map(_sweep_one, configs)
-    return [_sweep_one(c) for c in configs]
+    return map_runs(_sweep_one, configs, jobs)
 
 
 def break_even_channels(curve) -> int | None:

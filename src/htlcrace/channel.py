@@ -14,6 +14,9 @@ are collapsed into single direct claims.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import attrgetter, contains
+
 from .chain import ChainState, OutputRef, Transaction, TxOutput
 
 COMMITMENT_BASE_WEIGHT = 724
@@ -24,12 +27,16 @@ FUNDING_TX_WEIGHT = 800
 
 CLAIM_KINDS = ("success-local", "success-remote", "timeout-local", "timeout-remote")
 # Builds a named tuple from a ready tuple of all its fields, skipping the
-# Python-level __new__: about half the cost, for the objects built per HTLC
-# (its commitment output, and the input and output of its success claim).
+# Python-level __new__: about half the cost, for the commitment output built
+# per HTLC.
 _tuple_new = tuple.__new__
 
 _KIND_CODE = {"success-local": "sl", "success-remote": "sr",
               "timeout-local": "tl", "timeout-remote": "tr"}
+_amount_of = attrgetter("amount")
+_offerer_of = attrgetter("offerer")
+_known_by = attrgetter("preimage_known_by")
+_expiry_of = attrgetter("expiry_height")
 
 
 class ChannelError(Exception):
@@ -416,68 +423,78 @@ class Channel:
 
     def claimable_successes(self, claimer: str, height: int,
                             rbf_signal: bool | None = None) -> dict[int, Transaction]:
-        """Success-local claims, by HTLC id, for every pending incoming HTLC
-        whose preimage the claimer knows: the same transactions, ids and
-        exceptions as build_htlc_claim(claimer, id, "success-local", height,
-        rbf_signal=rbf_signal) in id order, with the shared checks and the
-        shared fee computed once."""
-        published = self.published
-        if published is None or published.holder != claimer:
-            return {h.id: self.build_htlc_claim(claimer, h.id, "success-local", height,
-                                                rbf_signal=rbf_signal)
-                    for h in self.pending_htlcs.values()
-                    if h.offerer != claimer and claimer in h.preimage_known_by}
-        weight = self.weights.htlc_success
-        fee = fee_for_weight(self.feerate, weight)
-        rbf = True if rbf_signal is None else bool(rbf_signal)
-        prefix = f"{self.channel_id}-{_KIND_CODE['success-local']}"
-        commit_txid = published.txid
-        index = published.htlc_index
-        claims = {}
+        """Success-local claims for every pending incoming HTLC whose
+        preimage the claimer knows, one cohort per run of consecutive HTLC
+        ids of one amount on consecutive commitment outputs, keyed by the
+        run's first HTLC id: what build_htlc_claims builds for each run."""
+        index = self.published.htlc_index if self.published is not None else {}
+        runs: dict[int, int] = {}
+        first = end = amount = None
         for hid, htlc in self.pending_htlcs.items():
             if htlc.offerer == claimer or claimer not in htlc.preimage_known_by:
                 continue
-            vout = index.get(hid)
-            if vout is None:
-                raise HtlcNotPending(hid)
-            self._build_count += 1
-            paid = min(fee, htlc.amount)
-            claims[hid] = Transaction(
-                f"{prefix}{self._build_count}-h{hid}",
-                (_tuple_new(OutputRef, (commit_txid, vout)),),
-                (_tuple_new(TxOutput, (htlc.amount - paid, claimer, "claim")),),
-                weight, paid, rbf, claimer)
-        return claims
+            if hid == end and htlc.amount == amount and \
+                    index.get(hid, hid) == index.get(first, first) + hid - first:
+                runs[first] += 1
+            else:
+                first, amount = hid, htlc.amount
+                runs[first] = 1
+            end = hid + 1
+        return {first: self.build_htlc_claims(claimer, first, count, "success-local",
+                                              height, rbf_signal=rbf_signal)
+                for first, count in runs.items()}
 
     def build_htlc_claim(self, claimer: str, htlc_id: int, kind: str, height: int,
-                         fee_override: int | None = None,
-                         rbf_signal: bool | None = None,
-                         extra_input: OutputRef | None = None,
-                         extra_value: int = 0,
-                         extra_weight: int = 280,
-                         anchor: bool = False) -> Transaction:
+                         fee_override: int | None = None, rbf_signal: bool | None = None,
+                         extra_input: OutputRef | None = None, extra_value: int = 0,
+                         extra_weight: int = 280, anchor: bool = False) -> Transaction:
+        return self.build_htlc_claims(claimer, htlc_id, 1, kind, height, fee_override,
+                                      rbf_signal, extra_input, extra_value,
+                                      extra_weight, anchor)
+
+    def build_htlc_claims(self, claimer: str, htlc_id: int, count: int, kind: str,
+                          height: int, fee_override: int | None = None,
+                          rbf_signal: bool | None = None, extra_input: OutputRef | None = None,
+                          extra_value: int = 0, extra_weight: int = 280,
+                          anchor: bool = False) -> Transaction:
+        """One cohort of `kind` claims on HTLCs htlc_id .. htlc_id + count - 1,
+        which must share an amount and sit on consecutive commitment
+        outputs: member m claims HTLC htlc_id + m and, given extra_input, also
+        spends (extra_input.txid, extra_input.index + m).  Raises what
+        building the first failing member alone would."""
         if kind not in CLAIM_KINDS:
             raise WrongClaim(f"unknown claim kind {kind!r}")
-        if self.published is None:
+        published = self.published
+        if published is None:
             raise NoPublishedCommitment(self.channel_id)
-        htlc = self.all_htlcs.get(htlc_id)
-        if htlc is None or htlc_id not in self.published.htlc_index:
-            raise HtlcNotPending(htlc_id)
+        ids = range(htlc_id, htlc_id + count)
+        htlcs = list(map(self.all_htlcs.get, ids))
+        vouts = list(map(published.htlc_index.get, ids))
+        if None in htlcs or None in vouts:
+            raise HtlcNotPending(next(hid for hid, h, v in zip(ids, htlcs, vouts)
+                                      if h is None or v is None))
+        amounts = set(map(_amount_of, htlcs))
+        if len(amounts) != 1 or vouts != list(range(vouts[0], vouts[0] + count)):
+            raise ValueError(f"HTLCs {htlc_id}..{htlc_id + count - 1} differ in amount "
+                             "or are not on consecutive outputs")
         success = kind.startswith("success")
         local = kind.endswith("local")
-        if local != (self.published.holder == claimer):
+        if local != (published.holder == claimer):
             raise WrongClaim(f"{kind} does not match published commitment holder")
+        offerers = set(map(_offerer_of, htlcs))
         if success:
-            if htlc.offerer == claimer:
+            if claimer in offerers:
                 raise WrongClaim("success claims redeem incoming HTLCs only")
-            if claimer not in htlc.preimage_known_by:
-                raise PreimageMissing(htlc.payment_hash)
+            known = list(map(contains, map(_known_by, htlcs), repeat(claimer)))
+            if not all(known):
+                raise PreimageMissing(htlcs[known.index(False)].payment_hash)
         else:
-            if htlc.offerer != claimer:
+            if offerers != {claimer}:
                 raise WrongClaim("timeout claims refund the offerer only")
-            if height < htlc.expiry_height:
-                raise PrematureTimeout(
-                    f"height {height} < expiry {htlc.expiry_height}")
+            expiry = max(map(_expiry_of, htlcs))
+            if height < expiry:
+                expiry = next(e for e in map(_expiry_of, htlcs) if height < e)
+                raise PrematureTimeout(f"height {height} < expiry {expiry}")
         weight = self.weights.htlc_success if success else self.weights.htlc_timeout
         dual_signed = local
         if dual_signed and not anchor:
@@ -499,8 +516,8 @@ class Channel:
         else:
             fee = fee_for_weight(self.feerate, weight) if fee_override is None else fee_override
             rbf = bool(rbf_signal)
-        inputs = [OutputRef(self.published.txid, self.published.htlc_index[htlc_id])]
-        total_in = htlc.amount + extra_value
+        inputs = [OutputRef(published.txid, vouts[0])]
+        total_in = amounts.pop() + extra_value
         if extra_input is not None:
             inputs.append(extra_input)
             weight += extra_weight
@@ -509,14 +526,17 @@ class Channel:
         return Transaction(
             f"{self.channel_id}-{_KIND_CODE[kind]}{self._build_count}-h{htlc_id}",
             tuple(inputs), (TxOutput(total_in - fee, claimer, "claim"),),
-            weight, fee, rbf, claimer)
+            weight, fee, rbf, claimer, count)
 
-    def mark_claimed(self, htlc_id: int, by_timeout: bool) -> None:
-        """Record the on-chain outcome of a contested HTLC (exactly once)."""
-        htlc = self.all_htlcs[htlc_id]
-        if htlc.state not in ("pending",):
-            raise AssertionError(f"HTLC {htlc_id} already terminal: {htlc.state}")
-        htlc.state = "claimed-by-timeout" if by_timeout else "claimed-by-success"
+    def mark_claimed(self, htlc_id: int, by_timeout: bool, count: int = 1) -> None:
+        """Record the on-chain outcome of contested HTLCs htlc_id ..
+        htlc_id + count - 1 (each exactly once)."""
+        state = "claimed-by-timeout" if by_timeout else "claimed-by-success"
+        for hid in range(htlc_id, htlc_id + count):
+            htlc = self.all_htlcs[hid]
+            if htlc.state != "pending":
+                raise AssertionError(f"HTLC {hid} already terminal: {htlc.state}")
+            htlc.state = state
 
 
 class Wallet:
@@ -533,10 +553,11 @@ class Wallet:
         chosen: list[OutputRef] = []
         total = 0
         for ref in self.outpoints:
-            if ref not in chain.utxo_set:
+            out = chain.utxo.get(ref.txid, {}).get(ref.index)
+            if out is None:
                 continue
             chosen.append(ref)
-            total += chain.utxo_set[ref].value
+            total += out.value
             if total >= amount:
                 break
         if total < amount:

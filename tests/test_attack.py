@@ -258,7 +258,7 @@ class RecordingChain(ChainState):
 
     def submit(self, tx):
         res = super().submit(tx)
-        self.log.append((self.height, tx.id, res.status))
+        self.log.append((self.height, tx.id, res.status, tx.count))
         return res
 
 
@@ -268,7 +268,7 @@ def test_victim_success_claims_never_start_after_expiry(bmw):
     run = _Run(cfg)
     run.chain = RecordingChain(cfg.blockmaxweight)
     run.execute()
-    for height, txid, status in run.chain.log:
+    for height, txid, status, _ in run.chain.log:
         if "-sl" in txid and status != "rejected":
             assert height < cfg.htlc_expiry_height, (height, txid)
 
@@ -279,11 +279,22 @@ def test_attacker_claims_only_at_or_after_expiry():
     run.chain = RecordingChain(cfg.blockmaxweight)
     run.execute()
     seen = 0
-    for height, txid, status in run.chain.log:
+    for height, txid, status, count in run.chain.log:
         if "-tr" in txid:
-            seen += 1
+            seen += count
             assert height >= cfg.htlc_expiry_height, (height, txid)
     assert seen >= 2 * 483  # both channels' worth of timeout spends
+
+
+def test_race_submits_cohorts_not_one_claim_per_htlc():
+    # Each channel's 483 timeout claims go out as one cohort: the run's
+    # submissions follow channels and blocks, not the HTLC count.
+    cfg = AttackConfig(num_victim_channels=2, blockmaxweight=40_000, seed=13)
+    run = _Run(cfg)
+    run.chain = RecordingChain(cfg.blockmaxweight)
+    report = run.execute()
+    assert report.stolen_htlcs == 2 * 483
+    assert len(run.chain.log) < 50, len(run.chain.log)
 
 
 def test_weight_schedule_overrides_flow_through():

@@ -325,7 +325,8 @@ def test_transaction_is_frozen_and_fully_initialised():
     tx = Transaction("t", (), (TxOutput(5, "n"),), 400, 10)
     every = {f.name: getattr(tx, f.name) for f in dataclasses.fields(Transaction)}
     assert every == {"id": "t", "inputs": (), "outputs": (TxOutput(5, "n"),),
-                     "weight": 400, "fee": 10, "rbf_signal": False, "origin": ""}
+                     "weight": 400, "fee": 10, "rbf_signal": False, "origin": "",
+                     "count": 1}
     assert tx == Transaction(id="t", inputs=(), outputs=(TxOutput(5, "n"),),
                              weight=400, fee=10, rbf_signal=False, origin="")
     assert hash(tx) == hash(dataclasses.replace(tx))

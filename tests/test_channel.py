@@ -16,6 +16,7 @@ from htlcrace.channel import (
     CounterpartyUnresponsive,
     FeeOverrideOnDualSigned,
     HtlcBelowMinimum,
+    HtlcNotPending,
     InsufficientBalance,
     InsufficientFunds,
     PrematureTimeout,
@@ -314,7 +315,8 @@ def test_waiting_profile_closes_without_claims():
 def test_eager_profile_publishes_claims_same_tick():
     chain, ch = closing_channel("eclair", n_htlcs=3)
     txs = ch.force_close(chain, "bob", height=chain.height)
-    assert len(txs) == 4  # commitment + 3 success claims as children
+    # commitment + a cohort of 3 success claims as children
+    assert [t.count for t in txs] == [1, 3]
     assert len(chain.mempool) == 4
     block = chain.mine_block()
     ids = [t.id for t in block.txs]
@@ -484,18 +486,62 @@ def claims_channel():
     return chain, ch
 
 
+def members(cohort):
+    """The cohort as the plain transactions it stands for, ids aside."""
+    return [(tuple(OutputRef(r.txid, r.index + m) for r in cohort.inputs),
+             cohort.outputs, cohort.weight, cohort.fee, cohort.rbf_signal, cohort.origin)
+            for m in range(cohort.count)]
+
+
+def plain(tx):
+    return members(tx)[0]
+
+
 @pytest.mark.parametrize("rbf", [None, True, False])
 def test_claimable_successes_equal_build_htlc_claim_per_htlc(rbf):
     chain, batch = claims_channel()
     _, single = claims_channel()
     got = batch.claimable_successes("bob", chain.height, rbf_signal=rbf)
-    want = {hid: single.build_htlc_claim("bob", hid, "success-local", chain.height,
-                                         rbf_signal=rbf)
-            for hid in (0, 1, 2)}
-    assert got == want
-    assert batch._build_count == single._build_count
+    want = [single.build_htlc_claim("bob", hid, "success-local", chain.height,
+                                    rbf_signal=rbf)
+            for hid in (0, 1, 2)]
+    assert list(got) == [0]  # one cohort, from HTLC 0 on
+    assert members(got[0]) == [plain(tx) for tx in want]
+    assert got[0].id.startswith("chan-sl")
     with pytest.raises(WrongClaim):  # alice's success claim on bob's commitment
         batch.claimable_successes("alice", chain.height)
+
+
+def test_claimable_successes_split_where_amounts_differ():
+    chain, ch = closing_channel("lnd", n_htlcs=0)
+    ch.silent.clear()
+    for k, amount in enumerate((10_000, 10_000, 20_000, 10_000)):
+        ch.add_htlc("alice", amount, f"h{k}", f"p{k}", expiry_height=60, known_to=("bob",))
+    ch.force_close(chain, "bob", height=chain.height, submit_claims=False)
+    got = ch.claimable_successes("bob", chain.height)
+    assert {first: tx.count for first, tx in got.items()} == {0: 2, 2: 1, 3: 1}
+    for first, tx in got.items():
+        assert members(tx) == [plain(ch.build_htlc_claim("bob", hid, "success-local",
+                                                         chain.height))
+                               for hid in range(first, first + tx.count)]
+
+
+def test_timeout_cohort_equals_single_claims_and_checks_every_member():
+    chain, ch = claims_channel()
+    cohort = ch.build_htlc_claims("alice", 0, 3, "timeout-remote", 60,
+                                  fee_override=5_000, rbf_signal=True,
+                                  extra_input=OutputRef("spare", 7), extra_value=1_000)
+    for m, member in enumerate(members(cohort)):
+        single = ch.build_htlc_claim("alice", m, "timeout-remote", 60, fee_override=5_000,
+                                     rbf_signal=True, extra_input=OutputRef("spare", 7 + m),
+                                     extra_value=1_000)
+        assert member == plain(single)
+    with pytest.raises(WrongClaim):  # HTLC 4 is bob's own offer
+        ch.build_htlc_claims("alice", 2, 3, "timeout-remote", 60)
+    with pytest.raises(PrematureTimeout):
+        ch.build_htlc_claims("alice", 0, 3, "timeout-remote", 59)
+    with pytest.raises(HtlcNotPending):
+        ch.build_htlc_claims("alice", 3, 4, "timeout-remote", 60)
 
 
 def test_reveal_preimages_reaches_both_sides_of_a_silent_channel():

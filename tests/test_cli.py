@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import htlcrace.chain as chain_module
 import htlcrace.cli as cli
 from htlcrace.attack import AttackConfig, run_attack
 from htlcrace.cli import (
@@ -343,6 +344,73 @@ def test_engine_config_errors_exit_2(tmp_path):
     out = tmp_path / "out"
     assert run_scenario(path, out) == 2
     assert "FAILED at stage" in (out / "summary.txt").read_text()
+
+
+def test_bad_weight_schedule_is_a_config_error(tmp_path):
+    path = write_scenario(tmp_path, FAST_ATTACK + "\n    [weights]\n    htlc_success = 0\n")
+    assert validate_scenario(path) == 2
+    out = tmp_path / "out"
+    assert run_scenario(path, out) == 2
+    assert "htlc_success must be positive" in (out / "summary.txt").read_text()
+
+
+def test_bad_traffic_is_a_config_error(tmp_path):
+    path = write_scenario(tmp_path, FAST_ATTACK + "\n    [traffic]\n    txs_per_tick = 2\n"
+                                                  "    weight_low = 900\n    weight_high = 800\n")
+    assert validate_scenario(path) == 2
+    assert run_scenario(path, tmp_path / "out") == 2
+
+
+def test_engine_value_error_is_a_runtime_error(tmp_path, monkeypatch):
+    # A ValueError raised by the engine is a fault, not the scenario's.
+    path = write_scenario(tmp_path, FAST_ATTACK)
+    out = tmp_path / "out"
+
+    def broken(self):
+        raise ValueError("mempool corrupted")
+
+    monkeypatch.setattr(chain_module.ChainState, "mine_block", broken)
+    assert run_scenario(path, out) == 3
+    summary = (out / "summary.txt").read_text()
+    assert "FAILED at stage execute" in summary and "mempool corrupted" in summary
+
+
+def test_anchor_bumps_past_the_htlc_value_run_clean(tmp_path):
+    # At the default bump feerate (25,000 sat/kWU) a bumped claim pays more
+    # than the HTLC is worth, so the attacker cannot outbid it and leaves it
+    # alone instead of stopping the run; those HTLCs go to the victims.
+    feerates = ["height,feerate,unit,conf_target"]
+    feerates += [f"{h},{max(1_000, 3_600 - 100 * h)},sat_kwu,2" for h in range(200)]
+    (tmp_path / "falling.csv").write_text("\n".join(feerates) + "\n")
+    path = write_scenario(tmp_path, """
+        [scenario]
+        kind = attack
+        seed = 77001911
+
+        [attack]
+        num_victim_channels = 8
+        blockmaxweight = 250000
+        htlc_expiry_height = 60
+        feerate_strategy = minimize:10
+        victim_first_at_expiry = true
+        anchor_mode = true
+
+        [feerates]
+        csv = falling.csv
+
+        [traffic]
+        txs_per_tick = 5
+        weight_low = 500
+        weight_high = 20000
+        feerate_low = 500
+        feerate_high = 8000
+    """)
+    out = tmp_path / "out"
+    assert run_scenario(path, out) == 0
+    (row,) = read_csv(out / "report.csv")[1:]
+    report = dict(zip(REPORT_COLUMNS, map(int, row)))
+    assert report["stolen_htlcs"] == 0
+    assert report["victim_claimed_htlcs"] == report["total_htlcs"] == 8 * 483
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,275 @@
+"""Cohorts vs the member-by-member references.
+
+A cohort of k is meant to be exactly k member transactions submitted in a
+row.  Each randomized session here drives a ChainState with cohorts of 1 to
+500 members -- feerate ties, parent/child chains, blocks that take part of a
+cohort, replacements of part of a cohort and the evictions they cause --
+and replays every step, expanded member by member, through the brute-force
+references of tests/mining_reference.py and tests/rbf_reference.py.  Submit
+verdicts, evicted members and mined blocks must agree, and so must the block
+space available_space reports.  Where the chain
+raises ValueError (members whose conflicts, evictions or inputs do not line
+up, so that they might not share a verdict), the session submits the two
+halves of the cohort instead, as a caller splitting it would, and those
+must agree too.
+"""
+
+import random
+from collections import Counter
+
+from htlcrace.chain import (
+    Block, ChainState, OutputRef, Transaction, TxOutput, available_space,
+)
+from mining_reference import oracle_block
+from rbf_reference import oracle_submit
+
+FEERATES = (1_000, 2_000, 2_500, 5_000)
+WEIGHTS = (400, 500, 800, 1_000)
+
+
+class Session:
+    """A chain plus its member-by-member mirror."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.limit = rng.choice((20_000, 60_000, 200_000))
+        self.chain = ChainState(self.limit)
+        self.cohorts = {}    # id -> Transaction, for every submitted cohort
+        self.pending = []    # expanded pending members, in submission order
+        self.seen = Counter()
+        self.counter = 0
+
+    # -- expansion ---------------------------------------------------------
+
+    def member_id(self, txid, m):
+        tx = self.cohorts.get(txid)
+        return txid if tx is None or tx.count == 1 else f"{txid}#{m}"
+
+    def expand_ref(self, txid, index):
+        tx = self.cohorts.get(txid)
+        if tx is None or tx.count == 1:
+            return OutputRef(txid, index)
+        nout = len(tx.outputs)
+        return OutputRef(self.member_id(txid, index // nout), index % nout)
+
+    def members(self, tx, first=0, count=None):
+        count = tx.count if count is None else count
+        return [Transaction(self.member_id(tx.id, m),
+                            tuple(self.expand_ref(r.txid, r.index + m) for r in tx.inputs),
+                            tx.outputs, tx.weight, tx.fee, tx.rbf_signal, tx.origin)
+                for m in range(first, first + count)]
+
+    def confirmed_refs(self):
+        return {self.expand_ref(*ref) for ref in self.chain.utxo_set}
+
+    # -- steps ---------------------------------------------------------------
+
+    def submit(self, tx):
+        """Submit a cohort, checking it against the references member by
+        member; on ValueError submit its two halves instead."""
+        self.cohorts[tx.id] = tx
+        confirmed = self.confirmed_refs()
+        mirror = list(self.pending)
+        verdicts = []
+        for member in self.members(tx):
+            status, reason, evicted = oracle_submit(mirror, confirmed, member)
+            verdicts.append((status, reason))
+            if status != "rejected":
+                mirror = [t for t in mirror if t.id not in evicted] + [member]
+        try:
+            result = self.chain.submit(tx)
+        except ValueError as exc:
+            del self.cohorts[tx.id]
+            if tx.count == 1:  # inputs that do not add up to outputs plus fee
+                assert "fee" in str(exc), exc
+                self.seen["malformed"] += 1
+                return
+            self.seen["split"] += 1
+            self.seen["split-uniform"] += len(set(verdicts)) == 1
+            half = tx.count // 2
+            for tag, first, count in (("a", 0, half), ("b", half, tx.count - half)):
+                self.submit(Transaction(
+                    tx.id + tag, tuple(OutputRef(r.txid, r.index + first) for r in tx.inputs),
+                    tx.outputs, tx.weight, tx.fee, tx.rbf_signal, tx.origin, count))
+            return
+        assert set(verdicts) == {(result.status, result.reason)}, (tx.id, verdicts, result)
+        if result.ok:
+            gone = {t.id for t in self.pending} - {t.id for t in mirror}
+            cohorts_gone = {self.cohort_of(i) for i in gone}
+            assert set(result.evicted) == cohorts_gone, (result.evicted, gone)
+            self.pending = mirror
+            assert len(self.chain.mempool) == len(mirror)
+            self.seen["cohort" if tx.count > 1 else "single"] += 1
+            self.seen["large-cohort"] += tx.count >= 200
+            if result.status == "replaced":
+                self.seen["replaced"] += 1
+                self.seen["evicted-members"] += len(gone)
+                self.seen["partial-replacement"] += any(
+                    self.partly_pending(c) for c in cohorts_gone)
+        else:
+            del self.cohorts[tx.id]
+            self.seen[result.reason] += 1
+
+    def cohort_of(self, member_id):
+        return member_id.split("#")[0]
+
+    def partly_pending(self, txid):
+        ids = {t.id for t in self.pending}
+        tx = self.cohorts[txid]
+        return tx.count > 1 and any(self.member_id(txid, m) in ids for m in range(tx.count))
+
+    def mine(self):
+        want = oracle_block(self.pending, self.limit)
+        block = self.chain.mine_block()
+        got = []
+        for tx in block.txs:
+            got += [t.id for t in self.members(self.cohorts[tx.id], tx.first, tx.count)]
+            self.seen["part-mined"] += tx.count != self.cohorts[tx.id].count
+        assert got == want
+        members = [m for tx in block.txs
+                   for m in self.members(self.cohorts[tx.id], tx.first, tx.count)]
+        flat = Block(block.height, tuple(members), block.weight_used)
+        for feerate in (0, 999, 2_000, 2_500, 4_999, 10**6):
+            assert available_space(feerate, block, self.limit) == \
+                available_space(feerate, flat, self.limit)
+        mined = set(got)
+        self.seen["ties"] += len({(t.fee, t.weight) for t in self.pending if t.id in mined}) \
+            < len({self.cohort_of(i) for i in mined})
+        self.pending = [t for t in self.pending if t.id not in mined]
+        return mined
+
+    # -- random cohorts --------------------------------------------------------
+
+    def runs(self):
+        """(txid, first index, length, value) runs of spendable or pending
+        outputs that a cohort may spend, one value per run."""
+        out = []
+        for txid, outs in self.chain.utxo.items():
+            idx = sorted(outs)
+            start = prev = idx[0]
+            for i in idx[1:] + [None]:
+                if i != prev + 1 or outs[i].value != outs[start].value:
+                    out.append((txid, start, prev + 1 - start, outs[start].value))
+                    start = i
+                prev = i
+        for txid, tx in self.chain.mempool.pending.items():
+            if tx.count == 1:
+                out += [(txid, k, 1, o.value) for k, o in enumerate(tx.outputs)]
+            elif len(tx.outputs) == 1:
+                out += [(txid, a, b - a, tx.outputs[0].value)
+                        for a, b in self.chain.mempool.parts(txid, 0, tx.count)]
+        return out
+
+    def value_at(self, ref):
+        """Value of the output at `ref`, confirmed or pending; any value if
+        there is none (the submission is then refused as missing-input)."""
+        outs = self.chain.utxo.get(ref.txid, {})
+        if ref.index in outs:
+            return outs[ref.index].value
+        tx = self.chain.mempool.pending.get(ref.txid)
+        if tx is not None and ref.index < tx.count * len(tx.outputs):
+            return tx.outputs[ref.index % len(tx.outputs)].value
+        return 1_000
+
+    def conflicting(self):
+        """Inputs of pending members of one cohort: a replacement target."""
+        pend = self.chain.mempool.pending
+        if not pend:
+            return None
+        tx = pend[self.rng.choice(sorted(pend))]
+        a, b = self.rng.choice(self.chain.mempool.parts(tx.id, 0, tx.count))
+        lo = self.rng.randint(a, b - 1)
+        hi = self.rng.randint(lo + 1, b)
+        refs = [OutputRef(r.txid, r.index + lo) for r in tx.inputs]
+        refs = self.rng.sample(refs, k=self.rng.randint(1, len(refs)))
+        return refs, hi - lo, tx
+
+    def random_cohort(self):
+        rng = self.rng
+        self.counter += 1
+        txid = f"c{self.counter}"
+        target = None
+        if rng.random() < 0.3 and (found := self.conflicting()) is not None:
+            refs, count, target = found
+            if rng.random() < 0.2:  # shift: members clash with the wrong ones
+                refs = [OutputRef(r.txid, r.index + rng.choice((-1, 1))) for r in refs]
+            total = sum(map(self.value_at, refs))
+        else:
+            runs = self.runs()
+            if not runs:
+                return None
+            picks = rng.sample(runs, k=min(len(runs), rng.choice((1, 1, 2))))
+            count = min(n for _, _, n, _ in picks)
+            count = rng.choice((1, count, rng.randint(1, count)))
+            refs, total = [], 0
+            for txid_, start, n, value in picks:
+                first = start + rng.randint(0, n - count)
+                refs.append(OutputRef(txid_, first))
+                total += value
+        weight = rng.choice(WEIGHTS)
+        rate = rng.choice(FEERATES)
+        if target is not None and rng.random() < 0.6:
+            rate = target.fee * 1000 // target.weight * rng.choice((1, 2, 3))
+        fee = rate * weight // 1000 + rng.choice((0, 0, 1, -1))
+        fee = max(0, min(fee, total - 2))
+        if count == 1 and rng.random() < 0.3:
+            half = (total - fee) // 2
+            outputs = (TxOutput(half, "n"), TxOutput(total - fee - half, "n"))
+        else:
+            outputs = (TxOutput(total - fee, "n"),)
+        return Transaction(txid, tuple(refs), outputs, weight, fee,
+                           rng.random() < 0.7, "n", count)
+
+
+def run_session(seed):
+    rng = random.Random(seed)
+    s = Session(rng)
+    for i in range(rng.randint(2, 3)):
+        s.chain.grant(f"g{i}", rng.randint(20_000, 80_000), count=rng.choice((1, 40, 500)))
+    for _ in range(rng.randint(15, 30)):
+        if rng.random() < 0.3:
+            s.mine()
+            continue
+        tx = s.random_cohort()
+        if tx is not None:
+            s.submit(tx)
+    while s.mine():
+        pass
+    s.chain.audit()
+    return s.seen
+
+
+def test_member_evicted_along_two_paths_counts_once():
+    # K's members spend P's outputs and Y's members'.  A newcomer clashing
+    # with P and with Y's last member evicts K's last member along both
+    # paths, and must pay for it once.
+    s = Session(random.Random(0))
+    g = s.chain.grant("g", 100_000)
+    h = s.chain.grant("h", 30_000, count=3)
+    p = Transaction("P", (g,), (TxOutput(33_000, "n"),) * 3, 500, 1_000, True)
+    y = Transaction("Y", (h,), (TxOutput(29_000, "n"),), 400, 1_000, True, count=3)
+    k = Transaction("K", (OutputRef("P", 0), OutputRef("Y", 0)), (TxOutput(61_000, "n"),),
+                    400, 1_000, True, count=3)
+    for tx in (p, y, k):
+        s.submit(tx)
+    for fee in (5_000, 5_001):  # evicted: P, Y's last member and all of K
+        s.submit(Transaction(f"N{fee}", (g, OutputRef(h.txid, 2)),
+                             (TxOutput(130_000 - fee, "n"),), 600, fee))
+    assert s.seen["insufficient-replacement-fee"] == 1 and s.seen["replaced"] == 1
+    while s.mine():
+        pass
+    s.chain.audit()
+
+
+def test_cohort_sessions_match_member_by_member_references():
+    seen = Counter()
+    for seed in range(40):
+        seen.update(run_session(7_000 + seed))
+    # The generator must reach every path, not just accept whole cohorts.
+    for what in ("cohort", "large-cohort", "single", "replaced", "part-mined",
+                 "partial-replacement",
+                 "ties", "split", "conflict-not-replaceable",
+                 "insufficient-replacement-fee"):
+        assert seen[what] > 5, seen
+    assert seen["evicted-members"] > 500, seen
+    print(dict(seen))

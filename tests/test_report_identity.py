@@ -8,6 +8,12 @@ minimization window, staggered release, eager (eclair-style) claim
 publication, anchor-mode fee bumps, CPFP children, non-replaceable claims,
 dynamic broadcast delta and immediate publication.  The digests were
 recorded before the hot paths were rewritten.
+
+The benchmark's shapes are pinned too, recorded before claims became
+cohorts: the sweep_lnd points (1M-weight blocks, per-point seeds as
+sweep_channels derives them from seed 1) and the seven matrix_traffic
+policies (8 channels on 250k-weight blocks with filler traffic, a
+minimize window on a falling series, victim_first_at_expiry).
 """
 
 import hashlib
@@ -25,6 +31,21 @@ SMALL = AttackConfig(num_victim_channels=4, blockmaxweight=125_000, seed=5)
 TRAFFIC = TrafficSpec(txs_per_tick=4, weight_low=500, weight_high=8_000,
                       feerate_low=500, feerate_high=6_000)
 FALLING = FeerateSeries([(h, max(1_000, 3_600 - 100 * h), 2) for h in range(120)])
+
+
+MATRIX_BASE = AttackConfig(
+    num_victim_channels=8, blockmaxweight=250_000, seed=17, htlc_expiry_height=60,
+    background_traffic=TrafficSpec(txs_per_tick=5, weight_low=500, weight_high=20_000,
+                                   feerate_low=500, feerate_high=8_000),
+    feerate_strategy="minimize:10", feerate_series=FALLING,
+    victim_first_at_expiry=True, victim_bump_feerate=12_000)
+MATRIX_POLICIES = {
+    "baseline": {}, "immediate": {"immediate_htlc_publication": True},
+    "cpfp": {"cpfp_demo": True}, "anchor": {"anchor_outputs_mode": True},
+    "non-replaceable": {"non_replaceable_htlc_success": True},
+    "dynamic": {"dynamic_delta": (0.05, 40)},
+    "fewer-htlcs": {"max_accepted_htlcs_override": 200},
+}
 
 
 def _policy(**kw):
@@ -53,6 +74,11 @@ CASES = {
     "starved-single": lambda: AttackConfig(num_victim_channels=1,
                                            blockmaxweight=40_000, seed=23),
 }
+for _n in (10, 11, 20, 29, 30):
+    CASES[f"sweep-lnd-{_n}"] = (lambda n: lambda: AttackConfig(
+        num_victim_channels=n, blockmaxweight=1_000_000, seed=1 + 7919 * n))(_n)
+for _name, _kw in MATRIX_POLICIES.items():
+    CASES[f"matrix-{_name}"] = (lambda kw: lambda: _policy(**kw)(MATRIX_BASE))(_kw)
 
 DIGESTS = {
     "anchor": "30eed631acd5551f41ec2bbe5d4b68bf2177980974116b8ce8bec374632479e2",
@@ -66,6 +92,18 @@ DIGESTS = {
     "starved-single": "2e7ee750689fab6195ef8af7baf6103f86cd598567e39cf21733c82ca3298fb8",
     "sweep-point-1m": "7700e9ca1ce0ef66fa06582dd3f1e046bb73a8bc2ca7eb13dac48fc4b03ea728",
     "traffic-minimize": "79dcfce7f0262fd761c39446f37e7ab237d2c79a60752f405f2965117983ec97",
+    "matrix-anchor": "da9d105d16cd749f848dd4bff8b76ce92a4bd77e155441b3e7dd93fa1ad6bdd8",
+    "matrix-baseline": "4f87d83c0fdf1f1684a2a66c090140554d9fabf61b5672d039c893a86f9a7186",
+    "matrix-cpfp": "69d606af1f1590345d40a5938b0b57ae33346a719a5589bc10b79a472cf56e54",
+    "matrix-dynamic": "9c77dc40e34aa113cb746b25e8c670f67cf3bc1e54281246af1e80313db258a9",
+    "matrix-fewer-htlcs": "39645fe447fa30916eab034999274e62785a1b4f8b2cafe9d450ba19d5cd9cf6",
+    "matrix-immediate": "7353905f9f76bea22e1aeced3f8a0e57477d332fb4acf42429bbd674a4fd3558",
+    "matrix-non-replaceable": "017cd899557309192dc86755126cbd46525bf18c65604f542c45263b1838d0f5",
+    "sweep-lnd-10": "fd74043547fe7389e422148ffb99bcf3c6d10154253c3b387e1d5f5d2673c4d7",
+    "sweep-lnd-11": "8ae8605752716b993ce13dbf4c0c39a58c5e0e3f5570dd5039630a37a8af48e4",
+    "sweep-lnd-20": "6caaa47d2deed93aa1192196cb2ad31f3df92910662942ecb92fca137edab55a",
+    "sweep-lnd-29": "7700e9ca1ce0ef66fa06582dd3f1e046bb73a8bc2ca7eb13dac48fc4b03ea728",
+    "sweep-lnd-30": "1438a2cec4178f83611b18ea40d0ea8652dd0fa21f0c99c5d3203db18dea36bf",
 }
 
 

@@ -33,7 +33,8 @@ from .attack import (
     run_attack, sweep_channels,
 )
 from .mitigations import (
-    MatrixRow, MitigationPolicy, PolicyError, apply_policy, apply_to_config,
+    MatrixRow, MitigationPolicy, NoBumpFunds, PolicyError,
+    anchor_mode_claim_behavior, apply_policy, apply_to_config,
     run_mitigation_matrix,
 )
 
@@ -43,10 +44,10 @@ __all__ = [
     "AttackConfig", "AttackReport", "Block", "ChainState", "Channel",
     "ChannelError", "ChannelParams", "ConfigError", "DEFAULT_BLOCKMAXWEIGHT",
     "FeerateSeries", "Htlc", "MAX_TX_WEIGHT", "MatrixRow", "MitigationPolicy",
-    "OutputRef", "PROFILES", "PolicyError", "SeriesError",
+    "NoBumpFunds", "OutputRef", "PROFILES", "PolicyError", "SeriesError",
     "SpaceAnalysis", "StrategyOutcome", "SubmitResult", "TraceRow",
     "TrafficSpec", "Transaction", "TxOutput", "Wallet", "WeightSchedule",
-    "apply_policy", "apply_to_config",
+    "anchor_mode_claim_behavior", "apply_policy", "apply_to_config",
     "available_space", "break_even_channels", "compute_htlc_value",
     "fee_for_weight", "fraction_of_time_above", "ingest_feerate_csv",
     "min_channels_guaranteed_theft", "open_channel", "profile_params",

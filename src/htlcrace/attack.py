@@ -671,15 +671,6 @@ def min_channels_guaranteed_theft(victim_params: ChannelParams | str,
     return window * blockmaxweight // per_channel + 1
 
 
-def map_runs(fn, work: list, jobs: int = 1) -> list:
-    """fn over work, spread over `jobs` forked processes when that helps."""
-    if jobs > 1 and len(work) > 1:
-        import multiprocessing  # only parallel runs pay for importing it
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            return pool.map(fn, work)
-    return [fn(w) for w in work]
-
-
 def _sweep_one(cfg: AttackConfig) -> tuple[int, AttackReport]:
     return cfg.num_victim_channels, run_attack(cfg)
 
@@ -689,7 +680,11 @@ def sweep_channels(template: AttackConfig, n_values, jobs: int = 1):
     template seed and n, so curves reproduce regardless of `jobs`."""
     configs = [replace(template, num_victim_channels=n, seed=template.seed + 7919 * n)
                for n in n_values]
-    return map_runs(_sweep_one, configs, jobs)
+    if jobs > 1 and len(configs) > 1:
+        import multiprocessing  # only parallel runs pay for importing it
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+            return pool.map(_sweep_one, configs)
+    return [_sweep_one(c) for c in configs]
 
 
 def break_even_channels(curve) -> int | None:

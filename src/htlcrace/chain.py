@@ -140,6 +140,10 @@ class Block:
     height: int
     txs: tuple[Transaction, ...]
     weight_used: int
+    # The entries of txs with more than one member, which a block holding
+    # any must list (mine_block does): available_space reads their further
+    # members from here, so blocks of plain transactions never pay for them.
+    cohorts: tuple[Transaction, ...] = ()
 
 
 @dataclass(slots=True, eq=False)
@@ -590,6 +594,7 @@ class ChainState:
         value = self._utxo_value
         fees = self._fees_confirmed
         selected: list[Transaction] = []
+        cohorts: list[Transaction] = []
         skipped: list[_FeeClass] = []
         while queue:
             cls = queue[0]
@@ -637,7 +642,10 @@ class ChainState:
                     value += taken * sum(map(_value_of, outputs))
                 fees += taken * tx.fee
                 confirmed.add(txid)
-                selected.append(tx if taken == tx.count else Slice(tx, lo, taken))
+                entry = tx if taken == tx.count else Slice(tx, lo, taken)
+                selected.append(entry)
+                if taken > 1:
+                    cohorts.append(entry)
                 if kids:
                     mp._release(tx, lo, end)
                 if not pieces[txid]:
@@ -650,7 +658,8 @@ class ChainState:
         self._utxo_value = value
         self._fees_confirmed = fees
         self.height += 1
-        block = Block(self.height, tuple(selected), self.blockmaxweight - room)
+        block = Block(self.height, tuple(selected), self.blockmaxweight - room,
+                      tuple(cohorts))
         self.blocks.append(block)
         if value + fees != self._granted_total:
             raise AssertionError(
@@ -678,7 +687,8 @@ class ChainState:
         for block in self.blocks:
             txs = block.txs
             weight = sum(tx.weight * tx.count for tx in txs)
-            if weight != block.weight_used or weight > self.blockmaxweight:
+            if weight != block.weight_used or weight > self.blockmaxweight or \
+                    tuple(tx for tx in txs if tx.count > 1) != block.cohorts:
                 raise AssertionError(f"block {block.height} weight bookkeeping broken")
             for tx in txs:
                 first, count = tx.first, tx.count
@@ -720,5 +730,8 @@ def available_space(feerate: int, block: Block,
     taken = 0
     for tx in block.txs:
         if tx.fee * 1000 > feerate * tx.weight:
-            taken += tx.weight * tx.count
+            taken += tx.weight
+    for tx in block.cohorts:  # the members past each cohort entry's first
+        if tx.fee * 1000 > feerate * tx.weight:
+            taken += tx.weight * (tx.count - 1)
     return blockmaxweight - taken

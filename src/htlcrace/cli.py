@@ -12,7 +12,7 @@ summary.txt is written even when a stage fails, recording which one.
 
 Exit codes: 0 success, 2 configuration/input error, 3 runtime error.  A
 configuration error is a ScenarioError, ConfigError, PolicyError or
-SeriesError, whenever it is raised; configuration building turns any other
+SeriesError, whenever it is raised; building a run's inputs turns any other
 ValueError into a ScenarioError, so any other exception is an engine fault.
 """
 from __future__ import annotations
@@ -21,14 +21,15 @@ import argparse
 import configparser
 import csv
 import sys
-from dataclasses import dataclass, fields, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .attack import (
     AttackConfig, AttackReport, ConfigError, TrafficSpec, break_even_channels,
-    min_channels_guaranteed_theft, run_attack, sweep_channels, validate_config,
+    min_channels_guaranteed_theft, run_attack, sweep_channels,
 )
-from .channel import WeightSchedule
+from .channel import WeightSchedule, profile_params
 from .fees import (
     FeerateSeries, SeriesError, fraction_of_time_above, ingest_feerate_csv,
     parse_strategy, simulate_feerate_strategy, synthetic_blocks,
@@ -44,8 +45,6 @@ REPORT_COLUMNS = (
     "stolen_value_sat", "victim_fees_sat", "attacker_cost_sat",
     "launch_feerate", "end_height",
 )
-TRACE_COLUMNS = ("height", "block_weight_used", "victim_tx_confirmed",
-                 "attacker_tx_confirmed")
 
 
 class ScenarioError(ValueError):
@@ -53,6 +52,18 @@ class ScenarioError(ValueError):
 
 
 CONFIG_ERRORS = (ScenarioError, ConfigError, PolicyError, SeriesError)
+
+
+@contextmanager
+def _configuring():
+    """Building a run's inputs from the scenario: a ValueError raised here
+    is the scenario's fault, not the engine's."""
+    try:
+        yield
+    except CONFIG_ERRORS:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"config-parse-error: {exc}") from exc
 
 
 @dataclass
@@ -112,47 +123,32 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_dynamic_delta(raw: str) -> tuple[float, int] | None:
-    if not raw:
-        return None
-    try:
-        slope_s, cap_s = raw.split(",")
-    except ValueError as exc:
-        raise ValueError(f"wants 'slope,cap': {exc}") from exc
-    return float(slope_s), int(cap_s)
-
-
-# How an INI value is read, by the annotated type of the field it sets.
-_PARSERS = {"int": int, "int | None": int, "str": str, "str | ChannelParams": str,
-            "bool": _parse_bool, "tuple[float, int] | None": _parse_dynamic_delta}
-
-
-def _from_section(sc: Scenario, section: str, cls, defaults=None, **given):
-    """`cls` built from the keys of [section] named after its fields, each
-    read as its annotated type; fields in `given` are set as given, and the
-    others keep `defaults` or the dataclass default when their key is absent."""
-    kwargs = dict(defaults or {})
-    for f in fields(cls):
-        if f.name not in given and sc.parser.has_option(section, f.name):
-            kwargs[f.name] = _get(sc.parser, section, f.name, _PARSERS[f.type], None)
-    try:
-        return cls(**kwargs, **given)
-    except CONFIG_ERRORS:
-        raise
-    except ValueError as exc:  # a dataclass refusing the values read
-        raise ScenarioError(f"config-parse-error: [{section}] {exc}") from exc
-
-
 def build_weights(sc: Scenario) -> WeightSchedule:
     if not sc.parser.has_section("weights"):
         return WeightSchedule()
-    return _from_section(sc, "weights", WeightSchedule)
+    s = "weights"
+    return WeightSchedule(
+        commitment_base=_get(sc.parser, s, "commitment_base", int, 724),
+        per_htlc_output=_get(sc.parser, s, "per_htlc_output", int, 172),
+        htlc_success=_get(sc.parser, s, "htlc_success", int, 703),
+        htlc_timeout=_get(sc.parser, s, "htlc_timeout", int, 663),
+    )
 
 
 def build_traffic(sc: Scenario) -> TrafficSpec | None:
     if not sc.parser.has_section("traffic"):
         return None
-    return _from_section(sc, "traffic", TrafficSpec)
+    s = "traffic"
+    end = _get(sc.parser, s, "end_height", int, None)
+    return TrafficSpec(
+        txs_per_tick=_get(sc.parser, s, "txs_per_tick", int, 0),
+        weight_low=_get(sc.parser, s, "weight_low", int, 500),
+        weight_high=_get(sc.parser, s, "weight_high", int, 20_000),
+        feerate_low=_get(sc.parser, s, "feerate_low", int, 500),
+        feerate_high=_get(sc.parser, s, "feerate_high", int, 20_000),
+        start_height=_get(sc.parser, s, "start_height", int, 0),
+        end_height=end,
+    )
 
 
 def build_series(sc: Scenario) -> FeerateSeries | None:
@@ -179,10 +175,46 @@ def build_attack_config(sc: Scenario, seed: int) -> AttackConfig:
     s = "attack"
     if not p.has_section(s):
         raise ScenarioError("config-parse-error: missing [attack] section")
-    cfg = _from_section(sc, s, AttackConfig, {"num_victim_channels": 1},
-                        weights=build_weights(sc), seed=seed,
-                        feerate_series=build_series(sc),
-                        background_traffic=build_traffic(sc))
+    profile = _get(p, s, "victim_profile", str, "lnd")
+    profile_params(profile)  # fail fast on unknown names
+    dyn_raw = _get(p, s, "dynamic_delta", str, None)
+    dynamic = None
+    if dyn_raw:
+        try:
+            slope_s, cap_s = dyn_raw.split(",")
+            dynamic = (float(slope_s), int(cap_s))
+        except ValueError as exc:
+            raise ScenarioError(
+                f"config-parse-error: dynamic_delta wants 'slope,cap': {exc}") from exc
+    cfg = AttackConfig(
+        num_victim_channels=_get(p, s, "num_victim_channels", int, 1),
+        victim_profile=profile,
+        htlc_expiry_height=_get(p, s, "htlc_expiry_height", int, 44),
+        channel_funding=_get(p, s, "channel_funding", int, 10_000_000),
+        channel_feerate=_get(p, s, "channel_feerate", int, 2_000),
+        attacker_fee_bump_increment=_get(p, s, "attacker_fee_bump_increment", int, 1),
+        blockmaxweight=_get(p, s, "blockmaxweight", int, 4_000_000),
+        weights=build_weights(sc),
+        seed=seed,
+        min_htlc_amount=_get(p, s, "min_htlc_amount", int, 1),
+        feerate_strategy=_get(p, s, "feerate_strategy", str, "naive"),
+        feerate_series=build_series(sc),
+        background_traffic=build_traffic(sc),
+        preimage_release=_get(p, s, "preimage_release", str, "batch"),
+        attacker_claims_replaceable=_get(p, s, "attacker_claims_replaceable",
+                                         _parse_bool, False),
+        victim_claims_replaceable=_get(p, s, "victim_claims_replaceable",
+                                       _parse_bool, True),
+        dynamic_delta=dynamic,
+        anchor_mode=_get(p, s, "anchor_mode", _parse_bool, False),
+        victim_bump_feerate=_get(p, s, "victim_bump_feerate", int, 25_000),
+        victim_bump_offset=_get(p, s, "victim_bump_offset", int, 2),
+        victim_bump_funds=_get(p, s, "victim_bump_funds", _parse_bool, True),
+        cpfp_demo=_get(p, s, "cpfp_demo", _parse_bool, False),
+        victim_first_at_expiry=_get(p, s, "victim_first_at_expiry", _parse_bool, False),
+        drain_cap=_get(p, s, "drain_cap", int, 300),
+    )
+    from .attack import validate_config
     validate_config(cfg)
     return cfg
 
@@ -192,8 +224,27 @@ def build_policies(sc: Scenario) -> list[MitigationPolicy]:
     for section in sc.parser.sections():
         if not section.startswith("policy:"):
             continue
-        policies.append(_from_section(sc, section, MitigationPolicy,
-                                      policy_id=section.split(":", 1)[1]))
+        s = section
+        p = sc.parser
+        dyn_raw = _get(p, s, "dynamic_delta", str, None)
+        dynamic = None
+        if dyn_raw:
+            slope_s, cap_s = dyn_raw.split(",")
+            dynamic = (float(slope_s), int(cap_s))
+        policies.append(MitigationPolicy(
+            policy_id=section.split(":", 1)[1],
+            commitment_broadcast_delta_override=_get(
+                p, s, "commitment_broadcast_delta_override", int, None),
+            max_accepted_htlcs_override=_get(
+                p, s, "max_accepted_htlcs_override", int, None),
+            immediate_htlc_publication=_get(
+                p, s, "immediate_htlc_publication", _parse_bool, False),
+            dynamic_delta=dynamic,
+            anchor_outputs_mode=_get(p, s, "anchor_outputs_mode", _parse_bool, False),
+            non_replaceable_htlc_success=_get(
+                p, s, "non_replaceable_htlc_success", _parse_bool, False),
+            cpfp_demo=_get(p, s, "cpfp_demo", _parse_bool, False),
+        ))
     return policies
 
 
@@ -207,14 +258,6 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_trace(out: Path, label: tuple, runs) -> None:
-    """trace.csv: one row per height of each (key, report) run, the key
-    first, under the columns `label` names."""
-    _write_csv(out / "trace.csv", label + TRACE_COLUMNS,
-               [(*key, t.height, t.weight_used, t.victim_claims_confirmed,
-                 t.attacker_claims_confirmed) for key, r in runs for t in r.trace])
-
-
 def _report_row(n: int, r: AttackReport) -> tuple:
     return (n, r.htlcs_per_channel, r.htlc_value, r.total_htlcs, r.stolen_htlcs,
             r.victim_claimed_htlcs, r.unresolved_htlcs, r.stolen_value,
@@ -222,11 +265,16 @@ def _report_row(n: int, r: AttackReport) -> tuple:
 
 
 def _run_attack_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]:
-    cfg = build_attack_config(sc, seed)
+    with _configuring():
+        cfg = build_attack_config(sc, seed)
     report = run_attack(cfg)
     _write_csv(out / "report.csv", REPORT_COLUMNS,
                [_report_row(cfg.num_victim_channels, report)])
-    _write_trace(out, (), [((), report)])
+    _write_csv(out / "trace.csv",
+               ("height", "block_weight_used", "victim_tx_confirmed",
+                "attacker_tx_confirmed"),
+               [(t.height, t.weight_used, t.victim_claims_confirmed,
+                 t.attacker_claims_confirmed) for t in report.trace])
     return [
         f"channels attacked: {report.num_victim_channels}",
         f"HTLCs per channel: {report.htlcs_per_channel} worth {report.htlc_value} sat each",
@@ -249,12 +297,19 @@ def _run_sweep_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]:
     step = _get(p, "sweep", "n_step", int, 1)
     if n_from is None or n_to is None or step < 1 or n_to < n_from:
         raise ScenarioError("config-parse-error: [sweep] needs n_from <= n_to, n_step >= 1")
-    template = build_attack_config(sc, seed)
+    with _configuring():
+        template = build_attack_config(sc, seed)
     template = replace(template, num_victim_channels=n_from)
     curve = sweep_channels(template, range(n_from, n_to + 1, step), jobs=jobs)
     _write_csv(out / "report.csv", REPORT_COLUMNS,
                [_report_row(n, r) for n, r in curve])
-    _write_trace(out, ("n_channels",), [((n,), r) for n, r in curve])
+    trace_rows = []
+    for n, r in curve:
+        trace_rows.extend((n, t.height, t.weight_used, t.victim_claims_confirmed,
+                           t.attacker_claims_confirmed) for t in r.trace)
+    _write_csv(out / "trace.csv",
+               ("n_channels", "height", "block_weight_used", "victim_tx_confirmed",
+                "attacker_tx_confirmed"), trace_rows)
     simulated = break_even_channels(curve)
     closed = min_channels_guaranteed_theft(
         template.victim_params(), template.weights, template.blockmaxweight)
@@ -267,8 +322,9 @@ def _run_sweep_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]:
 
 
 def _run_matrix_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]:
-    base = build_attack_config(sc, seed)
-    policies = build_policies(sc)
+    with _configuring():
+        base = build_attack_config(sc, seed)
+        policies = build_policies(sc)
     if not policies:
         raise ScenarioError("config-parse-error: mitigation-matrix needs [policy:*] sections")
     rows = run_mitigation_matrix(base, policies, jobs=jobs)
@@ -277,7 +333,14 @@ def _run_matrix_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]
                 "break_even_n"),
                [(r.policy_id, r.n_channels, r.stolen_htlcs, r.stolen_value,
                  r.break_even_n) for r in rows])
-    _write_trace(out, ("policy_id",), [((r.policy_id,), r.report) for r in rows])
+    trace_rows = []
+    for r in rows:
+        trace_rows.extend((r.policy_id, t.height, t.weight_used,
+                           t.victim_claims_confirmed, t.attacker_claims_confirmed)
+                          for t in r.report.trace)
+    _write_csv(out / "trace.csv",
+               ("policy_id", "height", "block_weight_used", "victim_tx_confirmed",
+                "attacker_tx_confirmed"), trace_rows)
     lines = [f"mitigation matrix at n={base.num_victim_channels}"]
     for r in rows:
         lines.append(f"  {r.policy_id}: stolen={r.stolen_htlcs} "
@@ -290,41 +353,45 @@ def _run_fee_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]:
     s = "fee_analysis"
     if not p.has_section(s):
         raise ScenarioError("config-parse-error: missing [fee_analysis] section")
-    series = build_series(sc)
-    if series is None:
-        raise ScenarioError("config-parse-error: fee-analysis needs a [feerates] section")
-    window = _get(p, s, "window", int, 10)
-    duration = _get(p, s, "minimize_duration", int, 1008)
-    launch_from = _get(p, s, "launch_from", int, series.first_height + duration)
-    launch_to = _get(p, s, "launch_to", int, None)
-    launch_step = _get(p, s, "launch_step", int, 1)
-    blockmaxweight = _get(p, s, "blockmaxweight", int, 4_000_000)
-    if launch_to is None:
-        raise ScenarioError("config-parse-error: [fee_analysis] needs launch_to")
-    if launch_from - duration < series.first_height:
-        raise ScenarioError(
-            f"config-parse-error: launch_from {launch_from} leaves no room for a "
-            f"{duration}-block minimization before it (series starts at "
-            f"{series.first_height})")
-    thresholds = _get(p, s, "thresholds",
-                      lambda raw: [int(t) for t in raw.split(",") if t.strip()],
-                      [500_000 * k for k in range(1, 9)])
-    blocks = synthetic_blocks(
-        seed=_get(p, s, "blocks_seed", int, seed),
-        start_height=launch_from,
-        count=(launch_to - launch_from) + window + 2,
-        blockmaxweight=blockmaxweight,
-        fill_low=_get(p, s, "fill_low", float, 0.3),
-        fill_high=_get(p, s, "fill_high", float, 1.0),
-        feerate_low=_get(p, s, "block_feerate_low", int, 500),
-        feerate_high=_get(p, s, "block_feerate_high", int, 20_000),
-    )
+    with _configuring():
+        series = build_series(sc)
+        if series is None:
+            raise ScenarioError("config-parse-error: fee-analysis needs a [feerates] section")
+        window = _get(p, s, "window", int, 10)
+        duration = _get(p, s, "minimize_duration", int, 1008)
+        launch_from = _get(p, s, "launch_from", int, series.first_height + duration)
+        launch_to = _get(p, s, "launch_to", int, None)
+        launch_step = _get(p, s, "launch_step", int, 1)
+        blockmaxweight = _get(p, s, "blockmaxweight", int, 4_000_000)
+        if launch_to is None:
+            raise ScenarioError("config-parse-error: [fee_analysis] needs launch_to")
+        if launch_step < 1:
+            raise ScenarioError("config-parse-error: [fee_analysis] needs launch_step >= 1")
+        if launch_from - duration < series.first_height:
+            raise ScenarioError(
+                f"config-parse-error: launch_from {launch_from} leaves no room for a "
+                f"{duration}-block minimization before it (series starts at "
+                f"{series.first_height})")
+        thresholds_raw = _get(p, s, "thresholds", str,
+                              "500000,1000000,1500000,2000000,2500000,3000000,3500000,4000000")
+        thresholds = [int(t) for t in thresholds_raw.split(",") if t.strip()]
+        blocks = synthetic_blocks(
+            seed=_get(p, s, "blocks_seed", int, seed),
+            start_height=launch_from,
+            count=(launch_to - launch_from) + window + 2,
+            blockmaxweight=blockmaxweight,
+            fill_low=_get(p, s, "fill_low", float, 0.3),
+            fill_high=_get(p, s, "fill_high", float, 1.0),
+            feerate_low=_get(p, s, "block_feerate_low", int, 500),
+            feerate_high=_get(p, s, "block_feerate_high", int, 20_000),
+        )
+        launches = range(launch_from, launch_to + 1, launch_step)
     # Both strategies are compared at the same launch height over the same
     # blocks: naive opened right there, minimize opened `duration` blocks
     # earlier and has been ratcheting the feerate down since.
     naive_rows, min_rows = [], []
     naive_avgs, min_avgs = [], []
-    for launch in range(launch_from, launch_to + 1, launch_step):
+    for launch in launches:
         naive = simulate_feerate_strategy(series, "naive", launch)
         analysis = victim_available_space(blocks, naive.final_feerate,
                                           launch, window, blockmaxweight)
@@ -344,8 +411,7 @@ def _run_fee_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]:
     _write_csv(out / "report.csv",
                ("threshold", "fraction_naive", "fraction_minimized"), report_rows)
     _write_csv(out / "trace.csv", ("height", "feerate_estimate"),
-               [(h, series.estimate_at(h))
-                for h in range(launch_from, launch_to + 1, launch_step)])
+               [(h, series.estimate_at(h)) for h in launches])
     lines = [f"fee analysis over launches [{launch_from}, {launch_to}] "
              f"window={window} minimize_duration={duration}"]
     for t, fn, fm in report_rows:
@@ -406,12 +472,9 @@ def validate_scenario(path: str | Path) -> int:
                 raise ScenarioError("config-parse-error: missing [fee_analysis] section")
             if build_series(sc) is None:
                 raise ScenarioError("config-parse-error: fee-analysis needs [feerates]")
-    except CONFIG_ERRORS as exc:
+    except (ScenarioError, ConfigError, PolicyError, SeriesError, ValueError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # noqa: BLE001 -- a fault, not an invalid scenario
-        print(f"runtime error (validate): {exc!r}", file=sys.stderr)
-        return 3
     print("ok")
     return 0
 

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .attack import (
-    AttackConfig, AttackReport, map_runs, min_channels_guaranteed_theft, run_attack,
-)
-from .channel import ChannelParams, profile_params
+from .attack import AttackConfig, AttackReport, min_channels_guaranteed_theft, run_attack
+from .chain import ChainState, Transaction
+from .channel import Channel, ChannelParams, fee_for_weight, profile_params
 
 
 class PolicyError(ValueError):
     pass
+
+
+class NoBumpFunds(Exception):
+    """The victim has no spare confirmed output to fund a fee bump."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,32 @@ def apply_to_config(policy: MitigationPolicy, base: AttackConfig) -> AttackConfi
     )
 
 
+def anchor_mode_claim_behavior(chain: ChainState, channel: Channel, victim: str,
+                               htlc_id: int, height: int, bump_feerate: int,
+                               wallet, replacing: Transaction | None = None,
+                               extra_weight: int = 280) -> Transaction:
+    """Bumped success claim funded from the victim's wallet: picks the first
+    spare confirmed output that covers the new fee and rebuilds the claim at
+    `bump_feerate` (never below what replacing its own predecessor demands)."""
+    weight = channel.weights.htlc_success + extra_weight
+    fee = fee_for_weight(bump_feerate, weight)
+    if replacing is not None:
+        fee = max(fee, replacing.fee + 1,
+                  replacing.fee * weight // replacing.weight + 1)
+    chosen = None
+    for ref in wallet.outpoints:
+        if ref in chain.utxo_set and chain.utxo_set[ref].value >= fee:
+            chosen = ref
+            break
+    if chosen is None:
+        raise NoBumpFunds(f"no spare output worth {fee} sat in {wallet.owner}'s wallet")
+    wallet.outpoints.remove(chosen)
+    return channel.build_htlc_claim(
+        victim, htlc_id, "success-local", height, fee_override=fee,
+        rbf_signal=True, extra_input=chosen,
+        extra_value=chain.utxo_set[chosen].value, anchor=True)
+
+
 @dataclass(frozen=True)
 class MatrixRow:
     policy_id: str
@@ -106,4 +135,9 @@ def run_mitigation_matrix(base: AttackConfig, policies, jobs: int = 1) -> list[M
     policies = list(policies)
     if not policies:
         raise PolicyError("policies must be non-empty")
-    return map_runs(_matrix_one, [(p, base) for p in policies], jobs)
+    work = [(p, base) for p in policies]
+    if jobs > 1 and len(work) > 1:
+        import multiprocessing  # only parallel runs pay for importing it
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+            return pool.map(_matrix_one, work)
+    return [_matrix_one(w) for w in work]

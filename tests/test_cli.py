@@ -319,6 +319,22 @@ def test_fee_analysis_needs_launch_to(tmp_path):
     assert run_scenario(path, tmp_path / "out") == 2
 
 
+@pytest.mark.parametrize("change", [
+    ("synthetic_length = 200", "synthetic_length = 200\n    synthetic_low = 900\n"
+                               "    synthetic_high = 800"),
+    ("launch_step = 5", "launch_step = 0"),
+    ("launch_step = 5", "launch_step = 5\n    block_feerate_low = 900\n"
+                        "    block_feerate_high = 800"),
+])
+def test_bad_fee_analysis_values_are_config_errors(tmp_path, change):
+    # Each one fails in the standard library (an inverted random range, a
+    # zero range step) while the run's inputs are built: the scenario's fault.
+    path = write_scenario(tmp_path, FAST_FEE.replace(*change))
+    out = tmp_path / "out"
+    assert run_scenario(path, out) == 2
+    assert "config-parse-error" in (out / "summary.txt").read_text()
+
+
 # ---------------------------------------------------------------------------
 # failure surfacing
 # ---------------------------------------------------------------------------

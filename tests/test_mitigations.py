@@ -5,13 +5,14 @@ import dataclasses
 
 import pytest
 
-from htlcrace.attack import (
-    AttackConfig, TrafficSpec, _Run, min_channels_guaranteed_theft, run_attack,
-)
-from htlcrace.channel import fee_for_weight, profile_params
+from htlcrace.attack import AttackConfig, TrafficSpec, min_channels_guaranteed_theft, run_attack
+from htlcrace.chain import ChainState
+from htlcrace.channel import ChannelParams, Wallet, fee_for_weight, open_channel, profile_params
 from htlcrace.mitigations import (
     MitigationPolicy,
+    NoBumpFunds,
     PolicyError,
+    anchor_mode_claim_behavior,
     apply_policy,
     apply_to_config,
     run_mitigation_matrix,
@@ -176,53 +177,52 @@ def test_anchor_without_spare_funds_is_baseline():
 # ---------------------------------------------------------------------------
 
 
-def anchor_bumps(**changes):
-    """An anchor-mode ANCHOR_DEMO run and its victims' fee-bumped claims,
-    each as (cohort, submit result, the pending claims it replaced)."""
-    run = _Run(dataclasses.replace(ANCHOR_DEMO, anchor_mode=True, **changes))
-    pending = run.chain.mempool.pending
-    submit = run.chain.submit
-    bumps = []
-
-    def watch(tx):
-        before = dict(pending)
-        result = submit(tx)
-        if "-sl" in tx.id and len(tx.inputs) == 2:
-            bumps.append((tx, result, [before[txid] for txid in result.evicted]))
-        return result
-
-    run.chain.submit = watch
-    run.execute()
-    return run, bumps
+def anchor_fixture():
+    chain = ChainState()
+    params = ChannelParams(channel_feerate=2_000)
+    w = Wallet("alice")
+    w.deposit(chain.grant("alice", 1_010_000))
+    ch = open_channel(chain, "chan", "alice", "bob", 1_000_000, params, params, w)
+    chain.mine_block()
+    htlc = ch.add_htlc("alice", 50_000, "h", "p", 80, known_to=("bob",))
+    ch.force_close(chain, "bob", height=chain.height)
+    return chain, ch, htlc
 
 
 def test_anchor_claim_adds_wallet_input():
-    run, bumps = anchor_bumps()
-    assert sum(tx.count for tx, _, _ in bumps) == 966
-    for tx, result, _ in bumps:
-        htlc_output, spare = tx.inputs
-        assert spare.txid.startswith("grant-")  # funds minted for the victim
-        assert tx.weight == 703 + 280
-        assert tx.fee == fee_for_weight(25_000, 983)
-        assert tx.rbf_signal is True
-        assert result.ok
+    chain, ch, htlc = anchor_fixture()
+    wallet = Wallet("bob")
+    wallet.deposit(chain.grant("bob", 40_000))
+    tx = anchor_mode_claim_behavior(chain, ch, "bob", htlc.id, chain.height,
+                                    bump_feerate=25_000, wallet=wallet)
+    assert len(tx.inputs) == 2
+    assert tx.weight == 703 + 280
+    assert tx.fee == fee_for_weight(25_000, 983)
+    assert tx.rbf_signal is True
+    assert chain.submit(tx).ok
 
 
 def test_anchor_claim_outbids_its_predecessor():
-    _, bumps = anchor_bumps(victim_bump_feerate=1)
-    assert bumps
-    for tx, result, replaced in bumps:
-        assert result.status == "replaced" and replaced
-        for old in replaced:
-            assert tx.fee > old.fee
-            assert tx.fee * old.weight > old.fee * tx.weight  # strict feerate dominance
+    chain, ch, htlc = anchor_fixture()
+    old = ch.build_htlc_claim("bob", htlc.id, "success-local", chain.height)
+    wallet = Wallet("bob")
+    wallet.deposit(chain.grant("bob", 500_000))
+    tx = anchor_mode_claim_behavior(chain, ch, "bob", htlc.id, chain.height,
+                                    bump_feerate=1, wallet=wallet, replacing=old)
+    assert tx.fee > old.fee
+    assert tx.fee * old.weight > old.fee * tx.weight  # strict feerate dominance
 
 
 def test_anchor_claim_needs_funds():
-    run, bumps = anchor_bumps(victim_bump_funds=False)
-    assert bumps == []
-    minted = [out for out, _ in run.chain._grants.values() if out.owner.startswith("victim")]
-    assert len(minted) == 2  # each victim's channel funding, and nothing for bumps
+    chain, ch, htlc = anchor_fixture()
+    with pytest.raises(NoBumpFunds):
+        anchor_mode_claim_behavior(chain, ch, "bob", htlc.id, chain.height,
+                                   bump_feerate=25_000, wallet=Wallet("bob"))
+    poor = Wallet("bob")
+    poor.deposit(chain.grant("bob", 10))  # exists but cannot cover the fee
+    with pytest.raises(NoBumpFunds):
+        anchor_mode_claim_behavior(chain, ch, "bob", htlc.id, chain.height,
+                                   bump_feerate=25_000, wallet=poor)
 
 
 # ---------------------------------------------------------------------------

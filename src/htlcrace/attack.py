@@ -34,14 +34,15 @@ from .chain import (
     Transaction, TxOutput,
 )
 from .channel import (
-    Channel, ChannelParams, FUNDING_TX_WEIGHT, Wallet,
+    ANCHOR_INPUT_WEIGHT, Channel, ChannelParams, FUNDING_TX_WEIGHT, Wallet,
     WeightSchedule, fee_for_weight, open_channel, profile_params,
 )
-from .fees import FeerateSeries, parse_strategy
+from .fees import FeerateSeries, parse_strategy, running_minimum
 
 SOURCE = "attacker-source"
 TARGET = "attacker-target"
 CPFP_CHILD_WEIGHT = 400
+CPFP_CHILD_FEERATE = 25_000
 
 
 class ConfigError(ValueError):
@@ -95,7 +96,7 @@ class AttackConfig:
     background_traffic: TrafficSpec | None = None
     preimage_release: str = "batch"  # batch | staggered (one channel per tick)
     attacker_claims_replaceable: bool = False
-    # Victim-side behavior knobs; MitigationPolicy.apply() sets these.
+    # Victim-side behavior knobs; mitigations.apply_to_config sets these.
     victim_claims_replaceable: bool = True
     dynamic_delta: tuple[float, int] | None = None  # (blocks per pending HTLC, cap)
     anchor_mode: bool = False
@@ -103,7 +104,6 @@ class AttackConfig:
     victim_bump_offset: int = 2
     victim_bump_funds: bool = True
     cpfp_demo: bool = False
-    cpfp_child_feerate: int = 25_000
     victim_first_at_expiry: bool = False
     drain_cap: int = 300
 
@@ -279,23 +279,24 @@ class _Run:
 
     def _minimize_feerate(self) -> None:
         kind, duration = parse_strategy(self.cfg.feerate_strategy)
-        current = self.channels[0][0].feerate if self.channels else 0
+        current = self.channels[0][0].feerate
         if kind == "minimize":
-            series = self.cfg.feerate_series
-            for _ in range(duration):
-                estimate = series.estimate_at(self.chain.height)
-                if 0 < estimate < current:
+            start = self.chain.height  # one block is mined per height
+            dips = dict(running_minimum(self.cfg.feerate_series, current,
+                                        range(start, start + duration)))
+            for h in range(start, start + duration):
+                if h in dips:
+                    current = dips[h]
                     # Every node watches the same fee market, so the victims
                     # renegotiate their outgoing channels in step with the
                     # attacker's proposals on the incoming ones.
                     for ch_in, ch_out, name in self.channels:
-                        ok, why = ch_in.update_fee(SOURCE, estimate, estimate)
+                        ok, why = ch_in.update_fee(SOURCE, current, current)
                         if not ok:
                             raise AssertionError(f"update_fee refused: {why}")
-                        ok, why = ch_out.update_fee(name, estimate, estimate)
+                        ok, why = ch_out.update_fee(name, current, current)
                         if not ok:
                             raise AssertionError(f"update_fee refused: {why}")
-                    current = estimate
                 self._background_pass()
                 self._mine()
         self.launch_feerate = current
@@ -399,9 +400,9 @@ class _Run:
                 continue  # nothing worth going to chain for yet
             if h < self.expiry - self._victim_delta(ch_in):
                 continue
-            txs = ch_in.force_close(self.chain, name, h, submit_claims=False)
-            self.meta[txs[0].id] = ("commit", i, -1)
-            subs += len(txs)
+            commit = ch_in.force_close(self.chain, name)
+            self.meta[commit.id] = ("commit", i, -1)
+            subs += 1
             if not self.victim_params.wait_for_commit_confirmation:
                 subs += self._submit_victim_claims(i, h)
         return subs
@@ -511,7 +512,7 @@ class _Run:
                 break  # nothing spendable: behaves like baseline
             ch_in, _, name = self.channels[i]
             old = chain.mempool.pending[span.claim]
-            weight = self.weights.htlc_success + 280
+            weight = self.weights.htlc_success + ANCHOR_INPUT_WEIGHT
             fee = max(fee_for_weight(cfg.victim_bump_feerate, weight),
                       old.fee + 1, old.fee * weight // old.weight + 1)
             count = span.hi - span.lo
@@ -531,7 +532,6 @@ class _Run:
         """Futile child-pays-for-parent attempt on still-unconfirmed claims:
         the child inherits the parent's replaceability, so the attacker's
         replacement sweeps both away."""
-        cfg = self.cfg
         chain = self.chain
         subs = 0
         for i, span in self._unbumped_victim_spans():
@@ -539,7 +539,7 @@ class _Run:
             parent = chain.mempool.pending[span.claim]
             member = span.lo - self.meta[span.claim][2]
             out_value = parent.outputs[0].value
-            fee = min(fee_for_weight(cfg.cpfp_child_feerate, CPFP_CHILD_WEIGHT), out_value)
+            fee = min(fee_for_weight(CPFP_CHILD_FEERATE, CPFP_CHILD_WEIGHT), out_value)
             child = Transaction(
                 id=f"{parent.id}-bump{member}", inputs=(OutputRef(parent.id, member),),
                 outputs=(TxOutput(out_value - fee, name, "claim"),),
@@ -680,11 +680,17 @@ def sweep_channels(template: AttackConfig, n_values, jobs: int = 1):
     template seed and n, so curves reproduce regardless of `jobs`."""
     configs = [replace(template, num_victim_channels=n, seed=template.seed + 7919 * n)
                for n in n_values]
-    if jobs > 1 and len(configs) > 1:
+    return map_runs(_sweep_one, configs, jobs)
+
+
+def map_runs(run, items: list, jobs: int) -> list:
+    """[run(item) for item in items], in order; with jobs > 1, spread over
+    `jobs` forked worker processes."""
+    if jobs > 1 and len(items) > 1:
         import multiprocessing  # only parallel runs pay for importing it
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            return pool.map(_sweep_one, configs)
-    return [_sweep_one(c) for c in configs]
+            return pool.map(run, items)
+    return [run(item) for item in items]
 
 
 def break_even_channels(curve) -> int | None:

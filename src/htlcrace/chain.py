@@ -718,9 +718,6 @@ class ChainState:
         if utxo != self.utxo:
             raise AssertionError("replayed UTXO set diverges from live state")
 
-    def available_space(self, feerate: int, block: Block) -> int:
-        return available_space(feerate, block, self.blockmaxweight)
-
 
 def available_space(feerate: int, block: Block,
                     blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT) -> int:

@@ -24,6 +24,8 @@ HTLC_OUTPUT_WEIGHT = 172
 HTLC_SUCCESS_WEIGHT = 703
 HTLC_TIMEOUT_WEIGHT = 663
 FUNDING_TX_WEIGHT = 800
+ANCHOR_INPUT_WEIGHT = 280  # the wallet input an anchor-style claim may add
+FEE_UPDATE_TOLERANCE = 0.10  # how far from its own estimate a peer accepts
 
 CLAIM_KINDS = ("success-local", "success-remote", "timeout-local", "timeout-remote")
 # Builds a named tuple from a ready tuple of all its fields, skipping the
@@ -178,7 +180,7 @@ class Htlc:
     preimage_known_by: set[str]
     expiry_height: int
     offerer: str
-    state: str = "pending"  # pending | fulfilled-offchain | failed |
+    state: str = "pending"  # pending | fulfilled-offchain |
                             # claimed-by-success | claimed-by-timeout
 
 
@@ -332,16 +334,6 @@ class Channel:
         htlc.preimage_known_by.add(htlc.offerer)
         return htlc
 
-    def fail_htlc_offchain(self, htlc_id: int) -> None:
-        if self.status != "open":
-            raise ChannelNotOpen(self.channel_id)
-        htlc = self.pending_htlcs.get(htlc_id)
-        if htlc is None:
-            raise HtlcNotPending(htlc_id)
-        if self.other(htlc.offerer) in self.silent:
-            raise CounterpartyUnresponsive(self.other(htlc.offerer))
-        self._resolve(htlc, credit_to=htlc.offerer, state="failed")
-
     def _resolve(self, htlc: Htlc, credit_to: str, state: str) -> None:
         self.balances[credit_to] += htlc.amount
         htlc.state = state
@@ -349,17 +341,17 @@ class Channel:
         self._offered_count[htlc.offerer] -= 1
         self._offered_value[htlc.offerer] -= htlc.amount
 
-    def update_fee(self, proposer: str, new_feerate: int,
-                   oracle_estimate: int, tolerance: float = 0.10):
+    def update_fee(self, proposer: str, new_feerate: int, oracle_estimate: int):
         """Initiator-only feerate renegotiation.  The counterparty accepts
-        any proposal that tracks its own fee estimate within `tolerance`."""
+        any proposal that tracks its own fee estimate within
+        FEE_UPDATE_TOLERANCE."""
         if self.status != "open":
             return False, "channel-not-open"
         if proposer != self.initiator:
             return False, "not-initiator"
         if new_feerate <= 0:
             return False, "invalid-feerate"
-        if abs(new_feerate - oracle_estimate) > tolerance * oracle_estimate:
+        if abs(new_feerate - oracle_estimate) > FEE_UPDATE_TOLERANCE * oracle_estimate:
             return False, "unreasonable-feerate"
         new_fee = fee_for_weight(new_feerate,
                                  self.weights.commitment_weight(len(self.pending_htlcs)))
@@ -396,12 +388,9 @@ class Channel:
             origin=holder,
         )
 
-    def force_close(self, chain: ChainState, closer: str, height: int,
-                    submit_claims: bool | None = None) -> list[Transaction]:
-        """Publish the closer's commitment; implementations that do not wait
-        for it to confirm broadcast their HTLC success claims in the same
-        tick (as unconfirmed children).  Pass submit_claims=False to publish
-        only the commitment and leave claim submission to the caller."""
+    def force_close(self, chain: ChainState, closer: str) -> Transaction:
+        """Publish the closer's commitment.  Its HTLC claims are the
+        caller's to build and submit, when the closer's profile says."""
         if self.status != "open":
             raise AlreadyClosing(self.channel_id)
         commit = self.build_commitment(closer)
@@ -411,15 +400,7 @@ class Channel:
         self.status = "force-closing"
         index = {hid: 2 + i for i, hid in enumerate(self.pending_htlcs)}
         self.published = PublishedCommitment(closer, commit.id, index)
-        submitted = [commit]
-        if submit_claims is None:
-            submit_claims = not self.params[closer].wait_for_commit_confirmation
-        if submit_claims:
-            for tx in self.claimable_successes(closer, height).values():
-                res = chain.submit(tx)
-                if res.ok:
-                    submitted.append(tx)
-        return submitted
+        return commit
 
     def claimable_successes(self, claimer: str, height: int,
                             rbf_signal: bool | None = None) -> dict[int, Transaction]:
@@ -447,16 +428,14 @@ class Channel:
     def build_htlc_claim(self, claimer: str, htlc_id: int, kind: str, height: int,
                          fee_override: int | None = None, rbf_signal: bool | None = None,
                          extra_input: OutputRef | None = None, extra_value: int = 0,
-                         extra_weight: int = 280, anchor: bool = False) -> Transaction:
+                         anchor: bool = False) -> Transaction:
         return self.build_htlc_claims(claimer, htlc_id, 1, kind, height, fee_override,
-                                      rbf_signal, extra_input, extra_value,
-                                      extra_weight, anchor)
+                                      rbf_signal, extra_input, extra_value, anchor)
 
     def build_htlc_claims(self, claimer: str, htlc_id: int, count: int, kind: str,
                           height: int, fee_override: int | None = None,
                           rbf_signal: bool | None = None, extra_input: OutputRef | None = None,
-                          extra_value: int = 0, extra_weight: int = 280,
-                          anchor: bool = False) -> Transaction:
+                          extra_value: int = 0, anchor: bool = False) -> Transaction:
         """One cohort of `kind` claims on HTLCs htlc_id .. htlc_id + count - 1,
         which must share an amount and sit on consecutive commitment
         outputs: member m claims HTLC htlc_id + m and, given extra_input, also
@@ -520,7 +499,7 @@ class Channel:
         total_in = amounts.pop() + extra_value
         if extra_input is not None:
             inputs.append(extra_input)
-            weight += extra_weight
+            weight += ANCHOR_INPUT_WEIGHT
         fee = min(fee, total_in)
         self._build_count += 1
         return Transaction(
@@ -570,15 +549,14 @@ class Wallet:
 def open_channel(chain: ChainState, channel_id: str, initiator: str, peer: str,
                  funding: int, initiator_params: ChannelParams,
                  peer_params: ChannelParams, wallet: Wallet,
-                 weights: WeightSchedule | None = None,
-                 funding_tx_weight: int = FUNDING_TX_WEIGHT) -> Channel:
+                 weights: WeightSchedule | None = None) -> Channel:
     """Fund a channel from the initiator's wallet.  The funding transaction
     is submitted here; it confirms with the next mined block."""
     if funding <= 0:
         raise ValueError("funding must be positive")
     weights = weights or WeightSchedule()
     feerate = initiator_params.channel_feerate
-    fee = fee_for_weight(feerate, funding_tx_weight)
+    fee = fee_for_weight(feerate, FUNDING_TX_WEIGHT)
     refs, total = wallet.collect(chain, funding + fee)
     outputs = [TxOutput(funding, channel_id, "funding")]
     change = total - funding - fee
@@ -588,7 +566,7 @@ def open_channel(chain: ChainState, channel_id: str, initiator: str, peer: str,
         id=f"{channel_id}-fund",
         inputs=tuple(refs),
         outputs=tuple(outputs),
-        weight=funding_tx_weight,
+        weight=FUNDING_TX_WEIGHT,
         fee=fee,
         origin=initiator,
     )

@@ -21,23 +21,22 @@ import argparse
 import configparser
 import csv
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .attack import (
     AttackConfig, AttackReport, ConfigError, TrafficSpec, break_even_channels,
-    min_channels_guaranteed_theft, run_attack, sweep_channels,
+    min_channels_guaranteed_theft, run_attack, sweep_channels, validate_config,
 )
-from .channel import WeightSchedule, profile_params
+from .chain import DEFAULT_BLOCKMAXWEIGHT
+from .channel import WeightSchedule
 from .fees import (
     FeerateSeries, SeriesError, fraction_of_time_above, ingest_feerate_csv,
-    parse_strategy, simulate_feerate_strategy, synthetic_blocks,
+    simulate_feerate_strategy, synthetic_blocks,
     synthetic_feerate_series, victim_available_space,
 )
 from .mitigations import MitigationPolicy, PolicyError, run_mitigation_matrix
-
-KINDS = ("attack", "sweep", "fee-analysis", "mitigation-matrix")
 
 REPORT_COLUMNS = (
     "n_channels", "htlcs_per_channel", "htlc_value_sat", "total_htlcs",
@@ -52,18 +51,6 @@ class ScenarioError(ValueError):
 
 
 CONFIG_ERRORS = (ScenarioError, ConfigError, PolicyError, SeriesError)
-
-
-@contextmanager
-def _configuring():
-    """Building a run's inputs from the scenario: a ValueError raised here
-    is the scenario's fault, not the engine's."""
-    try:
-        yield
-    except CONFIG_ERRORS:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"config-parse-error: {exc}") from exc
 
 
 @dataclass
@@ -94,8 +81,9 @@ def load_scenario(path: str | Path) -> Scenario:
     if not parser.has_section("scenario"):
         raise ScenarioError("config-parse-error: missing [scenario] section")
     kind = parser.get("scenario", "kind", fallback=None)
-    if kind not in KINDS:
-        raise ScenarioError(f"config-parse-error: kind must be one of {KINDS}, got {kind!r}")
+    if kind not in _RUNNERS:
+        raise ScenarioError(
+            f"config-parse-error: kind must be one of {tuple(_RUNNERS)}, got {kind!r}")
     if not parser.has_option("scenario", "seed"):
         raise ScenarioError("config-parse-error: seed is mandatory (determinism contract)")
     try:
@@ -103,15 +91,6 @@ def load_scenario(path: str | Path) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"config-parse-error: seed must be an integer: {exc}") from exc
     return Scenario(kind, seed, path, parser)
-
-
-def _get(parser, section, key, conv, default):
-    if not parser.has_option(section, key):
-        return default
-    try:
-        return conv(parser.get(section, key))
-    except ValueError as exc:
-        raise ScenarioError(f"config-parse-error: [{section}] {key}: {exc}") from exc
 
 
 def _parse_bool(raw: str) -> bool:
@@ -123,129 +102,98 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def build_weights(sc: Scenario) -> WeightSchedule:
-    if not sc.parser.has_section("weights"):
-        return WeightSchedule()
-    s = "weights"
-    return WeightSchedule(
-        commitment_base=_get(sc.parser, s, "commitment_base", int, 724),
-        per_htlc_output=_get(sc.parser, s, "per_htlc_output", int, 172),
-        htlc_success=_get(sc.parser, s, "htlc_success", int, 703),
-        htlc_timeout=_get(sc.parser, s, "htlc_timeout", int, 663),
-    )
-
-
-def build_traffic(sc: Scenario) -> TrafficSpec | None:
-    if not sc.parser.has_section("traffic"):
+def _parse_pair(raw: str) -> tuple[float, int] | None:
+    """`slope,cap`; an empty value means none."""
+    if not raw:
         return None
-    s = "traffic"
-    end = _get(sc.parser, s, "end_height", int, None)
-    return TrafficSpec(
-        txs_per_tick=_get(sc.parser, s, "txs_per_tick", int, 0),
-        weight_low=_get(sc.parser, s, "weight_low", int, 500),
-        weight_high=_get(sc.parser, s, "weight_high", int, 20_000),
-        feerate_low=_get(sc.parser, s, "feerate_low", int, 500),
-        feerate_high=_get(sc.parser, s, "feerate_high", int, 20_000),
-        start_height=_get(sc.parser, s, "start_height", int, 0),
-        end_height=end,
-    )
+    parts = raw.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"wants 'slope,cap', got {raw!r}")
+    return float(parts[0]), int(parts[1])
+
+
+# A dataclass field's annotation string -> how its INI value is read.
+_CONVERTERS = {"int": int, "int | None": int, "bool": _parse_bool, "str": str,
+               "str | ChannelParams": str, "tuple[float, int] | None": _parse_pair}
+
+
+def _field_keys(cls, *skip: str) -> dict:
+    """The INI keys of a config dataclass: its fields, less `skip`.  Keys a
+    section leaves out keep the dataclass's own defaults."""
+    return {f.name: _CONVERTERS[f.type] for f in fields(cls) if f.name not in skip}
+
+
+# The keys each section accepts, and how each is read.
+SECTION_KEYS = {
+    "attack": _field_keys(AttackConfig, "seed", "weights", "feerate_series",
+                          "background_traffic"),
+    "weights": _field_keys(WeightSchedule),
+    "traffic": _field_keys(TrafficSpec),
+    "policy:*": _field_keys(MitigationPolicy, "policy_id"),
+    "sweep": {"n_from": int, "n_to": int, "n_step": int},
+    "feerates": {"csv": str, "synthetic_seed": int, "synthetic_length": int,
+                 "synthetic_start": int, "synthetic_low": int, "synthetic_high": int},
+    "fee_analysis": {"window": int, "minimize_duration": int, "launch_from": int,
+                     "launch_to": int, "launch_step": int, "blockmaxweight": int,
+                     "thresholds": str, "blocks_seed": int, "fill_low": float,
+                     "fill_high": float, "block_feerate_low": int,
+                     "block_feerate_high": int},
+}
+
+
+def _read(sc: Scenario, section: str) -> dict:
+    """The keys set in `section` (none if it is absent), each converted as
+    SECTION_KEYS says; a key the section does not know is an error."""
+    if not sc.parser.has_section(section):
+        return {}
+    keys = SECTION_KEYS["policy:*" if section.startswith("policy:") else section]
+    values = {}
+    for key, raw in sc.parser.items(section):
+        if key not in keys:
+            raise ScenarioError(f"config-parse-error: [{section}] unknown key {key!r}")
+        try:
+            values[key] = keys[key](raw)
+        except ValueError as exc:
+            raise ScenarioError(f"config-parse-error: [{section}] {key}: {exc}") from exc
+    return values
 
 
 def build_series(sc: Scenario) -> FeerateSeries | None:
     if not sc.parser.has_section("feerates"):
         return None
-    s = "feerates"
-    csv_path = _get(sc.parser, s, "csv", str, None)
-    if csv_path is not None:
-        resolved = (sc.path.parent / csv_path).resolve()
+    v = _read(sc, "feerates")
+    if "csv" in v:
+        resolved = (sc.path.parent / v["csv"]).resolve()
         if not resolved.is_file():
             raise ScenarioError(f"missing-input: feerate csv not found: {resolved}")
         return ingest_feerate_csv(resolved)
     return synthetic_feerate_series(
-        seed=_get(sc.parser, s, "synthetic_seed", int, sc.seed),
-        length=_get(sc.parser, s, "synthetic_length", int, 2016),
-        start_height=_get(sc.parser, s, "synthetic_start", int, 0),
-        low=_get(sc.parser, s, "synthetic_low", int, 500),
-        high=_get(sc.parser, s, "synthetic_high", int, 20_000),
+        seed=v.get("synthetic_seed", sc.seed),
+        length=v.get("synthetic_length", 2016),
+        start_height=v.get("synthetic_start", 0),
+        low=v.get("synthetic_low", 500),
+        high=v.get("synthetic_high", 20_000),
     )
 
 
 def build_attack_config(sc: Scenario, seed: int) -> AttackConfig:
-    p = sc.parser
-    s = "attack"
-    if not p.has_section(s):
+    if not sc.parser.has_section("attack"):
         raise ScenarioError("config-parse-error: missing [attack] section")
-    profile = _get(p, s, "victim_profile", str, "lnd")
-    profile_params(profile)  # fail fast on unknown names
-    dyn_raw = _get(p, s, "dynamic_delta", str, None)
-    dynamic = None
-    if dyn_raw:
-        try:
-            slope_s, cap_s = dyn_raw.split(",")
-            dynamic = (float(slope_s), int(cap_s))
-        except ValueError as exc:
-            raise ScenarioError(
-                f"config-parse-error: dynamic_delta wants 'slope,cap': {exc}") from exc
+    traffic = _read(sc, "traffic") if sc.parser.has_section("traffic") else None
     cfg = AttackConfig(
-        num_victim_channels=_get(p, s, "num_victim_channels", int, 1),
-        victim_profile=profile,
-        htlc_expiry_height=_get(p, s, "htlc_expiry_height", int, 44),
-        channel_funding=_get(p, s, "channel_funding", int, 10_000_000),
-        channel_feerate=_get(p, s, "channel_feerate", int, 2_000),
-        attacker_fee_bump_increment=_get(p, s, "attacker_fee_bump_increment", int, 1),
-        blockmaxweight=_get(p, s, "blockmaxweight", int, 4_000_000),
-        weights=build_weights(sc),
+        **{"num_victim_channels": 1, **_read(sc, "attack")},
         seed=seed,
-        min_htlc_amount=_get(p, s, "min_htlc_amount", int, 1),
-        feerate_strategy=_get(p, s, "feerate_strategy", str, "naive"),
+        weights=WeightSchedule(**_read(sc, "weights")),
         feerate_series=build_series(sc),
-        background_traffic=build_traffic(sc),
-        preimage_release=_get(p, s, "preimage_release", str, "batch"),
-        attacker_claims_replaceable=_get(p, s, "attacker_claims_replaceable",
-                                         _parse_bool, False),
-        victim_claims_replaceable=_get(p, s, "victim_claims_replaceable",
-                                       _parse_bool, True),
-        dynamic_delta=dynamic,
-        anchor_mode=_get(p, s, "anchor_mode", _parse_bool, False),
-        victim_bump_feerate=_get(p, s, "victim_bump_feerate", int, 25_000),
-        victim_bump_offset=_get(p, s, "victim_bump_offset", int, 2),
-        victim_bump_funds=_get(p, s, "victim_bump_funds", _parse_bool, True),
-        cpfp_demo=_get(p, s, "cpfp_demo", _parse_bool, False),
-        victim_first_at_expiry=_get(p, s, "victim_first_at_expiry", _parse_bool, False),
-        drain_cap=_get(p, s, "drain_cap", int, 300),
+        background_traffic=None if traffic is None else TrafficSpec(**traffic),
     )
-    from .attack import validate_config
     validate_config(cfg)
     return cfg
 
 
 def build_policies(sc: Scenario) -> list[MitigationPolicy]:
-    policies = []
-    for section in sc.parser.sections():
-        if not section.startswith("policy:"):
-            continue
-        s = section
-        p = sc.parser
-        dyn_raw = _get(p, s, "dynamic_delta", str, None)
-        dynamic = None
-        if dyn_raw:
-            slope_s, cap_s = dyn_raw.split(",")
-            dynamic = (float(slope_s), int(cap_s))
-        policies.append(MitigationPolicy(
-            policy_id=section.split(":", 1)[1],
-            commitment_broadcast_delta_override=_get(
-                p, s, "commitment_broadcast_delta_override", int, None),
-            max_accepted_htlcs_override=_get(
-                p, s, "max_accepted_htlcs_override", int, None),
-            immediate_htlc_publication=_get(
-                p, s, "immediate_htlc_publication", _parse_bool, False),
-            dynamic_delta=dynamic,
-            anchor_outputs_mode=_get(p, s, "anchor_outputs_mode", _parse_bool, False),
-            non_replaceable_htlc_success=_get(
-                p, s, "non_replaceable_htlc_success", _parse_bool, False),
-            cpfp_demo=_get(p, s, "cpfp_demo", _parse_bool, False),
-        ))
-    return policies
+    return [MitigationPolicy(policy_id=section.split(":", 1)[1], **_read(sc, section))
+            for section in sc.parser.sections() if section.startswith("policy:")]
 
 
 # -- artifact writing ---------------------------------------------------------
@@ -264,17 +212,29 @@ def _report_row(n: int, r: AttackReport) -> tuple:
             r.victim_fees_paid, r.attacker_cost, r.launch_feerate, r.end_height)
 
 
-def _run_attack_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]:
-    with _configuring():
-        cfg = build_attack_config(sc, seed)
+TRACE_COLUMNS = ("height", "block_weight_used", "victim_tx_confirmed",
+                 "attacker_tx_confirmed")
+
+
+def _trace_rows(r: AttackReport) -> list[tuple]:
+    return [(t.height, t.weight_used, t.victim_claims_confirmed,
+             t.attacker_claims_confirmed) for t in r.trace]
+
+
+# Each kind's configure step builds every input of the run (run and
+# validate both call it) and returns the execute step, execute(jobs, out),
+# which runs and writes the artifacts.
+
+
+def _configure_attack(sc: Scenario, seed: int):
+    return partial(_execute_attack, build_attack_config(sc, seed))
+
+
+def _execute_attack(cfg: AttackConfig, jobs: int, out: Path) -> list[str]:
     report = run_attack(cfg)
     _write_csv(out / "report.csv", REPORT_COLUMNS,
                [_report_row(cfg.num_victim_channels, report)])
-    _write_csv(out / "trace.csv",
-               ("height", "block_weight_used", "victim_tx_confirmed",
-                "attacker_tx_confirmed"),
-               [(t.height, t.weight_used, t.victim_claims_confirmed,
-                 t.attacker_claims_confirmed) for t in report.trace])
+    _write_csv(out / "trace.csv", TRACE_COLUMNS, _trace_rows(report))
     return [
         f"channels attacked: {report.num_victim_channels}",
         f"HTLCs per channel: {report.htlcs_per_channel} worth {report.htlc_value} sat each",
@@ -288,32 +248,27 @@ def _run_attack_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]
     ]
 
 
-def _run_sweep_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]:
-    p = sc.parser
-    if not p.has_section("sweep"):
+def _configure_sweep(sc: Scenario, seed: int):
+    if not sc.parser.has_section("sweep"):
         raise ScenarioError("config-parse-error: missing [sweep] section")
-    n_from = _get(p, "sweep", "n_from", int, None)
-    n_to = _get(p, "sweep", "n_to", int, None)
-    step = _get(p, "sweep", "n_step", int, 1)
+    v = _read(sc, "sweep")
+    n_from, n_to, step = v.get("n_from"), v.get("n_to"), v.get("n_step", 1)
     if n_from is None or n_to is None or step < 1 or n_to < n_from:
         raise ScenarioError("config-parse-error: [sweep] needs n_from <= n_to, n_step >= 1")
-    with _configuring():
-        template = build_attack_config(sc, seed)
-    template = replace(template, num_victim_channels=n_from)
-    curve = sweep_channels(template, range(n_from, n_to + 1, step), jobs=jobs)
+    template = replace(build_attack_config(sc, seed), num_victim_channels=n_from)
+    return partial(_execute_sweep, template, range(n_from, n_to + 1, step))
+
+
+def _execute_sweep(template: AttackConfig, ns: range, jobs: int, out: Path) -> list[str]:
+    curve = sweep_channels(template, ns, jobs=jobs)
     _write_csv(out / "report.csv", REPORT_COLUMNS,
                [_report_row(n, r) for n, r in curve])
-    trace_rows = []
-    for n, r in curve:
-        trace_rows.extend((n, t.height, t.weight_used, t.victim_claims_confirmed,
-                           t.attacker_claims_confirmed) for t in r.trace)
-    _write_csv(out / "trace.csv",
-               ("n_channels", "height", "block_weight_used", "victim_tx_confirmed",
-                "attacker_tx_confirmed"), trace_rows)
+    _write_csv(out / "trace.csv", ("n_channels",) + TRACE_COLUMNS,
+               [(n, *row) for n, r in curve for row in _trace_rows(r)])
     simulated = break_even_channels(curve)
     closed = min_channels_guaranteed_theft(
         template.victim_params(), template.weights, template.blockmaxweight)
-    lines = [f"sweep n in [{n_from}, {n_to}] step {step}",
+    lines = [f"sweep n in [{ns.start}, {ns.stop - 1}] step {ns.step}",
              f"closed-form guaranteed-theft threshold: {closed}",
              f"simulated break-even: {simulated if simulated is not None else 'none in range'}"]
     for n, r in curve:
@@ -321,26 +276,23 @@ def _run_sweep_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]:
     return lines
 
 
-def _run_matrix_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]:
-    with _configuring():
-        base = build_attack_config(sc, seed)
-        policies = build_policies(sc)
+def _configure_matrix(sc: Scenario, seed: int):
+    base = build_attack_config(sc, seed)
+    policies = build_policies(sc)
     if not policies:
         raise ScenarioError("config-parse-error: mitigation-matrix needs [policy:*] sections")
+    return partial(_execute_matrix, base, policies)
+
+
+def _execute_matrix(base: AttackConfig, policies, jobs: int, out: Path) -> list[str]:
     rows = run_mitigation_matrix(base, policies, jobs=jobs)
     _write_csv(out / "report.csv",
                ("policy_id", "n_channels", "stolen_htlcs", "stolen_value_sat",
                 "break_even_n"),
                [(r.policy_id, r.n_channels, r.stolen_htlcs, r.stolen_value,
                  r.break_even_n) for r in rows])
-    trace_rows = []
-    for r in rows:
-        trace_rows.extend((r.policy_id, t.height, t.weight_used,
-                           t.victim_claims_confirmed, t.attacker_claims_confirmed)
-                          for t in r.report.trace)
-    _write_csv(out / "trace.csv",
-               ("policy_id", "height", "block_weight_used", "victim_tx_confirmed",
-                "attacker_tx_confirmed"), trace_rows)
+    _write_csv(out / "trace.csv", ("policy_id",) + TRACE_COLUMNS,
+               [(r.policy_id, *row) for r in rows for row in _trace_rows(r.report)])
     lines = [f"mitigation matrix at n={base.num_victim_channels}"]
     for r in rows:
         lines.append(f"  {r.policy_id}: stolen={r.stolen_htlcs} "
@@ -348,83 +300,93 @@ def _run_matrix_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]
     return lines
 
 
-def _run_fee_kind(sc: Scenario, seed: int, jobs: int, out: Path) -> list[str]:
-    p = sc.parser
-    s = "fee_analysis"
-    if not p.has_section(s):
+def _configure_fee(sc: Scenario, seed: int):
+    if not sc.parser.has_section("fee_analysis"):
         raise ScenarioError("config-parse-error: missing [fee_analysis] section")
-    with _configuring():
-        series = build_series(sc)
-        if series is None:
-            raise ScenarioError("config-parse-error: fee-analysis needs a [feerates] section")
-        window = _get(p, s, "window", int, 10)
-        duration = _get(p, s, "minimize_duration", int, 1008)
-        launch_from = _get(p, s, "launch_from", int, series.first_height + duration)
-        launch_to = _get(p, s, "launch_to", int, None)
-        launch_step = _get(p, s, "launch_step", int, 1)
-        blockmaxweight = _get(p, s, "blockmaxweight", int, 4_000_000)
-        if launch_to is None:
-            raise ScenarioError("config-parse-error: [fee_analysis] needs launch_to")
-        if launch_step < 1:
-            raise ScenarioError("config-parse-error: [fee_analysis] needs launch_step >= 1")
-        if launch_from - duration < series.first_height:
-            raise ScenarioError(
-                f"config-parse-error: launch_from {launch_from} leaves no room for a "
-                f"{duration}-block minimization before it (series starts at "
-                f"{series.first_height})")
-        thresholds_raw = _get(p, s, "thresholds", str,
-                              "500000,1000000,1500000,2000000,2500000,3000000,3500000,4000000")
-        thresholds = [int(t) for t in thresholds_raw.split(",") if t.strip()]
-        blocks = synthetic_blocks(
-            seed=_get(p, s, "blocks_seed", int, seed),
-            start_height=launch_from,
-            count=(launch_to - launch_from) + window + 2,
-            blockmaxweight=blockmaxweight,
-            fill_low=_get(p, s, "fill_low", float, 0.3),
-            fill_high=_get(p, s, "fill_high", float, 1.0),
-            feerate_low=_get(p, s, "block_feerate_low", int, 500),
-            feerate_high=_get(p, s, "block_feerate_high", int, 20_000),
-        )
-        launches = range(launch_from, launch_to + 1, launch_step)
+    series = build_series(sc)
+    if series is None:
+        raise ScenarioError("config-parse-error: fee-analysis needs a [feerates] section")
+    v = _read(sc, "fee_analysis")
+    window = v.get("window", 10)
+    duration = v.get("minimize_duration", 1008)
+    launch_from = v.get("launch_from", series.first_height + duration)
+    launch_to = v.get("launch_to")
+    launch_step = v.get("launch_step", 1)
+    blockmaxweight = v.get("blockmaxweight", DEFAULT_BLOCKMAXWEIGHT)
+    if launch_to is None:
+        raise ScenarioError("config-parse-error: [fee_analysis] needs launch_to")
+    if launch_step < 1:
+        raise ScenarioError("config-parse-error: [fee_analysis] needs launch_step >= 1")
+    if launch_from - duration < series.first_height:
+        raise ScenarioError(
+            f"config-parse-error: launch_from {launch_from} leaves no room for a "
+            f"{duration}-block minimization before it (series starts at "
+            f"{series.first_height})")
+    thresholds = v.get("thresholds",
+                       "500000,1000000,1500000,2000000,2500000,3000000,3500000,4000000")
+    blocks = synthetic_blocks(
+        seed=v.get("blocks_seed", seed),
+        start_height=launch_from,
+        count=(launch_to - launch_from) + window + 2,
+        blockmaxweight=blockmaxweight,
+        fill_low=v.get("fill_low", 0.3),
+        fill_high=v.get("fill_high", 1.0),
+        feerate_low=v.get("block_feerate_low", 500),
+        feerate_high=v.get("block_feerate_high", 20_000),
+    )
+    return partial(_execute_fee, series, blocks,
+                   range(launch_from, launch_to + 1, launch_step), window, duration,
+                   blockmaxweight, [int(t) for t in thresholds.split(",") if t.strip()])
+
+
+def _execute_fee(series: FeerateSeries, blocks, launches: range, window: int,
+                 duration: int, blockmaxweight: int, thresholds: list[int],
+                 jobs: int, out: Path) -> list[str]:
     # Both strategies are compared at the same launch height over the same
     # blocks: naive opened right there, minimize opened `duration` blocks
     # earlier and has been ratcheting the feerate down since.
-    naive_rows, min_rows = [], []
-    naive_avgs, min_avgs = [], []
-    for launch in launches:
-        naive = simulate_feerate_strategy(series, "naive", launch)
-        analysis = victim_available_space(blocks, naive.final_feerate,
-                                          launch, window, blockmaxweight)
-        naive_rows.append((launch, analysis.avg_available_space))
-        naive_avgs.append(analysis.avg_available_space)
-        mini = simulate_feerate_strategy(series, f"minimize:{duration}",
-                                         launch - duration)
-        analysis = victim_available_space(blocks, mini.final_feerate,
-                                          launch, window, blockmaxweight)
-        min_rows.append((launch, analysis.avg_available_space))
-        min_avgs.append(analysis.avg_available_space)
-    _write_csv(out / "space.csv", ("launch_height", "avg_available_space"), naive_rows)
-    _write_csv(out / "space_minimized.csv",
-               ("launch_height", "avg_available_space"), min_rows)
-    report_rows = [(t, fraction_of_time_above(naive_avgs, t),
-                    fraction_of_time_above(min_avgs, t)) for t in thresholds]
+    def space(strategy: str, opened: int, launch: int) -> float:
+        feerate = simulate_feerate_strategy(series, strategy, opened).final_feerate
+        return victim_available_space(blocks, feerate, launch, window,
+                                      blockmaxweight).avg_available_space
+
+    naive = [space("naive", h, h) for h in launches]
+    mini = [space(f"minimize:{duration}", h - duration, h) for h in launches]
+    _write_csv(out / "space.csv", ("launch_height", "avg_available_space"),
+               zip(launches, naive))
+    _write_csv(out / "space_minimized.csv", ("launch_height", "avg_available_space"),
+               zip(launches, mini))
+    report_rows = [(t, fraction_of_time_above(naive, t), fraction_of_time_above(mini, t))
+                   for t in thresholds]
     _write_csv(out / "report.csv",
                ("threshold", "fraction_naive", "fraction_minimized"), report_rows)
     _write_csv(out / "trace.csv", ("height", "feerate_estimate"),
                [(h, series.estimate_at(h)) for h in launches])
-    lines = [f"fee analysis over launches [{launch_from}, {launch_to}] "
+    lines = [f"fee analysis over launches [{launches.start}, {launches.stop - 1}] "
              f"window={window} minimize_duration={duration}"]
     for t, fn, fm in report_rows:
         lines.append(f"  space >= {t}: naive {fn:.3f}, minimized {fm:.3f}")
     return lines
 
 
+# The scenario kinds, each with its configure step.
 _RUNNERS = {
-    "attack": _run_attack_kind,
-    "sweep": _run_sweep_kind,
-    "mitigation-matrix": _run_matrix_kind,
-    "fee-analysis": _run_fee_kind,
+    "attack": _configure_attack,
+    "sweep": _configure_sweep,
+    "fee-analysis": _configure_fee,
+    "mitigation-matrix": _configure_matrix,
 }
+
+
+def _configure(sc: Scenario, seed: int):
+    """The run's execute step, with every input built: a ValueError raised
+    while building them is the scenario's fault, not the engine's."""
+    try:
+        return _RUNNERS[sc.kind](sc, seed)
+    except CONFIG_ERRORS:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"config-parse-error: {exc}") from exc
 
 
 def run_scenario(path: str | Path, out_dir: str | Path,
@@ -438,7 +400,8 @@ def run_scenario(path: str | Path, out_dir: str | Path,
         seed = sc.seed if seed_override is None else seed_override
         summary.append(f"scenario: {sc.kind} (seed {seed})")
         stage = "execute"
-        summary.extend(_RUNNERS[sc.kind](sc, seed, jobs, out))
+        execute = _configure(sc, seed)
+        summary.extend(execute(jobs, out))
         stage = "done"
         summary.append("status: ok")
         summary.append("")
@@ -458,21 +421,11 @@ def run_scenario(path: str | Path, out_dir: str | Path,
 
 
 def validate_scenario(path: str | Path) -> int:
+    """Build every input of the run, exactly as `run` does, without running."""
     try:
         sc = load_scenario(path)
-        if sc.kind in ("attack", "sweep", "mitigation-matrix"):
-            build_attack_config(sc, sc.seed)
-        if sc.kind == "sweep":
-            if not sc.parser.has_section("sweep"):
-                raise ScenarioError("config-parse-error: missing [sweep] section")
-        if sc.kind == "mitigation-matrix" and not build_policies(sc):
-            raise ScenarioError("config-parse-error: mitigation-matrix needs [policy:*] sections")
-        if sc.kind == "fee-analysis":
-            if not sc.parser.has_section("fee_analysis"):
-                raise ScenarioError("config-parse-error: missing [fee_analysis] section")
-            if build_series(sc) is None:
-                raise ScenarioError("config-parse-error: fee-analysis needs [feerates]")
-    except (ScenarioError, ConfigError, PolicyError, SeriesError, ValueError) as exc:
+        _configure(sc, sc.seed)
+    except CONFIG_ERRORS as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     print("ok")

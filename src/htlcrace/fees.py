@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .chain import Block, Transaction, available_space
 
 SAT_PER_VB_TO_KWU = 250  # 1 vbyte == 4 weight units => sat/vB * 1000/4
-ACCEPT_TOLERANCE = 0.10
 
 
 class SeriesError(ValueError):
@@ -47,10 +46,6 @@ class FeerateSeries:
     @property
     def first_height(self) -> int:
         return self._heights[0]
-
-    @property
-    def last_height(self) -> int:
-        return self._heights[-1]
 
     def estimate_at(self, height: int) -> int:
         """Latest sample at or before `height` (step function)."""
@@ -98,19 +93,28 @@ def ingest_feerate_csv(path) -> FeerateSeries:
         raise SeriesError(f"{path}: {exc}") from None
 
 
-def parse_strategy(strategy) -> tuple[str, int]:
-    """Normalize 'naive' | 'minimize:<blocks>' | ('minimize', blocks)."""
-    if isinstance(strategy, (tuple, list)) and len(strategy) == 2 and strategy[0] == "minimize":
-        name, dur = "minimize", int(strategy[1])
-    elif strategy == "naive":
+def parse_strategy(strategy: str) -> tuple[str, int]:
+    """Normalize 'naive' | 'minimize:<blocks>'."""
+    if strategy == "naive":
         return "naive", 0
-    elif isinstance(strategy, str) and strategy.startswith("minimize:"):
-        name, dur = "minimize", int(strategy.split(":", 1)[1])
-    else:
+    if not (isinstance(strategy, str) and strategy.startswith("minimize:")):
         raise SeriesError(f"unknown feerate strategy {strategy!r}")
+    dur = int(strategy.split(":", 1)[1])
     if dur < 0:
         raise SeriesError("minimize duration must be non-negative")
-    return name, dur
+    return "minimize", dur
+
+
+def running_minimum(series: FeerateSeries, rate: int, heights):
+    """Yield (height, estimate) at each of `heights`, in order, where the
+    estimate dips strictly below `rate` and every estimate yielded before:
+    the feerates a channel that never raises its feerate moves to."""
+    estimate_at = series.estimate_at
+    for h in heights:
+        estimate = estimate_at(h)
+        if estimate < rate:
+            rate = estimate
+            yield h, estimate
 
 
 @dataclass(frozen=True)
@@ -127,8 +131,7 @@ def simulate_feerate_strategy(series: FeerateSeries, strategy, open_height: int)
 
     naive: the estimate at open_height; attack launches immediately.
     minimize:<d>: open at open_height, propose every dip in the estimate for d
-    blocks (victims accept proposals within ACCEPT_TOLERANCE of their own
-    estimate -- ours always match, since we propose the estimate itself), and
+    blocks (victims accept them: each proposal is their own estimate), and
     launch at open_height + d.  The rate never rises.
     """
     kind, duration = parse_strategy(strategy)
@@ -136,16 +139,10 @@ def simulate_feerate_strategy(series: FeerateSeries, strategy, open_height: int)
     trace = [(open_height, current)]
     if kind == "naive":
         return StrategyOutcome("naive", open_height, open_height, current, tuple(trace))
-    for h in range(open_height + 1, open_height + duration + 1):
-        estimate = series.estimate_at(h)
-        if estimate >= current:
-            continue  # never raise
-        proposal = estimate  # tracking the estimator keeps victims agreeable
-        if abs(proposal - estimate) <= ACCEPT_TOLERANCE * estimate:
-            current = proposal
-            trace.append((h, current))
+    trace += running_minimum(series, current,
+                             range(open_height + 1, open_height + duration + 1))
     return StrategyOutcome(f"minimize:{duration}", open_height,
-                           open_height + duration, current, tuple(trace))
+                           open_height + duration, trace[-1][1], tuple(trace))
 
 
 # -- block-space analysis --------------------------------------------------

@@ -297,6 +297,24 @@ def test_race_submits_cohorts_not_one_claim_per_htlc():
     assert len(run.chain.log) < 50, len(run.chain.log)
 
 
+def test_eager_profile_publishes_claims_same_tick():
+    # eclair does not wait for its commitment to confirm: each victim submits
+    # its success claims, one cohort over all 30 HTLCs, in the tick it closes.
+    cfg = AttackConfig(num_victim_channels=2, victim_profile="eclair",
+                       blockmaxweight=40_000, htlc_expiry_height=150, seed=3)
+    run = _Run(cfg)
+    run.chain = RecordingChain(cfg.blockmaxweight)
+    run.execute()
+    log = run.chain.log
+    closes = {txid.split("-")[0]: height for height, txid, status, _ in log
+              if "-commit" in txid and status != "rejected"}
+    assert sorted(closes) == ["a000", "a001"]
+    for channel, height in closes.items():
+        claims = [(h, count) for h, txid, status, count in log
+                  if txid.startswith(channel + "-sl") and status != "rejected"]
+        assert claims[0] == (height, 30)
+
+
 def test_weight_schedule_overrides_flow_through():
     fat = WeightSchedule(commitment_base=1_000, per_htlc_output=200,
                          htlc_success=800, htlc_timeout=700)

@@ -230,12 +230,6 @@ def test_available_space_examples():
     assert available_space(5, block, blockmaxweight=2_000_000) == 1_000_000
 
 
-def test_chain_available_space_uses_its_own_limit():
-    chain = ChainState(blockmaxweight=1_000_000)
-    block = chain.mine_block()
-    assert chain.available_space(7, block) == 1_000_000
-
-
 @given(st.integers(0, 10_000))
 @settings(max_examples=40)
 def test_available_space_nondecreasing_in_feerate(seed):

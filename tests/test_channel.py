@@ -208,14 +208,6 @@ def test_silent_offerer_blocks_settlement_but_leaks_preimage():
     assert ch.balances["bob"] == 0
 
 
-def test_fail_htlc_refunds_offerer():
-    chain, ch = fresh_channel()
-    htlc = ch.add_htlc("alice", 40_000, "hash", "secret", 100)
-    ch.fail_htlc_offchain(htlc.id)
-    assert ch.balances == {"alice": 1_000_000, "bob": 0}
-    assert htlc.state == "failed"
-
-
 @given(st.integers(0, 3_000))
 @settings(max_examples=40)
 def test_random_offchain_traffic_conserves_funding(seed):
@@ -234,11 +226,7 @@ def test_random_offchain_traffic_conserves_funding(seed):
                 pass
         elif ch.pending_htlcs:
             hid = rng.choice(list(ch.pending_htlcs))
-            htlc = ch.pending_htlcs[hid]
-            if action < 0.8:
-                ch.fulfill_htlc_offchain(hid, htlc.preimage)
-            else:
-                ch.fail_htlc_offchain(hid)
+            ch.fulfill_htlc_offchain(hid, ch.pending_htlcs[hid].preimage)
         in_flight = sum(h.amount for h in ch.pending_htlcs.values())
         assert ch.balances["alice"] + ch.balances["bob"] + in_flight == 1_000_000
         assert min(ch.balances.values()) >= 0
@@ -274,7 +262,7 @@ def test_update_fee_rejects_unreasonable_proposal():
 
 def test_update_fee_refused_once_closing():
     chain, ch = fresh_channel()
-    ch.force_close(chain, "alice", height=chain.height)
+    ch.force_close(chain, "alice")
     assert ch.update_fee("alice", 1_000, oracle_estimate=1_000) == (False, "channel-not-open")
 
 
@@ -307,31 +295,23 @@ def replace_feerate(params, feerate):
 
 def test_waiting_profile_closes_without_claims():
     chain, ch = closing_channel("lnd")
-    txs = ch.force_close(chain, "bob", height=chain.height)
-    assert len(txs) == 1 and txs[0].id == ch.published.txid
+    commit = ch.force_close(chain, "bob")
+    assert commit.id == ch.published.txid
     assert len(chain.mempool) == 1
 
 
-def test_eager_profile_publishes_claims_same_tick():
-    chain, ch = closing_channel("eclair", n_htlcs=3)
-    txs = ch.force_close(chain, "bob", height=chain.height)
-    # commitment + a cohort of 3 success claims as children
-    assert [t.count for t in txs] == [1, 3]
-    assert len(chain.mempool) == 4
-    block = chain.mine_block()
-    ids = [t.id for t in block.txs]
-    assert ids[0] == ch.published.txid  # parent first
-
-
 def test_zero_htlc_close_is_commitment_only_even_when_eager():
-    chain, ch = closing_channel("eclair", n_htlcs=0)
-    txs = ch.force_close(chain, "bob", height=chain.height)
-    assert len(txs) == 1
+    # Publishing an eager profile's claims is the engine's job (see
+    # tests/test_attack.py); force_close only ever publishes the commitment.
+    for n_htlcs in (0, 3):
+        chain, ch = closing_channel("eclair", n_htlcs=n_htlcs)
+        assert ch.force_close(chain, "bob").id == ch.published.txid
+        assert len(chain.mempool) == 1
 
 
 def test_success_local_claim_fee_is_fixed_by_both_signatures():
     chain, ch = closing_channel("lnd", n_htlcs=1, feerate=2_500)
-    ch.force_close(chain, "bob", height=chain.height)
+    ch.force_close(chain, "bob")
     hid = next(iter(ch.published.htlc_index))
     claim = ch.build_htlc_claim("bob", hid, "success-local", chain.height)
     assert claim.weight == 703
@@ -350,7 +330,7 @@ def test_remote_side_timeout_claim_is_free_form():
     # single-signer spends of bob's commitment: fee and signal at will.
     chain, ch = closing_channel("lnd", n_htlcs=1)
     ch.silent.clear()
-    ch.force_close(chain, "bob", height=chain.height)
+    ch.force_close(chain, "bob")
     hid = next(iter(ch.published.htlc_index))
     claim = ch.build_htlc_claim("alice", hid, "timeout-remote", height=60,
                                 fee_override=4_321, rbf_signal=True)
@@ -365,7 +345,7 @@ def test_remote_side_timeout_claim_is_free_form():
 def test_timeout_before_expiry_is_premature():
     chain, ch = closing_channel("lnd", n_htlcs=1)
     ch.silent.clear()
-    ch.force_close(chain, "bob", height=chain.height)
+    ch.force_close(chain, "bob")
     hid = next(iter(ch.published.htlc_index))
     with pytest.raises(PrematureTimeout):
         ch.build_htlc_claim("alice", hid, "timeout-remote", height=59)
@@ -374,7 +354,7 @@ def test_timeout_before_expiry_is_premature():
 def test_claim_fee_rigid_after_close():
     chain, ch = closing_channel("lnd", n_htlcs=1, feerate=2_500)
     assert ch.update_fee("alice", 2_400, oracle_estimate=2_400)[0]  # still open
-    ch.force_close(chain, "bob", height=chain.height)
+    ch.force_close(chain, "bob")
     hid = next(iter(ch.published.htlc_index))
     first = ch.build_htlc_claim("bob", hid, "success-local", chain.height)
     assert not ch.update_fee("alice", 1_000, oracle_estimate=1_000)[0]
@@ -385,7 +365,7 @@ def test_claim_fee_rigid_after_close():
 def test_mark_claimed_exactly_once():
     chain, ch = closing_channel("lnd", n_htlcs=1)
     hid = next(iter(ch.pending_htlcs))
-    ch.force_close(chain, "bob", height=chain.height)
+    ch.force_close(chain, "bob")
     ch.mark_claimed(hid, by_timeout=True)
     assert ch.all_htlcs[hid].state == "claimed-by-timeout"
     with pytest.raises(AssertionError):
@@ -482,7 +462,7 @@ def claims_channel():
     ch.balances["bob"] += 50_000
     ch.balances["alice"] -= 50_000
     ch.add_htlc("bob", 10_000, "hb", "pb", expiry_height=60, known_to=("alice",))
-    ch.force_close(chain, "bob", height=chain.height, submit_claims=False)
+    ch.force_close(chain, "bob")
     return chain, ch
 
 
@@ -517,7 +497,7 @@ def test_claimable_successes_split_where_amounts_differ():
     ch.silent.clear()
     for k, amount in enumerate((10_000, 10_000, 20_000, 10_000)):
         ch.add_htlc("alice", amount, f"h{k}", f"p{k}", expiry_height=60, known_to=("bob",))
-    ch.force_close(chain, "bob", height=chain.height, submit_claims=False)
+    ch.force_close(chain, "bob")
     got = ch.claimable_successes("bob", chain.height)
     assert {first: tx.count for first, tx in got.items()} == {0: 2, 2: 1, 3: 1}
     for first, tx in got.items():

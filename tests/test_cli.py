@@ -316,6 +316,7 @@ def test_fee_analysis_needs_room_to_minimize(tmp_path):
 
 def test_fee_analysis_needs_launch_to(tmp_path):
     path = write_scenario(tmp_path, FAST_FEE.replace("launch_to = 80", ""))
+    assert validate_scenario(path) == 2
     assert run_scenario(path, tmp_path / "out") == 2
 
 
@@ -327,12 +328,60 @@ def test_fee_analysis_needs_launch_to(tmp_path):
                         "    block_feerate_high = 800"),
 ])
 def test_bad_fee_analysis_values_are_config_errors(tmp_path, change):
-    # Each one fails in the standard library (an inverted random range, a
-    # zero range step) while the run's inputs are built: the scenario's fault.
+    # Each one fails while the run's inputs are built (an inverted random
+    # range fails in the standard library): the scenario's fault, which
+    # validate finds too.
     path = write_scenario(tmp_path, FAST_FEE.replace(*change))
+    assert validate_scenario(path) == 2
     out = tmp_path / "out"
     assert run_scenario(path, out) == 2
     assert "config-parse-error" in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("text", [
+    FAST_ATTACK + "    num_victim_chanels = 100\n",
+    FAST_ATTACK + "\n    [weights]\n    htlc_sucess = 0\n",
+    FAST_ATTACK + "\n    [traffic]\n    txs_per_tik = 2\n",
+    FAST_ATTACK.replace("kind = attack", "kind = mitigation-matrix")
+    + "\n    [policy:cpfp]\n    cpfp_dmo = true\n",
+    FAST_FEE + "    windw = 4\n",
+], ids=["attack", "weights", "traffic", "policy", "fee_analysis"])
+def test_unknown_keys_are_config_errors(tmp_path, text):
+    path = write_scenario(tmp_path, text)
+    assert validate_scenario(path) == 2
+    out = tmp_path / "out"
+    assert run_scenario(path, out) == 2
+    assert "unknown key" in (out / "summary.txt").read_text()
+
+
+# Every key a scenario section accepts.  A new dataclass field must not
+# become a scenario key unnoticed.
+ACCEPTED_KEYS = {
+    "attack": {
+        "num_victim_channels", "victim_profile", "htlc_expiry_height",
+        "channel_funding", "channel_feerate", "attacker_fee_bump_increment",
+        "blockmaxweight", "min_htlc_amount", "feerate_strategy", "preimage_release",
+        "attacker_claims_replaceable", "victim_claims_replaceable", "dynamic_delta",
+        "anchor_mode", "victim_bump_feerate", "victim_bump_offset",
+        "victim_bump_funds", "cpfp_demo", "victim_first_at_expiry", "drain_cap"},
+    "weights": {"commitment_base", "per_htlc_output", "htlc_success", "htlc_timeout"},
+    "traffic": {"txs_per_tick", "weight_low", "weight_high", "feerate_low",
+                "feerate_high", "start_height", "end_height"},
+    "policy:*": {"commitment_broadcast_delta_override", "max_accepted_htlcs_override",
+                 "immediate_htlc_publication", "dynamic_delta", "anchor_outputs_mode",
+                 "non_replaceable_htlc_success", "cpfp_demo"},
+    "sweep": {"n_from", "n_to", "n_step"},
+    "feerates": {"csv", "synthetic_seed", "synthetic_length", "synthetic_start",
+                 "synthetic_low", "synthetic_high"},
+    "fee_analysis": {"window", "minimize_duration", "launch_from", "launch_to",
+                     "launch_step", "blockmaxweight", "thresholds", "blocks_seed",
+                     "fill_low", "fill_high", "block_feerate_low", "block_feerate_high"},
+}
+
+
+def test_accepted_keys_are_pinned():
+    assert {section: set(keys) for section, keys in cli.SECTION_KEYS.items()} \
+        == ACCEPTED_KEYS
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +393,10 @@ def test_runtime_errors_exit_3_and_leave_a_summary(tmp_path, monkeypatch):
     path = write_scenario(tmp_path, FAST_ATTACK)
     out = tmp_path / "out"
 
-    def explode(sc, seed, jobs, out_dir):
+    def explode(jobs, out_dir):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._RUNNERS, "attack", explode)
+    monkeypatch.setitem(cli._RUNNERS, "attack", lambda sc, seed: explode)
     assert run_scenario(path, out) == 3
     summary = (out / "summary.txt").read_text()
     assert "FAILED at stage execute" in summary and "boom" in summary

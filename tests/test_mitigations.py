@@ -5,14 +5,14 @@ import dataclasses
 
 import pytest
 
-from htlcrace.attack import AttackConfig, TrafficSpec, min_channels_guaranteed_theft, run_attack
+from htlcrace.attack import (
+    AttackConfig, TrafficSpec, _Run, min_channels_guaranteed_theft, run_attack,
+)
 from htlcrace.chain import ChainState
-from htlcrace.channel import ChannelParams, Wallet, fee_for_weight, open_channel, profile_params
+from htlcrace.channel import ANCHOR_INPUT_WEIGHT, fee_for_weight, profile_params
 from htlcrace.mitigations import (
     MitigationPolicy,
-    NoBumpFunds,
     PolicyError,
-    anchor_mode_claim_behavior,
     apply_policy,
     apply_to_config,
     run_mitigation_matrix,
@@ -173,56 +173,63 @@ def test_anchor_without_spare_funds_is_baseline():
 
 
 # ---------------------------------------------------------------------------
-# anchor claim construction
+# anchor claim construction: the engine's bump cohorts
 # ---------------------------------------------------------------------------
 
 
-def anchor_fixture():
-    chain = ChainState()
-    params = ChannelParams(channel_feerate=2_000)
-    w = Wallet("alice")
-    w.deposit(chain.grant("alice", 1_010_000))
-    ch = open_channel(chain, "chan", "alice", "bob", 1_000_000, params, params, w)
-    chain.mine_block()
-    htlc = ch.add_htlc("alice", 50_000, "h", "p", 80, known_to=("bob",))
-    ch.force_close(chain, "bob", height=chain.height)
-    return chain, ch, htlc
+class RecordingChain(ChainState):
+    def __init__(self, blockmaxweight):
+        super().__init__(blockmaxweight)
+        self.submitted = []
+
+    def submit(self, tx):
+        result = super().submit(tx)
+        self.submitted.append((tx, result))
+        return result
+
+
+def anchor_bumps(**changes):
+    """Each bump cohort the victims submit in an ANCHOR_DEMO run with anchor
+    mode on, with the success-claim cohort it replaces."""
+    run = _Run(dataclasses.replace(ANCHOR_DEMO, anchor_mode=True, **changes))
+    run.chain = RecordingChain(run.cfg.blockmaxweight)
+    run.execute()
+    bumps, latest = [], {}
+    for tx, result in run.chain.submitted:
+        if "-sl" not in tx.id:
+            continue
+        channel = tx.id.split("-")[0]
+        if len(tx.inputs) == 2:
+            assert result.ok
+            bumps.append((tx, latest[channel]))
+        latest[channel] = tx
+    return bumps
 
 
 def test_anchor_claim_adds_wallet_input():
-    chain, ch, htlc = anchor_fixture()
-    wallet = Wallet("bob")
-    wallet.deposit(chain.grant("bob", 40_000))
-    tx = anchor_mode_claim_behavior(chain, ch, "bob", htlc.id, chain.height,
-                                    bump_feerate=25_000, wallet=wallet)
-    assert len(tx.inputs) == 2
-    assert tx.weight == 703 + 280
-    assert tx.fee == fee_for_weight(25_000, 983)
-    assert tx.rbf_signal is True
-    assert chain.submit(tx).ok
+    # The bump spends the claimed HTLC output plus one spare output of the
+    # victim's, minted for the bump, and pays the bump feerate on both.
+    bumps = anchor_bumps()
+    assert len(bumps) == 2  # one cohort per channel
+    for tx, old in bumps:
+        assert len(tx.inputs) == 2
+        assert tx.count == old.count == 483
+        assert tx.weight == 703 + ANCHOR_INPUT_WEIGHT == 983
+        assert tx.fee == fee_for_weight(25_000, 983)
+        assert tx.rbf_signal is True
 
 
 def test_anchor_claim_outbids_its_predecessor():
-    chain, ch, htlc = anchor_fixture()
-    old = ch.build_htlc_claim("bob", htlc.id, "success-local", chain.height)
-    wallet = Wallet("bob")
-    wallet.deposit(chain.grant("bob", 500_000))
-    tx = anchor_mode_claim_behavior(chain, ch, "bob", htlc.id, chain.height,
-                                    bump_feerate=1, wallet=wallet, replacing=old)
-    assert tx.fee > old.fee
-    assert tx.fee * old.weight > old.fee * tx.weight  # strict feerate dominance
+    bumps = anchor_bumps(victim_bump_feerate=1)
+    assert bumps
+    for tx, old in bumps:
+        assert len(old.inputs) == 1
+        assert tx.fee > old.fee
+        assert tx.fee * old.weight > old.fee * tx.weight  # strict feerate dominance
 
 
 def test_anchor_claim_needs_funds():
-    chain, ch, htlc = anchor_fixture()
-    with pytest.raises(NoBumpFunds):
-        anchor_mode_claim_behavior(chain, ch, "bob", htlc.id, chain.height,
-                                   bump_feerate=25_000, wallet=Wallet("bob"))
-    poor = Wallet("bob")
-    poor.deposit(chain.grant("bob", 10))  # exists but cannot cover the fee
-    with pytest.raises(NoBumpFunds):
-        anchor_mode_claim_behavior(chain, ch, "bob", htlc.id, chain.height,
-                                   bump_feerate=25_000, wallet=poor)
+    assert anchor_bumps(victim_bump_funds=False) == []
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,8 @@ def anchor_bumps(**changes):
 
 def test_anchor_claim_adds_wallet_input():
     # The bump spends the claimed HTLC output plus one spare output of the
-    # victim's, minted for the bump, and pays the bump feerate on both.
+    # victim's, minted for the bump, and pays the bump feerate on their
+    # combined weight.
     bumps = anchor_bumps()
     assert len(bumps) == 2  # one cohort per channel
     for tx, old in bumps:

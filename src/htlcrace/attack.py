@@ -283,7 +283,7 @@ class _Run:
         if kind == "minimize":
             start = self.chain.height  # one block is mined per height
             dips = dict(running_minimum(self.cfg.feerate_series, current,
-                                        range(start, start + duration)))
+                                        start, start + duration))
             for h in range(start, start + duration):
                 if h in dips:
                     current = dips[h]

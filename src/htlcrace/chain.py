@@ -323,12 +323,6 @@ class ChainState:
         self._grant_counter = 0
         self._grants: dict[str, tuple[TxOutput, int]] = {}
 
-    @property
-    def utxo_set(self) -> dict[OutputRef, TxOutput]:
-        """The UTXO set as OutputRef -> TxOutput (a copy)."""
-        return {OutputRef(txid, i): out
-                for txid, outs in self.utxo.items() for i, out in outs.items()}
-
     # -- funding ---------------------------------------------------------
 
     def grant(self, owner: str, value: int, kind: str = "grant",

@@ -80,6 +80,10 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"config-parse-error: {exc}") from exc
     if not parser.has_section("scenario"):
         raise ScenarioError("config-parse-error: missing [scenario] section")
+    for section in parser.sections():
+        if section != "scenario" and section not in SECTION_KEYS \
+                and not section.startswith("policy:"):
+            raise ScenarioError(f"config-parse-error: unknown section [{section}]")
     kind = parser.get("scenario", "kind", fallback=None)
     if kind not in _RUNNERS:
         raise ScenarioError(
@@ -345,10 +349,12 @@ def _execute_fee(series: FeerateSeries, blocks, launches: range, window: int,
     # Both strategies are compared at the same launch height over the same
     # blocks: naive opened right there, minimize opened `duration` blocks
     # earlier and has been ratcheting the feerate down since.
+    spaces: dict[int, dict[int, int]] = {}  # feerate -> height -> block space
+
     def space(strategy: str, opened: int, launch: int) -> float:
         feerate = simulate_feerate_strategy(series, strategy, opened).final_feerate
         return victim_available_space(blocks, feerate, launch, window,
-                                      blockmaxweight).avg_available_space
+                                      blockmaxweight, spaces).avg_available_space
 
     naive = [space("naive", h, h) for h in launches]
     mini = [space(f"minimize:{duration}", h - duration, h) for h in launches]
@@ -399,8 +405,9 @@ def run_scenario(path: str | Path, out_dir: str | Path,
         sc = load_scenario(path)
         seed = sc.seed if seed_override is None else seed_override
         summary.append(f"scenario: {sc.kind} (seed {seed})")
-        stage = "execute"
+        stage = "configure"
         execute = _configure(sc, seed)
+        stage = "execute"
         summary.extend(execute(jobs, out))
         stage = "done"
         summary.append("status: ok")

@@ -105,16 +105,25 @@ def parse_strategy(strategy: str) -> tuple[str, int]:
     return "minimize", dur
 
 
-def running_minimum(series: FeerateSeries, rate: int, heights):
-    """Yield (height, estimate) at each of `heights`, in order, where the
-    estimate dips strictly below `rate` and every estimate yielded before:
-    the feerates a channel that never raises its feerate moves to."""
-    estimate_at = series.estimate_at
-    for h in heights:
-        estimate = estimate_at(h)
+def running_minimum(series: FeerateSeries, rate: int, start: int, stop: int):
+    """Yield (height, estimate) at each height in [start, stop), in order,
+    where the estimate dips strictly below `rate` and every estimate yielded
+    before: the feerates a channel that never raises its feerate moves to.
+    The estimate changes only at a sample, so only `start` and the samples
+    after it are read."""
+    if start >= stop:
+        return
+    estimate = series.estimate_at(start)  # raises if start precedes the series
+    if estimate < rate:
+        rate = estimate
+        yield start, estimate
+    heights, points = series._heights, series.points
+    for i in range(bisect.bisect_right(heights, start),
+                   bisect.bisect_left(heights, stop)):
+        estimate = points[i][1]
         if estimate < rate:
             rate = estimate
-            yield h, estimate
+            yield heights[i], estimate
 
 
 @dataclass(frozen=True)
@@ -139,8 +148,8 @@ def simulate_feerate_strategy(series: FeerateSeries, strategy, open_height: int)
     trace = [(open_height, current)]
     if kind == "naive":
         return StrategyOutcome("naive", open_height, open_height, current, tuple(trace))
-    trace += running_minimum(series, current,
-                             range(open_height + 1, open_height + duration + 1))
+    trace += running_minimum(series, current, open_height + 1,
+                             open_height + duration + 1)
     return StrategyOutcome(f"minimize:{duration}", open_height,
                            open_height + duration, trace[-1][1], tuple(trace))
 
@@ -159,17 +168,27 @@ class SpaceAnalysis:
 
 def victim_available_space(blocks: dict[int, Block], channel_feerate: int,
                            launch_height: int, window: int,
-                           blockmaxweight: int = 4_000_000) -> SpaceAnalysis:
+                           blockmaxweight: int = 4_000_000,
+                           spaces: dict[int, dict[int, int]] | None = None
+                           ) -> SpaceAnalysis:
     """Average weight per block still open to transactions at the victims'
-    (fixed) claim feerate over the `window` blocks following launch."""
+    (fixed) claim feerate over the `window` blocks following launch.
+
+    `spaces` memoizes each block's space across calls, as feerate -> height
+    -> space; share one dict only between calls over the same blocks and
+    blockmaxweight."""
     if window <= 0:
         raise SeriesError("window must be positive")
+    at_rate = {} if spaces is None else spaces.setdefault(channel_feerate, {})
     per = []
     for h in range(launch_height + 1, launch_height + window + 1):
-        block = blocks.get(h)
-        if block is None:
-            raise SeriesError(f"insufficient block data: missing height {h}")
-        per.append(available_space(channel_feerate, block, blockmaxweight))
+        space = at_rate.get(h)
+        if space is None:
+            block = blocks.get(h)
+            if block is None:
+                raise SeriesError(f"insufficient block data: missing height {h}")
+            space = at_rate[h] = available_space(channel_feerate, block, blockmaxweight)
+        per.append(space)
     return SpaceAnalysis(launch_height, channel_feerate, window,
                          tuple(per), sum(per) / window)
 
@@ -207,20 +226,34 @@ def synthetic_blocks(seed: int, start_height: int, count: int,
                      feerate_low: int = 500, feerate_high: int = 20_000) -> dict[int, Block]:
     """Standalone filler blocks for space analysis (never enter a ChainState,
     so their transactions carry no spendable inputs)."""
+    # Each randint(a, b) is inlined as a + r, r the first getrandbits(k)
+    # draw below n = b - a + 1 with k = n.bit_length(): what the standard
+    # library's randint does, draw for draw, at a fraction of its cost.
+    n_fee = feerate_high - feerate_low + 1
+    if n_fee < 1:
+        raise ValueError(f"empty block feerate range [{feerate_low}, {feerate_high}]")
+    k_fee = n_fee.bit_length()
+    n_weight = 40_000 - 400 + 1
+    k_weight = n_weight.bit_length()
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     blocks: dict[int, Block] = {}
     for h in range(start_height, start_height + count):
         target = int(blockmaxweight * rng.uniform(fill_low, fill_high))
         used = 0
         txs = []
         while used < target:
-            weight = min(rng.randint(400, 40_000), target - used)
+            r = getrandbits(k_weight)
+            while r >= n_weight:
+                r = getrandbits(k_weight)
+            weight = min(400 + r, target - used)
             if weight < 100:
                 break
-            feerate = rng.randint(feerate_low, feerate_high)
-            fee = feerate * weight // 1000
-            txs.append(Transaction(id=f"filler-{h}-{len(txs)}", inputs=(),
-                                   outputs=(), weight=weight, fee=fee))
+            r = getrandbits(k_fee)
+            while r >= n_fee:
+                r = getrandbits(k_fee)
+            fee = (feerate_low + r) * weight // 1000
+            txs.append(Transaction(f"filler-{h}-{len(txs)}", (), (), weight, fee))
             used += weight
         blocks[h] = Block(h, tuple(txs), used)
     return blocks

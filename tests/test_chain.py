@@ -260,8 +260,8 @@ def run_session(seed, steps=60, blockmaxweight=1_000_000):
     counter = 0
     for _ in range(steps):
         if rng.random() < 0.7:
-            live = [r for r in known
-                    if r in chain.utxo_set or r.txid in chain.mempool.pending]
+            live = [r for r in known if r.index in chain.utxo.get(r.txid, {})
+                    or r.txid in chain.mempool.pending]
             if not live:
                 continue
             picks = rng.sample(live, k=min(len(live), rng.randint(1, 2)))
@@ -307,7 +307,7 @@ def test_identical_sessions_mine_identical_chains(seed):
     b, _ = run_session(seed, steps=50)
     assert [(blk.height, tuple(t.id for t in blk.txs)) for blk in a.blocks] == \
            [(blk.height, tuple(t.id for t in blk.txs)) for blk in b.blocks]
-    assert a.utxo_set == b.utxo_set
+    assert a.utxo == b.utxo
 
 
 def test_default_limits():

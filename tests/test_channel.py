@@ -52,8 +52,9 @@ def fresh_channel(funding=1_000_000, feerate=2_500, chain=None,
 def test_open_assigns_full_balance_to_initiator():
     chain, ch = fresh_channel(funding=1_000_000)
     assert ch.balances == {"alice": 1_000_000, "bob": 0}
-    assert ch.funding_outpoint in chain.utxo_set
-    assert chain.utxo_set[ch.funding_outpoint].value == 1_000_000
+    ref = ch.funding_outpoint
+    assert ref.index in chain.utxo.get(ref.txid, {})
+    assert chain.utxo[ref.txid][ref.index].value == 1_000_000
 
 
 def test_open_needs_wallet_cover():
@@ -75,8 +76,8 @@ def test_two_channels_two_outpoints():
     c2 = open_channel(chain, "two", "alice", "carol", 1_000_000, p, p, wallet)
     chain.mine_block()
     assert c1.funding_outpoint != c2.funding_outpoint
-    assert c1.funding_outpoint in chain.utxo_set
-    assert c2.funding_outpoint in chain.utxo_set
+    for ref in (c1.funding_outpoint, c2.funding_outpoint):
+        assert ref.index in chain.utxo.get(ref.txid, {})
 
 
 # ---------------------------------------------------------------------------

@@ -328,14 +328,26 @@ def test_fee_analysis_needs_launch_to(tmp_path):
                         "    block_feerate_high = 800"),
 ])
 def test_bad_fee_analysis_values_are_config_errors(tmp_path, change):
-    # Each one fails while the run's inputs are built (an inverted random
-    # range fails in the standard library): the scenario's fault, which
-    # validate finds too.
+    # Each one fails while the run's inputs are built, before anything runs:
+    # the scenario's fault, which validate finds too.
     path = write_scenario(tmp_path, FAST_FEE.replace(*change))
     assert validate_scenario(path) == 2
     out = tmp_path / "out"
     assert run_scenario(path, out) == 2
-    assert "config-parse-error" in (out / "summary.txt").read_text()
+    assert "FAILED at stage configure: config-parse-error" in \
+        (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("text", [
+    FAST_ATTACK + "\n    [weigths]\n    htlc_success = 0\n",
+    FAST_FEE.replace("[fee_analysis]", "[fee_analyis]"),
+], ids=["weights", "fee_analysis"])
+def test_unknown_sections_are_config_errors(tmp_path, text):
+    path = write_scenario(tmp_path, text)
+    assert validate_scenario(path) == 2
+    out = tmp_path / "out"
+    assert run_scenario(path, out) == 2
+    assert "unknown section" in (out / "summary.txt").read_text()
 
 
 @pytest.mark.parametrize("text", [

@@ -60,7 +60,8 @@ class Session:
                 for m in range(first, first + count)]
 
     def confirmed_refs(self):
-        return {self.expand_ref(*ref) for ref in self.chain.utxo_set}
+        return {self.expand_ref(txid, i)
+                for txid, outs in self.chain.utxo.items() for i in outs}
 
     # -- steps ---------------------------------------------------------------
 

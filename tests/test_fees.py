@@ -201,6 +201,13 @@ def test_synthetic_blocks_deterministic_and_within_limit():
         assert [t.id for t in a[h].txs] == [t.id for t in b[h].txs]
 
 
+def test_inverted_block_feerate_range_is_refused():
+    # Refused before any draw: rejection sampling over an empty range would
+    # never end.
+    with pytest.raises(ValueError, match="feerate range"):
+        synthetic_blocks(1, 0, 5, feerate_low=900, feerate_high=800)
+
+
 def test_available_space_consistency_with_chain_layer():
     blocks = synthetic_blocks(9, start_height=0, count=8)
     analysis = victim_available_space(blocks, 1_500, launch_height=0, window=7)

@@ -19,8 +19,8 @@ from .chain import (
     SubmitResult, Transaction, TxOutput, available_space,
 )
 from .channel import (
-    Channel, ChannelError, ChannelParams, Htlc, PROFILES, Wallet,
-    WeightSchedule, fee_for_weight, open_channel, profile_params,
+    Channel, ChannelError, ChannelParams, Htlc, PROFILES, WeightSchedule,
+    fee_for_weight, open_channel, profile_params,
 )
 from .fees import (
     FeerateSeries, SeriesError, SpaceAnalysis, StrategyOutcome,
@@ -45,7 +45,7 @@ __all__ = [
     "FeerateSeries", "Htlc", "MAX_TX_WEIGHT", "MatrixRow", "MitigationPolicy",
     "OutputRef", "PROFILES", "PolicyError", "SeriesError", "SpaceAnalysis",
     "StrategyOutcome", "SubmitResult", "TraceRow", "TrafficSpec", "Transaction",
-    "TxOutput", "Wallet", "WeightSchedule", "apply_policy", "apply_to_config",
+    "TxOutput", "WeightSchedule", "apply_policy", "apply_to_config",
     "available_space", "break_even_channels", "compute_htlc_value",
     "fee_for_weight", "fraction_of_time_above", "ingest_feerate_csv",
     "min_channels_guaranteed_theft", "open_channel", "profile_params",

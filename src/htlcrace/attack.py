@@ -34,8 +34,8 @@ from .chain import (
     Transaction, TxOutput,
 )
 from .channel import (
-    ANCHOR_INPUT_WEIGHT, Channel, ChannelParams, FUNDING_TX_WEIGHT, Wallet,
-    WeightSchedule, fee_for_weight, open_channel, profile_params,
+    ANCHOR_INPUT_WEIGHT, Channel, ChannelParams, WeightSchedule, fee_for_weight,
+    open_channel, profile_params,
 )
 from .fees import FeerateSeries, parse_strategy, running_minimum
 
@@ -108,8 +108,6 @@ class AttackConfig:
     drain_cap: int = 300
 
     def victim_params(self) -> ChannelParams:
-        if isinstance(self.victim_profile, ChannelParams):
-            return self.victim_profile
         return profile_params(self.victim_profile)
 
 
@@ -255,18 +253,13 @@ class _Run:
         target_params = ChannelParams(
             max_accepted_htlcs=max(1000, victim.max_accepted_htlcs),
             channel_feerate=feerate, commitment_broadcast_delta=1, htlc_expiry_delta=1)
-        fund_fee = fee_for_weight(feerate, FUNDING_TX_WEIGHT)
-        source_wallet = Wallet(SOURCE)
         fund_ids = []
         for i in range(cfg.num_victim_channels):
             name = f"victim{i:03d}"
-            source_wallet.deposit(chain.grant(SOURCE, cfg.channel_funding + fund_fee))
             ch_in = open_channel(chain, f"a{i:03d}", SOURCE, name, cfg.channel_funding,
-                                 source_params, victim, source_wallet, self.weights)
-            w = Wallet(name)
-            w.deposit(chain.grant(name, cfg.channel_funding + fund_fee))
+                                 source_params, victim, self.weights)
             ch_out = open_channel(chain, f"b{i:03d}", name, TARGET, cfg.channel_funding,
-                                  victim, target_params, w, self.weights)
+                                  victim, target_params, self.weights)
             self.meta[f"a{i:03d}-fund"] = ("fund", i, -1)
             self.channels.append((ch_in, ch_out, name))
             fund_ids.append(ch_in.funding_outpoint.txid)
@@ -659,8 +652,7 @@ def min_channels_guaranteed_theft(victim_params: ChannelParams | str,
     channels the victims need n * (commitment + per-HTLC claim) weight inside
     `window` blocks, so the smallest n whose demand exceeds the window's
     capacity guarantees at least one theft even in the attacker's worst case."""
-    if isinstance(victim_params, str):
-        victim_params = profile_params(victim_params)
+    victim_params = profile_params(victim_params)
     weights = weights or WeightSchedule()
     if window is None:
         window = victim_params.commitment_broadcast_delta

@@ -13,7 +13,7 @@ are collapsed into single direct claims.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import attrgetter, contains
 
@@ -101,10 +101,6 @@ class NoPublishedCommitment(ChannelError):
     pass
 
 
-class InsufficientFunds(ChannelError):
-    pass
-
-
 def fee_for_weight(feerate: int, weight: int) -> int:
     """Satoshi fee at `feerate` sat/kWU, rounded down."""
     return feerate * weight // 1000
@@ -134,7 +130,6 @@ class ChannelParams:
     expiry it unilaterally closes."""
     max_accepted_htlcs: int = 483
     max_htlc_value_in_flight: int | None = None
-    to_self_delay: int = 144
     channel_feerate: int = 2000
     commitment_broadcast_delta: int = 10
     htlc_expiry_delta: int = 40
@@ -165,10 +160,14 @@ PROFILES: dict[str, ChannelParams] = {
 }
 
 
-def profile_params(name: str, **overrides) -> ChannelParams:
-    if name not in PROFILES:
-        raise ValueError(f"unknown node profile {name!r}; know {sorted(PROFILES)}")
-    return replace(PROFILES[name], **overrides) if overrides else PROFILES[name]
+def profile_params(profile: str | ChannelParams, **overrides) -> ChannelParams:
+    """The named profile, or `profile` itself if it is already parameters,
+    with `overrides` applied; with no overrides, that very object."""
+    if isinstance(profile, str):
+        if profile not in PROFILES:
+            raise ValueError(f"unknown node profile {profile!r}; know {sorted(PROFILES)}")
+        profile = PROFILES[profile]
+    return replace(profile, **overrides) if overrides else profile
 
 
 @dataclass(slots=True)
@@ -199,34 +198,26 @@ class Channel:
     funding_value: int
     funding_outpoint: OutputRef
     params: dict[str, ChannelParams]
-    weights: WeightSchedule = field(default_factory=WeightSchedule)
-    feerate: int = 0  # current commitment feerate; set at open
-    status: str = "open"  # open | force-closing | closed
-    balances: dict[str, int] = field(default_factory=dict)
-    pending_htlcs: dict[int, Htlc] = field(default_factory=dict)
-    all_htlcs: dict[int, Htlc] = field(default_factory=dict)
-    silent: set[str] = field(default_factory=set)
-    published: PublishedCommitment | None = None
-    _next_htlc_id: int = 0
-    _offered_count: dict[str, int] = field(default_factory=dict)
-    _offered_value: dict[str, int] = field(default_factory=dict)
-    _build_count: int = 0
+    weights: WeightSchedule
 
     def __post_init__(self):
-        if not self.feerate:
-            self.feerate = self.params[self.initiator].channel_feerate
-        if not self.balances:
-            self.balances = {self.initiator: self.funding_value, self.peer: 0}
-        for party in (self.initiator, self.peer):
-            self._offered_count.setdefault(party, 0)
-            self._offered_value.setdefault(party, 0)
+        self.feerate = self.params[self.initiator].channel_feerate  # commitment's, now
+        self.status = "open"  # open | force-closing | closed
+        self.balances = {self.initiator: self.funding_value, self.peer: 0}
+        self.pending_htlcs: dict[int, Htlc] = {}
+        self.all_htlcs: dict[int, Htlc] = {}
+        self.silent: set[str] = set()
+        self.published: PublishedCommitment | None = None
+        self._next_htlc_id = 0
+        self._offered_count = {self.initiator: 0, self.peer: 0}
+        self._offered_value = {self.initiator: 0, self.peer: 0}
+        self._build_count = 0
 
     def other(self, party: str) -> str:
         return self.peer if party == self.initiator else self.initiator
 
-    def commitment_fee(self, htlc_count: int | None = None) -> int:
-        count = len(self.pending_htlcs) if htlc_count is None else htlc_count
-        return fee_for_weight(self.feerate, self.weights.commitment_weight(count))
+    def commitment_fee(self, htlc_count: int) -> int:
+        return fee_for_weight(self.feerate, self.weights.commitment_weight(htlc_count))
 
     # -- off-chain operations ---------------------------------------------
 
@@ -475,26 +466,20 @@ class Channel:
                 expiry = next(e for e in map(_expiry_of, htlcs) if height < e)
                 raise PrematureTimeout(f"height {height} < expiry {expiry}")
         weight = self.weights.htlc_success if success else self.weights.htlc_timeout
-        dual_signed = local
-        if dual_signed and not anchor:
+        if local and not anchor:
             # Both signatures commit to this exact transaction, so neither the
-            # fee nor the input set can change afterwards.
+            # fee nor the input set can change afterwards.  (An anchor-style
+            # commitment signs its claims with flags that leave room for the
+            # claimer to add an input and raise the fee.)
             if fee_override is not None:
                 raise FeeOverrideOnDualSigned(
                     "pre-signed claim fee is fixed by both signatures")
             if extra_input is not None:
                 raise FeeOverrideOnDualSigned(
                     "pre-signed claim cannot gain inputs")
-            fee = fee_for_weight(self.feerate, weight)
-            rbf = True if rbf_signal is None else bool(rbf_signal)
-        elif dual_signed:
-            # Anchor-style commitment: the claim is signed with flags that
-            # leave room for the claimer to add an input and raise the fee.
-            fee = fee_for_weight(self.feerate, weight) if fee_override is None else fee_override
-            rbf = True if rbf_signal is None else bool(rbf_signal)
-        else:
-            fee = fee_for_weight(self.feerate, weight) if fee_override is None else fee_override
-            rbf = bool(rbf_signal)
+        fee = fee_for_weight(self.feerate, weight) if fee_override is None else fee_override
+        # Claims both parties sign signal replaceability unless told otherwise.
+        rbf = local if rbf_signal is None else bool(rbf_signal)
         inputs = [OutputRef(published.txid, vouts[0])]
         total_in = amounts.pop() + extra_value
         if extra_input is not None:
@@ -518,69 +503,22 @@ class Channel:
             htlc.state = state
 
 
-class Wallet:
-    """Flat list of confirmed outpoints a node may spend for funding."""
-
-    def __init__(self, owner: str):
-        self.owner = owner
-        self.outpoints: list[OutputRef] = []
-
-    def deposit(self, ref: OutputRef) -> None:
-        self.outpoints.append(ref)
-
-    def collect(self, chain: ChainState, amount: int) -> tuple[list[OutputRef], int]:
-        chosen: list[OutputRef] = []
-        total = 0
-        for ref in self.outpoints:
-            out = chain.utxo.get(ref.txid, {}).get(ref.index)
-            if out is None:
-                continue
-            chosen.append(ref)
-            total += out.value
-            if total >= amount:
-                break
-        if total < amount:
-            raise InsufficientFunds(f"{self.owner}: {total} < {amount}")
-        for ref in chosen:
-            self.outpoints.remove(ref)
-        return chosen, total
-
-
 def open_channel(chain: ChainState, channel_id: str, initiator: str, peer: str,
                  funding: int, initiator_params: ChannelParams,
-                 peer_params: ChannelParams, wallet: Wallet,
+                 peer_params: ChannelParams,
                  weights: WeightSchedule | None = None) -> Channel:
-    """Fund a channel from the initiator's wallet.  The funding transaction
-    is submitted here; it confirms with the next mined block."""
+    """Fund a channel from one grant to the initiator of exactly `funding`
+    plus the funding fee, spent whole.  The funding transaction is submitted
+    here; it confirms with the next mined block."""
     if funding <= 0:
         raise ValueError("funding must be positive")
-    weights = weights or WeightSchedule()
-    feerate = initiator_params.channel_feerate
-    fee = fee_for_weight(feerate, FUNDING_TX_WEIGHT)
-    refs, total = wallet.collect(chain, funding + fee)
-    outputs = [TxOutput(funding, channel_id, "funding")]
-    change = total - funding - fee
-    if change > 0:
-        outputs.append(TxOutput(change, initiator, "change"))
-    tx = Transaction(
-        id=f"{channel_id}-fund",
-        inputs=tuple(refs),
-        outputs=tuple(outputs),
-        weight=FUNDING_TX_WEIGHT,
-        fee=fee,
-        origin=initiator,
-    )
+    fee = fee_for_weight(initiator_params.channel_feerate, FUNDING_TX_WEIGHT)
+    tx = Transaction(f"{channel_id}-fund", (chain.grant(initiator, funding + fee),),
+                     (TxOutput(funding, channel_id, "funding"),), FUNDING_TX_WEIGHT, fee,
+                     origin=initiator)
     result = chain.submit(tx)
     if not result.ok:
         raise AssertionError(f"funding tx rejected: {result.reason}")
-    if change > 0:
-        wallet.deposit(OutputRef(tx.id, 1))
-    return Channel(
-        channel_id=channel_id,
-        initiator=initiator,
-        peer=peer,
-        funding_value=funding,
-        funding_outpoint=OutputRef(tx.id, 0),
-        params={initiator: initiator_params, peer: peer_params},
-        weights=weights,
-    )
+    return Channel(channel_id, initiator, peer, funding, OutputRef(tx.id, 0),
+                   {initiator: initiator_params, peer: peer_params},
+                   weights or WeightSchedule())

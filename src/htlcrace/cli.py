@@ -36,7 +36,9 @@ from .fees import (
     simulate_feerate_strategy, synthetic_blocks,
     synthetic_feerate_series, victim_available_space,
 )
-from .mitigations import MitigationPolicy, PolicyError, run_mitigation_matrix
+from .mitigations import (
+    MitigationPolicy, PolicyError, apply_to_config, run_mitigation_matrix,
+)
 
 REPORT_COLUMNS = (
     "n_channels", "htlcs_per_channel", "htlc_value_sat", "total_htlcs",
@@ -80,14 +82,19 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"config-parse-error: {exc}") from exc
     if not parser.has_section("scenario"):
         raise ScenarioError("config-parse-error: missing [scenario] section")
-    for section in parser.sections():
-        if section != "scenario" and section not in SECTION_KEYS \
-                and not section.startswith("policy:"):
-            raise ScenarioError(f"config-parse-error: unknown section [{section}]")
     kind = parser.get("scenario", "kind", fallback=None)
     if kind not in _RUNNERS:
         raise ScenarioError(
             f"config-parse-error: kind must be one of {tuple(_RUNNERS)}, got {kind!r}")
+    needs, reads = _KIND_SECTIONS[kind]
+    tables = [_table(section) for section in parser.sections()]
+    for section, table in zip(parser.sections(), tables):
+        if table not in ("scenario", *needs, *reads):
+            raise ScenarioError(
+                f"config-parse-error: unknown section [{section}] for kind {kind}")
+    for table in needs:
+        if table not in tables:
+            raise ScenarioError(f"config-parse-error: kind {kind} needs a [{table}] section")
     if not parser.has_option("scenario", "seed"):
         raise ScenarioError("config-parse-error: seed is mandatory (determinism contract)")
     try:
@@ -145,12 +152,17 @@ SECTION_KEYS = {
 }
 
 
+def _table(section: str) -> str:
+    """The SECTION_KEYS entry for `section`; [policy:] matches none."""
+    return "policy:*" if section.startswith("policy:") and section != "policy:" else section
+
+
 def _read(sc: Scenario, section: str) -> dict:
     """The keys set in `section` (none if it is absent), each converted as
     SECTION_KEYS says; a key the section does not know is an error."""
     if not sc.parser.has_section(section):
         return {}
-    keys = SECTION_KEYS["policy:*" if section.startswith("policy:") else section]
+    keys = SECTION_KEYS[_table(section)]
     values = {}
     for key, raw in sc.parser.items(section):
         if key not in keys:
@@ -181,15 +193,13 @@ def build_series(sc: Scenario) -> FeerateSeries | None:
 
 
 def build_attack_config(sc: Scenario, seed: int) -> AttackConfig:
-    if not sc.parser.has_section("attack"):
-        raise ScenarioError("config-parse-error: missing [attack] section")
-    traffic = _read(sc, "traffic") if sc.parser.has_section("traffic") else None
+    traffic = _read(sc, "traffic")  # none set: no traffic, as txs_per_tick = 0
     cfg = AttackConfig(
         **{"num_victim_channels": 1, **_read(sc, "attack")},
         seed=seed,
         weights=WeightSchedule(**_read(sc, "weights")),
         feerate_series=build_series(sc),
-        background_traffic=None if traffic is None else TrafficSpec(**traffic),
+        background_traffic=TrafficSpec(**traffic) if traffic else None,
     )
     validate_config(cfg)
     return cfg
@@ -253,12 +263,11 @@ def _execute_attack(cfg: AttackConfig, jobs: int, out: Path) -> list[str]:
 
 
 def _configure_sweep(sc: Scenario, seed: int):
-    if not sc.parser.has_section("sweep"):
-        raise ScenarioError("config-parse-error: missing [sweep] section")
     v = _read(sc, "sweep")
     n_from, n_to, step = v.get("n_from"), v.get("n_to"), v.get("n_step", 1)
-    if n_from is None or n_to is None or step < 1 or n_to < n_from:
-        raise ScenarioError("config-parse-error: [sweep] needs n_from <= n_to, n_step >= 1")
+    if n_from is None or n_to is None or step < 1 or not 1 <= n_from <= n_to:
+        raise ScenarioError(
+            "config-parse-error: [sweep] needs 1 <= n_from <= n_to, n_step >= 1")
     template = replace(build_attack_config(sc, seed), num_victim_channels=n_from)
     return partial(_execute_sweep, template, range(n_from, n_to + 1, step))
 
@@ -283,8 +292,8 @@ def _execute_sweep(template: AttackConfig, ns: range, jobs: int, out: Path) -> l
 def _configure_matrix(sc: Scenario, seed: int):
     base = build_attack_config(sc, seed)
     policies = build_policies(sc)
-    if not policies:
-        raise ScenarioError("config-parse-error: mitigation-matrix needs [policy:*] sections")
+    for policy in policies:
+        validate_config(apply_to_config(policy, base))
     return partial(_execute_matrix, base, policies)
 
 
@@ -305,11 +314,7 @@ def _execute_matrix(base: AttackConfig, policies, jobs: int, out: Path) -> list[
 
 
 def _configure_fee(sc: Scenario, seed: int):
-    if not sc.parser.has_section("fee_analysis"):
-        raise ScenarioError("config-parse-error: missing [fee_analysis] section")
     series = build_series(sc)
-    if series is None:
-        raise ScenarioError("config-parse-error: fee-analysis needs a [feerates] section")
     v = _read(sc, "fee_analysis")
     window = v.get("window", 10)
     duration = v.get("minimize_duration", 1008)
@@ -374,6 +379,16 @@ def _execute_fee(series: FeerateSeries, blocks, launches: range, window: int,
         lines.append(f"  space >= {t}: naive {fn:.3f}, minimized {fm:.3f}")
     return lines
 
+
+# Per kind, the sections it needs and the further ones it may read, besides
+# [scenario]; "policy:*" stands for one or more [policy:<name>] sections.
+_ATTACK_READS = ("weights", "traffic", "feerates")
+_KIND_SECTIONS = {
+    "attack": (("attack",), _ATTACK_READS),
+    "sweep": (("attack", "sweep"), _ATTACK_READS),
+    "mitigation-matrix": (("attack", "policy:*"), _ATTACK_READS),
+    "fee-analysis": (("feerates", "fee_analysis"), ()),
+}
 
 # The scenario kinds, each with its configure step.
 _RUNNERS = {

@@ -46,8 +46,7 @@ class MitigationPolicy:
 def apply_policy(policy: MitigationPolicy,
                  victim_profile: str | ChannelParams) -> ChannelParams:
     """Victim profile with the policy's parameter overrides applied."""
-    profile = (profile_params(victim_profile) if isinstance(victim_profile, str)
-               else victim_profile)
+    profile = profile_params(victim_profile)
     delta = policy.commitment_broadcast_delta_override
     if delta is not None and not 1 <= delta <= profile.htlc_expiry_delta:
         raise PolicyError(

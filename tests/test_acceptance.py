@@ -19,7 +19,7 @@ from htlcrace.attack import (
     min_channels_guaranteed_theft,
     sweep_channels,
 )
-from htlcrace.channel import ChannelParams, Wallet, WeightSchedule, open_channel
+from htlcrace.channel import ChannelParams, WeightSchedule, open_channel
 from htlcrace.chain import ChainState
 from htlcrace.fees import (
     simulate_feerate_strategy,
@@ -214,11 +214,8 @@ def test_sweep_invariants_monotonicity_and_economics(full_sweep):
 def test_criterion_9_commitment_arithmetic():
     for feerate in (2_000, 2_500):
         chain = ChainState()
-        wallet = Wallet("alice")
-        wallet.deposit(chain.grant("alice", 3_000_000))
         params = ChannelParams(channel_feerate=feerate)
-        ch = open_channel(chain, "chan", "alice", "bob", 2_500_000,
-                          params, params, wallet)
+        ch = open_channel(chain, "chan", "alice", "bob", 2_500_000, params, params)
         chain.mine_block()
         empty = ch.build_commitment("alice")
         assert empty.weight == 724

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htlcrace.chain import ChainState, OutputRef
+from htlcrace.chain import ChainState, OutputRef, TxOutput
 from htlcrace.channel import (
+    FUNDING_TX_WEIGHT,
     PROFILES,
     Channel,
     ChannelError,
@@ -18,12 +19,10 @@ from htlcrace.channel import (
     HtlcBelowMinimum,
     HtlcNotPending,
     InsufficientBalance,
-    InsufficientFunds,
     PrematureTimeout,
     TooManyHtlcs,
     UnknownPreimage,
     ValueInFlightExceeded,
-    Wallet,
     WrongClaim,
     WeightSchedule,
     fee_for_weight,
@@ -33,13 +32,11 @@ from htlcrace.channel import (
 
 
 def fresh_channel(funding=1_000_000, feerate=2_500, chain=None,
-                  initiator_params=None, peer_params=None, grant=None):
+                  initiator_params=None, peer_params=None):
     chain = chain or ChainState()
     params = ChannelParams(channel_feerate=feerate)
-    wallet = Wallet("alice")
-    wallet.deposit(chain.grant("alice", grant or (funding + 10_000)))
     ch = open_channel(chain, "chan", "alice", "bob", funding,
-                      initiator_params or params, peer_params or params, wallet)
+                      initiator_params or params, peer_params or params)
     chain.mine_block()
     return chain, ch
 
@@ -57,23 +54,26 @@ def test_open_assigns_full_balance_to_initiator():
     assert chain.utxo[ref.txid][ref.index].value == 1_000_000
 
 
-def test_open_needs_wallet_cover():
+def test_open_spends_one_grant_of_funding_plus_fee_whole():
     chain = ChainState()
-    wallet = Wallet("alice")
-    wallet.deposit(chain.grant("alice", 500_000))
-    with pytest.raises(InsufficientFunds):
-        open_channel(chain, "chan", "alice", "bob", 1_000_000,
-                     ChannelParams(), ChannelParams(), wallet)
+    params = ChannelParams(channel_feerate=2_500)
+    ch = open_channel(chain, "chan", "alice", "bob", 1_000_000, params, params)
+    fund = chain.mempool.pending[ch.funding_outpoint.txid]
+    fee = fee_for_weight(2_500, FUNDING_TX_WEIGHT)
+    assert fund.fee == fee and fund.weight == FUNDING_TX_WEIGHT
+    [grant] = fund.inputs
+    assert chain.utxo[grant.txid][grant.index].value == 1_000_000 + fee
+    assert chain.utxo[grant.txid][grant.index].owner == "alice"
+    assert fund.outputs == (TxOutput(1_000_000, "chan", "funding"),)  # no change
+    chain.mine_block()
+    assert grant.txid not in chain.utxo
 
 
 def test_two_channels_two_outpoints():
     chain = ChainState()
-    wallet = Wallet("alice")
-    wallet.deposit(chain.grant("alice", 3_000_000))
     p = ChannelParams()
-    c1 = open_channel(chain, "one", "alice", "bob", 1_000_000, p, p, wallet)
-    chain.mine_block()  # change output must confirm before it funds the next open
-    c2 = open_channel(chain, "two", "alice", "carol", 1_000_000, p, p, wallet)
+    c1 = open_channel(chain, "one", "alice", "bob", 1_000_000, p, p)
+    c2 = open_channel(chain, "two", "alice", "carol", 1_000_000, p, p)
     chain.mine_block()
     assert c1.funding_outpoint != c2.funding_outpoint
     for ref in (c1.funding_outpoint, c2.funding_outpoint):
@@ -277,10 +277,8 @@ def closing_channel(profile_name, n_htlcs=3, feerate=2_500, funding=1_000_000):
     known preimages, alice has gone silent, and bob force-closes."""
     chain = ChainState()
     params = profile_params(profile_name, channel_feerate=feerate)
-    wallet = Wallet("alice")
-    wallet.deposit(chain.grant("alice", funding + 10_000))
     ch = open_channel(chain, "chan", "alice", "bob", funding,
-                      replace_feerate(params, feerate), params, wallet)
+                      replace_feerate(params, feerate), params)
     chain.mine_block()
     for k in range(n_htlcs):
         ch.add_htlc("alice", 10_000, f"h{k}", f"p{k}", expiry_height=60,
@@ -387,6 +385,10 @@ def test_node_profile_table():
     assert not PROFILES["eclair"].wait_for_commit_confirmation
     with pytest.raises(ValueError):
         profile_params("raiden")
+    lnd = PROFILES["lnd"]
+    assert profile_params(lnd) is lnd  # parameters pass through as they are
+    assert profile_params(lnd, max_accepted_htlcs=30) == \
+        profile_params("lnd", max_accepted_htlcs=30)
 
 
 # ---------------------------------------------------------------------------

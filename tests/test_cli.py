@@ -338,10 +338,25 @@ def test_bad_fee_analysis_values_are_config_errors(tmp_path, change):
         (out / "summary.txt").read_text()
 
 
+FAST_MATRIX = FAST_ATTACK.replace("kind = attack", "kind = mitigation-matrix") \
+    + "\n    [policy:baseline]\n"
+
+
 @pytest.mark.parametrize("text", [
     FAST_ATTACK + "\n    [weigths]\n    htlc_success = 0\n",
     FAST_FEE.replace("[fee_analysis]", "[fee_analyis]"),
-], ids=["weights", "fee_analysis"])
+    # sections another kind reads
+    FAST_ATTACK + "\n    [fee_analysis]\n    window = 0\n",
+    FAST_ATTACK + "\n    [policy:x]\n    cpfp_demo = true\n",
+    FAST_ATTACK + "\n    [sweep]\n    n_from = 1\n    n_to = 2\n",
+    FAST_SWEEP + "\n    [policy:x]\n    cpfp_demo = true\n",
+    FAST_FEE + "\n    [attack]\n    num_victim_channels = 2\n",
+    FAST_FEE + "\n    [weights]\n    htlc_success = 700\n",
+    # a policy with no name
+    FAST_MATRIX + "\n    [policy:]\n    cpfp_demo = true\n",
+], ids=["weights", "fee_analysis", "attack-fee_analysis", "attack-policy",
+        "attack-sweep", "sweep-policy", "fee-attack", "fee-weights",
+        "empty-policy-name"])
 def test_unknown_sections_are_config_errors(tmp_path, text):
     path = write_scenario(tmp_path, text)
     assert validate_scenario(path) == 2
@@ -364,6 +379,19 @@ def test_unknown_keys_are_config_errors(tmp_path, text):
     out = tmp_path / "out"
     assert run_scenario(path, out) == 2
     assert "unknown key" in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("text", [
+    FAST_SWEEP.replace("n_from = 1", "n_from = 0"),
+    FAST_MATRIX + "\n    [policy:far]\n    commitment_broadcast_delta_override = 100\n",
+], ids=["sweep-from-0", "policy-delta-out-of-range"])
+def test_run_inputs_are_checked_at_configure(tmp_path, text):
+    # Each would fail only once the runs start: validate must refuse it too.
+    path = write_scenario(tmp_path, text)
+    assert validate_scenario(path) == 2
+    out = tmp_path / "out"
+    assert run_scenario(path, out) == 2
+    assert "FAILED at stage configure" in (out / "summary.txt").read_text()
 
 
 # Every key a scenario section accepts.  A new dataclass field must not

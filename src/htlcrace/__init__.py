@@ -33,7 +33,7 @@ from .attack import (
     run_attack, sweep_channels,
 )
 from .mitigations import (
-    MatrixRow, MitigationPolicy, PolicyError, apply_policy, apply_to_config,
+    MatrixRow, MitigationPolicy, apply_policy, apply_to_config,
     run_mitigation_matrix,
 )
 
@@ -43,7 +43,7 @@ __all__ = [
     "AttackConfig", "AttackReport", "Block", "ChainState", "Channel",
     "ChannelError", "ChannelParams", "ConfigError", "DEFAULT_BLOCKMAXWEIGHT",
     "FeerateSeries", "Htlc", "MAX_TX_WEIGHT", "MatrixRow", "MitigationPolicy",
-    "OutputRef", "PROFILES", "PolicyError", "SeriesError", "SpaceAnalysis",
+    "OutputRef", "PROFILES", "SeriesError", "SpaceAnalysis",
     "StrategyOutcome", "SubmitResult", "TraceRow", "TrafficSpec", "Transaction",
     "TxOutput", "WeightSchedule", "apply_policy", "apply_to_config",
     "available_space", "break_even_channels", "compute_htlc_value",

@@ -96,7 +96,7 @@ class AttackConfig:
     background_traffic: TrafficSpec | None = None
     preimage_release: str = "batch"  # batch | staggered (one channel per tick)
     attacker_claims_replaceable: bool = False
-    # Victim-side behavior knobs; mitigations.apply_to_config sets these.
+    # Victim-side behavior knobs; a mitigation policy may switch these on.
     victim_claims_replaceable: bool = True
     dynamic_delta: tuple[float, int] | None = None  # (blocks per pending HTLC, cap)
     anchor_mode: bool = False
@@ -166,20 +166,39 @@ def validate_config(cfg: AttackConfig) -> None:
         raise ConfigError("min_htlc_amount must be non-negative")
     if cfg.preimage_release not in ("batch", "staggered"):
         raise ConfigError(f"unknown preimage_release {cfg.preimage_release!r}")
-    kind, _ = parse_strategy(cfg.feerate_strategy)
+    kind, duration = parse_strategy(cfg.feerate_strategy)
     if kind == "minimize" and cfg.feerate_series is None:
         raise ConfigError("minimize strategy requires a feerate_series")
     if cfg.anchor_mode and not cfg.victim_claims_replaceable:
         raise ConfigError("anchor_mode needs replaceable victim claims to re-issue them")
+    if cfg.dynamic_delta is not None:
+        per_htlc, cap = cfg.dynamic_delta
+        if not (per_htlc >= 0 and cap >= 1):  # NaN fails too
+            raise ConfigError("dynamic_delta needs slope >= 0 and cap >= 1")
     spec = cfg.background_traffic
     if spec is not None and not (0 < spec.weight_low <= spec.weight_high <= MAX_TX_WEIGHT
                                  and 0 <= spec.feerate_low <= spec.feerate_high):
         raise ConfigError("traffic needs 0 < weight_low <= weight_high <= "
                           f"{MAX_TX_WEIGHT} and 0 <= feerate_low <= feerate_high")
     try:
-        cfg.victim_params()
+        victim = cfg.victim_params()
     except ValueError as exc:  # an unknown profile name
         raise ConfigError(str(exc)) from exc
+    # Set-up ends at the earliest when the funding confirms at height 1 and
+    # the minimize window has passed.
+    _check_expiry(cfg, victim, 1 + duration)
+
+
+def _check_expiry(cfg: AttackConfig, victim: ChannelParams, setup_end: int) -> None:
+    """The HTLCs must leave the victims their expiry delta after set-up ends
+    at `setup_end`, plus one block per channel when released one at a time."""
+    needed = victim.htlc_expiry_delta + 1
+    if cfg.preimage_release == "staggered":
+        needed += cfg.num_victim_channels
+    if cfg.htlc_expiry_height - setup_end < needed:
+        raise ConfigError(
+            f"htlc_expiry_height {cfg.htlc_expiry_height} leaves less than {needed} "
+            f"blocks after setup ends at height {setup_end}")
 
 
 @contextmanager
@@ -296,16 +315,9 @@ class _Run:
 
     def _load_htlcs(self) -> None:
         cfg = self.cfg
-        load_height = self.chain.height
         victim = self.victim_params
+        _check_expiry(cfg, victim, self.chain.height)
         count = victim.max_accepted_htlcs
-        needed = victim.htlc_expiry_delta + 1
-        if cfg.preimage_release == "staggered":
-            needed += cfg.num_victim_channels
-        if self.expiry - load_height < needed:
-            raise ConfigError(
-                f"htlc_expiry_height {self.expiry} leaves less than {needed} blocks "
-                f"after setup ends at height {load_height}")
         self.htlcs_per_channel = count
         out_expiry = self.expiry - victim.htlc_expiry_delta
         suffixes = [f".{k}" for k in range(count)]  # shared: formatting is costly
@@ -382,7 +394,8 @@ class _Run:
         if self.cfg.dynamic_delta is None:
             return base
         per_htlc, cap = self.cfg.dynamic_delta
-        return min(int(base + per_htlc * len(ch.pending_htlcs)), cap)
+        # Capped before int(): a huge slope makes the product infinite.
+        return int(min(base + per_htlc * len(ch.pending_htlcs), cap))
 
     def _victim_close_pass(self, h: int) -> int:
         subs = 0
@@ -536,8 +549,7 @@ class _Run:
             child = Transaction(
                 id=f"{parent.id}-bump{member}", inputs=(OutputRef(parent.id, member),),
                 outputs=(TxOutput(out_value - fee, name, "claim"),),
-                weight=CPFP_CHILD_WEIGHT, fee=fee, rbf_signal=True, origin=name,
-                count=span.hi - span.lo)
+                weight=CPFP_CHILD_WEIGHT, fee=fee, rbf_signal=True, count=span.hi - span.lo)
             result = chain.submit(child)
             if result.ok:
                 self.meta[child.id] = ("bump", i, span.lo)
@@ -563,7 +575,7 @@ class _Run:
             ref = chain.grant("background", 1000 + fee)
             tx = Transaction(id=f"bg{h}.{j}", inputs=(ref,),
                              outputs=(TxOutput(1000, "background", "plain"),),
-                             weight=weight, fee=fee, origin="background")
+                             weight=weight, fee=fee)
             result = chain.submit(tx)
             if not result.ok:
                 raise AssertionError(f"background tx rejected: {result.reason}")

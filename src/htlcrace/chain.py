@@ -65,14 +65,13 @@ class Transaction:
     weight: int
     fee: int
     rbf_signal: bool = False
-    origin: str = ""
     count: int = 1
 
     first = 0  # number of the first member; only a Slice starts elsewhere
 
     def __init__(self, id: str, inputs: tuple[OutputRef, ...],
                  outputs: tuple[TxOutput, ...], weight: int, fee: int,
-                 rbf_signal: bool = False, origin: str = "", count: int = 1):
+                 rbf_signal: bool = False, count: int = 1):
         # Frozen: assignment raises.  The generated __init__ would fill each
         # slot through object.__setattr__; the slot descriptors do the same
         # at half the cost.
@@ -82,7 +81,6 @@ class Transaction:
         _set_weight(self, weight)
         _set_fee(self, fee)
         _set_rbf_signal(self, rbf_signal)
-        _set_origin(self, origin)
         _set_count(self, count)
 
     def outranks(self, other: "Transaction") -> bool:
@@ -96,7 +94,6 @@ _set_outputs = Transaction.outputs.__set__
 _set_weight = Transaction.weight.__set__
 _set_fee = Transaction.fee.__set__
 _set_rbf_signal = Transaction.rbf_signal.__set__
-_set_origin = Transaction.origin.__set__
 _set_count = Transaction.count.__set__
 
 
@@ -108,8 +105,7 @@ class Slice(Transaction):
 
     def __init__(self, cohort: Transaction, first: int, count: int):
         Transaction.__init__(self, cohort.id, cohort.inputs, cohort.outputs,
-                             cohort.weight, cohort.fee, cohort.rbf_signal,
-                             cohort.origin, count)
+                             cohort.weight, cohort.fee, cohort.rbf_signal, count)
         Slice.first.__set__(self, first)
 
 
@@ -140,10 +136,6 @@ class Block:
     height: int
     txs: tuple[Transaction, ...]
     weight_used: int
-    # The entries of txs with more than one member, which a block holding
-    # any must list (mine_block does): available_space reads their further
-    # members from here, so blocks of plain transactions never pay for them.
-    cohorts: tuple[Transaction, ...] = ()
 
 
 @dataclass(slots=True, eq=False)
@@ -588,7 +580,6 @@ class ChainState:
         value = self._utxo_value
         fees = self._fees_confirmed
         selected: list[Transaction] = []
-        cohorts: list[Transaction] = []
         skipped: list[_FeeClass] = []
         while queue:
             cls = queue[0]
@@ -636,10 +627,7 @@ class ChainState:
                     value += taken * sum(map(_value_of, outputs))
                 fees += taken * tx.fee
                 confirmed.add(txid)
-                entry = tx if taken == tx.count else Slice(tx, lo, taken)
-                selected.append(entry)
-                if taken > 1:
-                    cohorts.append(entry)
+                selected.append(tx if taken == tx.count else Slice(tx, lo, taken))
                 if kids:
                     mp._release(tx, lo, end)
                 if not pieces[txid]:
@@ -652,8 +640,7 @@ class ChainState:
         self._utxo_value = value
         self._fees_confirmed = fees
         self.height += 1
-        block = Block(self.height, tuple(selected), self.blockmaxweight - room,
-                      tuple(cohorts))
+        block = Block(self.height, tuple(selected), self.blockmaxweight - room)
         self.blocks.append(block)
         if value + fees != self._granted_total:
             raise AssertionError(
@@ -681,8 +668,7 @@ class ChainState:
         for block in self.blocks:
             txs = block.txs
             weight = sum(tx.weight * tx.count for tx in txs)
-            if weight != block.weight_used or weight > self.blockmaxweight or \
-                    tuple(tx for tx in txs if tx.count > 1) != block.cohorts:
+            if weight != block.weight_used or weight > self.blockmaxweight:
                 raise AssertionError(f"block {block.height} weight bookkeeping broken")
             for tx in txs:
                 first, count = tx.first, tx.count
@@ -721,8 +707,5 @@ def available_space(feerate: int, block: Block,
     taken = 0
     for tx in block.txs:
         if tx.fee * 1000 > feerate * tx.weight:
-            taken += tx.weight
-    for tx in block.cohorts:  # the members past each cohort entry's first
-        if tx.fee * 1000 > feerate * tx.weight:
-            taken += tx.weight * (tx.count - 1)
+            taken += tx.weight * tx.count
     return blockmaxweight - taken

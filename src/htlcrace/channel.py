@@ -376,7 +376,6 @@ class Channel:
             weight=weight,
             fee=fee,
             rbf_signal=False,
-            origin=holder,
         )
 
     def force_close(self, chain: ChainState, closer: str) -> Transaction:
@@ -490,7 +489,7 @@ class Channel:
         return Transaction(
             f"{self.channel_id}-{_KIND_CODE[kind]}{self._build_count}-h{htlc_id}",
             tuple(inputs), (TxOutput(total_in - fee, claimer, "claim"),),
-            weight, fee, rbf, claimer, count)
+            weight, fee, rbf, count)
 
     def mark_claimed(self, htlc_id: int, by_timeout: bool, count: int = 1) -> None:
         """Record the on-chain outcome of contested HTLCs htlc_id ..
@@ -514,8 +513,7 @@ def open_channel(chain: ChainState, channel_id: str, initiator: str, peer: str,
         raise ValueError("funding must be positive")
     fee = fee_for_weight(initiator_params.channel_feerate, FUNDING_TX_WEIGHT)
     tx = Transaction(f"{channel_id}-fund", (chain.grant(initiator, funding + fee),),
-                     (TxOutput(funding, channel_id, "funding"),), FUNDING_TX_WEIGHT, fee,
-                     origin=initiator)
+                     (TxOutput(funding, channel_id, "funding"),), FUNDING_TX_WEIGHT, fee)
     result = chain.submit(tx)
     if not result.ok:
         raise AssertionError(f"funding tx rejected: {result.reason}")

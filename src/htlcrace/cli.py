@@ -11,8 +11,8 @@ examples).  Runs write report.csv, trace.csv and summary.txt into --out;
 summary.txt is written even when a stage fails, recording which one.
 
 Exit codes: 0 success, 2 configuration/input error, 3 runtime error.  A
-configuration error is a ScenarioError, ConfigError, PolicyError or
-SeriesError, whenever it is raised; building a run's inputs turns any other
+configuration error is a ScenarioError, ConfigError or SeriesError,
+whenever it is raised; building a run's inputs turns any other
 ValueError into a ScenarioError, so any other exception is an engine fault.
 """
 from __future__ import annotations
@@ -33,12 +33,10 @@ from .chain import DEFAULT_BLOCKMAXWEIGHT
 from .channel import WeightSchedule
 from .fees import (
     FeerateSeries, SeriesError, fraction_of_time_above, ingest_feerate_csv,
-    simulate_feerate_strategy, synthetic_blocks,
+    parse_strategy, simulate_feerate_strategy, synthetic_blocks,
     synthetic_feerate_series, victim_available_space,
 )
-from .mitigations import (
-    MitigationPolicy, PolicyError, apply_to_config, run_mitigation_matrix,
-)
+from .mitigations import MitigationPolicy, apply_to_config, run_mitigation_matrix
 
 REPORT_COLUMNS = (
     "n_channels", "htlcs_per_channel", "htlc_value_sat", "total_htlcs",
@@ -52,7 +50,7 @@ class ScenarioError(ValueError):
     pass
 
 
-CONFIG_ERRORS = (ScenarioError, ConfigError, PolicyError, SeriesError)
+CONFIG_ERRORS = (ScenarioError, ConfigError, SeriesError)
 
 
 @dataclass
@@ -318,14 +316,16 @@ def _configure_fee(sc: Scenario, seed: int):
     v = _read(sc, "fee_analysis")
     window = v.get("window", 10)
     duration = v.get("minimize_duration", 1008)
+    parse_strategy(f"minimize:{duration}")  # refuses a negative duration
     launch_from = v.get("launch_from", series.first_height + duration)
     launch_to = v.get("launch_to")
     launch_step = v.get("launch_step", 1)
     blockmaxweight = v.get("blockmaxweight", DEFAULT_BLOCKMAXWEIGHT)
     if launch_to is None:
         raise ScenarioError("config-parse-error: [fee_analysis] needs launch_to")
-    if launch_step < 1:
-        raise ScenarioError("config-parse-error: [fee_analysis] needs launch_step >= 1")
+    if launch_step < 1 or window < 1:
+        raise ScenarioError(
+            "config-parse-error: [fee_analysis] needs launch_step >= 1, window >= 1")
     if launch_from - duration < series.first_height:
         raise ScenarioError(
             f"config-parse-error: launch_from {launch_from} leaves no room for a "

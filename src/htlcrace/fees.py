@@ -16,9 +16,10 @@ import csv
 import random
 from dataclasses import dataclass
 
-from .chain import Block, Transaction, available_space
+from .chain import DEFAULT_BLOCKMAXWEIGHT, Block, Transaction, available_space
 
 SAT_PER_VB_TO_KWU = 250  # 1 vbyte == 4 weight units => sat/vB * 1000/4
+MAX_REGIME_RUN = 144  # longest run of blocks a synthetic estimate holds
 
 
 class SeriesError(ValueError):
@@ -168,7 +169,7 @@ class SpaceAnalysis:
 
 def victim_available_space(blocks: dict[int, Block], channel_feerate: int,
                            launch_height: int, window: int,
-                           blockmaxweight: int = 4_000_000,
+                           blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT,
                            spaces: dict[int, dict[int, int]] | None = None
                            ) -> SpaceAnalysis:
     """Average weight per block still open to transactions at the victims'
@@ -204,8 +205,7 @@ def fraction_of_time_above(values, threshold: float) -> float:
 
 
 def synthetic_feerate_series(seed: int, length: int, start_height: int = 0,
-                             low: int = 500, high: int = 20_000,
-                             max_run: int = 144) -> FeerateSeries:
+                             low: int = 500, high: int = 20_000) -> FeerateSeries:
     """Piecewise-constant regime series: the estimator holds a level for a
     random run of blocks, then jumps.  Deterministic in `seed`."""
     rng = random.Random(seed)
@@ -214,14 +214,14 @@ def synthetic_feerate_series(seed: int, length: int, start_height: int = 0,
     end = start_height + length
     while h < end:
         level = rng.randint(low, high)
-        run = rng.randint(1, max_run)
+        run = rng.randint(1, MAX_REGIME_RUN)
         points.append((h, level, 1))
         h += run
     return FeerateSeries(points)
 
 
 def synthetic_blocks(seed: int, start_height: int, count: int,
-                     blockmaxweight: int = 4_000_000,
+                     blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT,
                      fill_low: float = 0.3, fill_high: float = 1.0,
                      feerate_low: int = 500, feerate_high: int = 20_000) -> dict[int, Block]:
     """Standalone filler blocks for space analysis (never enter a ChainState,

@@ -12,17 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .attack import (
-    AttackConfig, AttackReport, map_runs, min_channels_guaranteed_theft, run_attack,
+    AttackConfig, AttackReport, ConfigError, map_runs, min_channels_guaranteed_theft,
+    run_attack,
 )
 from .channel import ChannelParams, profile_params
 
 
-class PolicyError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class MitigationPolicy:
+    """Victim-side overrides; the engine's own checks (ChannelParams and
+    validate_config) refuse a policy that makes no sense on its base."""
     policy_id: str = "baseline"
     commitment_broadcast_delta_override: int | None = None
     max_accepted_htlcs_override: int | None = None
@@ -32,48 +31,32 @@ class MitigationPolicy:
     non_replaceable_htlc_success: bool = False
     cpfp_demo: bool = False
 
-    def __post_init__(self):
-        if self.anchor_outputs_mode and self.non_replaceable_htlc_success:
-            raise PolicyError(
-                "anchor_outputs_mode and non_replaceable_htlc_success rewrite the "
-                "same claim transactions differently; enable at most one")
-        if self.dynamic_delta is not None:
-            per_htlc, cap = self.dynamic_delta
-            if per_htlc < 0 or cap < 1:
-                raise PolicyError("dynamic_delta needs slope >= 0 and cap >= 1")
-
 
 def apply_policy(policy: MitigationPolicy,
                  victim_profile: str | ChannelParams) -> ChannelParams:
     """Victim profile with the policy's parameter overrides applied."""
-    profile = profile_params(victim_profile)
-    delta = policy.commitment_broadcast_delta_override
-    if delta is not None and not 1 <= delta <= profile.htlc_expiry_delta:
-        raise PolicyError(
-            f"invalid-override: broadcast delta {delta} outside "
-            f"[1, {profile.htlc_expiry_delta}]")
-    count = policy.max_accepted_htlcs_override
-    if count is not None and count < 1:
-        raise PolicyError(f"invalid-override: max_accepted_htlcs {count} < 1")
     changes: dict = {}
-    if delta is not None:
-        changes["commitment_broadcast_delta"] = delta
-    if count is not None:
-        changes["max_accepted_htlcs"] = count
+    if policy.commitment_broadcast_delta_override is not None:
+        changes["commitment_broadcast_delta"] = policy.commitment_broadcast_delta_override
+    if policy.max_accepted_htlcs_override is not None:
+        changes["max_accepted_htlcs"] = policy.max_accepted_htlcs_override
     if policy.immediate_htlc_publication:
         changes["wait_for_commit_confirmation"] = False
-    return replace(profile, **changes) if changes else profile
+    return profile_params(victim_profile, **changes)
 
 
 def apply_to_config(policy: MitigationPolicy, base: AttackConfig) -> AttackConfig:
-    """Attack configuration with the policy in force on the victim side."""
+    """Attack configuration with the policy in force on the victim side.  The
+    policy changes only the settings it names; every other value of `base`
+    stands, so a policy cannot switch a setting of its base off."""
     return replace(
         base,
         victim_profile=apply_policy(policy, base.victim_profile),
-        dynamic_delta=policy.dynamic_delta,
-        anchor_mode=policy.anchor_outputs_mode,
-        victim_claims_replaceable=not policy.non_replaceable_htlc_success,
-        cpfp_demo=policy.cpfp_demo,
+        dynamic_delta=policy.dynamic_delta or base.dynamic_delta,
+        anchor_mode=base.anchor_mode or policy.anchor_outputs_mode,
+        victim_claims_replaceable=(base.victim_claims_replaceable
+                                   and not policy.non_replaceable_htlc_success),
+        cpfp_demo=base.cpfp_demo or policy.cpfp_demo,
     )
 
 
@@ -104,5 +87,5 @@ def run_mitigation_matrix(base: AttackConfig, policies, jobs: int = 1) -> list[M
     (window = the possibly-overridden broadcast delta)."""
     policies = list(policies)
     if not policies:
-        raise PolicyError("policies must be non-empty")
+        raise ConfigError("policies must be non-empty")
     return map_runs(_matrix_one, [(p, base) for p in policies], jobs)

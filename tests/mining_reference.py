@@ -111,7 +111,7 @@ def random_session(seed):
         outputs = ((TxOutput(total - fee, "n"),) if rng.random() < 0.5 else
                    (TxOutput(share, "n"), TxOutput(total - fee - share, "n")))
         tx = Transaction(f"t{seed}-{j}", tuple(picks), outputs, weight, fee,
-                         rng.random() < 0.7, "n")
+                         rng.random() < 0.7)
         result = chain.submit(tx)
         if not result.ok:
             continue

@@ -75,7 +75,7 @@ def oracle_submit(pending, utxo_refs, tx):
 def _spend(txid, inputs, total, fee, weight, rbf, owner="w"):
     return Transaction(txid, tuple(inputs),
                        (TxOutput(total - fee, owner, "plain"),),
-                       weight, fee, rbf, owner)
+                       weight, fee, rbf)
 
 
 def random_case(seed):

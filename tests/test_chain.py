@@ -34,7 +34,6 @@ def spend(txid, inputs, in_value, fee, weight, rbf=False, owner="node"):
         weight=weight,
         fee=fee,
         rbf_signal=rbf,
-        origin=owner,
     )
 
 
@@ -119,7 +118,6 @@ def test_replacement_cannot_spend_output_it_evicts():
         weight=900,
         fee=299_000,
         rbf_signal=False,
-        origin="node",
     )
     res = chain.submit(bad)
     assert (res.status, res.reason) == ("rejected", "missing-input")
@@ -145,7 +143,7 @@ def test_malformed_transactions_raise():
     with pytest.raises(ValueError):
         # declared fee disagrees with inputs - outputs
         chain.submit(Transaction("F", (ref,), (TxOutput(90_000, "x", "plain"),),
-                                 400, 5_000, False, "x"))
+                                 400, 5_000, False))
     chain.submit(spend("A", [ref], 100_000, 1_000, 700))
     with pytest.raises(ValueError):
         chain.submit(spend("A", [ref], 100_000, 2_000, 700))  # duplicate id
@@ -319,10 +317,9 @@ def test_transaction_is_frozen_and_fully_initialised():
     tx = Transaction("t", (), (TxOutput(5, "n"),), 400, 10)
     every = {f.name: getattr(tx, f.name) for f in dataclasses.fields(Transaction)}
     assert every == {"id": "t", "inputs": (), "outputs": (TxOutput(5, "n"),),
-                     "weight": 400, "fee": 10, "rbf_signal": False, "origin": "",
-                     "count": 1}
+                     "weight": 400, "fee": 10, "rbf_signal": False, "count": 1}
     assert tx == Transaction(id="t", inputs=(), outputs=(TxOutput(5, "n"),),
-                             weight=400, fee=10, rbf_signal=False, origin="")
+                             weight=400, fee=10, rbf_signal=False)
     assert hash(tx) == hash(dataclasses.replace(tx))
     with pytest.raises(dataclasses.FrozenInstanceError):
         tx.fee = 11

@@ -472,7 +472,7 @@ def claims_channel():
 def members(cohort):
     """The cohort as the plain transactions it stands for, ids aside."""
     return [(tuple(OutputRef(r.txid, r.index + m) for r in cohort.inputs),
-             cohort.outputs, cohort.weight, cohort.fee, cohort.rbf_signal, cohort.origin)
+             cohort.outputs, cohort.weight, cohort.fee, cohort.rbf_signal)
             for m in range(cohort.count)]
 
 

@@ -384,7 +384,13 @@ def test_unknown_keys_are_config_errors(tmp_path, text):
 @pytest.mark.parametrize("text", [
     FAST_SWEEP.replace("n_from = 1", "n_from = 0"),
     FAST_MATRIX + "\n    [policy:far]\n    commitment_broadcast_delta_override = 100\n",
-], ids=["sweep-from-0", "policy-delta-out-of-range"])
+    FAST_ATTACK + "    dynamic_delta = -5,0\n",
+    FAST_ATTACK + "    dynamic_delta = nan,5\n",
+    FAST_ATTACK + "    htlc_expiry_height = 8\n",
+    FAST_FEE.replace("window = 4", "window = 0"),
+    FAST_FEE.replace("minimize_duration = 36", "minimize_duration = -5"),
+], ids=["sweep-from-0", "policy-delta-out-of-range", "attack-dynamic-delta-negative",
+        "attack-dynamic-delta-nan", "attack-expiry-too-soon", "fee-window-0", "fee-minimize-negative"])
 def test_run_inputs_are_checked_at_configure(tmp_path, text):
     # Each would fail only once the runs start: validate must refuse it too.
     path = write_scenario(tmp_path, text)
@@ -392,6 +398,29 @@ def test_run_inputs_are_checked_at_configure(tmp_path, text):
     out = tmp_path / "out"
     assert run_scenario(path, out) == 2
     assert "FAILED at stage configure" in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("line", ["victim_claims_replaceable = false",
+                                  "dynamic_delta = 0.05,40"],
+                         ids=["claims-not-replaceable", "dynamic-delta"])
+def test_matrix_policy_keeps_the_attack_settings(tmp_path, line):
+    # [attack] is the base every policy starts from: a policy that names
+    # none of the victim settings runs exactly what the attack kind runs.
+    attack = """
+        [scenario]
+        kind = attack
+        seed = 1
+
+        [attack]
+        num_victim_channels = 4
+        blockmaxweight = 125000
+    """ + f"    {line}\n"
+    matrix = attack.replace("kind = attack", "kind = mitigation-matrix") \
+        + "\n        [policy:baseline]\n"
+    assert run_scenario(write_scenario(tmp_path, attack, "a.ini"), tmp_path / "a") == 0
+    assert run_scenario(write_scenario(tmp_path, matrix, "m.ini"), tmp_path / "m") == 0
+    stolen = read_csv(tmp_path / "a" / "report.csv")[1][4]
+    assert read_csv(tmp_path / "m" / "report.csv")[1][2] == stolen
 
 
 # Every key a scenario section accepts.  A new dataclass field must not

@@ -56,7 +56,7 @@ class Session:
         count = tx.count if count is None else count
         return [Transaction(self.member_id(tx.id, m),
                             tuple(self.expand_ref(r.txid, r.index + m) for r in tx.inputs),
-                            tx.outputs, tx.weight, tx.fee, tx.rbf_signal, tx.origin)
+                            tx.outputs, tx.weight, tx.fee, tx.rbf_signal)
                 for m in range(first, first + count)]
 
     def confirmed_refs(self):
@@ -91,7 +91,7 @@ class Session:
             for tag, first, count in (("a", 0, half), ("b", half, tx.count - half)):
                 self.submit(Transaction(
                     tx.id + tag, tuple(OutputRef(r.txid, r.index + first) for r in tx.inputs),
-                    tx.outputs, tx.weight, tx.fee, tx.rbf_signal, tx.origin, count))
+                    tx.outputs, tx.weight, tx.fee, tx.rbf_signal, count))
             return
         assert set(verdicts) == {(result.status, result.reason)}, (tx.id, verdicts, result)
         if result.ok:
@@ -219,7 +219,7 @@ class Session:
         else:
             outputs = (TxOutput(total - fee, "n"),)
         return Transaction(txid, tuple(refs), outputs, weight, fee,
-                           rng.random() < 0.7, "n", count)
+                           rng.random() < 0.7, count)
 
 
 def run_session(seed):

@@ -6,13 +6,13 @@ import dataclasses
 import pytest
 
 from htlcrace.attack import (
-    AttackConfig, TrafficSpec, _Run, min_channels_guaranteed_theft, run_attack,
+    AttackConfig, ConfigError, TrafficSpec, _Run, min_channels_guaranteed_theft,
+    run_attack, validate_config,
 )
 from htlcrace.chain import ChainState
 from htlcrace.channel import ANCHOR_INPUT_WEIGHT, fee_for_weight, profile_params
 from htlcrace.mitigations import (
     MitigationPolicy,
-    PolicyError,
     apply_policy,
     apply_to_config,
     run_mitigation_matrix,
@@ -25,13 +25,16 @@ from htlcrace.mitigations import (
 
 
 def test_policy_validation():
-    with pytest.raises(PolicyError):
-        MitigationPolicy(anchor_outputs_mode=True, non_replaceable_htlc_success=True)
-    with pytest.raises(PolicyError):
-        MitigationPolicy(dynamic_delta=(-0.1, 40))
-    with pytest.raises(PolicyError):
-        MitigationPolicy(dynamic_delta=(0.5, 0))
-    MitigationPolicy(dynamic_delta=(0.0, 1))  # boundary is legal
+    # The engine's own checks refuse a policy that makes no sense on its base.
+    base = AttackConfig(num_victim_channels=1)
+    for policy in (MitigationPolicy(anchor_outputs_mode=True,
+                                    non_replaceable_htlc_success=True),
+                   MitigationPolicy(dynamic_delta=(-0.1, 40)),
+                   MitigationPolicy(dynamic_delta=(0.5, 0))):
+        with pytest.raises(ConfigError):
+            validate_config(apply_to_config(policy, base))
+    # boundary is legal
+    validate_config(apply_to_config(MitigationPolicy(dynamic_delta=(0.0, 1)), base))
 
 
 def test_apply_policy_overrides():
@@ -47,10 +50,11 @@ def test_apply_policy_overrides():
 
 
 def test_apply_policy_rejects_out_of_range_overrides():
+    # ChannelParams checks the overridden profile's ranges.
     for delta in (0, 41):  # LND tolerates at most its 40-block expiry delta
-        with pytest.raises(PolicyError, match="invalid-override"):
+        with pytest.raises(ValueError, match="commitment_broadcast_delta must be in"):
             apply_policy(MitigationPolicy(commitment_broadcast_delta_override=delta), "lnd")
-    with pytest.raises(PolicyError, match="invalid-override"):
+    with pytest.raises(ValueError, match="max_accepted_htlcs must be at least 1"):
         apply_policy(MitigationPolicy(max_accepted_htlcs_override=0), "lnd")
 
 
@@ -67,6 +71,20 @@ def test_apply_to_config_wires_every_knob():
     assert cfg.victim_claims_replaceable is False
     cfg = apply_to_config(MitigationPolicy(anchor_outputs_mode=True), base)
     assert cfg.anchor_mode is True
+
+
+def test_policy_keeps_what_the_base_sets():
+    # A policy overrides only the settings it names: the base's own victim
+    # settings stand, and a policy cannot switch one off.
+    base = AttackConfig(num_victim_channels=3, dynamic_delta=(0.5, 30),
+                        anchor_mode=True, cpfp_demo=True)
+    cfg = apply_to_config(MitigationPolicy(), base)
+    assert (cfg.dynamic_delta, cfg.anchor_mode, cfg.cpfp_demo) == ((0.5, 30), True, True)
+    frozen = AttackConfig(num_victim_channels=3, victim_claims_replaceable=False)
+    assert apply_to_config(MitigationPolicy(), frozen).victim_claims_replaceable is False
+    # the policy's own setting still wins
+    cfg = apply_to_config(MitigationPolicy(dynamic_delta=(0.05, 40)), base)
+    assert cfg.dynamic_delta == (0.05, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +131,8 @@ def test_immediate_publication_dominates_waiting():
 
 def test_dynamic_delta_closes_early_under_load():
     assert stolen_under(MitigationPolicy(policy_id="dyn", dynamic_delta=(1.0, 40))) == 0
+    # a slope whose product overflows a float still means "close at the cap"
+    assert stolen_under(MitigationPolicy(policy_id="huge", dynamic_delta=(1e306, 40))) == 0
 
 
 CONGESTED_2M = AttackConfig(num_victim_channels=48, blockmaxweight=2_000_000, seed=33)
@@ -137,7 +157,6 @@ def test_non_replaceable_success_claims_shut_the_attack_down():
 
 
 def test_anchor_mode_requires_replaceable_claims():
-    from htlcrace.attack import ConfigError
     with pytest.raises(ConfigError):
         run_attack(dataclasses.replace(CONGESTED_2M, anchor_mode=True,
                                        victim_claims_replaceable=False))

@@ -23,7 +23,7 @@ from .channel import (
     fee_for_weight, open_channel, profile_params,
 )
 from .fees import (
-    FeerateSeries, SeriesError, SpaceAnalysis, StrategyOutcome,
+    FeerateSeries, FillerBlock, SeriesError, SpaceAnalysis, StrategyOutcome,
     fraction_of_time_above, ingest_feerate_csv, simulate_feerate_strategy,
     synthetic_blocks, synthetic_feerate_series, victim_available_space,
 )
@@ -42,8 +42,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackConfig", "AttackReport", "Block", "ChainState", "Channel",
     "ChannelError", "ChannelParams", "ConfigError", "DEFAULT_BLOCKMAXWEIGHT",
-    "FeerateSeries", "Htlc", "MAX_TX_WEIGHT", "MatrixRow", "MitigationPolicy",
-    "OutputRef", "PROFILES", "SeriesError", "SpaceAnalysis",
+    "FeerateSeries", "FillerBlock", "Htlc", "MAX_TX_WEIGHT", "MatrixRow",
+    "MitigationPolicy", "OutputRef", "PROFILES", "SeriesError", "SpaceAnalysis",
     "StrategyOutcome", "SubmitResult", "TraceRow", "TrafficSpec", "Transaction",
     "TxOutput", "WeightSchedule", "apply_policy", "apply_to_config",
     "available_space", "break_even_channels", "compute_htlc_value",

@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import cycle, repeat
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 # Consensus cap on a single transaction.  The *mining* limit (blockmaxweight)
 # is configurable per chain and may be far smaller; an oversized-for-mining
@@ -699,13 +699,10 @@ class ChainState:
             raise AssertionError("replayed UTXO set diverges from live state")
 
 
-def available_space(feerate: int, block: Block,
+def available_space(feerate: int, entries: Iterable[tuple[int, int, int]],
                     blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT) -> int:
-    """Block weight not claimed by transactions paying strictly more than
-    `feerate` (sat/kWU): the room a transaction at that feerate could have
-    competed for.  Strictness is exact (cross-multiplied)."""
-    taken = 0
-    for tx in block.txs:
-        if tx.fee * 1000 > feerate * tx.weight:
-            taken += tx.weight * tx.count
-    return blockmaxweight - taken
+    """Block weight not claimed by the (fee, weight, count) entries paying
+    strictly more than `feerate` (sat/kWU): the room a transaction at that
+    feerate could have competed for.  Strictness is exact (cross-multiplied)."""
+    return blockmaxweight - sum(weight * count for fee, weight, count in entries
+                                if fee * 1000 > feerate * weight)

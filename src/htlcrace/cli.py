@@ -321,8 +321,8 @@ def _configure_fee(sc: Scenario, seed: int):
     launch_to = v.get("launch_to")
     launch_step = v.get("launch_step", 1)
     blockmaxweight = v.get("blockmaxweight", DEFAULT_BLOCKMAXWEIGHT)
-    if launch_to is None:
-        raise ScenarioError("config-parse-error: [fee_analysis] needs launch_to")
+    if launch_to is None or launch_to < launch_from:
+        raise ScenarioError("config-parse-error: [fee_analysis] needs launch_to >= launch_from")
     if launch_step < 1 or window < 1:
         raise ScenarioError(
             "config-parse-error: [fee_analysis] needs launch_step >= 1, window >= 1")
@@ -334,15 +334,10 @@ def _configure_fee(sc: Scenario, seed: int):
     thresholds = v.get("thresholds",
                        "500000,1000000,1500000,2000000,2500000,3000000,3500000,4000000")
     blocks = synthetic_blocks(
-        seed=v.get("blocks_seed", seed),
-        start_height=launch_from,
-        count=(launch_to - launch_from) + window + 2,
-        blockmaxweight=blockmaxweight,
-        fill_low=v.get("fill_low", 0.3),
-        fill_high=v.get("fill_high", 1.0),
+        v.get("blocks_seed", seed), launch_from, (launch_to - launch_from) + window + 2,
+        blockmaxweight, fill_low=v.get("fill_low", 0.3), fill_high=v.get("fill_high", 1.0),
         feerate_low=v.get("block_feerate_low", 500),
-        feerate_high=v.get("block_feerate_high", 20_000),
-    )
+        feerate_high=v.get("block_feerate_high", 20_000))
     return partial(_execute_fee, series, blocks,
                    range(launch_from, launch_to + 1, launch_step), window, duration,
                    blockmaxweight, [int(t) for t in thresholds.split(",") if t.strip()])

@@ -1,5 +1,5 @@
 """Fee-estimate series, the attacker's channel-feerate strategies, and
-victim block-space analysis.
+victim block-space analysis over filler blocks of (fee, weight) entries.
 
 A FeerateSeries is a step function from block height to the fee estimator's
 suggestion (sat/kWU).  The attacker either takes the estimate at channel-open
@@ -15,8 +15,9 @@ import bisect
 import csv
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .chain import DEFAULT_BLOCKMAXWEIGHT, Block, Transaction, available_space
+from .chain import DEFAULT_BLOCKMAXWEIGHT, available_space
 
 SAT_PER_VB_TO_KWU = 250  # 1 vbyte == 4 weight units => sat/vB * 1000/4
 MAX_REGIME_RUN = 144  # longest run of blocks a synthetic estimate holds
@@ -24,6 +25,11 @@ MAX_REGIME_RUN = 144  # longest run of blocks a synthetic estimate holds
 
 class SeriesError(ValueError):
     pass
+
+
+class FillerBlock(NamedTuple):
+    entries: list[tuple[int, int, int]]  # (fee, weight, 1), as available_space reads
+    weight_used: int
 
 
 class FeerateSeries:
@@ -40,9 +46,6 @@ class FeerateSeries:
             raise SeriesError("feerates must be positive")
         self.points = pts
         self._heights = heights
-
-    def __len__(self):
-        return len(self.points)
 
     @property
     def first_height(self) -> int:
@@ -167,7 +170,7 @@ class SpaceAnalysis:
     avg_available_space: float
 
 
-def victim_available_space(blocks: dict[int, Block], channel_feerate: int,
+def victim_available_space(blocks: dict[int, FillerBlock], channel_feerate: int,
                            launch_height: int, window: int,
                            blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT,
                            spaces: dict[int, dict[int, int]] | None = None
@@ -185,10 +188,10 @@ def victim_available_space(blocks: dict[int, Block], channel_feerate: int,
     for h in range(launch_height + 1, launch_height + window + 1):
         space = at_rate.get(h)
         if space is None:
-            block = blocks.get(h)
-            if block is None:
+            if h not in blocks:
                 raise SeriesError(f"insufficient block data: missing height {h}")
-            space = at_rate[h] = available_space(channel_feerate, block, blockmaxweight)
+            space = at_rate[h] = available_space(channel_feerate, blocks[h].entries,
+                                                 blockmaxweight)
         per.append(space)
     return SpaceAnalysis(launch_height, channel_feerate, window,
                          tuple(per), sum(per) / window)
@@ -223,37 +226,40 @@ def synthetic_feerate_series(seed: int, length: int, start_height: int = 0,
 def synthetic_blocks(seed: int, start_height: int, count: int,
                      blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT,
                      fill_low: float = 0.3, fill_high: float = 1.0,
-                     feerate_low: int = 500, feerate_high: int = 20_000) -> dict[int, Block]:
-    """Standalone filler blocks for space analysis (never enter a ChainState,
-    so their transactions carry no spendable inputs)."""
+                     feerate_low: int = 500, feerate_high: int = 20_000
+                     ) -> dict[int, FillerBlock]:
+    """Filler blocks for space analysis: per height, (fee, weight, 1) entries
+    filling a uniform share in [fill_low, fill_high] of blockmaxweight."""
+    if not 1 <= feerate_low <= feerate_high:
+        raise ValueError(f"block feerate range [{feerate_low}, {feerate_high}] is empty or below 1")
+    if not (0 <= fill_low <= fill_high <= 1 and blockmaxweight >= 1):
+        raise ValueError("need 0 <= fill_low <= fill_high <= 1 and blockmaxweight >= 1")
     # Each randint(a, b) is inlined as a + r, r the first getrandbits(k)
     # draw below n = b - a + 1 with k = n.bit_length(): what the standard
     # library's randint does, draw for draw, at a fraction of its cost.
     n_fee = feerate_high - feerate_low + 1
-    if n_fee < 1:
-        raise ValueError(f"empty block feerate range [{feerate_low}, {feerate_high}]")
     k_fee = n_fee.bit_length()
     n_weight = 40_000 - 400 + 1
     k_weight = n_weight.bit_length()
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
-    blocks: dict[int, Block] = {}
+    blocks: dict[int, FillerBlock] = {}
     for h in range(start_height, start_height + count):
-        target = int(blockmaxweight * rng.uniform(fill_low, fill_high))
-        used = 0
-        txs = []
-        while used < target:
+        target = room = int(blockmaxweight * rng.uniform(fill_low, fill_high))
+        entries = []
+        while room > 0:
             r = getrandbits(k_weight)
             while r >= n_weight:
                 r = getrandbits(k_weight)
-            weight = min(400 + r, target - used)
-            if weight < 100:
-                break
+            weight = 400 + r  # clipped to the room left; under 100 left ends the block
+            if weight > room:
+                if room < 100:
+                    break
+                weight = room
             r = getrandbits(k_fee)
             while r >= n_fee:
                 r = getrandbits(k_fee)
-            fee = (feerate_low + r) * weight // 1000
-            txs.append(Transaction(f"filler-{h}-{len(txs)}", (), (), weight, fee))
-            used += weight
-        blocks[h] = Block(h, tuple(txs), used)
+            entries.append(((feerate_low + r) * weight // 1000, weight, 1))
+            room -= weight
+        blocks[h] = FillerBlock(entries, target - room)
     return blocks

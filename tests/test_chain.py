@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from htlcrace.chain import (
     DEFAULT_BLOCKMAXWEIGHT,
     MAX_TX_WEIGHT,
-    Block,
     ChainState,
     OutputRef,
     Transaction,
@@ -214,27 +213,28 @@ def test_feerate_ties_break_by_weight_then_submission():
 # ---------------------------------------------------------------------------
 
 
-def filler(txid, weight, feerate):
-    return Transaction(txid, (), (), weight, feerate * weight // 1000)
+def filler(weight, feerate, count=1):
+    """A (fee, weight, count) entry paying `feerate` sat/kWU."""
+    return feerate * weight // 1000, weight, count
 
 
 def test_available_space_examples():
-    empty = Block(0, (), 0)
-    assert available_space(1, empty) == 4_000_000
-    block = Block(1, (filler("h", 1_000_000, 8), filler("l", 500_000, 3)), 1_500_000)
+    assert available_space(1, []) == 4_000_000
+    block = [filler(1_000_000, 8), filler(500_000, 3)]
     assert available_space(5, block) == 3_000_000
     assert available_space(8, block) == 4_000_000  # strictly-above excludes ties
     assert available_space(0, block) == 2_500_000
     assert available_space(5, block, blockmaxweight=2_000_000) == 1_000_000
+    # a cohort takes its weight once per member
+    assert available_space(5, [filler(250_000, 8, count=4)]) == 3_000_000
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=40)
 def test_available_space_nondecreasing_in_feerate(seed):
     rng = random.Random(seed)
-    txs = tuple(filler(f"t{i}", rng.randint(400, 600_000), rng.randint(1, 5_000))
-                for i in range(rng.randint(0, 12)))
-    block = Block(0, txs, sum(t.weight for t in txs))
+    block = [filler(rng.randint(400, 600_000), rng.randint(1, 5_000), rng.randint(1, 3))
+             for _ in range(rng.randint(0, 12))]
     rates = sorted(rng.randint(0, 6_000) for _ in range(6))
     spaces = [available_space(f, block) for f in rates]
     assert spaces == sorted(spaces)

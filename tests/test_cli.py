@@ -324,8 +324,16 @@ def test_fee_analysis_needs_launch_to(tmp_path):
     ("synthetic_length = 200", "synthetic_length = 200\n    synthetic_low = 900\n"
                                "    synthetic_high = 800"),
     ("launch_step = 5", "launch_step = 0"),
+    ("launch_to = 80", "launch_to = 39"),
     ("launch_step = 5", "launch_step = 5\n    block_feerate_low = 900\n"
                         "    block_feerate_high = 800"),
+    ("launch_step = 5", "launch_step = 5\n    block_feerate_low = 0"),
+    ("launch_step = 5", "launch_step = 5\n    fill_high = 1.5"),
+    ("launch_step = 5", "launch_step = 5\n    fill_low = -0.1"),
+    ("launch_step = 5", "launch_step = 5\n    fill_low = 0.8\n    fill_high = 0.7"),
+    ("launch_step = 5", "launch_step = 5\n    fill_high = nan"),
+    ("launch_step = 5", "launch_step = 5\n    blockmaxweight = -5"),
+    ("launch_step = 5", "launch_step = 5\n    blockmaxweight = 0"),
 ])
 def test_bad_fee_analysis_values_are_config_errors(tmp_path, change):
     # Each one fails while the run's inputs are built, before anything runs:

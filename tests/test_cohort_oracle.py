@@ -18,7 +18,7 @@ import random
 from collections import Counter
 
 from htlcrace.chain import (
-    Block, ChainState, OutputRef, Transaction, TxOutput, available_space,
+    ChainState, OutputRef, Transaction, TxOutput, available_space,
 )
 from mining_reference import oracle_block
 from rbf_reference import oracle_submit
@@ -127,11 +127,11 @@ class Session:
             got += [t.id for t in self.members(self.cohorts[tx.id], tx.first, tx.count)]
             self.seen["part-mined"] += tx.count != self.cohorts[tx.id].count
         assert got == want
-        members = [m for tx in block.txs
-                   for m in self.members(self.cohorts[tx.id], tx.first, tx.count)]
-        flat = Block(block.height, tuple(members), block.weight_used)
+        cohorts = [(t.fee, t.weight, t.count) for t in block.txs]
+        flat = [(m.fee, m.weight, m.count) for tx in block.txs
+                for m in self.members(self.cohorts[tx.id], tx.first, tx.count)]
         for feerate in (0, 999, 2_000, 2_500, 4_999, 10**6):
-            assert available_space(feerate, block, self.limit) == \
+            assert available_space(feerate, cohorts, self.limit) == \
                 available_space(feerate, flat, self.limit)
         mined = set(got)
         self.seen["ties"] += len({(t.fee, t.weight) for t in self.pending if t.id in mined}) \

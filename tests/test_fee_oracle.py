@@ -1,6 +1,8 @@
 """The fee layer's fast paths against the references in fee_reference.py."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -83,8 +85,7 @@ def test_synthetic_blocks_match_randint_reference(params):
         assert list(got) == list(want)
         for h in want:
             assert got[h].weight_used == want[h].weight_used
-            assert [(t.id, t.weight, t.fee) for t in got[h].txs] \
-                == [(t.id, t.weight, t.fee) for t in want[h].txs]
+            assert got[h].entries == [(t.fee, t.weight, 1) for t in want[h].txs]
 
 
 def test_memoized_window_spaces_equal_per_block_spaces():
@@ -96,11 +97,11 @@ def test_memoized_window_spaces_equal_per_block_spaces():
         launch = rng.randint(-1, 45)
         window = rng.randint(1, 14)
         got = victim_available_space(blocks, feerate, launch, window, 400_000, spaces)
-        want = [available_space(feerate, blocks[h], 400_000)
+        want = [available_space(feerate, blocks[h].entries, 400_000)
                 for h in range(launch + 1, launch + window + 1)]
         assert list(got.per_block) == want
         assert got.avg_available_space == sum(want) / window
-    assert all(space == available_space(feerate, blocks[h], 400_000)
+    assert all(space == available_space(feerate, blocks[h].entries, 400_000)
                for feerate, at_rate in spaces.items() for h, space in at_rate.items())
 
 
@@ -112,3 +113,38 @@ def test_memoized_spaces_still_need_every_block():
         victim_available_space(blocks, 1_000, 0, 10, spaces=spaces)
     with pytest.raises(SeriesError, match="window must be positive"):
         victim_available_space(blocks, 1_000, 0, 0, spaces=spaces)
+
+
+def reference_space(feerate, entries, blockmaxweight):
+    """Block space by exact rationals: an entry takes its weight once per
+    member when its feerate fee/weight is above feerate/1000 sat/WU."""
+    above = Fraction(feerate, 1000)
+    return blockmaxweight - sum(weight * count for fee, weight, count in entries
+                                if Fraction(fee, weight) > above)
+
+
+def test_available_space_matches_fraction_reference():
+    rng = random.Random(8)
+    seen = dict.fromkeys(("tie", "tie-above-1", "above", "below", "count>1"), 0)
+    for _ in range(2_000):
+        feerate = rng.choice((0, 1, rng.randint(2, 30_000)))
+        entries = []
+        step = 1000 // math.gcd(feerate, 1000)  # weights where feerate * weight / 1000 is whole
+        for _ in range(rng.randint(0, 8)):
+            if rng.random() < 0.3:
+                weight = step * rng.randint(1, 50_000 // step)
+                fee = feerate * weight // 1000  # exactly at the feerate
+            else:
+                weight = rng.randint(1, 50_000)
+                fee = max(0, feerate * weight // 1000 + rng.randint(-3, 3))
+            entries.append((fee, weight, rng.choice((1, 1, 2, 500))))
+        blockmaxweight = rng.choice((4_000_000, 100_000))
+        assert available_space(feerate, entries, blockmaxweight) \
+            == reference_space(feerate, entries, blockmaxweight), (feerate, entries)
+        for fee, weight, count in entries:
+            cross = fee * 1000 - feerate * weight
+            seen["tie" if cross == 0 else "above" if cross > 0 else "below"] += 1
+            seen["tie-above-1"] += cross == 0 and feerate > 1
+            seen["count>1"] += count > 1
+    for what, n in seen.items():
+        assert n > 100, seen

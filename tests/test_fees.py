@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htlcrace.chain import Block, Transaction, available_space
+import fee_reference
+from htlcrace.chain import available_space
 from htlcrace.fees import (
     FeerateSeries,
+    FillerBlock,
     SeriesError,
     fraction_of_time_above,
     ingest_feerate_csv,
@@ -37,7 +39,7 @@ def test_ingest_three_rows(tmp_path):
         "110,1800,sat_kwu,2",
         "140,900,sat_kwu,2",
     ]))
-    assert len(series) == 3
+    assert len(series.points) == 3
     assert series.first_height == 100
     assert series.estimate_at(110) == 1_800
     assert series.estimate_at(139) == 1_800  # step function holds the level
@@ -135,13 +137,12 @@ def test_minimize_is_exact_running_min(seed, duration):
 # ---------------------------------------------------------------------------
 
 
-def full_block(height, weight, feerate):
-    txs = (Transaction(f"b{height}", (), (), weight, feerate * weight // 1000),)
-    return Block(height, txs, weight)
+def full_block(weight, feerate):
+    return FillerBlock([(feerate * weight // 1000, weight, 1)], weight)
 
 
 def test_space_over_empty_blocks():
-    blocks = {h: Block(h, (), 0) for h in range(10, 22)}
+    blocks = {h: FillerBlock([], 0) for h in range(10, 22)}
     analysis = victim_available_space(blocks, 2_000, launch_height=10, window=10)
     assert analysis.avg_available_space == 4_000_000
     assert analysis.per_block == (4_000_000,) * 10
@@ -149,13 +150,13 @@ def test_space_over_empty_blocks():
 
 def test_space_with_two_megaweight_of_better_payers():
     # every block carries 2M wu paying above the channel feerate
-    blocks = {h: full_block(h, 2_000_000, 5_000) for h in range(5, 10)}
+    blocks = {h: full_block(2_000_000, 5_000) for h in range(5, 10)}
     analysis = victim_available_space(blocks, 2_000, launch_height=5, window=4)
     assert analysis.avg_available_space == 2_000_000
 
 
 def test_space_requires_block_coverage():
-    blocks = {h: Block(h, (), 0) for h in range(3)}
+    blocks = {h: FillerBlock([], 0) for h in range(3)}
     with pytest.raises(SeriesError):
         victim_available_space(blocks, 2_000, launch_height=0, window=5)
     with pytest.raises(SeriesError):
@@ -195,10 +196,13 @@ def test_synthetic_series_deterministic_and_bounded():
 def test_synthetic_blocks_deterministic_and_within_limit():
     a = synthetic_blocks(3, start_height=100, count=20)
     b = synthetic_blocks(3, start_height=100, count=20)
+    want = fee_reference.synthetic_blocks(3, start_height=100, count=20)
     assert set(a) == set(range(100, 120))
     for h in a:
         assert a[h].weight_used <= 4_000_000
-        assert [t.id for t in a[h].txs] == [t.id for t in b[h].txs]
+        assert a[h].weight_used == b[h].weight_used == want[h].weight_used
+        assert a[h].entries == b[h].entries \
+            == [(t.fee, t.weight, t.count) for t in want[h].txs]
 
 
 def test_inverted_block_feerate_range_is_refused():
@@ -211,6 +215,6 @@ def test_inverted_block_feerate_range_is_refused():
 def test_available_space_consistency_with_chain_layer():
     blocks = synthetic_blocks(9, start_height=0, count=8)
     analysis = victim_available_space(blocks, 1_500, launch_height=0, window=7)
-    manual = [available_space(1_500, blocks[h]) for h in range(1, 8)]
+    manual = [available_space(1_500, blocks[h].entries) for h in range(1, 8)]
     assert list(analysis.per_block) == manual
     assert analysis.avg_available_space == pytest.approx(sum(manual) / 7)

@@ -19,7 +19,7 @@ from .chain import (
     SubmitResult, Transaction, TxOutput, available_space,
 )
 from .channel import (
-    Channel, ChannelError, ChannelParams, Htlc, PROFILES, WeightSchedule,
+    Channel, ChannelError, ChannelParams, PROFILES, WeightSchedule,
     fee_for_weight, open_channel, profile_params,
 )
 from .fees import (
@@ -42,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackConfig", "AttackReport", "Block", "ChainState", "Channel",
     "ChannelError", "ChannelParams", "ConfigError", "DEFAULT_BLOCKMAXWEIGHT",
-    "FeerateSeries", "FillerBlock", "Htlc", "MAX_TX_WEIGHT", "MatrixRow",
+    "FeerateSeries", "FillerBlock", "MAX_TX_WEIGHT", "MatrixRow",
     "MitigationPolicy", "OutputRef", "PROFILES", "SeriesError", "SpaceAnalysis",
     "StrategyOutcome", "SubmitResult", "TraceRow", "TrafficSpec", "Transaction",
     "TxOutput", "WeightSchedule", "apply_policy", "apply_to_config",

@@ -203,7 +203,7 @@ def _check_expiry(cfg: AttackConfig, victim: ChannelParams, setup_end: int) -> N
 
 @contextmanager
 def _cyclic_gc_paused():
-    """A run allocates millions of long-lived objects (HTLCs, claims, UTXO
+    """A run allocates millions of long-lived objects (claims, UTXO
     entries) and no reference cycles, so the cyclic collector would traverse
     them again and again and free nothing: about a third of a run's time.
     It is paused for the run; reference counting frees whatever the run
@@ -320,7 +320,6 @@ class _Run:
         count = victim.max_accepted_htlcs
         self.htlcs_per_channel = count
         out_expiry = self.expiry - victim.htlc_expiry_delta
-        suffixes = [f".{k}" for k in range(count)]  # shared: formatting is costly
         for i, (ch_in, ch_out, name) in enumerate(self.channels):
             fee = ch_in.commitment_fee(count)
             value = compute_htlc_value(ch_in.balances[SOURCE],
@@ -328,12 +327,9 @@ class _Run:
             if value < cfg.min_htlc_amount:
                 raise ConfigError(
                     f"HTLC value {value} below configured minimum {cfg.min_htlc_amount}")
-            tag = f"{i:03d}"
-            hashes = ["h" + tag + suffix for suffix in suffixes]
-            preimages = ["p" + tag + suffix for suffix in suffixes]
-            htlcs = ch_in.add_htlcs(SOURCE, value, hashes, preimages, self.expiry)
-            ch_out.add_htlcs(name, value, hashes, preimages, out_expiry, known_to=(TARGET,))
-            self.spans.append([_Span(htlcs[0].id, htlcs[-1].id + 1)])
+            ids = ch_in.add_htlcs(SOURCE, value, self._preimages(i), self.expiry)
+            ch_out.add_htlcs(name, value, self._preimages(i), out_expiry, known_to=(TARGET,))
+            self.spans.append([_Span(ids.start, ids.stop)])
             self.values.append(value)
             self.stolen.append(0)
             self.open_htlcs += count
@@ -344,12 +340,18 @@ class _Run:
         silent, so the victim's incoming HTLCs cannot settle off-chain."""
         ch_in, ch_out, name = self.channels[i]
         ch_in.silent.add(SOURCE)
-        preimages = [(hid, htlc.preimage) for hid, htlc in ch_out.pending_htlcs.items()]
-        ch_out.fulfill_htlcs_offchain(preimages)
+        # Both were loaded fresh: a payment's HTLCs have one id, from 0.
+        ch_out.fulfill_htlcs_offchain(0, self._preimages(i))
         # The victim now holds the preimages of the matching incoming HTLCs,
         # but the silent source will not co-sign their settlement.
-        ch_in.reveal_preimages(preimages)
+        ch_in.reveal_preimages(0, self._preimages(i))
         self.released_channels.add(i)
+
+    def _preimages(self, i: int) -> range:
+        """Channel pair i's payment preimages, one per HTLC, each shared by
+        the incoming HTLC and the outgoing one it is forwarded as."""
+        count = self.htlcs_per_channel
+        return range(i * count, (i + 1) * count)
 
     # -- phase IV ------------------------------------------------------------
 
@@ -395,12 +397,12 @@ class _Run:
             return base
         per_htlc, cap = self.cfg.dynamic_delta
         # Capped before int(): a huge slope makes the product infinite.
-        return int(min(base + per_htlc * len(ch.pending_htlcs), cap))
+        return int(min(base + per_htlc * ch.pending_count, cap))
 
     def _victim_close_pass(self, h: int) -> int:
         subs = 0
         for i, (ch_in, _, name) in enumerate(self.channels):
-            if ch_in.status != "open" or not ch_in.pending_htlcs:
+            if ch_in.status != "open" or not ch_in.pending_count:
                 continue
             if i not in self.released_channels:
                 continue  # nothing worth going to chain for yet
@@ -632,7 +634,7 @@ class _Run:
             stolen_value += taken * self.values[i]
             per_channel.append(taken)
         victim_claimed = sum(row.victim_claims_confirmed for row in self.trace)
-        total = sum(len(c[0].all_htlcs) for c in self.channels)
+        total = sum(c[0].next_htlc_id for c in self.channels)
         if stolen + victim_claimed + unresolved != total:
             raise AssertionError("theft accounting does not add up")
         return AttackReport(

@@ -1,6 +1,12 @@
 """Payment-channel model: balances, HTLCs, commitment transactions and the
 four HTLC claim transactions.
 
+A channel holds its HTLCs as runs (HtlcRun) of consecutive ids alike in
+amount, expiry, offerer, who knows the preimages and state, whose preimages
+are consecutive integers.  Adding a batch appends one run; settling,
+revealing and recording claims take id ranges, splitting runs a range cuts
+and joining alike neighbours, so they cost per run, not per HTLC.
+
 The asymmetry the whole simulation turns on lives in build_htlc_claim: claims
 spending the *claimer's own* published commitment (success-local /
 timeout-local) carry both parties' signatures, so their fee is frozen at the
@@ -13,9 +19,10 @@ are collapsed into single direct claims.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import repeat
-from operator import attrgetter, contains
+from operator import itemgetter
+from typing import NamedTuple
 
 from .chain import ChainState, OutputRef, Transaction, TxOutput
 
@@ -28,17 +35,13 @@ ANCHOR_INPUT_WEIGHT = 280  # the wallet input an anchor-style claim may add
 FEE_UPDATE_TOLERANCE = 0.10  # how far from its own estimate a peer accepts
 
 CLAIM_KINDS = ("success-local", "success-remote", "timeout-local", "timeout-remote")
-# Builds a named tuple from a ready tuple of all its fields, skipping the
-# Python-level __new__: about half the cost, for the commitment output built
-# per HTLC.
-_tuple_new = tuple.__new__
-
 _KIND_CODE = {"success-local": "sl", "success-remote": "sr",
               "timeout-local": "tl", "timeout-remote": "tr"}
-_amount_of = attrgetter("amount")
-_offerer_of = attrgetter("offerer")
-_known_by = attrgetter("preimage_known_by")
-_expiry_of = attrgetter("expiry_height")
+_first_of = itemgetter(0)
+
+
+def _settled(run) -> bool:
+    return run.state == "fulfilled-offchain"
 
 
 class ChannelError(Exception):
@@ -170,24 +173,34 @@ def profile_params(profile: str | ChannelParams, **overrides) -> ChannelParams:
     return replace(profile, **overrides) if overrides else profile
 
 
-@dataclass(slots=True)
-class Htlc:
-    id: int
+class HtlcRun(NamedTuple):
+    """HTLCs first .. first + count - 1, alike in all but their ids: an
+    HTLC's preimage is its id plus preimage_offset, and its state pending,
+    fulfilled-offchain, claimed-by-success or claimed-by-timeout."""
+    first: int
+    count: int
+    preimage_offset: int
     amount: int
-    payment_hash: str
-    preimage: str
-    preimage_known_by: set[str]
     expiry_height: int
     offerer: str
-    state: str = "pending"  # pending | fulfilled-offchain |
-                            # claimed-by-success | claimed-by-timeout
+    known_by: frozenset[str]  # who knows the preimages
+    state: str = "pending"
+
+
+def _overlap(runs: list[HtlcRun], lo: int, hi: int):
+    """(a, b, run) for each run sharing ids a .. b - 1 with lo .. hi - 1."""
+    for k in range(max(bisect_right(runs, lo, key=_first_of) - 1, 0), len(runs)):
+        if runs[k].first >= hi:
+            break
+        a, b = max(runs[k].first, lo), min(runs[k].first + runs[k].count, hi)
+        if a < b:
+            yield a, b, runs[k]
 
 
 @dataclass(frozen=True, slots=True)
 class PublishedCommitment:
     holder: str
     txid: str
-    htlc_index: dict[int, int]  # htlc id -> output index on the commitment
 
 
 @dataclass
@@ -204,41 +217,42 @@ class Channel:
         self.feerate = self.params[self.initiator].channel_feerate  # commitment's, now
         self.status = "open"  # open | force-closing | closed
         self.balances = {self.initiator: self.funding_value, self.peer: 0}
-        self.pending_htlcs: dict[int, Htlc] = {}
-        self.all_htlcs: dict[int, Htlc] = {}
+        self.runs: list[HtlcRun] = []  # every HTLC added, in id order
+        self.next_htlc_id = 0
         self.silent: set[str] = set()
         self.published: PublishedCommitment | None = None
-        self._next_htlc_id = 0
-        self._offered_count = {self.initiator: 0, self.peer: 0}
-        self._offered_value = {self.initiator: 0, self.peer: 0}
         self._build_count = 0
 
     def other(self, party: str) -> str:
         return self.peer if party == self.initiator else self.initiator
+
+    @property
+    def pending_count(self) -> int:
+        """HTLCs not settled off-chain: the HTLC outputs of a commitment."""
+        return sum(run.count for run in self.runs if not _settled(run))
 
     def commitment_fee(self, htlc_count: int) -> int:
         return fee_for_weight(self.feerate, self.weights.commitment_weight(htlc_count))
 
     # -- off-chain operations ---------------------------------------------
 
-    def add_htlc(self, offerer: str, amount: int, payment_hash: str,
-                 preimage: str, expiry_height: int, known_to=()) -> Htlc:
-        return self.add_htlcs(offerer, amount, (payment_hash,), (preimage,),
-                              expiry_height, known_to)[0]
+    def add_htlc(self, offerer: str, amount: int, preimage: int, expiry_height: int,
+                 known_to=()) -> int:
+        return self.add_htlcs(offerer, amount, range(preimage, preimage + 1),
+                              expiry_height, known_to).start
 
-    def add_htlcs(self, offerer: str, amount: int, payment_hashes, preimages,
-                  expiry_height: int, known_to=()) -> list[Htlc]:
-        """Offer one HTLC of `amount` per (payment hash, preimage) pair, in
-        order.  Either all are added or none: if adding them one at a time
-        would fail, this raises what the first failing add would raise and
-        changes nothing."""
+    def add_htlcs(self, offerer: str, amount: int, preimages: range,
+                  expiry_height: int, known_to=()) -> range:
+        """Offer one HTLC of `amount` per preimage in `preimages` (step 1), in
+        order, as one run; the ids they get.  Either all are added or none:
+        if adding them one at a time would fail, this raises what the first
+        failing add would raise and changes nothing."""
         if self.status != "open":
             raise ChannelNotOpen(self.channel_id)
-        count = len(payment_hashes)
-        if len(preimages) != count:
-            raise ValueError("one preimage per payment hash")
+        first = self.next_htlc_id
+        count = len(preimages)
         if count == 0:
-            return []
+            return range(first, first)
         # Pending count, in-flight value and commitment fee only grow with
         # each add and the offerer's balance only shrinks (amount >= minimum
         # >= 0), so if the checks pass for the last add they pass for all.
@@ -249,19 +263,12 @@ class Channel:
                 self._check_add(offerer, amount, k)  # the first failing add
             raise
 
-        known = frozenset(known_to)
-        first = self._next_htlc_id
-        htlcs = [Htlc(first + k, amount, payment_hash, preimage, set(known),
-                      expiry_height, offerer)
-                 for k, (payment_hash, preimage) in enumerate(zip(payment_hashes, preimages))]
-        self._next_htlc_id = first + count
+        self.next_htlc_id = first + count
+        self.runs.append(HtlcRun(first, count, preimages.start - first, amount,
+                                 expiry_height, offerer, frozenset(known_to)))
+        self._restate(first, first + count)  # joins an alike run before it
         self.balances[offerer] -= amount * count
-        ids = range(first, first + count)
-        self.pending_htlcs.update(zip(ids, htlcs))
-        self.all_htlcs.update(zip(ids, htlcs))
-        self._offered_count[offerer] += count
-        self._offered_value[offerer] += amount * count
-        return htlcs
+        return range(first, first + count)
 
     def _check_add(self, offerer: str, amount: int, k: int) -> None:
         """Raise if adding one more HTLC of `amount` would be refused after
@@ -270,12 +277,14 @@ class Channel:
         accept = self.params[receiver]
         if amount < accept.htlc_minimum:
             raise HtlcBelowMinimum(f"{amount} < {accept.htlc_minimum}")
-        if self._offered_count[offerer] + k >= accept.max_accepted_htlcs:
+        offered = [run for run in self.runs if run.offerer == offerer and not _settled(run)]
+        if sum(run.count for run in offered) + k >= accept.max_accepted_htlcs:
             raise TooManyHtlcs(f"{accept.max_accepted_htlcs} already pending")
         cap = accept.max_htlc_value_in_flight
-        if cap is not None and self._offered_value[offerer] + (k + 1) * amount > cap:
+        if cap is not None and \
+                sum(run.count * run.amount for run in offered) + (k + 1) * amount > cap:
             raise ValueInFlightExceeded(f"in-flight cap {cap}")
-        new_fee = self.commitment_fee(len(self.pending_htlcs) + k + 1)
+        new_fee = self.commitment_fee(self.pending_count + k + 1)
         balance = self.balances[offerer] - k * amount
         if offerer == self.initiator:
             if balance < amount + new_fee:
@@ -288,49 +297,86 @@ class Channel:
             if self.balances[self.initiator] < new_fee:
                 raise InsufficientBalance(f"initiator cannot cover fee {new_fee}")
 
-    def fulfill_htlc_offchain(self, htlc_id: int, preimage: str) -> None:
+    def fulfill_htlc_offchain(self, htlc_id: int, preimage: int) -> None:
         """Receiver redeems with the preimage; needs the offerer to co-sign
         the updated commitment, so a silent offerer blocks settlement (the
         preimage still travels -- revealing it is a one-way message)."""
-        self.fulfill_htlcs_offchain(((htlc_id, preimage),))
+        self.fulfill_htlcs_offchain(htlc_id, range(preimage, preimage + 1))
 
-    def fulfill_htlcs_offchain(self, preimages) -> None:
-        """fulfill_htlc_offchain for each (htlc id, preimage) pair, in order,
-        stopping at the first that raises."""
+    def fulfill_htlcs_offchain(self, htlc_id: int, preimages: range) -> None:
+        """fulfill_htlc_offchain for HTLCs htlc_id, htlc_id + 1, ... with
+        `preimages` (step 1) in order, stopping at the first that raises."""
+        self._release(htlc_id, preimages, settle=True)
+
+    def reveal_preimages(self, htlc_id: int, preimages: range) -> None:
+        """The one-way half of settlement, for HTLCs htlc_id, htlc_id + 1, ...
+        with `preimages` (step 1) in order: each reaches both parties.  Unlike
+        fulfilling, it needs no cooperation, so a silent offerer cannot stop
+        it."""
+        self._release(htlc_id, preimages, settle=False)
+
+    def _release(self, lo: int, preimages: range, settle: bool) -> None:
+        """Reveal, and if `settle` also fulfil, HTLCs lo, lo + 1, ... one at a
+        time: what happens before the first that raises happens, then it
+        raises."""
         if self.status != "open":
             raise ChannelNotOpen(self.channel_id)
-        for htlc_id, preimage in preimages:
-            htlc = self._reveal(htlc_id, preimage)
-            if htlc.offerer in self.silent:
-                raise CounterpartyUnresponsive(htlc.offerer)
-            self._resolve(htlc, credit_to=self.other(htlc.offerer),
-                          state="fulfilled-offchain")
+        end, offset = lo + len(preimages), preimages.start - lo
+        hi, run = self._scan(lo, end, lambda run: _settled(run) or run.preimage_offset != offset
+                             or settle and run.offerer in self.silent)
+        revealed, error = hi, None
+        if run is None or _settled(run):
+            error = HtlcNotPending(hi) if hi < end else None
+        elif run.preimage_offset != offset:
+            error = UnknownPreimage(f"HTLC {hi}")
+        else:  # that HTLC's preimage is out, its settlement is not
+            revealed, error = hi + 1, CounterpartyUnresponsive(run.offerer)
+        self._restate(lo, revealed, reveal=True)
+        if settle:
+            for a, b, run in _overlap(self.runs, lo, hi):
+                self.balances[self.other(run.offerer)] += run.amount * (b - a)
+            self._restate(lo, hi, "fulfilled-offchain")
+        if error is not None:
+            raise error
 
-    def reveal_preimages(self, preimages) -> None:
-        """The one-way half of settlement, for each (htlc id, preimage) pair
-        in order: the preimage reaches both parties.  Unlike fulfilling, it
-        needs no cooperation, so a silent offerer cannot stop it."""
-        if self.status != "open":
-            raise ChannelNotOpen(self.channel_id)
-        for htlc_id, preimage in preimages:
-            self._reveal(htlc_id, preimage)
+    def _scan(self, lo: int, hi: int, stop_at) -> tuple[int, HtlcRun | None]:
+        """The first of HTLC ids lo .. hi - 1 never added or in a run that
+        meets `stop_at`, with that run (None if never added); else (hi, None)."""
+        if lo < 0:
+            return min(lo, hi), None
+        for a, _, run in _overlap(self.runs, lo, hi):
+            if stop_at(run):
+                return a, run
+        return min(hi, max(lo, self.next_htlc_id)), None
 
-    def _reveal(self, htlc_id: int, preimage: str) -> Htlc:
-        htlc = self.pending_htlcs.get(htlc_id)
-        if htlc is None:
-            raise HtlcNotPending(htlc_id)
-        if preimage != htlc.preimage:
-            raise UnknownPreimage(htlc.payment_hash)
-        htlc.preimage_known_by.add(self.other(htlc.offerer))
-        htlc.preimage_known_by.add(htlc.offerer)
-        return htlc
+    def _split(self, at: int) -> int:
+        """Split the run holding id `at` so that one starts there; the index
+        of the first run from `at` on."""
+        runs = self.runs
+        k = bisect_left(runs, at, key=_first_of)
+        if k and at < runs[k - 1].first + runs[k - 1].count:
+            run = runs[k - 1]
+            runs[k - 1:k] = [run._replace(count=at - run.first),
+                             run._replace(first=at, count=run.first + run.count - at)]
+        return k
 
-    def _resolve(self, htlc: Htlc, credit_to: str, state: str) -> None:
-        self.balances[credit_to] += htlc.amount
-        htlc.state = state
-        del self.pending_htlcs[htlc.id]
-        self._offered_count[htlc.offerer] -= 1
-        self._offered_value[htlc.offerer] -= htlc.amount
+    def _restate(self, lo: int, hi: int, state: str | None = None,
+                 reveal: bool = False) -> None:
+        """Give HTLCs lo .. hi - 1 (all added) `state`, or with `reveal` show
+        their preimages to both parties; then join alike neighbours."""
+        if lo >= hi:
+            return
+        runs = self.runs
+        i, j = self._split(lo), self._split(hi)
+        parties = {self.initiator, self.peer} if reveal else set()
+        for k in range(i, j):
+            runs[k] = runs[k]._replace(state=state or runs[k].state,
+                                       known_by=runs[k].known_by | parties)
+        # Join runs[k - 1] and runs[k] where alike, right to left over the
+        # restated runs and their neighbours.
+        for k in range(min(j, len(runs) - 1), max(i, 1) - 1, -1):
+            if runs[k - 1][2:] == runs[k][2:]:
+                runs[k - 1:k + 1] = [runs[k - 1]._replace(count=runs[k - 1].count + runs[k].count)]
 
     def update_fee(self, proposer: str, new_feerate: int, oracle_estimate: int):
         """Initiator-only feerate renegotiation.  The counterparty accepts
@@ -344,8 +390,7 @@ class Channel:
             return False, "invalid-feerate"
         if abs(new_feerate - oracle_estimate) > FEE_UPDATE_TOLERANCE * oracle_estimate:
             return False, "unreasonable-feerate"
-        new_fee = fee_for_weight(new_feerate,
-                                 self.weights.commitment_weight(len(self.pending_htlcs)))
+        new_fee = fee_for_weight(new_feerate, self.weights.commitment_weight(self.pending_count))
         if self.balances[self.initiator] < new_fee:
             return False, "cannot-afford-fee"
         self.feerate = new_feerate
@@ -355,10 +400,11 @@ class Channel:
 
     def build_commitment(self, holder: str) -> Transaction:
         """Holder's current commitment: to_local, to_remote, then one output
-        per pending HTLC in id order.  Fee comes out of the initiator's
-        output (guaranteed non-negative by add_htlc)."""
+        per pending HTLC in id order, a run's outputs one repeated tuple.
+        Fee comes out of the initiator's output (guaranteed non-negative by
+        add_htlc)."""
         other = self.other(holder)
-        weight = self.weights.commitment_weight(len(self.pending_htlcs))
+        weight = self.weights.commitment_weight(self.pending_count)
         fee = fee_for_weight(self.feerate, weight)
         local = self.balances[holder] - (fee if holder == self.initiator else 0)
         remote = self.balances[other] - (fee if other == self.initiator else 0)
@@ -366,8 +412,9 @@ class Channel:
             raise InsufficientBalance("initiator balance cannot cover commitment fee")
         outputs = [TxOutput(local, holder, "to_local"),
                    TxOutput(remote, other, "to_remote")]
-        outputs += [_tuple_new(TxOutput, (htlc.amount, self.channel_id, "htlc"))
-                    for htlc in self.pending_htlcs.values()]
+        for run in self.runs:
+            if not _settled(run):
+                outputs += (TxOutput(run.amount, self.channel_id, "htlc"),) * run.count
         self._build_count += 1
         return Transaction(
             id=f"{self.channel_id}-commit{self._build_count}-{holder}",
@@ -388,32 +435,29 @@ class Channel:
         if not result.ok:
             raise AssertionError(f"commitment rejected: {result.reason}")
         self.status = "force-closing"
-        index = {hid: 2 + i for i, hid in enumerate(self.pending_htlcs)}
-        self.published = PublishedCommitment(closer, commit.id, index)
+        self.published = PublishedCommitment(closer, commit.id)
         return commit
 
     def claimable_successes(self, claimer: str, height: int,
                             rbf_signal: bool | None = None) -> dict[int, Transaction]:
         """Success-local claims for every pending incoming HTLC whose
-        preimage the claimer knows, one cohort per run of consecutive HTLC
-        ids of one amount on consecutive commitment outputs, keyed by the
-        run's first HTLC id: what build_htlc_claims builds for each run."""
-        index = self.published.htlc_index if self.published is not None else {}
-        runs: dict[int, int] = {}
+        preimage the claimer knows, one cohort per stretch of consecutive
+        HTLC ids of one amount, keyed by the stretch's first HTLC id: what
+        build_htlc_claims builds for each stretch."""
+        cohorts: dict[int, int] = {}
         first = end = amount = None
-        for hid, htlc in self.pending_htlcs.items():
-            if htlc.offerer == claimer or claimer not in htlc.preimage_known_by:
+        for run in self.runs:
+            if _settled(run) or run.offerer == claimer or claimer not in run.known_by:
                 continue
-            if hid == end and htlc.amount == amount and \
-                    index.get(hid, hid) == index.get(first, first) + hid - first:
-                runs[first] += 1
+            if run.first == end and run.amount == amount:
+                cohorts[first] += run.count
             else:
-                first, amount = hid, htlc.amount
-                runs[first] = 1
-            end = hid + 1
+                first, amount = run.first, run.amount
+                cohorts[first] = run.count
+            end = run.first + run.count
         return {first: self.build_htlc_claims(claimer, first, count, "success-local",
                                               height, rbf_signal=rbf_signal)
-                for first, count in runs.items()}
+                for first, count in cohorts.items()}
 
     def build_htlc_claim(self, claimer: str, htlc_id: int, kind: str, height: int,
                          fee_override: int | None = None, rbf_signal: bool | None = None,
@@ -436,34 +480,33 @@ class Channel:
         published = self.published
         if published is None:
             raise NoPublishedCommitment(self.channel_id)
-        ids = range(htlc_id, htlc_id + count)
-        htlcs = list(map(self.all_htlcs.get, ids))
-        vouts = list(map(published.htlc_index.get, ids))
-        if None in htlcs or None in vouts:
-            raise HtlcNotPending(next(hid for hid, h, v in zip(ids, htlcs, vouts)
-                                      if h is None or v is None))
-        amounts = set(map(_amount_of, htlcs))
-        if len(amounts) != 1 or vouts != list(range(vouts[0], vouts[0] + count)):
-            raise ValueError(f"HTLCs {htlc_id}..{htlc_id + count - 1} differ in amount "
+        end = htlc_id + count
+        # Nothing settles once closing: the HTLCs not settled are those on
+        # the commitment, and a stretch of them sits on consecutive outputs.
+        missing, _ = self._scan(htlc_id, end, _settled)
+        if missing < end:
+            raise HtlcNotPending(missing)
+        runs = [run for _, _, run in _overlap(self.runs, htlc_id, end)]
+        if len({run.amount for run in runs}) != 1:
+            raise ValueError(f"HTLCs {htlc_id}..{end - 1} differ in amount "
                              "or are not on consecutive outputs")
         success = kind.startswith("success")
         local = kind.endswith("local")
         if local != (published.holder == claimer):
             raise WrongClaim(f"{kind} does not match published commitment holder")
-        offerers = set(map(_offerer_of, htlcs))
+        offerers = {run.offerer for run in runs}
         if success:
             if claimer in offerers:
                 raise WrongClaim("success claims redeem incoming HTLCs only")
-            known = list(map(contains, map(_known_by, htlcs), repeat(claimer)))
-            if not all(known):
-                raise PreimageMissing(htlcs[known.index(False)].payment_hash)
+            unknown, _ = self._scan(htlc_id, end, lambda run: claimer not in run.known_by)
+            if unknown < end:
+                raise PreimageMissing(f"HTLC {unknown}")
         else:
             if offerers != {claimer}:
                 raise WrongClaim("timeout claims refund the offerer only")
-            expiry = max(map(_expiry_of, htlcs))
-            if height < expiry:
-                expiry = next(e for e in map(_expiry_of, htlcs) if height < e)
-                raise PrematureTimeout(f"height {height} < expiry {expiry}")
+            late = [run.expiry_height for run in runs if height < run.expiry_height]
+            if late:
+                raise PrematureTimeout(f"height {height} < expiry {late[0]}")
         weight = self.weights.htlc_success if success else self.weights.htlc_timeout
         if local and not anchor:
             # Both signatures commit to this exact transaction, so neither the
@@ -479,8 +522,10 @@ class Channel:
         fee = fee_for_weight(self.feerate, weight) if fee_override is None else fee_override
         # Claims both parties sign signal replaceability unless told otherwise.
         rbf = local if rbf_signal is None else bool(rbf_signal)
-        inputs = [OutputRef(published.txid, vouts[0])]
-        total_in = amounts.pop() + extra_value
+        # HTLC outputs follow to_local and to_remote in id order.
+        vout = 2 + sum(b - a for a, b, run in _overlap(self.runs, 0, htlc_id) if not _settled(run))
+        inputs = [OutputRef(published.txid, vout)]
+        total_in = runs[0].amount + extra_value
         if extra_input is not None:
             inputs.append(extra_input)
             weight += ANCHOR_INPUT_WEIGHT
@@ -493,13 +538,15 @@ class Channel:
 
     def mark_claimed(self, htlc_id: int, by_timeout: bool, count: int = 1) -> None:
         """Record the on-chain outcome of contested HTLCs htlc_id ..
-        htlc_id + count - 1 (each exactly once)."""
-        state = "claimed-by-timeout" if by_timeout else "claimed-by-success"
-        for hid in range(htlc_id, htlc_id + count):
-            htlc = self.all_htlcs[hid]
-            if htlc.state != "pending":
-                raise AssertionError(f"HTLC {hid} already terminal: {htlc.state}")
-            htlc.state = state
+        htlc_id + count - 1, each once: those before the first not pending
+        are marked, and then that one raises."""
+        end = htlc_id + count
+        stop, run = self._scan(htlc_id, end, lambda run: run.state != "pending")
+        self._restate(htlc_id, stop, "claimed-by-timeout" if by_timeout else "claimed-by-success")
+        if stop < end:
+            if run is None:
+                raise KeyError(stop)
+            raise AssertionError(f"HTLC {stop} already terminal: {run.state}")
 
 
 def open_channel(chain: ChainState, channel_id: str, initiator: str, peer: str,

@@ -333,14 +333,16 @@ def _configure_fee(sc: Scenario, seed: int):
             f"{series.first_height})")
     thresholds = v.get("thresholds",
                        "500000,1000000,1500000,2000000,2500000,3000000,3500000,4000000")
-    blocks = synthetic_blocks(
+    thresholds = [int(t) for t in thresholds.split(",") if t.strip()]
+    if not thresholds:
+        raise ScenarioError("config-parse-error: [fee_analysis] needs at least one threshold")
+    blocks = synthetic_blocks(  # with its own defaults for the filler keys left unset
         v.get("blocks_seed", seed), launch_from, (launch_to - launch_from) + window + 2,
-        blockmaxweight, fill_low=v.get("fill_low", 0.3), fill_high=v.get("fill_high", 1.0),
-        feerate_low=v.get("block_feerate_low", 500),
-        feerate_high=v.get("block_feerate_high", 20_000))
+        blockmaxweight, **{key.removeprefix("block_"): v[key] for key in (
+            "fill_low", "fill_high", "block_feerate_low", "block_feerate_high") if key in v})
     return partial(_execute_fee, series, blocks,
                    range(launch_from, launch_to + 1, launch_step), window, duration,
-                   blockmaxweight, [int(t) for t in thresholds.split(",") if t.strip()])
+                   blockmaxweight, thresholds)
 
 
 def _execute_fee(series: FeerateSeries, blocks, launches: range, window: int,

@@ -221,7 +221,7 @@ def test_criterion_9_commitment_arithmetic():
         assert empty.weight == 724
         assert empty.fee == feerate * 724 // 1000
         for k in range(483):
-            ch.add_htlc("alice", 2_000, f"h{k}", f"p{k}", 100)
+            ch.add_htlc("alice", 2_000, k, 100)
         full = ch.build_commitment("alice")
         assert full.weight == 83_800
         assert full.fee == feerate * 83_800 // 1000

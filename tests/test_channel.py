@@ -31,6 +31,23 @@ from htlcrace.channel import (
 )
 
 
+def htlcs(ch):
+    """Each HTLC as id -> (amount, expiry, offerer, who knows its preimage,
+    state, preimage), expanded from the channel's runs."""
+    return {hid: (run.amount, run.expiry_height, run.offerer, sorted(run.known_by),
+                  run.state, hid + run.preimage_offset)
+            for run in ch.runs for hid in range(run.first, run.first + run.count)}
+
+
+def pending(ch):
+    """Ids of the HTLCs not settled off-chain."""
+    return [hid for hid, h in htlcs(ch).items() if h[4] != "fulfilled-offchain"]
+
+
+def in_flight(ch):
+    return sum(htlcs(ch)[hid][0] for hid in pending(ch))
+
+
 def fresh_channel(funding=1_000_000, feerate=2_500, chain=None,
                   initiator_params=None, peer_params=None):
     chain = chain or ChainState()
@@ -94,7 +111,7 @@ def test_commitment_weight_and_fee_hand_checked():
     assert empty.weight == 724
     assert empty.fee == 2_500 * 724 // 1000 == 1_810
     for k in range(483):
-        ch.add_htlc("alice", 2_000, f"h{k}", f"p{k}", 100)
+        ch.add_htlc("alice", 2_000, k, 100)
     full = ch.build_commitment("alice")
     assert full.weight == 83_800
     assert full.fee == 2_500 * 83_800 // 1000 == 209_500
@@ -106,14 +123,14 @@ def test_commitment_weight_linear_in_htlc_count():
     weights = []
     for k in range(6):
         weights.append(ch.build_commitment("alice").weight)
-        ch.add_htlc("alice", 5_000, f"h{k}", f"p{k}", 100)
+        ch.add_htlc("alice", 5_000, k, 100)
     assert [b - a for a, b in zip(weights, weights[1:])] == [172] * 5
 
 
 def test_commitment_conserves_funding():
     chain, ch = fresh_channel(funding=1_000_000, feerate=2_500)
     for k in range(7):
-        ch.add_htlc("alice", 11_000 + k, f"h{k}", f"p{k}", 100)
+        ch.add_htlc("alice", 11_000 + k, k, 100)
     for holder in ("alice", "bob"):
         tx = ch.build_commitment(holder)
         assert sum(o.value for o in tx.outputs) + tx.fee == 1_000_000
@@ -123,7 +140,7 @@ def test_both_commitments_carry_identical_htlc_sets():
     chain, ch = fresh_channel(funding=1_000_000)
     amounts = [7_000, 9_000, 7_000, 12_345]
     for k, a in enumerate(amounts):
-        ch.add_htlc("alice", a, f"h{k}", f"p{k}", 100)
+        ch.add_htlc("alice", a, k, 100)
     mine = sorted(o.value for o in ch.build_commitment("alice").outputs if o.kind == "htlc")
     theirs = sorted(o.value for o in ch.build_commitment("bob").outputs if o.kind == "htlc")
     assert mine == theirs == sorted(amounts)
@@ -147,65 +164,66 @@ def test_fee_always_comes_out_of_initiator_output():
 def test_htlc_count_limit():
     chain, ch = fresh_channel(funding=10_000_000)
     for k in range(483):
-        ch.add_htlc("alice", 2_049, f"h{k}", f"p{k}", 100)
-    assert sum(h.amount for h in ch.pending_htlcs.values()) == 483 * 2_049 == 989_667
+        ch.add_htlc("alice", 2_049, k, 100)
+    assert in_flight(ch) == 483 * 2_049 == 989_667
+    assert len(ch.runs) == 1  # identical HTLCs join into one run
     with pytest.raises(TooManyHtlcs):
-        ch.add_htlc("alice", 2_049, "h484", "p484", 100)
+        ch.add_htlc("alice", 2_049, 483, 100)
 
 
 def test_zero_amount_htlc_is_legal_by_default():
     chain, ch = fresh_channel()
-    htlc = ch.add_htlc("alice", 0, "h", "p", 100)
-    assert htlc.state == "pending"
+    hid = ch.add_htlc("alice", 0, 0, 100)
+    assert htlcs(ch)[hid][4] == "pending"
 
 
 def test_minimum_htlc_policy_knob():
     params = ChannelParams(htlc_minimum=1)
     chain, ch = fresh_channel(peer_params=params)
     with pytest.raises(HtlcBelowMinimum):
-        ch.add_htlc("alice", 0, "h", "p", 100)
+        ch.add_htlc("alice", 0, 0, 100)
 
 
 def test_value_in_flight_cap():
     params = ChannelParams(max_htlc_value_in_flight=10_000)
     chain, ch = fresh_channel(peer_params=params)
-    ch.add_htlc("alice", 9_000, "h0", "p0", 100)
+    ch.add_htlc("alice", 9_000, 0, 100)
     with pytest.raises(ValueInFlightExceeded):
-        ch.add_htlc("alice", 1_001, "h1", "p1", 100)
+        ch.add_htlc("alice", 1_001, 1, 100)
 
 
 def test_htlc_needs_balance_beyond_new_commitment_fee():
     chain, ch = fresh_channel(funding=100_000, feerate=2_500)
     fee_with_one = fee_for_weight(2_500, 724 + 172)
     with pytest.raises(InsufficientBalance):
-        ch.add_htlc("alice", 100_000 - fee_with_one + 1, "h", "p", 100)
-    ch.add_htlc("alice", 100_000 - fee_with_one, "h", "p", 100)  # exact fit
+        ch.add_htlc("alice", 100_000 - fee_with_one + 1, 0, 100)
+    ch.add_htlc("alice", 100_000 - fee_with_one, 0, 100)  # exact fit
 
 
 def test_fulfill_moves_balance():
     chain, ch = fresh_channel()
-    htlc = ch.add_htlc("alice", 40_000, "hash", "secret", 100)
-    ch.fulfill_htlc_offchain(htlc.id, "secret")
+    hid = ch.add_htlc("alice", 40_000, 7, 100)
+    ch.fulfill_htlc_offchain(hid, 7)
     assert ch.balances == {"alice": 960_000, "bob": 40_000}
-    assert htlc.state == "fulfilled-offchain"
-    assert not ch.pending_htlcs
+    assert htlcs(ch)[hid][4] == "fulfilled-offchain"
+    assert ch.pending_count == 0 and not pending(ch)
 
 
 def test_wrong_preimage_rejected():
     chain, ch = fresh_channel()
-    htlc = ch.add_htlc("alice", 40_000, "hash", "secret", 100)
+    hid = ch.add_htlc("alice", 40_000, 7, 100)
     with pytest.raises(UnknownPreimage):
-        ch.fulfill_htlc_offchain(htlc.id, "guess")
+        ch.fulfill_htlc_offchain(hid, 8)
 
 
 def test_silent_offerer_blocks_settlement_but_leaks_preimage():
     chain, ch = fresh_channel()
-    htlc = ch.add_htlc("alice", 40_000, "hash", "secret", 100)
+    hid = ch.add_htlc("alice", 40_000, 7, 100)
     ch.silent.add("alice")
     with pytest.raises(CounterpartyUnresponsive):
-        ch.fulfill_htlc_offchain(htlc.id, "secret")
-    assert "bob" in htlc.preimage_known_by  # the reveal is one-way
-    assert htlc.state == "pending"
+        ch.fulfill_htlc_offchain(hid, 7)
+    assert "bob" in htlcs(ch)[hid][3]  # the reveal is one-way
+    assert htlcs(ch)[hid][4] == "pending"
     assert ch.balances["bob"] == 0
 
 
@@ -222,14 +240,13 @@ def test_random_offchain_traffic_conserves_funding(seed):
         if action < 0.6:
             amount = rng.randint(0, 30_000)
             try:
-                ch.add_htlc(party, amount, f"h{step}", f"p{step}", 100)
+                ch.add_htlc(party, amount, step, 100)
             except InsufficientBalance:
                 pass
-        elif ch.pending_htlcs:
-            hid = rng.choice(list(ch.pending_htlcs))
-            ch.fulfill_htlc_offchain(hid, ch.pending_htlcs[hid].preimage)
-        in_flight = sum(h.amount for h in ch.pending_htlcs.values())
-        assert ch.balances["alice"] + ch.balances["bob"] + in_flight == 1_000_000
+        elif pending(ch):
+            hid = rng.choice(pending(ch))
+            ch.fulfill_htlc_offchain(hid, htlcs(ch)[hid][5])
+        assert ch.balances["alice"] + ch.balances["bob"] + in_flight(ch) == 1_000_000
         assert min(ch.balances.values()) >= 0
         tx = ch.build_commitment("bob")
         assert sum(o.value for o in tx.outputs) + tx.fee == 1_000_000
@@ -281,7 +298,7 @@ def closing_channel(profile_name, n_htlcs=3, feerate=2_500, funding=1_000_000):
                       replace_feerate(params, feerate), params)
     chain.mine_block()
     for k in range(n_htlcs):
-        ch.add_htlc("alice", 10_000, f"h{k}", f"p{k}", expiry_height=60,
+        ch.add_htlc("alice", 10_000, k, expiry_height=60,
                     known_to=("bob",))
     ch.silent.add("alice")
     return chain, ch
@@ -311,7 +328,7 @@ def test_zero_htlc_close_is_commitment_only_even_when_eager():
 def test_success_local_claim_fee_is_fixed_by_both_signatures():
     chain, ch = closing_channel("lnd", n_htlcs=1, feerate=2_500)
     ch.force_close(chain, "bob")
-    hid = next(iter(ch.published.htlc_index))
+    hid = 0  # the commitment's only HTLC
     claim = ch.build_htlc_claim("bob", hid, "success-local", chain.height)
     assert claim.weight == 703
     assert claim.fee == 2_500 * 703 // 1000 == 1_757
@@ -330,7 +347,7 @@ def test_remote_side_timeout_claim_is_free_form():
     chain, ch = closing_channel("lnd", n_htlcs=1)
     ch.silent.clear()
     ch.force_close(chain, "bob")
-    hid = next(iter(ch.published.htlc_index))
+    hid = 0  # the commitment's only HTLC
     claim = ch.build_htlc_claim("alice", hid, "timeout-remote", height=60,
                                 fee_override=4_321, rbf_signal=True)
     assert claim.weight == 663
@@ -345,7 +362,7 @@ def test_timeout_before_expiry_is_premature():
     chain, ch = closing_channel("lnd", n_htlcs=1)
     ch.silent.clear()
     ch.force_close(chain, "bob")
-    hid = next(iter(ch.published.htlc_index))
+    hid = 0  # the commitment's only HTLC
     with pytest.raises(PrematureTimeout):
         ch.build_htlc_claim("alice", hid, "timeout-remote", height=59)
 
@@ -354,7 +371,7 @@ def test_claim_fee_rigid_after_close():
     chain, ch = closing_channel("lnd", n_htlcs=1, feerate=2_500)
     assert ch.update_fee("alice", 2_400, oracle_estimate=2_400)[0]  # still open
     ch.force_close(chain, "bob")
-    hid = next(iter(ch.published.htlc_index))
+    hid = 0  # the commitment's only HTLC
     first = ch.build_htlc_claim("bob", hid, "success-local", chain.height)
     assert not ch.update_fee("alice", 1_000, oracle_estimate=1_000)[0]
     again = ch.build_htlc_claim("bob", hid, "success-local", chain.height)
@@ -363,10 +380,10 @@ def test_claim_fee_rigid_after_close():
 
 def test_mark_claimed_exactly_once():
     chain, ch = closing_channel("lnd", n_htlcs=1)
-    hid = next(iter(ch.pending_htlcs))
+    hid = 0  # the commitment's only HTLC
     ch.force_close(chain, "bob")
     ch.mark_claimed(hid, by_timeout=True)
-    assert ch.all_htlcs[hid].state == "claimed-by-timeout"
+    assert htlcs(ch)[hid][4] == "claimed-by-timeout"
     with pytest.raises(AssertionError):
         ch.mark_claimed(hid, by_timeout=False)
 
@@ -397,10 +414,7 @@ def test_node_profile_table():
 
 
 def _channel_state(ch):
-    htlcs = [(h.id, h.amount, h.payment_hash, h.preimage, sorted(h.preimage_known_by),
-              h.expiry_height, h.offerer, h.state) for h in ch.all_htlcs.values()]
-    return (dict(ch.balances), htlcs, list(ch.pending_htlcs),
-            dict(ch._offered_count), dict(ch._offered_value), ch._next_htlc_id)
+    return dict(ch.balances), htlcs(ch), list(ch.runs), ch.pending_count, ch.next_htlc_id
 
 
 def test_add_htlcs_is_all_or_nothing_add_htlc_in_a_row():
@@ -418,8 +432,7 @@ def test_add_htlcs_is_all_or_nothing_add_htlc_in_a_row():
         offerer = rng.choice(("alice", "bob"))
         amount = rng.randint(0, 60_000)
         count = rng.randint(1, 14)
-        hashes = [f"h{k}" for k in range(count)]
-        preimages = [f"p{k}" for k in range(count)]
+        preimages = range(count)
 
         def twin():
             _, ch = fresh_channel(funding=funding, initiator_params=alice,
@@ -428,7 +441,7 @@ def test_add_htlcs_is_all_or_nothing_add_htlc_in_a_row():
             ch.balances["alice"] -= bob_share
             for k in range(earlier):
                 try:
-                    ch.add_htlc("alice", 1_000, f"e{k}", f"q{k}", 100)
+                    ch.add_htlc("alice", 1_000, 1_000 + k, 100)
                 except ChannelError:
                     pass
             return ch
@@ -438,13 +451,12 @@ def test_add_htlcs_is_all_or_nothing_add_htlc_in_a_row():
         first_error = None
         for k in range(count):
             try:
-                single.add_htlc(offerer, amount, hashes[k], preimages[k], 100,
-                                known_to=("carol",))
+                single.add_htlc(offerer, amount, preimages[k], 100, known_to=("carol",))
             except ChannelError as exc:
                 first_error = exc
                 break
         try:
-            batch.add_htlcs(offerer, amount, hashes, preimages, 100, known_to=("carol",))
+            batch.add_htlcs(offerer, amount, preimages, 100, known_to=("carol",))
         except ChannelError as exc:
             assert (type(exc), str(exc)) == (type(first_error), str(first_error)), seed
             assert _channel_state(batch) == before, seed
@@ -461,10 +473,10 @@ def claims_channel():
     outgoing HTLC whose preimage alice knows; bob force-closes."""
     chain, ch = closing_channel("lnd", n_htlcs=3)
     ch.silent.clear()
-    ch.add_htlc("alice", 10_000, "hx", "px", expiry_height=60)
+    ch.add_htlc("alice", 10_000, 3, expiry_height=60)
     ch.balances["bob"] += 50_000
     ch.balances["alice"] -= 50_000
-    ch.add_htlc("bob", 10_000, "hb", "pb", expiry_height=60, known_to=("alice",))
+    ch.add_htlc("bob", 10_000, 4, expiry_height=60, known_to=("alice",))
     ch.force_close(chain, "bob")
     return chain, ch
 
@@ -499,7 +511,7 @@ def test_claimable_successes_split_where_amounts_differ():
     chain, ch = closing_channel("lnd", n_htlcs=0)
     ch.silent.clear()
     for k, amount in enumerate((10_000, 10_000, 20_000, 10_000)):
-        ch.add_htlc("alice", amount, f"h{k}", f"p{k}", expiry_height=60, known_to=("bob",))
+        ch.add_htlc("alice", amount, k, expiry_height=60, known_to=("bob",))
     ch.force_close(chain, "bob")
     got = ch.claimable_successes("bob", chain.height)
     assert {first: tx.count for first, tx in got.items()} == {0: 2, 2: 1, 3: 1}
@@ -529,11 +541,27 @@ def test_timeout_cohort_equals_single_claims_and_checks_every_member():
 
 def test_reveal_preimages_reaches_both_sides_of_a_silent_channel():
     chain, ch = closing_channel("lnd", n_htlcs=2)
-    ch.reveal_preimages([(0, "p0"), (1, "p1")])
+    ch.reveal_preimages(0, range(2))
     for hid in (0, 1):
-        assert ch.pending_htlcs[hid].preimage_known_by == {"alice", "bob"}
+        assert htlcs(ch)[hid][3] == ["alice", "bob"]
     with pytest.raises(UnknownPreimage):
-        ch.reveal_preimages([(0, "p1")])
+        ch.reveal_preimages(0, range(1, 2))
     with pytest.raises(CounterpartyUnresponsive):
-        ch.fulfill_htlcs_offchain([(0, "p0")])
-    assert sorted(ch.pending_htlcs) == [0, 1]
+        ch.fulfill_htlcs_offchain(0, range(1))
+    assert pending(ch) == [0, 1]
+
+
+def test_identical_htlcs_hold_one_run_per_stretch():
+    chain, ch = fresh_channel(funding=10_000_000)
+    assert ch.add_htlcs("alice", 2_049, range(483), 100) == range(483)
+    assert len(ch.runs) == 1
+    ch.silent.add("alice")
+    ch.reveal_preimages(0, range(483))
+    ch.force_close(chain, "bob")
+    assert [run[1:] for run in ch.runs] == \
+        [(483, 0, 2_049, 100, "alice", frozenset({"alice", "bob"}), "pending")]
+    for lo, hi, by_timeout in ((0, 100, False), (300, 483, True), (100, 250, False),
+                               (250, 300, True)):
+        ch.mark_claimed(lo, by_timeout, hi - lo)
+    assert [(run.first, run.count, run.state) for run in ch.runs] == \
+        [(0, 250, "claimed-by-success"), (250, 233, "claimed-by-timeout")]

@@ -334,6 +334,7 @@ def test_fee_analysis_needs_launch_to(tmp_path):
     ("launch_step = 5", "launch_step = 5\n    fill_high = nan"),
     ("launch_step = 5", "launch_step = 5\n    blockmaxweight = -5"),
     ("launch_step = 5", "launch_step = 5\n    blockmaxweight = 0"),
+    ("launch_step = 5", "launch_step = 5\n    thresholds = ,"),
 ])
 def test_bad_fee_analysis_values_are_config_errors(tmp_path, change):
     # Each one fails while the run's inputs are built, before anything runs:

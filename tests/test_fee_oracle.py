@@ -74,6 +74,8 @@ BLOCK_PARAMS = [
     # remainder under 100 ends the block.
     {"blockmaxweight": 5_000, "fill_low": 0.5, "fill_high": 1.0},
     {"blockmaxweight": 41_000, "feerate_low": 3_000, "feerate_high": 3_001},
+    # A room of exactly 100 takes one last entry of weight 100.
+    {"blockmaxweight": 100, "fill_low": 1.0, "fill_high": 1.0},
 ]
 
 

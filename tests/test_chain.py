@@ -16,12 +16,29 @@ from hypothesis import strategies as st
 from htlcrace.chain import (
     DEFAULT_BLOCKMAXWEIGHT,
     MAX_TX_WEIGHT,
+    Block,
     ChainState,
     OutputRef,
+    Slice,
     Transaction,
     TxOutput,
     available_space,
 )
+
+
+def utxo_of(chain):
+    """The chain's unspent outputs as OutputRef -> TxOutput, txid by txid in
+    the chain's order, index by index."""
+    return {OutputRef(txid, i): outs[i] for txid, outs in chain.utxo.items()
+            for i in sorted(outs)}
+
+
+def set_utxo(chain, outputs):
+    """Make the chain's live unspent set exactly `outputs` (as utxo_of
+    gives it)."""
+    chain.utxo = {}
+    for ref, out in outputs.items():
+        chain.utxo.setdefault(ref.txid, {})[ref.index] = out
 
 
 def spend(txid, inputs, in_value, fee, weight, rbf=False, owner="node"):
@@ -209,6 +226,150 @@ def test_feerate_ties_break_by_weight_then_submission():
 
 
 # ---------------------------------------------------------------------------
+# audit: each breach of the replayed history or the live state must raise
+# ---------------------------------------------------------------------------
+
+
+def audited_chain():
+    """Three mined blocks: a cohort of six cut into Slices of five and one, a
+    two-output single beside the second Slice, and a cohort of three spending
+    members 1..3 of the first.  Cohort outputs stay unspent on both sides of
+    that gap."""
+    chain = ChainState(blockmaxweight=2_000)
+    g = chain.grant("g", 10_000, count=6)
+    h = chain.grant("h", 50_000)
+    cohort = Transaction("C", (g,), (TxOutput(9_000, "n"),), 400, 1_000, count=6)
+    single = Transaction("P", (h,), (TxOutput(20_000, "a"), TxOutput(29_000, "b")), 800, 1_000)
+    assert chain.submit(cohort).ok and chain.submit(single).ok
+    chain.mine_block()
+    chain.mine_block()
+    kid = Transaction("K", (OutputRef("C", 1),), (TxOutput(8_000, "k"),), 400, 1_000, count=3)
+    assert chain.submit(kid).ok
+    chain.mine_block()
+    assert [[(type(t).__name__, t.id, t.first, t.count) for t in b.txs] for b in chain.blocks] == [
+        [("Slice", "C", 0, 5)], [("Slice", "C", 5, 1), ("Transaction", "P", 0, 1)],
+        [("Transaction", "K", 0, 3)]]
+    chain.audit()
+    return chain
+
+
+def forge(chain, height, *txs):
+    """Put `txs` in block `height` (one past the tip appends a block), with
+    weight_used that matches them."""
+    block = Block(height, txs, sum(t.weight * t.count for t in txs))
+    chain.blocks[height - 1:height] = [block]
+
+
+def test_audit_passes_the_live_state_written_back_unchanged():
+    chain = audited_chain()
+    outputs = utxo_of(chain)
+    assert [r for r in outputs if r.txid == "C"] == [OutputRef("C", i) for i in (0, 4, 5)]
+    set_utxo(chain, outputs)
+    chain.audit()
+
+
+@pytest.mark.parametrize("height,delta", [(1, 1), (1, -1), (2, 1), (3, -400)])
+def test_audit_rejects_a_block_weight_that_is_off(height, delta):
+    chain = audited_chain()
+    block = chain.blocks[height - 1]
+    chain.blocks[height - 1] = dataclasses.replace(block, weight_used=block.weight_used + delta)
+    with pytest.raises(AssertionError, match="weight bookkeeping"):
+        chain.audit()
+
+
+def test_audit_rejects_a_block_over_the_weight_limit():
+    chain = audited_chain()
+    chain.blockmaxweight = 1_999  # block 1's Slice of five takes 2,000
+    with pytest.raises(AssertionError, match="weight bookkeeping"):
+        chain.audit()
+
+
+def spends_again(chain):
+    cohort = chain.blocks[0].txs[0]
+    kid = chain.blocks[2].txs[0]
+    return {
+        # a grant member the first Slice spent
+        "single": Transaction("X", (OutputRef(cohort.inputs[0].txid, 2),),
+                              (TxOutput(9_000, "x"),), 400, 1_000),
+        # members 3..4 of C again, as a Slice of C itself
+        "slice": Slice(cohort, 3, 2),
+        # K's last member again: C's output 3
+        "kid-slice": Slice(kid, 2, 1),
+        # a cohort over C's outputs 2..5, of which 2 and 3 are spent
+        "cohort": Transaction("Y", (OutputRef("C", 2),), (TxOutput(8_000, "y"),),
+                              400, 1_000, count=4),
+        # an output that never existed
+        "never-made": Transaction("Z", (OutputRef("C", 6),), (TxOutput(8_000, "z"),),
+                                  400, 1_000),
+    }
+
+
+@pytest.mark.parametrize("case", ["single", "slice", "kid-slice", "cohort", "never-made"])
+def test_audit_rejects_a_member_spent_twice_across_blocks(case):
+    chain = audited_chain()
+    forge(chain, 4, spends_again(chain)[case])
+    with pytest.raises(AssertionError, match="missing or double-spent"):
+        chain.audit()
+
+
+def test_audit_rejects_a_member_spent_twice_within_one_block():
+    chain = audited_chain()
+    kid = chain.blocks[2].txs[0]
+    forge(chain, 3, kid, Slice(kid, 1, 1))  # C's output 2 again
+    with pytest.raises(AssertionError, match="missing or double-spent"):
+        chain.audit()
+
+
+@pytest.mark.parametrize("height,at,cohort", [(1, 0, True), (2, 0, True), (2, 1, False),
+                                              (3, 0, True)])
+def test_audit_rejects_a_fee_mismatch_in_a_confirmed_entry(height, at, cohort):
+    chain = audited_chain()
+    txs = list(chain.blocks[height - 1].txs)
+    tx = txs[at]
+    changed = Transaction(tx.id, tx.inputs, tx.outputs, tx.weight, tx.fee + 1,
+                          tx.rbf_signal, tx.count)
+    txs[at] = Slice(changed, tx.first, tx.count) if isinstance(tx, Slice) else changed
+    assert (txs[at].count > 1 or isinstance(tx, Slice)) == cohort
+    forge(chain, height, *txs)
+    with pytest.raises(AssertionError, match="fee mismatch"):
+        chain.audit()
+
+
+LIVE_TAMPERING = {
+    "member-added-to-a-run": lambda o: o.update({OutputRef("C", 6): TxOutput(9_000, "n")}),
+    "member-added-in-a-gap": lambda o: o.update({OutputRef("C", 2): TxOutput(9_000, "n")}),
+    "txid-added": lambda o: o.update({OutputRef("ghost", 0): TxOutput(1, "n")}),
+    "member-dropped-mid-run": lambda o: o.pop(OutputRef("K", 1)),
+    "member-dropped-at-run-end": lambda o: o.pop(OutputRef("C", 5)),
+    "txid-dropped": lambda o: [o.pop(r) for r in (OutputRef("P", 0), OutputRef("P", 1))],
+    "value-changed": lambda o: o.update({OutputRef("C", 4): TxOutput(9_001, "n")}),
+    "value-changed-single": lambda o: o.update({OutputRef("P", 1): TxOutput(29_001, "b")}),
+    "owner-changed": lambda o: o.update({OutputRef("K", 2): TxOutput(8_000, "x")}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIVE_TAMPERING))
+def test_audit_rejects_a_live_unspent_set_that_diverges(case):
+    chain = audited_chain()
+    outputs = utxo_of(chain)
+    LIVE_TAMPERING[case](outputs)
+    set_utxo(chain, outputs)
+    with pytest.raises(AssertionError, match="diverges from live state"):
+        chain.audit()
+
+
+def test_audit_rejects_a_broken_conservation_total():
+    chain = audited_chain()
+    chain._granted_total += 1
+    with pytest.raises(AssertionError, match="conservation"):
+        chain.audit()
+    chain = audited_chain()
+    chain._grants["ghost"] = (TxOutput(7, "x"), 3)  # value never granted
+    with pytest.raises(AssertionError, match="conservation"):
+        chain.audit()
+
+
+# ---------------------------------------------------------------------------
 # available space
 # ---------------------------------------------------------------------------
 
@@ -258,8 +419,8 @@ def run_session(seed, steps=60, blockmaxweight=1_000_000):
     counter = 0
     for _ in range(steps):
         if rng.random() < 0.7:
-            live = [r for r in known if r.index in chain.utxo.get(r.txid, {})
-                    or r.txid in chain.mempool.pending]
+            utxo = utxo_of(chain)
+            live = [r for r in known if r in utxo or r.txid in chain.mempool.pending]
             if not live:
                 continue
             picks = rng.sample(live, k=min(len(live), rng.randint(1, 2)))
@@ -305,7 +466,7 @@ def test_identical_sessions_mine_identical_chains(seed):
     b, _ = run_session(seed, steps=50)
     assert [(blk.height, tuple(t.id for t in blk.txs)) for blk in a.blocks] == \
            [(blk.height, tuple(t.id for t in blk.txs)) for blk in b.blocks]
-    assert a.utxo == b.utxo
+    assert utxo_of(a) == utxo_of(b)
 
 
 def test_default_limits():

@@ -29,6 +29,7 @@ from htlcrace.channel import (
     open_channel,
     profile_params,
 )
+from test_chain import utxo_of
 
 
 def htlcs(ch):
@@ -67,8 +68,7 @@ def test_open_assigns_full_balance_to_initiator():
     chain, ch = fresh_channel(funding=1_000_000)
     assert ch.balances == {"alice": 1_000_000, "bob": 0}
     ref = ch.funding_outpoint
-    assert ref.index in chain.utxo.get(ref.txid, {})
-    assert chain.utxo[ref.txid][ref.index].value == 1_000_000
+    assert utxo_of(chain)[ref].value == 1_000_000
 
 
 def test_open_spends_one_grant_of_funding_plus_fee_whole():
@@ -79,11 +79,10 @@ def test_open_spends_one_grant_of_funding_plus_fee_whole():
     fee = fee_for_weight(2_500, FUNDING_TX_WEIGHT)
     assert fund.fee == fee and fund.weight == FUNDING_TX_WEIGHT
     [grant] = fund.inputs
-    assert chain.utxo[grant.txid][grant.index].value == 1_000_000 + fee
-    assert chain.utxo[grant.txid][grant.index].owner == "alice"
+    assert utxo_of(chain)[grant] == TxOutput(1_000_000 + fee, "alice", "grant")
     assert fund.outputs == (TxOutput(1_000_000, "chan", "funding"),)  # no change
     chain.mine_block()
-    assert grant.txid not in chain.utxo
+    assert not any(r.txid == grant.txid for r in utxo_of(chain))
 
 
 def test_two_channels_two_outpoints():
@@ -94,7 +93,7 @@ def test_two_channels_two_outpoints():
     chain.mine_block()
     assert c1.funding_outpoint != c2.funding_outpoint
     for ref in (c1.funding_outpoint, c2.funding_outpoint):
-        assert ref.index in chain.utxo.get(ref.txid, {})
+        assert ref in utxo_of(chain)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from htlcrace.chain import (
 )
 from mining_reference import oracle_block
 from rbf_reference import oracle_submit
+from test_chain import utxo_of
 
 FEERATES = (1_000, 2_000, 2_500, 5_000)
 WEIGHTS = (400, 500, 800, 1_000)
@@ -60,8 +61,7 @@ class Session:
                 for m in range(first, first + count)]
 
     def confirmed_refs(self):
-        return {self.expand_ref(txid, i)
-                for txid, outs in self.chain.utxo.items() for i in outs}
+        return {self.expand_ref(*ref) for ref in utxo_of(self.chain)}
 
     # -- steps ---------------------------------------------------------------
 
@@ -145,14 +145,12 @@ class Session:
         """(txid, first index, length, value) runs of spendable or pending
         outputs that a cohort may spend, one value per run."""
         out = []
-        for txid, outs in self.chain.utxo.items():
-            idx = sorted(outs)
-            start = prev = idx[0]
-            for i in idx[1:] + [None]:
-                if i != prev + 1 or outs[i].value != outs[start].value:
-                    out.append((txid, start, prev + 1 - start, outs[start].value))
-                    start = i
-                prev = i
+        for (txid, i), o in utxo_of(self.chain).items():
+            if out and out[-1][0] == txid and out[-1][1] + out[-1][2] == i \
+                    and out[-1][3] == o.value:
+                out[-1] = (txid, out[-1][1], out[-1][2] + 1, o.value)
+            else:
+                out.append((txid, i, 1, o.value))
         for txid, tx in self.chain.mempool.pending.items():
             if tx.count == 1:
                 out += [(txid, k, 1, o.value) for k, o in enumerate(tx.outputs)]
@@ -161,12 +159,12 @@ class Session:
                         for a, b in self.chain.mempool.parts(txid, 0, tx.count)]
         return out
 
-    def value_at(self, ref):
-        """Value of the output at `ref`, confirmed or pending; any value if
-        there is none (the submission is then refused as missing-input)."""
-        outs = self.chain.utxo.get(ref.txid, {})
-        if ref.index in outs:
-            return outs[ref.index].value
+    def value_at(self, ref, utxo):
+        """Value of the output at `ref`, confirmed (in `utxo`, as utxo_of
+        gives it) or pending; any value if there is none (the submission is
+        then refused as missing-input)."""
+        if ref in utxo:
+            return utxo[ref].value
         tx = self.chain.mempool.pending.get(ref.txid)
         if tx is not None and ref.index < tx.count * len(tx.outputs):
             return tx.outputs[ref.index % len(tx.outputs)].value
@@ -194,7 +192,8 @@ class Session:
             refs, count, target = found
             if rng.random() < 0.2:  # shift: members clash with the wrong ones
                 refs = [OutputRef(r.txid, r.index + rng.choice((-1, 1))) for r in refs]
-            total = sum(map(self.value_at, refs))
+            utxo = utxo_of(self.chain)
+            total = sum(self.value_at(ref, utxo) for ref in refs)
         else:
             runs = self.runs()
             if not runs:

@@ -19,15 +19,17 @@ ref and owns the outputs (id, m * len(outputs) + j).  Every rule above holds
 member by member; submit takes or refuses a cohort whole and raises
 ValueError where its members would not share one verdict, mining takes as
 many members of a fee class as fit in one step, and replacement evicts
-member-aligned runs.  Cost follows the number of cohorts, not of members.
+member-aligned runs.  The unspent set and the mempool's spent index map a
+txid to sorted runs (first, end, item) of indices sharing one item, joined
+where alike items meet, so cost follows cohorts and runs, not members.
 """
 from __future__ import annotations
 
 import heapq
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import cycle, repeat
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -109,9 +111,53 @@ class Slice(Transaction):
         Slice.first.__set__(self, first)
 
 
-_value_of = itemgetter(0)
-_consume = deque(maxlen=0).extend  # runs an iterator to its end in C
-_GONE = TxOutput(None, "", "")
+_value_of = _first_of = itemgetter(0)
+
+
+def _take(index: dict, txid: str, lo: int, hi: int) -> list:
+    """Remove what index[txid]'s runs hold of indices lo .. hi - 1, and the
+    txid once it holds none; the removed runs."""
+    runs = index.get(txid, [])
+    i = bisect_left(runs, lo, key=_first_of)
+    if i and lo < runs[i - 1][1]:  # split the run holding lo
+        a, b, x = runs[i - 1]
+        runs[i - 1:i] = (a, lo, x), (lo, b, x)
+    j = bisect_left(runs, hi, i, key=_first_of)
+    if j > i and hi < runs[j - 1][1]:  # split the run holding hi
+        a, b, x = runs[j - 1]
+        runs[j - 1:j] = (a, hi, x), (hi, b, x)
+    taken = runs[i:j]
+    del runs[i:j]
+    if not runs:
+        index.pop(txid, None)
+    return taken
+
+
+def _put(index: dict, txid: str, lo: int, hi: int, x) -> None:
+    """Add run (lo, hi, x) to index[txid] over indices it does not hold,
+    joined with alike neighbours."""
+    runs = index.get(txid) or index.setdefault(txid, [])
+    i = j = bisect_left(runs, lo, key=_first_of)
+    if i and runs[i - 1][1] == lo and runs[i - 1][2] == x:
+        i -= 1
+        lo = runs[i][0]
+    if j < len(runs) and runs[j][0] == hi and runs[j][2] == x:
+        hi = runs[j][1]
+        j += 1
+    runs[i:j] = ((lo, hi, x),)
+
+
+def _mint(utxo: dict, txid: str, outputs: tuple[TxOutput, ...], lo: int, hi: int) -> None:
+    """Add the outputs of members lo .. hi - 1 of `txid` (member m's at
+    m * len(outputs) on), one run per stretch of alike outputs."""
+    n = len(outputs)
+    if n and outputs.count(outputs[0]) == n:  # alike outputs: one run for all members
+        return _put(utxo, txid, lo * n, hi * n, outputs[0])
+    stretches = [(out, len(list(same))) for out, same in groupby(outputs)]
+    for at in range(lo * n, hi * n, n or 1):  # no outputs: nothing to add
+        for out, k in stretches:
+            _put(utxo, txid, at, at + k, out)
+            at += k
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,15 +223,15 @@ class MempoolState:
 
     pending maps a cohort with any pending member to the cohort, and pieces
     to its pending members, split where their number of pending parents
-    differs.  spent maps every outpoint spent by a pending member, as
-    txid -> index -> spender, which makes conflict detection cheap; children
+    differs.  spent maps a txid to runs (first, end, spender) of its outputs
+    spent by pending members, which makes conflict detection cheap; children
     maps a cohort to the cohorts spending its outputs.  Pieces with no
     pending parent wait in a _FeeClass; the classes form a heap (_queue),
     and an emptied piece (evicted members) is dropped when mining reaches it.
     """
     pending: dict[str, Transaction] = field(default_factory=dict)
     pieces: dict[str, list[_Piece]] = field(default_factory=dict)
-    spent: dict[str, dict[int, str]] = field(default_factory=dict)
+    spent: dict[str, list[tuple[int, int, str]]] = field(default_factory=dict)
     children: dict[str, list[str]] = field(default_factory=dict)
     members: int = 0
     _classes: dict[tuple[int, int], _FeeClass] = field(default_factory=dict)
@@ -284,12 +330,8 @@ class MempoolState:
                     del self.children[parent]
 
     def _unspend(self, tx: Transaction, lo: int, hi: int) -> None:
-        spent = self.spent
         for ref in tx.inputs:
-            owner = spent[ref.txid]
-            _consume(map(owner.pop, range(ref.index + lo, ref.index + hi)))
-            if not owner:
-                del spent[ref.txid]
+            _take(self.spent, ref.txid, ref.index + lo, ref.index + hi)
         self.members -= hi - lo
 
 
@@ -306,7 +348,7 @@ class ChainState:
         self.blockmaxweight = blockmaxweight
         self.height = 0
         self.blocks: list[Block] = []
-        self.utxo: dict[str, dict[int, TxOutput]] = {}  # txid -> index -> output
+        self.utxo: dict[str, list[tuple[int, int, TxOutput]]] = {}  # txid -> runs
         self.mempool = MempoolState()
         self.confirmed_ids: set[str] = set()
         self._granted_total = 0
@@ -326,7 +368,7 @@ class ChainState:
         ref = OutputRef(f"grant-{self._grant_counter}", 0)
         self._grant_counter += 1
         out = TxOutput(value, owner, kind)
-        self.utxo[ref.txid] = dict.fromkeys(range(count), out)
+        self.utxo[ref.txid] = [(0, count, out)]
         self._grants[ref.txid] = (out, count)
         self._granted_total += value * count
         self._utxo_value += value * count
@@ -384,10 +426,8 @@ class ChainState:
         mp._next_seq = base + count
         pending[txid] = tx
         mp.members += count
-        spent = mp.spent
         for ref in inputs:
-            owner = spent.get(ref.txid) or spent.setdefault(ref.txid, {})
-            owner.update(zip(range(ref.index, ref.index + count), repeat(txid)))
+            _put(mp.spent, ref.txid, ref.index, ref.index + count, txid)
         parents = {p if isinstance(p, str) else p[0] for p in shared}
         parents.update(link[2] for link in links)
         children = mp.children
@@ -411,11 +451,11 @@ class ChainState:
         `links` as (first, end, cohort id)."""
         txid, lo = ref
         hi = lo + count
-        outs = self.utxo.get(txid, {})
-        got = list(map(outs.get, range(lo, hi)))
-        have = count - got.count(None)
-        found = set(got)
-        found.discard(None)
+        have, found = 0, set()
+        for a, b, out in self.utxo.get(txid, ()):
+            if a < hi and lo < b:
+                have += min(b, hi) - max(a, lo)
+                found.add(out)
         parent = self.mempool.pending.get(txid)
         if parent is not None and parent.outputs:
             nout = len(parent.outputs)
@@ -447,13 +487,15 @@ class ChainState:
         """The pending members spending what the cohort's members spend at
         `ref`: (cohort id, first, end), member first + m clashing with member
         m; None if none does."""
-        owner = self.mempool.spent.get(ref.txid)
-        if owner is None:
+        runs = self.mempool.spent.get(ref.txid)
+        if runs is None:
             return None
-        rivals = set(map(owner.get, range(ref.index, ref.index + count)))
-        if rivals == {None}:
+        lo, hi = ref.index, ref.index + count
+        meet = [(min(b, hi) - max(a, lo), x) for a, b, x in runs if a < hi and lo < b]
+        if not meet:
             return None
-        if len(rivals) != 1:
+        rivals = {x for _, x in meet}
+        if len(rivals) != 1 or sum(n for n, _ in meet) != count:
             raise ValueError(f"cohort members conflict unevenly at {ref}")
         rival = rivals.pop()
         other = self.mempool.pending[rival]
@@ -611,20 +653,11 @@ class ChainState:
                     pieces[txid].remove(piece)
                 room -= weight * taken
                 for ref in tx.inputs:  # parents precede children: topological
-                    outs = utxo[ref.txid]
-                    first = ref.index + lo
-                    value -= sum(map(_value_of, map(outs.pop, range(first, first + taken))))
-                    if not outs:
-                        del utxo[ref.txid]
+                    for a, b, out in _take(utxo, ref.txid, ref.index + lo, ref.index + end):
+                        value -= (b - a) * out.value
                 mp._unspend(tx, lo, end)
-                outputs = tx.outputs
-                if outputs:
-                    nout = len(outputs)
-                    made = utxo.get(txid)
-                    if made is None:
-                        made = utxo[txid] = {}
-                    made.update(zip(range(lo * nout, end * nout), cycle(outputs)))
-                    value += taken * sum(map(_value_of, outputs))
+                _mint(utxo, txid, tx.outputs, lo, end)
+                value += taken * sum(map(_value_of, tx.outputs))
                 fees += taken * tx.fee
                 confirmed.add(txid)
                 selected.append(tx if taken == tx.count else Slice(tx, lo, taken))
@@ -657,13 +690,12 @@ class ChainState:
         return txid in self.confirmed_ids
 
     def audit(self) -> None:
-        """Full structural audit: replay every block against a fresh UTXO
-        view, checking for double spends, per-block weight violations and
-        value conservation.  Runs at the end of every attack run.  Each
-        member outpoint is checked through set and dict operations on whole
-        runs of indices, with no object built per member."""
-        utxo = {txid: dict.fromkeys(range(count), out)
-                for txid, (out, count) in self._grants.items()}
+        """Full structural audit: replay every block against fresh unspent
+        runs built from the grants alone, checking for missing and double
+        spends, per-block weight violations, fees and value conservation,
+        then compare those runs with the live utxo.  Runs at the end of every
+        attack run, at a cost per run, not per member."""
+        utxo = {txid: [(0, count, out)] for txid, (out, count) in self._grants.items()}
         fees = 0
         for block in self.blocks:
             txs = block.txs
@@ -673,26 +705,20 @@ class ChainState:
             for tx in txs:
                 first, count = tx.first, tx.count
                 in_val = 0
-                for ref in tx.inputs:
-                    # An output leaves the view when spent, so a second
-                    # spend of it finds it missing.
-                    outs = utxo.get(ref.txid, {})
-                    span = range(ref.index + first, ref.index + first + count)
-                    values = set(map(_value_of, map(outs.pop, span, repeat(_GONE))))
-                    if None in values or len(values) != 1:
+                for ref in tx.inputs:  # spent outputs leave: a second spend finds none
+                    have, values = 0, set()
+                    for a, b, out in _take(utxo, ref.txid, ref.index + first,
+                                           ref.index + first + count):
+                        have += b - a
+                        values.add(out.value)
+                    if have != count or len(values) != 1:
                         raise AssertionError(f"missing or double-spent input {ref} for {tx.id}")
-                    if not outs:
-                        utxo.pop(ref.txid, None)
                     in_val += values.pop()
-                outputs = tx.outputs
-                if outputs:
-                    nout = len(outputs)
-                    utxo.setdefault(tx.id, {}).update(
-                        zip(range(first * nout, (first + count) * nout), cycle(outputs)))
+                _mint(utxo, tx.id, tx.outputs, first, first + count)
                 fees += tx.fee * count
-                if in_val - sum(map(_value_of, outputs)) != tx.fee:
+                if in_val - sum(map(_value_of, tx.outputs)) != tx.fee:
                     raise AssertionError(f"fee mismatch in confirmed tx {tx.id}")
-        left = sum(sum(map(_value_of, outs.values())) for outs in utxo.values())
+        left = sum((b - a) * out.value for runs in utxo.values() for a, b, out in runs)
         if left + fees != self._granted_total:
             raise AssertionError("replayed value conservation failed")
         if utxo != self.utxo:

@@ -440,14 +440,14 @@ class Channel:
 
     def claimable_successes(self, claimer: str, height: int,
                             rbf_signal: bool | None = None) -> dict[int, Transaction]:
-        """Success-local claims for every pending incoming HTLC whose
-        preimage the claimer knows, one cohort per stretch of consecutive
-        HTLC ids of one amount, keyed by the stretch's first HTLC id: what
-        build_htlc_claims builds for each stretch."""
+        """Success-local claims for every pending incoming HTLC (not settled
+        or claimed) whose preimage the claimer knows, one cohort per stretch
+        of consecutive HTLC ids of one amount, keyed by the stretch's first
+        HTLC id: what build_htlc_claims builds for each stretch."""
         cohorts: dict[int, int] = {}
         first = end = amount = None
         for run in self.runs:
-            if _settled(run) or run.offerer == claimer or claimer not in run.known_by:
+            if run.state != "pending" or run.offerer == claimer or claimer not in run.known_by:
                 continue
             if run.first == end and run.amount == amount:
                 cohorts[first] += run.count
@@ -538,8 +538,10 @@ class Channel:
 
     def mark_claimed(self, htlc_id: int, by_timeout: bool, count: int = 1) -> None:
         """Record the on-chain outcome of contested HTLCs htlc_id ..
-        htlc_id + count - 1, each once: those before the first not pending
-        are marked, and then that one raises."""
+        htlc_id + count - 1 of a force-closed channel, each once: those before
+        the first not pending are marked, and then that one raises."""
+        if self.published is None:
+            raise NoPublishedCommitment(self.channel_id)
         end = htlc_id + count
         stop, run = self._scan(htlc_id, end, lambda run: run.state != "pending")
         self._restate(htlc_id, stop, "claimed-by-timeout" if by_timeout else "claimed-by-success")

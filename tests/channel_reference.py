@@ -268,7 +268,8 @@ class Channel:
         runs: dict[int, int] = {}
         first = end = amount = None
         for hid, htlc in self.pending_htlcs.items():
-            if htlc.offerer == claimer or claimer not in htlc.preimage_known_by:
+            if htlc.state != "pending" or htlc.offerer == claimer \
+                    or claimer not in htlc.preimage_known_by:
                 continue
             if hid == end and htlc.amount == amount and \
                     index.get(hid, hid) == index.get(first, first) + hid - first:
@@ -359,7 +360,9 @@ class Channel:
 
     def mark_claimed(self, htlc_id: int, by_timeout: bool, count: int = 1) -> None:
         """Record the on-chain outcome of contested HTLCs htlc_id ..
-        htlc_id + count - 1 (each exactly once)."""
+        htlc_id + count - 1 of a force-closed channel (each exactly once)."""
+        if self.published is None:
+            raise NoPublishedCommitment(self.channel_id)
         state = "claimed-by-timeout" if by_timeout else "claimed-by-success"
         for hid in range(htlc_id, htlc_id + count):
             htlc = self.all_htlcs[hid]

@@ -27,18 +27,22 @@ from htlcrace.chain import (
 
 
 def utxo_of(chain):
-    """The chain's unspent outputs as OutputRef -> TxOutput, txid by txid in
-    the chain's order, index by index."""
-    return {OutputRef(txid, i): outs[i] for txid, outs in chain.utxo.items()
-            for i in sorted(outs)}
+    """The chain's unspent outputs as OutputRef -> TxOutput, expanded from its
+    runs txid by txid in the chain's order, index by index."""
+    return {OutputRef(txid, i): out for txid, runs in chain.utxo.items()
+            for first, end, out in runs for i in range(first, end)}
 
 
 def set_utxo(chain, outputs):
     """Make the chain's live unspent set exactly `outputs` (as utxo_of
-    gives it)."""
+    gives it), as sorted runs joined where alike outputs meet."""
     chain.utxo = {}
-    for ref, out in outputs.items():
-        chain.utxo.setdefault(ref.txid, {})[ref.index] = out
+    for ref, out in sorted(outputs.items()):
+        runs = chain.utxo.setdefault(ref.txid, [])
+        if runs and runs[-1][1] == ref.index and runs[-1][2] == out:
+            runs[-1] = (runs[-1][0], ref.index + 1, out)
+        else:
+            runs.append((ref.index, ref.index + 1, out))
 
 
 def spend(txid, inputs, in_value, fee, weight, rbf=False, owner="node"):
@@ -367,6 +371,57 @@ def test_audit_rejects_a_broken_conservation_total():
     chain._grants["ghost"] = (TxOutput(7, "x"), 3)  # value never granted
     with pytest.raises(AssertionError, match="conservation"):
         chain.audit()
+
+
+# ---------------------------------------------------------------------------
+# output runs: a cohort's outputs and spends cost per run, not per member
+# ---------------------------------------------------------------------------
+
+
+def check_runs(index, bound):
+    """Each txid's runs are sorted, non-empty and disjoint, joined where alike
+    items meet, and at most `bound` of them."""
+    for txid, runs in index.items():
+        assert 0 < len(runs) <= bound, (txid, runs)
+        assert all(a < b for a, b, _ in runs), (txid, runs)
+        for (_, b, x), (c, _, y) in zip(runs, runs[1:]):
+            assert b < c or (b == c and x != y), (txid, runs)
+
+
+@pytest.mark.parametrize("n", [483, 200])
+def test_a_channel_sized_cohort_life_holds_a_bounded_number_of_runs(n):
+    commit_weight = 1_000 + 172 * n
+    chain = ChainState(blockmaxweight=commit_weight)  # about n / 4 claims per block
+    local, remote = TxOutput(500_000, "bob", "to_local"), TxOutput(300_000, "alice", "to_remote")
+    htlc = TxOutput(10_000, "chan", "htlc")
+    fund = chain.grant("alice", 800_000 + 10_000 * n + 5_000)
+    commit = Transaction("commit", (fund,), (local, remote) + (htlc,) * n, commit_weight, 5_000)
+    assert chain.submit(commit).ok
+    chain.mine_block()
+    assert chain.utxo["commit"] == [(0, 1, local), (1, 2, remote), (2, 2 + n, htlc)]
+
+    won, lost = TxOutput(9_300, "bob", "claim"), TxOutput(8_600, "alice", "claim")
+    claim = Transaction("A", (OutputRef("commit", 2),), (won,), 700, 700, True, count=n)
+    assert chain.submit(claim).status == "accepted"
+    assert chain.mempool.spent == {"commit": [(2, 2 + n, "A")]}
+    q, half = n // 4, n // 2  # the replacement takes members q .. q + half - 1
+    rival = Transaction("B", (OutputRef("commit", 2 + q),), (lost,), 700, 1_400, count=half)
+    result = chain.submit(rival)
+    assert (result.status, result.evicted) == ("replaced", ("A",))
+    assert chain.mempool.spent == {"commit": [(2, 2 + q, "A"), (2 + q, 2 + q + half, "B"),
+                                              (2 + q + half, 2 + n, "A")]}
+    slices = 0
+    while chain.mempool.pending:
+        block = chain.mine_block()
+        slices += sum(isinstance(tx, Slice) for tx in block.txs)
+        check_runs(chain.utxo, 5)  # to_local, to_remote and three HTLC stretches
+        check_runs(chain.mempool.spent, 3)
+        assert len(utxo_of(chain)) == 2 + n  # each claim replaces the output it spends
+    assert slices >= 4
+    assert chain.mempool.spent == {}
+    assert chain.utxo == {"commit": [(0, 1, local), (1, 2, remote)],
+                          "A": [(0, q, won), (q + half, n, won)], "B": [(0, half, lost)]}
+    chain.audit()
 
 
 # ---------------------------------------------------------------------------

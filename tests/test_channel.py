@@ -19,6 +19,7 @@ from htlcrace.channel import (
     HtlcBelowMinimum,
     HtlcNotPending,
     InsufficientBalance,
+    NoPublishedCommitment,
     PrematureTimeout,
     TooManyHtlcs,
     UnknownPreimage,
@@ -387,6 +388,20 @@ def test_mark_claimed_exactly_once():
         ch.mark_claimed(hid, by_timeout=False)
 
 
+def test_mark_claimed_needs_a_force_closed_channel():
+    chain, ch = closing_channel("lnd", n_htlcs=3)
+    with pytest.raises(NoPublishedCommitment):
+        ch.mark_claimed(0, by_timeout=False, count=3)
+    assert [h[4] for h in htlcs(ch).values()] == ["pending"] * 3
+    assert ch.pending_count == 3
+    ch.silent.clear()
+    ch.fulfill_htlcs_offchain(0, range(3))  # still settles off-chain
+    assert [h[4] for h in htlcs(ch).values()] == ["fulfilled-offchain"] * 3
+    ch.force_close(chain, "bob")
+    with pytest.raises(AssertionError):  # nothing left pending to claim
+        ch.mark_claimed(0, by_timeout=False)
+
+
 def test_node_profile_table():
     assert PROFILES["lnd"].max_accepted_htlcs == 483
     assert (PROFILES["lnd"].commitment_broadcast_delta,
@@ -518,6 +533,25 @@ def test_claimable_successes_split_where_amounts_differ():
         assert members(tx) == [plain(ch.build_htlc_claim("bob", hid, "success-local",
                                                          chain.height))
                                for hid in range(first, first + tx.count)]
+
+
+def test_claimable_successes_skip_claimed_htlcs_on_a_second_call():
+    chain, ch = closing_channel("lnd", n_htlcs=6)
+    ch.force_close(chain, "bob")
+    first = ch.claimable_successes("bob", chain.height)
+    assert {hid: tx.count for hid, tx in first.items()} == {0: 6}
+    ch.mark_claimed(0, by_timeout=False, count=2)
+    ch.mark_claimed(3, by_timeout=True)
+    again = ch.claimable_successes("bob", chain.height)
+    assert {hid: tx.count for hid, tx in again.items()} == {2: 1, 4: 2}
+    for hid, tx in again.items():
+        assert members(tx) == [plain(ch.build_htlc_claim("bob", h, "success-local",
+                                                         chain.height))
+                               for h in range(hid, hid + tx.count)]
+    assert [tx.inputs[0].index for tx in again.values()] == [4, 6]  # vouts of HTLCs 2, 4
+    ch.mark_claimed(2, by_timeout=False)
+    ch.mark_claimed(4, by_timeout=False, count=2)
+    assert ch.claimable_successes("bob", chain.height) == {}
 
 
 def test_timeout_cohort_equals_single_claims_and_checks_every_member():

@@ -198,6 +198,8 @@ class Twin:
         got = self.both(lambda: claims(self.new), lambda: claims(self.old))
         if got[0] == "ok":
             seen[f"claimable:{min(len(got[1]), 2)}-cohorts"] += 1
+            seen["claimable:after-claims"] += any(
+                h[4].startswith("claimed") for h in expand(self.new).values())
         else:
             seen["claimable:" + got[1].__name__] += 1
 
@@ -263,7 +265,7 @@ class Twin:
 
 def test_run_channel_matches_per_htlc_reference():
     seen = Counter()
-    for seed in range(500):
+    for seed in range(800):
         rng = random.Random(seed)
         twin = Twin(rng)
         for _ in range(rng.randint(10, 60)):
@@ -283,6 +285,7 @@ def test_run_channel_matches_per_htlc_reference():
             "claim:HtlcNotPending", "claim:ValueError", "claim:WrongClaim",
             "claim:PreimageMissing", "claim:PrematureTimeout",
             "claim:FeeOverrideOnDualSigned", "claim:NoPublishedCommitment",
-            "mark:ok", "mark:split", "mark:AssertionError", "mark:KeyError"]
+            "mark:ok", "mark:split", "mark:AssertionError", "mark:KeyError",
+            "mark:NoPublishedCommitment", "claimable:after-claims"]
     for path in need:
         assert seen[path] >= 20, (path, seen)

@@ -440,10 +440,10 @@ class Channel:
 
     def claimable_successes(self, claimer: str, height: int,
                             rbf_signal: bool | None = None) -> dict[int, Transaction]:
-        """Success-local claims for every pending incoming HTLC (not settled
-        or claimed) whose preimage the claimer knows, one cohort per stretch
-        of consecutive HTLC ids of one amount, keyed by the stretch's first
-        HTLC id: what build_htlc_claims builds for each stretch."""
+        """Success-local claims for every pending incoming HTLC whose
+        preimage the claimer knows, one cohort per stretch of consecutive
+        HTLC ids of one amount, keyed by the stretch's first HTLC id: what
+        build_htlc_claims builds for each stretch."""
         cohorts: dict[int, int] = {}
         first = end = amount = None
         for run in self.runs:

@@ -28,7 +28,9 @@ import gc
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
+from . import runs
 from .chain import (
     ChainState, DEFAULT_BLOCKMAXWEIGHT, MAX_TX_WEIGHT, OutputRef, REJECT_NOT_REPLACEABLE,
     Transaction, TxOutput,
@@ -137,13 +139,10 @@ class AttackReport:
     trace: tuple[TraceRow, ...]
 
 
-@dataclass(slots=True)
-class _Span:
-    """Unresolved HTLC ids lo .. hi - 1 of one channel, alike in the race: the
-    pending claim cohort on them and whose it is, whether the attacker was
-    refused, and whether the victim bumped its fee (`kid`: its CPFP child)."""
-    lo: int
-    hi: int
+class _Span(NamedTuple):
+    """Where an unresolved HTLC stands in the race: the pending claim cohort
+    on it and whose it is, whether the attacker was refused, and whether the
+    victim bumped its fee (`kid`: its CPFP child)."""
     claim: str = ""
     side: str = ""  # "" | "victim" | "attacker"
     blocked: bool = False
@@ -233,9 +232,9 @@ class _Run:
         self.expiry = cfg.htlc_expiry_height
         self.channels: list[tuple[Channel, Channel, str]] = []  # (incoming, outgoing, victim)
         self.meta: dict[str, tuple[str, int, int]] = {}  # txid -> (kind, channel, first htlc id)
-        # Per channel: the unresolved HTLCs as spans, the HTLC value, and how
-        # many HTLCs the attacker has confirmed claims on.
-        self.spans: list[list[_Span]] = []
+        # Per channel: a run map from unresolved HTLC ids to _Spans, the HTLC
+        # value, and how many HTLCs the attacker has confirmed claims on.
+        self.spans: list[list[tuple[int, int, _Span]]] = []
         self.values: list[int] = []
         self.stolen: list[int] = []
         self.open_htlcs = 0
@@ -329,7 +328,7 @@ class _Run:
                     f"HTLC value {value} below configured minimum {cfg.min_htlc_amount}")
             ids = ch_in.add_htlcs(SOURCE, value, self._preimages(i), self.expiry)
             ch_out.add_htlcs(name, value, self._preimages(i), out_expiry, known_to=(TARGET,))
-            self.spans.append([_Span(ids.start, ids.stop)])
+            self.spans.append([(ids.start, ids.stop, _Span())])
             self.values.append(value)
             self.stolen.append(0)
             self.open_htlcs += count
@@ -436,27 +435,18 @@ class _Run:
             if not result.ok:
                 raise AssertionError(f"victim claim rejected: {result.reason}")
             self.meta[tx.id] = ("vclaim", i, first)
-            for span in self._cut(i, first, first + tx.count):
-                span.claim, span.side = tx.id, "victim"
+            runs.restate(self.spans[i], first, first + tx.count,
+                         lambda span: span._replace(claim=tx.id, side="victim"))
         self.claims_released[i] = None
         return len(claims)
 
-    def _cut(self, i: int, lo: int, hi: int) -> list[_Span]:
-        """Split channel i's spans at lo and hi; the spans in between."""
-        kept: list[_Span] = []
-        for span in self.spans[i]:
-            bounds = [span.lo, *(c for c in (lo, hi) if span.lo < c < span.hi), span.hi]
-            kept += [replace(span, lo=a, hi=b) for a, b in zip(bounds, bounds[1:])]
-        self.spans[i] = kept
-        return [span for span in kept if lo <= span.lo and span.hi <= hi]
-
     def _unbumped_victim_spans(self):
-        """(channel, span) for every HTLC run with a pending victim claim not
-        yet fee-bumped, in the order the victims submitted their claims."""
+        """(channel, lo, hi, span) for every span with a pending victim claim
+        not yet fee-bumped, in the order the victims submitted their claims."""
         for i in self.claims_released:
-            for span in list(self.spans[i]):
+            for lo, hi, span in list(self.spans[i]):
                 if span.side == "victim" and not span.bumped:
-                    yield i, span
+                    yield i, lo, hi, span
 
     def _attacker_pass(self, h: int) -> int:
         """Timeout-remote claims for every HTLC output not yet confirmed-spent,
@@ -470,7 +460,7 @@ class _Run:
             ch_in = self.channels[i][0]
             if ch_in.published is None:
                 continue  # victim has not closed yet; outputs do not exist
-            for span in list(spans):
+            for lo, hi, span in list(spans):
                 if span.blocked or span.side == "attacker":
                     continue
                 fee = fee_for_weight(ch_in.feerate, w_timeout)
@@ -485,18 +475,19 @@ class _Run:
                         continue  # no fee the HTLC can pay outbids the claim
                     fee = max(fee, least, paid + cfg.attacker_fee_bump_increment)
                 tx = ch_in.build_htlc_claims(
-                    SOURCE, span.lo, span.hi - span.lo, "timeout-remote", h,
+                    SOURCE, lo, hi - lo, "timeout-remote", h,
                     fee_override=fee, rbf_signal=cfg.attacker_claims_replaceable)
                 result = chain.submit(tx)
                 if result.ok:
-                    self.meta[tx.id] = ("aclaim", i, span.lo)
-                    span.claim, span.side, span.kid = tx.id, "attacker", ""
+                    self.meta[tx.id] = ("aclaim", i, lo)
+                    now = span._replace(claim=tx.id, side="attacker", kid="")
                     subs += 1
                 elif result.reason == REJECT_NOT_REPLACEABLE:
-                    span.blocked = True
+                    now = span._replace(blocked=True)
                 else:
                     raise AssertionError(
                         f"unexpected replacement rejection: {result.reason}")
+                runs.restate(spans, lo, hi, lambda _: now)
         return subs
 
     def _victim_bump_pass(self, h: int) -> int:
@@ -515,7 +506,7 @@ class _Run:
         cfg = self.cfg
         chain = self.chain
         subs = 0
-        for i, span in self._unbumped_victim_spans():
+        for i, lo, hi, span in self._unbumped_victim_spans():
             if not cfg.victim_bump_funds:
                 break  # nothing spendable: behaves like baseline
             ch_in, _, name = self.channels[i]
@@ -523,16 +514,16 @@ class _Run:
             weight = self.weights.htlc_success + ANCHOR_INPUT_WEIGHT
             fee = max(fee_for_weight(cfg.victim_bump_feerate, weight),
                       old.fee + 1, old.fee * weight // old.weight + 1)
-            count = span.hi - span.lo
-            spare = chain.grant(name, fee, count=count)
+            spare = chain.grant(name, fee, count=hi - lo)
             tx = ch_in.build_htlc_claims(
-                name, span.lo, count, "success-local", h, fee_override=fee,
+                name, lo, hi - lo, "success-local", h, fee_override=fee,
                 rbf_signal=True, extra_input=spare, extra_value=fee, anchor=True)
             result = chain.submit(tx)
             if not result.ok:
                 raise AssertionError(f"victim fee bump rejected: {result.reason}")
-            self.meta[tx.id] = ("vclaim", i, span.lo)
-            span.claim, span.bumped = tx.id, True
+            self.meta[tx.id] = ("vclaim", i, lo)
+            runs.restate(self.spans[i], lo, hi,
+                         lambda span: span._replace(claim=tx.id, bumped=True))
             subs += 1
         return subs
 
@@ -542,20 +533,21 @@ class _Run:
         replacement sweeps both away."""
         chain = self.chain
         subs = 0
-        for i, span in self._unbumped_victim_spans():
+        for i, lo, hi, span in self._unbumped_victim_spans():
             name = self.channels[i][2]
             parent = chain.mempool.pending[span.claim]
-            member = span.lo - self.meta[span.claim][2]
+            member = lo - self.meta[span.claim][2]
             out_value = parent.outputs[0].value
             fee = min(fee_for_weight(CPFP_CHILD_FEERATE, CPFP_CHILD_WEIGHT), out_value)
             child = Transaction(
                 id=f"{parent.id}-bump{member}", inputs=(OutputRef(parent.id, member),),
                 outputs=(TxOutput(out_value - fee, name, "claim"),),
-                weight=CPFP_CHILD_WEIGHT, fee=fee, rbf_signal=True, count=span.hi - span.lo)
+                weight=CPFP_CHILD_WEIGHT, fee=fee, rbf_signal=True, count=hi - lo)
             result = chain.submit(child)
             if result.ok:
-                self.meta[child.id] = ("bump", i, span.lo)
-                span.bumped, span.kid = True, child.id
+                self.meta[child.id] = ("bump", i, lo)
+                runs.restate(self.spans[i], lo, hi,
+                             lambda span: span._replace(bumped=True, kid=child.id))
                 subs += 1
         return subs
 
@@ -600,8 +592,7 @@ class _Run:
             if kind == "vclaim" or kind == "aclaim":
                 lo = first + tx.first
                 self.channels[i][0].mark_claimed(lo, kind == "aclaim", count)
-                for span in self._cut(i, lo, lo + count):
-                    self.spans[i].remove(span)
+                runs.take(self.spans[i], lo, lo + count)
                 self.open_htlcs -= count
                 if kind == "aclaim":
                     attacker_conf += count
@@ -621,15 +612,15 @@ class _Run:
         per_channel = []
         for i, (ch_in, _, _) in enumerate(self.channels):
             taken = self.stolen[i]
-            for span in self.spans[i]:
+            for lo, hi, span in self.spans[i]:
                 if span.side == "attacker":
                     # Quiescent but decided: the attacker's claim is the only
                     # live spend and does not signal replaceability, so the
                     # victim can never displace it.
-                    ch_in.mark_claimed(span.lo, True, span.hi - span.lo)
-                    taken += span.hi - span.lo
+                    ch_in.mark_claimed(lo, True, hi - lo)
+                    taken += hi - lo
                 else:
-                    unresolved += span.hi - span.lo
+                    unresolved += hi - lo
             stolen += taken
             stolen_value += taken * self.values[i]
             per_channel.append(taken)

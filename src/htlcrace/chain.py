@@ -20,18 +20,20 @@ member by member; submit takes or refuses a cohort whole and raises
 ValueError where its members would not share one verdict, mining takes as
 many members of a fee class as fit in one step, and replacement evicts
 member-aligned runs.  The unspent set and the mempool's spent index map a
-txid to sorted runs (first, end, item) of indices sharing one item, joined
-where alike items meet, so cost follows cohorts and runs, not members.
+txid to a run map (htlcrace.runs) from output index to the output or to its
+spender, so cost follows cohorts and runs of alike outputs, not members.
 """
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple
+
+from . import runs
 
 # Consensus cap on a single transaction.  The *mining* limit (blockmaxweight)
 # is configurable per chain and may be far smaller; an oversized-for-mining
@@ -111,40 +113,21 @@ class Slice(Transaction):
         Slice.first.__set__(self, first)
 
 
-_value_of = _first_of = itemgetter(0)
+_value_of = itemgetter(0)
 
 
 def _take(index: dict, txid: str, lo: int, hi: int) -> list:
-    """Remove what index[txid]'s runs hold of indices lo .. hi - 1, and the
-    txid once it holds none; the removed runs."""
-    runs = index.get(txid, [])
-    i = bisect_left(runs, lo, key=_first_of)
-    if i and lo < runs[i - 1][1]:  # split the run holding lo
-        a, b, x = runs[i - 1]
-        runs[i - 1:i] = (a, lo, x), (lo, b, x)
-    j = bisect_left(runs, hi, i, key=_first_of)
-    if j > i and hi < runs[j - 1][1]:  # split the run holding hi
-        a, b, x = runs[j - 1]
-        runs[j - 1:j] = (a, hi, x), (hi, b, x)
-    taken = runs[i:j]
-    del runs[i:j]
-    if not runs:
+    """runs.take on index[txid], dropping the txid once it holds nothing."""
+    held = index.get(txid, [])
+    taken = runs.take(held, lo, hi)
+    if not held:
         index.pop(txid, None)
     return taken
 
 
 def _put(index: dict, txid: str, lo: int, hi: int, x) -> None:
-    """Add run (lo, hi, x) to index[txid] over indices it does not hold,
-    joined with alike neighbours."""
-    runs = index.get(txid) or index.setdefault(txid, [])
-    i = j = bisect_left(runs, lo, key=_first_of)
-    if i and runs[i - 1][1] == lo and runs[i - 1][2] == x:
-        i -= 1
-        lo = runs[i][0]
-    if j < len(runs) and runs[j][0] == hi and runs[j][2] == x:
-        hi = runs[j][1]
-        j += 1
-    runs[i:j] = ((lo, hi, x),)
+    """runs.put on index[txid]."""
+    runs.put(index.setdefault(txid, []), lo, hi, x)
 
 
 def _mint(utxo: dict, txid: str, outputs: tuple[TxOutput, ...], lo: int, hi: int) -> None:
@@ -223,7 +206,7 @@ class MempoolState:
 
     pending maps a cohort with any pending member to the cohort, and pieces
     to its pending members, split where their number of pending parents
-    differs.  spent maps a txid to runs (first, end, spender) of its outputs
+    differs.  spent maps a txid to a run map (lo, hi, spender) of its outputs
     spent by pending members, which makes conflict detection cheap; children
     maps a cohort to the cohorts spending its outputs.  Pieces with no
     pending parent wait in a _FeeClass; the classes form a heap (_queue),
@@ -452,9 +435,10 @@ class ChainState:
         txid, lo = ref
         hi = lo + count
         have, found = 0, set()
-        for a, b, out in self.utxo.get(txid, ()):
-            if a < hi and lo < b:
-                have += min(b, hi) - max(a, lo)
+        held = self.utxo.get(txid)
+        if held is not None:
+            for a, b, out in runs.overlap(held, lo, hi):
+                have += b - a
                 found.add(out)
         parent = self.mempool.pending.get(txid)
         if parent is not None and parent.outputs:
@@ -487,15 +471,14 @@ class ChainState:
         """The pending members spending what the cohort's members spend at
         `ref`: (cohort id, first, end), member first + m clashing with member
         m; None if none does."""
-        runs = self.mempool.spent.get(ref.txid)
-        if runs is None:
+        held = self.mempool.spent.get(ref.txid)
+        if held is None:
             return None
-        lo, hi = ref.index, ref.index + count
-        meet = [(min(b, hi) - max(a, lo), x) for a, b, x in runs if a < hi and lo < b]
+        meet = runs.overlap(held, ref.index, ref.index + count)
         if not meet:
             return None
-        rivals = {x for _, x in meet}
-        if len(rivals) != 1 or sum(n for n, _ in meet) != count:
+        rivals = {x for _, _, x in meet}
+        if len(rivals) != 1 or sum(b - a for a, b, _ in meet) != count:
             raise ValueError(f"cohort members conflict unevenly at {ref}")
         rival = rivals.pop()
         other = self.mempool.pending[rival]

@@ -1,11 +1,11 @@
 """Payment-channel model: balances, HTLCs, commitment transactions and the
 four HTLC claim transactions.
 
-A channel holds its HTLCs as runs (HtlcRun) of consecutive ids alike in
-amount, expiry, offerer, who knows the preimages and state, whose preimages
-are consecutive integers.  Adding a batch appends one run; settling,
-revealing and recording claims take id ranges, splitting runs a range cuts
-and joining alike neighbours, so they cost per run, not per HTLC.
+A channel holds its HTLCs in a run map (htlcrace.runs) from HTLC id to
+Htlcs: amount, expiry, offerer, who knows the preimages and state, alike for
+a run of consecutive ids whose preimages are consecutive integers.  Adding a
+batch puts one run; settling, revealing and recording claims restate id
+ranges, so they cost per run, not per HTLC.
 
 The asymmetry the whole simulation turns on lives in build_htlc_claim: claims
 spending the *claimer's own* published commitment (success-local /
@@ -19,11 +19,10 @@ are collapsed into single direct claims.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import NamedTuple
 
+from . import runs
 from .chain import ChainState, OutputRef, Transaction, TxOutput
 
 COMMITMENT_BASE_WEIGHT = 724
@@ -37,11 +36,10 @@ FEE_UPDATE_TOLERANCE = 0.10  # how far from its own estimate a peer accepts
 CLAIM_KINDS = ("success-local", "success-remote", "timeout-local", "timeout-remote")
 _KIND_CODE = {"success-local": "sl", "success-remote": "sr",
               "timeout-local": "tl", "timeout-remote": "tr"}
-_first_of = itemgetter(0)
 
 
-def _settled(run) -> bool:
-    return run.state == "fulfilled-offchain"
+def _settled(htlcs) -> bool:
+    return htlcs.state == "fulfilled-offchain"
 
 
 class ChannelError(Exception):
@@ -173,28 +171,16 @@ def profile_params(profile: str | ChannelParams, **overrides) -> ChannelParams:
     return replace(profile, **overrides) if overrides else profile
 
 
-class HtlcRun(NamedTuple):
-    """HTLCs first .. first + count - 1, alike in all but their ids: an
-    HTLC's preimage is its id plus preimage_offset, and its state pending,
-    fulfilled-offchain, claimed-by-success or claimed-by-timeout."""
-    first: int
-    count: int
+class Htlcs(NamedTuple):
+    """What a run of HTLCs share: an HTLC's preimage is its id plus
+    preimage_offset, and its state pending, fulfilled-offchain,
+    claimed-by-success or claimed-by-timeout."""
     preimage_offset: int
     amount: int
     expiry_height: int
     offerer: str
     known_by: frozenset[str]  # who knows the preimages
     state: str = "pending"
-
-
-def _overlap(runs: list[HtlcRun], lo: int, hi: int):
-    """(a, b, run) for each run sharing ids a .. b - 1 with lo .. hi - 1."""
-    for k in range(max(bisect_right(runs, lo, key=_first_of) - 1, 0), len(runs)):
-        if runs[k].first >= hi:
-            break
-        a, b = max(runs[k].first, lo), min(runs[k].first + runs[k].count, hi)
-        if a < b:
-            yield a, b, runs[k]
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,7 +203,7 @@ class Channel:
         self.feerate = self.params[self.initiator].channel_feerate  # commitment's, now
         self.status = "open"  # open | force-closing | closed
         self.balances = {self.initiator: self.funding_value, self.peer: 0}
-        self.runs: list[HtlcRun] = []  # every HTLC added, in id order
+        self.runs: list[tuple[int, int, Htlcs]] = []  # every HTLC added, by id
         self.next_htlc_id = 0
         self.silent: set[str] = set()
         self.published: PublishedCommitment | None = None
@@ -229,7 +215,7 @@ class Channel:
     @property
     def pending_count(self) -> int:
         """HTLCs not settled off-chain: the HTLC outputs of a commitment."""
-        return sum(run.count for run in self.runs if not _settled(run))
+        return sum(hi - lo for lo, hi, h in self.runs if not _settled(h))
 
     def commitment_fee(self, htlc_count: int) -> int:
         return fee_for_weight(self.feerate, self.weights.commitment_weight(htlc_count))
@@ -264,9 +250,8 @@ class Channel:
             raise
 
         self.next_htlc_id = first + count
-        self.runs.append(HtlcRun(first, count, preimages.start - first, amount,
-                                 expiry_height, offerer, frozenset(known_to)))
-        self._restate(first, first + count)  # joins an alike run before it
+        runs.put(self.runs, first, first + count, Htlcs(
+            preimages.start - first, amount, expiry_height, offerer, frozenset(known_to)))
         self.balances[offerer] -= amount * count
         return range(first, first + count)
 
@@ -277,12 +262,13 @@ class Channel:
         accept = self.params[receiver]
         if amount < accept.htlc_minimum:
             raise HtlcBelowMinimum(f"{amount} < {accept.htlc_minimum}")
-        offered = [run for run in self.runs if run.offerer == offerer and not _settled(run)]
-        if sum(run.count for run in offered) + k >= accept.max_accepted_htlcs:
+        offered = [(hi - lo, h.amount) for lo, hi, h in self.runs
+                   if h.offerer == offerer and not _settled(h)]
+        if sum(n for n, _ in offered) + k >= accept.max_accepted_htlcs:
             raise TooManyHtlcs(f"{accept.max_accepted_htlcs} already pending")
         cap = accept.max_htlc_value_in_flight
         if cap is not None and \
-                sum(run.count * run.amount for run in offered) + (k + 1) * amount > cap:
+                sum(n * value for n, value in offered) + (k + 1) * amount > cap:
             raise ValueInFlightExceeded(f"in-flight cap {cap}")
         new_fee = self.commitment_fee(self.pending_count + k + 1)
         balance = self.balances[offerer] - k * amount
@@ -322,61 +308,33 @@ class Channel:
         if self.status != "open":
             raise ChannelNotOpen(self.channel_id)
         end, offset = lo + len(preimages), preimages.start - lo
-        hi, run = self._scan(lo, end, lambda run: _settled(run) or run.preimage_offset != offset
-                             or settle and run.offerer in self.silent)
+        hi, h = self._scan(lo, end, lambda h: _settled(h) or h.preimage_offset != offset
+                           or settle and h.offerer in self.silent)
         revealed, error = hi, None
-        if run is None or _settled(run):
+        if h is None or _settled(h):
             error = HtlcNotPending(hi) if hi < end else None
-        elif run.preimage_offset != offset:
+        elif h.preimage_offset != offset:
             error = UnknownPreimage(f"HTLC {hi}")
         else:  # that HTLC's preimage is out, its settlement is not
-            revealed, error = hi + 1, CounterpartyUnresponsive(run.offerer)
-        self._restate(lo, revealed, reveal=True)
+            revealed, error = hi + 1, CounterpartyUnresponsive(h.offerer)
+        both = {self.initiator, self.peer}
+        runs.restate(self.runs, lo, revealed, lambda h: h._replace(known_by=h.known_by | both))
         if settle:
-            for a, b, run in _overlap(self.runs, lo, hi):
-                self.balances[self.other(run.offerer)] += run.amount * (b - a)
-            self._restate(lo, hi, "fulfilled-offchain")
+            for a, b, h in runs.overlap(self.runs, lo, hi):
+                self.balances[self.other(h.offerer)] += h.amount * (b - a)
+            runs.restate(self.runs, lo, hi, lambda h: h._replace(state="fulfilled-offchain"))
         if error is not None:
             raise error
 
-    def _scan(self, lo: int, hi: int, stop_at) -> tuple[int, HtlcRun | None]:
-        """The first of HTLC ids lo .. hi - 1 never added or in a run that
-        meets `stop_at`, with that run (None if never added); else (hi, None)."""
+    def _scan(self, lo: int, hi: int, stop_at) -> tuple[int, Htlcs | None]:
+        """The first of HTLC ids lo .. hi - 1 never added or whose Htlcs meet
+        `stop_at`, with those Htlcs (None if never added); else (hi, None)."""
         if lo < 0:
             return min(lo, hi), None
-        for a, _, run in _overlap(self.runs, lo, hi):
-            if stop_at(run):
-                return a, run
+        for a, _, h in runs.overlap(self.runs, lo, hi):
+            if stop_at(h):
+                return a, h
         return min(hi, max(lo, self.next_htlc_id)), None
-
-    def _split(self, at: int) -> int:
-        """Split the run holding id `at` so that one starts there; the index
-        of the first run from `at` on."""
-        runs = self.runs
-        k = bisect_left(runs, at, key=_first_of)
-        if k and at < runs[k - 1].first + runs[k - 1].count:
-            run = runs[k - 1]
-            runs[k - 1:k] = [run._replace(count=at - run.first),
-                             run._replace(first=at, count=run.first + run.count - at)]
-        return k
-
-    def _restate(self, lo: int, hi: int, state: str | None = None,
-                 reveal: bool = False) -> None:
-        """Give HTLCs lo .. hi - 1 (all added) `state`, or with `reveal` show
-        their preimages to both parties; then join alike neighbours."""
-        if lo >= hi:
-            return
-        runs = self.runs
-        i, j = self._split(lo), self._split(hi)
-        parties = {self.initiator, self.peer} if reveal else set()
-        for k in range(i, j):
-            runs[k] = runs[k]._replace(state=state or runs[k].state,
-                                       known_by=runs[k].known_by | parties)
-        # Join runs[k - 1] and runs[k] where alike, right to left over the
-        # restated runs and their neighbours.
-        for k in range(min(j, len(runs) - 1), max(i, 1) - 1, -1):
-            if runs[k - 1][2:] == runs[k][2:]:
-                runs[k - 1:k + 1] = [runs[k - 1]._replace(count=runs[k - 1].count + runs[k].count)]
 
     def update_fee(self, proposer: str, new_feerate: int, oracle_estimate: int):
         """Initiator-only feerate renegotiation.  The counterparty accepts
@@ -412,9 +370,9 @@ class Channel:
             raise InsufficientBalance("initiator balance cannot cover commitment fee")
         outputs = [TxOutput(local, holder, "to_local"),
                    TxOutput(remote, other, "to_remote")]
-        for run in self.runs:
-            if not _settled(run):
-                outputs += (TxOutput(run.amount, self.channel_id, "htlc"),) * run.count
+        for lo, hi, h in self.runs:
+            if not _settled(h):
+                outputs += (TxOutput(h.amount, self.channel_id, "htlc"),) * (hi - lo)
         self._build_count += 1
         return Transaction(
             id=f"{self.channel_id}-commit{self._build_count}-{holder}",
@@ -444,20 +402,13 @@ class Channel:
         preimage the claimer knows, one cohort per stretch of consecutive
         HTLC ids of one amount, keyed by the stretch's first HTLC id: what
         build_htlc_claims builds for each stretch."""
-        cohorts: dict[int, int] = {}
-        first = end = amount = None
-        for run in self.runs:
-            if run.state != "pending" or run.offerer == claimer or claimer not in run.known_by:
-                continue
-            if run.first == end and run.amount == amount:
-                cohorts[first] += run.count
-            else:
-                first, amount = run.first, run.amount
-                cohorts[first] = run.count
-            end = run.first + run.count
-        return {first: self.build_htlc_claims(claimer, first, count, "success-local",
-                                              height, rbf_signal=rbf_signal)
-                for first, count in cohorts.items()}
+        stretches: list[tuple[int, int, int]] = []  # a run map of amounts
+        for lo, hi, h in self.runs:
+            if h.state == "pending" and h.offerer != claimer and claimer in h.known_by:
+                runs.put(stretches, lo, hi, h.amount)
+        return {lo: self.build_htlc_claims(claimer, lo, hi - lo, "success-local",
+                                           height, rbf_signal=rbf_signal)
+                for lo, hi, _ in stretches}
 
     def build_htlc_claim(self, claimer: str, htlc_id: int, kind: str, height: int,
                          fee_override: int | None = None, rbf_signal: bool | None = None,
@@ -483,28 +434,29 @@ class Channel:
         end = htlc_id + count
         # Nothing settles once closing: the HTLCs not settled are those on
         # the commitment, and a stretch of them sits on consecutive outputs.
-        missing, _ = self._scan(htlc_id, end, _settled)
+        # Those already claimed on chain have no output left to claim.
+        missing, _ = self._scan(htlc_id, end, lambda h: h.state != "pending")
         if missing < end:
             raise HtlcNotPending(missing)
-        runs = [run for _, _, run in _overlap(self.runs, htlc_id, end)]
-        if len({run.amount for run in runs}) != 1:
+        claimed = [h for _, _, h in runs.overlap(self.runs, htlc_id, end)]
+        if len({h.amount for h in claimed}) != 1:
             raise ValueError(f"HTLCs {htlc_id}..{end - 1} differ in amount "
                              "or are not on consecutive outputs")
         success = kind.startswith("success")
         local = kind.endswith("local")
         if local != (published.holder == claimer):
             raise WrongClaim(f"{kind} does not match published commitment holder")
-        offerers = {run.offerer for run in runs}
+        offerers = {h.offerer for h in claimed}
         if success:
             if claimer in offerers:
                 raise WrongClaim("success claims redeem incoming HTLCs only")
-            unknown, _ = self._scan(htlc_id, end, lambda run: claimer not in run.known_by)
+            unknown, _ = self._scan(htlc_id, end, lambda h: claimer not in h.known_by)
             if unknown < end:
                 raise PreimageMissing(f"HTLC {unknown}")
         else:
             if offerers != {claimer}:
                 raise WrongClaim("timeout claims refund the offerer only")
-            late = [run.expiry_height for run in runs if height < run.expiry_height]
+            late = [h.expiry_height for h in claimed if height < h.expiry_height]
             if late:
                 raise PrematureTimeout(f"height {height} < expiry {late[0]}")
         weight = self.weights.htlc_success if success else self.weights.htlc_timeout
@@ -523,9 +475,9 @@ class Channel:
         # Claims both parties sign signal replaceability unless told otherwise.
         rbf = local if rbf_signal is None else bool(rbf_signal)
         # HTLC outputs follow to_local and to_remote in id order.
-        vout = 2 + sum(b - a for a, b, run in _overlap(self.runs, 0, htlc_id) if not _settled(run))
+        vout = 2 + sum(b - a for a, b, h in runs.overlap(self.runs, 0, htlc_id) if not _settled(h))
         inputs = [OutputRef(published.txid, vout)]
-        total_in = runs[0].amount + extra_value
+        total_in = claimed[0].amount + extra_value
         if extra_input is not None:
             inputs.append(extra_input)
             weight += ANCHOR_INPUT_WEIGHT
@@ -543,12 +495,13 @@ class Channel:
         if self.published is None:
             raise NoPublishedCommitment(self.channel_id)
         end = htlc_id + count
-        stop, run = self._scan(htlc_id, end, lambda run: run.state != "pending")
-        self._restate(htlc_id, stop, "claimed-by-timeout" if by_timeout else "claimed-by-success")
+        stop, h = self._scan(htlc_id, end, lambda h: h.state != "pending")
+        state = "claimed-by-timeout" if by_timeout else "claimed-by-success"
+        runs.restate(self.runs, htlc_id, stop, lambda h: h._replace(state=state))
         if stop < end:
-            if run is None:
+            if h is None:
                 raise KeyError(stop)
-            raise AssertionError(f"HTLC {stop} already terminal: {run.state}")
+            raise AssertionError(f"HTLC {stop} already terminal: {h.state}")
 
 
 def open_channel(chain: ChainState, channel_id: str, initiator: str, peer: str,

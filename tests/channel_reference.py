@@ -306,9 +306,10 @@ class Channel:
         ids = range(htlc_id, htlc_id + count)
         htlcs = list(map(self.all_htlcs.get, ids))
         vouts = list(map(published.htlc_index.get, ids))
-        if None in htlcs or None in vouts:
-            raise HtlcNotPending(next(hid for hid, h, v in zip(ids, htlcs, vouts)
-                                      if h is None or v is None))
+        missing = [hid for hid, h, v in zip(ids, htlcs, vouts)
+                   if h is None or v is None or h.state != "pending"]
+        if missing:
+            raise HtlcNotPending(missing[0])
         amounts = set(map(_amount_of, htlcs))
         if len(amounts) != 1 or vouts != list(range(vouts[0], vouts[0] + count)):
             raise ValueError(f"HTLCs {htlc_id}..{htlc_id + count - 1} differ in amount "

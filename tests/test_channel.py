@@ -18,6 +18,7 @@ from htlcrace.channel import (
     FeeOverrideOnDualSigned,
     HtlcBelowMinimum,
     HtlcNotPending,
+    Htlcs,
     InsufficientBalance,
     NoPublishedCommitment,
     PrematureTimeout,
@@ -36,9 +37,9 @@ from test_chain import utxo_of
 def htlcs(ch):
     """Each HTLC as id -> (amount, expiry, offerer, who knows its preimage,
     state, preimage), expanded from the channel's runs."""
-    return {hid: (run.amount, run.expiry_height, run.offerer, sorted(run.known_by),
-                  run.state, hid + run.preimage_offset)
-            for run in ch.runs for hid in range(run.first, run.first + run.count)}
+    return {hid: (h.amount, h.expiry_height, h.offerer, sorted(h.known_by),
+                  h.state, hid + h.preimage_offset)
+            for lo, hi, h in ch.runs for hid in range(lo, hi)}
 
 
 def pending(ch):
@@ -554,6 +555,19 @@ def test_claimable_successes_skip_claimed_htlcs_on_a_second_call():
     assert ch.claimable_successes("bob", chain.height) == {}
 
 
+def test_claims_refuse_htlcs_already_claimed_on_chain():
+    chain, ch = closing_channel("lnd", n_htlcs=4)
+    ch.reveal_preimages(0, range(4))
+    ch.force_close(chain, "bob")
+    ch.mark_claimed(0, by_timeout=False, count=3)
+    for claimer, kind in (("bob", "success-local"), ("alice", "timeout-remote")):
+        with pytest.raises(HtlcNotPending, match="^0$"):
+            ch.build_htlc_claims(claimer, 0, 3, kind, 60)
+        with pytest.raises(HtlcNotPending, match="^2$"):  # the first claimed one
+            ch.build_htlc_claims(claimer, 2, 2, kind, 60)
+        assert ch.build_htlc_claims(claimer, 3, 1, kind, 60).count == 1
+
+
 def test_timeout_cohort_equals_single_claims_and_checks_every_member():
     chain, ch = claims_channel()
     cohort = ch.build_htlc_claims("alice", 0, 3, "timeout-remote", 60,
@@ -591,10 +605,10 @@ def test_identical_htlcs_hold_one_run_per_stretch():
     ch.silent.add("alice")
     ch.reveal_preimages(0, range(483))
     ch.force_close(chain, "bob")
-    assert [run[1:] for run in ch.runs] == \
-        [(483, 0, 2_049, 100, "alice", frozenset({"alice", "bob"}), "pending")]
+    assert ch.runs == \
+        [(0, 483, Htlcs(0, 2_049, 100, "alice", frozenset({"alice", "bob"}), "pending"))]
     for lo, hi, by_timeout in ((0, 100, False), (300, 483, True), (100, 250, False),
                                (250, 300, True)):
         ch.mark_claimed(lo, by_timeout, hi - lo)
-    assert [(run.first, run.count, run.state) for run in ch.runs] == \
+    assert [(lo, hi - lo, h.state) for lo, hi, h in ch.runs] == \
         [(0, 250, "claimed-by-success"), (250, 233, "claimed-by-timeout")]

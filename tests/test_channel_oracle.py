@@ -79,8 +79,8 @@ class Twin:
         htlcs = expand(new)
         assert htlcs == reference_htlcs(old)
         # One run per stretch of alike HTLCs: no empty run, no alike neighbours.
-        assert all(run.count > 0 for run in new.runs)
-        assert all(a[2:] != b[2:] for a, b in zip(new.runs, new.runs[1:]))
+        assert all(lo < hi for lo, hi, _ in new.runs)
+        assert all(a[2] != b[2] for a, b in zip(new.runs, new.runs[1:]))
         unsettled = [hid for hid, h in htlcs.items() if h[4] != "fulfilled-offchain"]
         assert unsettled == list(old.pending_htlcs)
         assert new.pending_count == len(old.pending_htlcs)
@@ -101,8 +101,8 @@ class Twin:
         r = rng.random()
         if r < 0.1 or not runs:
             return rng.choice((-1, self.new.next_htlc_id))
-        run = rng.choice(runs)
-        return run.first if r < 0.5 else rng.randint(run.first, run.first + run.count - 1)
+        lo, hi, _ = rng.choice(runs)
+        return lo if r < 0.5 else rng.randint(lo, hi - 1)
 
     def some_count(self, lo):
         """Often to the end of the run holding lo, or a little past it; now
@@ -112,11 +112,11 @@ class Twin:
             return rng.choice((0, -1))
         run = self.run_at(lo)
         if run is not None and rng.random() < 0.5:
-            return max(1, run.first + run.count - lo + rng.choice((0, 0, -1, 1)))
+            return max(1, run[1] - lo + rng.choice((0, 0, -1, 1)))
         return rng.randint(1, 4)
 
     def run_at(self, hid):
-        return next((r for r in self.new.runs if r.first <= hid < r.first + r.count), None)
+        return next((r for r in self.new.runs if r[0] <= hid < r[1]), None)
 
     # -- operations ----------------------------------------------------------
 
@@ -142,11 +142,11 @@ class Twin:
         lo = self.some_id()
         ids = range(lo, lo + self.some_count(lo))
         run = self.run_at(lo)
-        start = lo + (run.preimage_offset if run else 0)  # right for lo's run
+        start = lo + (run[2].preimage_offset if run else 0)  # right for lo's run
         if rng.random() < 0.2:
             start += rng.choice((-1, 1, 50))
         given = range(start, start + len(ids))
-        inside = run is not None and (run.first < lo or ids.stop < run.first + run.count)
+        inside = run is not None and (run[0] < lo or ids.stop < run[1])
         before = expand(self.new)
         if settle:
             got = self.both(lambda: self.new.fulfill_htlcs_offchain(lo, given),
@@ -211,7 +211,7 @@ class Twin:
         holder = self.new.published.holder if self.new.published else rng.choice(PARTIES)
         run = self.run_at(lo)
         if rng.random() < 0.8:
-            kind = ("timeout-" if run is not None and run.offerer == claimer else "success-") \
+            kind = ("timeout-" if run is not None and run[2].offerer == claimer else "success-") \
                 + ("local" if claimer == holder else "remote")
         else:
             kind = rng.choice(CLAIM_KINDS + ("refund",))
@@ -240,7 +240,7 @@ class Twin:
         lo = self.some_id()
         count = self.some_count(lo)
         run = self.run_at(lo)
-        splits = run is not None and (run.first < lo or lo + count < run.first + run.count)
+        splits = run is not None and (run[0] < lo or lo + count < run[1])
         by_timeout = rng.random() < 0.5
         got = self.both(lambda: self.new.mark_claimed(lo, by_timeout, count),
                         lambda: self.old.mark_claimed(lo, by_timeout, count))

@@ -19,9 +19,9 @@ Sixty generated configs (`generated`, seeded by their number) sample those
 paths more widely.  Their bases leave the four victim settings a policy
 may switch on at their defaults, so the digests do not depend on how a
 policy combines with its base.  Each of three deliberate engine mutations
-changes at least one of them: an off-by-one in `_Run._cut`, dropping the
-attacker's skip of claims no fee can outbid, and swapping the pass order
-under victim_first_at_expiry.
+changes at least one of them: the attacker's `runs.restate` of a claimed
+span stopping one HTLC short, dropping the attacker's skip of claims no fee
+can outbid, and swapping the pass order under victim_first_at_expiry.
 """
 
 import hashlib

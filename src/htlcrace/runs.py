@@ -19,7 +19,7 @@ def overlap(runs: list, lo: int, hi: int) -> list:
     in order; none for an empty or inverted range."""
     if lo >= hi:
         return []
-    i = max(bisect_right(runs, lo, key=_lo_of) - 1, 0)  # the last run from lo back
+    i = max(bisect_right(runs, lo, key=_lo_of) - 1, 0)  # the last run starting by lo
     j = bisect_left(runs, hi, i, key=_lo_of)
     return [(max(a, lo), min(b, hi), x) for a, b, x in runs[i:j] if lo < b]
 

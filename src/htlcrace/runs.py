@@ -19,9 +19,15 @@ def overlap(runs: list, lo: int, hi: int) -> list:
     in order; none for an empty or inverted range."""
     if lo >= hi:
         return []
-    i = max(bisect_right(runs, lo, key=_lo_of) - 1, 0)  # the last run starting by lo
-    j = bisect_left(runs, hi, i, key=_lo_of)
-    return [(max(a, lo), min(b, hi), x) for a, b, x in runs[i:j] if lo < b]
+    k = bisect_right(runs, lo, key=_lo_of)
+    if k and lo < runs[k - 1][1]:
+        k -= 1
+    out = []
+    for a, b, x in runs[k:]:
+        if a >= hi:
+            break
+        out.append((max(a, lo), min(b, hi), x))
+    return out
 
 
 def cut(runs: list, at: int) -> int:

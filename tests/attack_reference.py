@@ -7,10 +7,13 @@ spans, runs or cohorts.  It runs on the per-HTLC channel of
 channel_reference.py and on a chain made of a plain list of pending
 transactions in submission order: acceptance and replacement are
 rbf_reference.oracle_submit's verdicts and every block is
-mining_reference.oracle_block's, so it shares no code with
-htlcrace.chain, htlcrace.runs or htlcrace.attack's race.  It takes an
-AttackConfig, which the engine's own validate_config has already accepted,
-and returns the AttackReport htlcrace.attack.run_attack must return for it.
+mining_reference.oracle_block's.  So it shares nothing with htlcrace.chain
+but its transaction and output types, nothing with htlcrace.runs, and
+nothing with htlcrace.attack but its declarations.  It takes an
+AttackConfig and returns the AttackReport htlcrace.attack.run_attack must
+return for it, or raises ConfigError where the funding cannot confirm or
+set-up leaves the HTLCs too little time or value; it does not repeat
+validate_config's other checks.
 
 `seen` counts the paths a run took, for tests/test_attack_oracle.py.
 """

@@ -1,12 +1,13 @@
 """run_attack against the per-HTLC reference engine in attack_reference.py.
 
 Each seeded config is small -- 1 to 6 channels of 1 to 40 HTLCs, blocks
-sized around the closed-form break-even -- and draws every engine path a
-race can take: each profile's broadcast and expiry deltas and eager claim
+sized around the closed-form break-even -- and draws the paths a race
+takes: each profile's broadcast and expiry deltas and eager claim
 publication, every MitigationPolicy field, traffic on and off, batch and
-staggered release, minimize windows, either pass order at expiry and every
-way the race stops.  The whole report must agree, trace and per-channel
-counts included, or both engines must refuse the config with one error.
+staggered release, minimize windows, either pass order at expiry, and the
+race stopping with every HTLC resolved, at quiescence or at drain_cap.
+The whole report must agree, trace and per-channel counts included, or
+both engines must refuse the config with ConfigError.
 """
 
 import random

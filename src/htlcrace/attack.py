@@ -239,7 +239,10 @@ class _Run:
         self.stolen: list[int] = []
         self.open_htlcs = 0
         self.claims_released: dict[int, None] = {}  # channels, in release order
-        self.released_channels: set[int] = set()
+        # The race's victim events: channels to close, by height, and channels
+        # whose commitment confirmed since the last release pass.
+        self.closes: dict[int, list[int]] = {}
+        self.commits_confirmed: list[int] = []
         self.victim_fees = 0
         self.attacker_cost = 0
         self.trace: list[TraceRow] = []
@@ -344,7 +347,10 @@ class _Run:
         # The victim now holds the preimages of the matching incoming HTLCs,
         # but the silent source will not co-sign their settlement.
         ch_in.reveal_preimages(0, self._preimages(i))
-        self.released_channels.add(i)
+        # Nothing settles on the incoming channel from here on, so its delta,
+        # dynamic or not, and with it its close height, are fixed now.
+        at = max(self.expiry - self._victim_delta(ch_in), self.chain.height)
+        self.closes.setdefault(at, []).append(i)
 
     def _preimages(self, i: int) -> range:
         """Channel pair i's payment preimages, one per HTLC, each shared by
@@ -364,7 +370,7 @@ class _Run:
             subs = 0
             if cfg.preimage_release == "staggered":
                 i = h - load_height
-                if 0 <= i < len(self.channels) and i not in self.released_channels:
+                if 0 <= i < len(self.channels):
                     self._release_channel(i)
             subs += self._victim_close_pass(h)
             subs += self._victim_release_pass(h)
@@ -379,8 +385,6 @@ class _Run:
             if self.chain.height > expiry:
                 if not self.open_htlcs:
                     break  # every HTLC has a confirmed claim; report is final
-                if subs == 0 and not len(self.chain.mempool):
-                    break
                 if subs == 0 and block.weight_used == 0:
                     empty_streak += 1
                     if empty_streak >= 2:
@@ -400,13 +404,10 @@ class _Run:
 
     def _victim_close_pass(self, h: int) -> int:
         subs = 0
-        for i, (ch_in, _, name) in enumerate(self.channels):
-            if ch_in.status != "open" or not ch_in.pending_count:
-                continue
-            if i not in self.released_channels:
-                continue  # nothing worth going to chain for yet
-            if h < self.expiry - self._victim_delta(ch_in):
-                continue
+        # Channels are released in index order, so each height's closes are
+        # too: submission order decides ties in the mining queue.
+        for i in self.closes.pop(h, ()):
+            ch_in, _, name = self.channels[i]
             commit = ch_in.force_close(self.chain, name)
             self.meta[commit.id] = ("commit", i, -1)
             subs += 1
@@ -415,16 +416,11 @@ class _Run:
         return subs
 
     def _victim_release_pass(self, h: int) -> int:
+        confirmed, self.commits_confirmed = self.commits_confirmed, []
         if not self.victim_params.wait_for_commit_confirmation or h >= self.expiry:
             return 0
-        subs = 0
-        for i, (ch_in, _, name) in enumerate(self.channels):
-            if ch_in.status != "force-closing" or i in self.claims_released:
-                continue
-            if not self.chain.is_confirmed(ch_in.published.txid):
-                continue
-            subs += self._submit_victim_claims(i, h)
-        return subs
+        # In index order too, whatever order the commitments confirmed in.
+        return sum(self._submit_victim_claims(i, h) for i in sorted(confirmed))
 
     def _submit_victim_claims(self, i: int, h: int) -> int:
         ch_in, _, name = self.channels[i]
@@ -556,21 +552,29 @@ class _Run:
         if spec is None or spec.txs_per_tick <= 0:
             return 0
         chain = self.chain
-        rng = self.rng
         h = chain.height
         if h < spec.start_height:
             return 0
         if spec.end_height is not None and h >= spec.end_height:
             return 0
+        # Each randint(a, b) inlined as in fees.synthetic_blocks: a + r, r the
+        # first getrandbits(k) draw below n = b - a + 1, k = n.bit_length().
+        getrandbits = self.rng.getrandbits
+        n_weight = spec.weight_high - spec.weight_low + 1
+        n_fee = spec.feerate_high - spec.feerate_low + 1
+        k_weight, k_fee = n_weight.bit_length(), n_fee.bit_length()
+        outputs = (TxOutput(1000, "background", "plain"),)
         for j in range(spec.txs_per_tick):
-            weight = rng.randint(spec.weight_low, spec.weight_high)
-            feerate = rng.randint(spec.feerate_low, spec.feerate_high)
-            fee = fee_for_weight(feerate, weight)
+            r = getrandbits(k_weight)
+            while r >= n_weight:
+                r = getrandbits(k_weight)
+            weight = spec.weight_low + r
+            r = getrandbits(k_fee)
+            while r >= n_fee:
+                r = getrandbits(k_fee)
+            fee = fee_for_weight(spec.feerate_low + r, weight)
             ref = chain.grant("background", 1000 + fee)
-            tx = Transaction(id=f"bg{h}.{j}", inputs=(ref,),
-                             outputs=(TxOutput(1000, "background", "plain"),),
-                             weight=weight, fee=fee)
-            result = chain.submit(tx)
+            result = chain.submit(Transaction(f"bg{h}.{j}", (ref,), outputs, weight, fee))
             if not result.ok:
                 raise AssertionError(f"background tx rejected: {result.reason}")
         return spec.txs_per_tick
@@ -585,6 +589,8 @@ class _Run:
                 continue
             kind, i, first = entry
             count = tx.count
+            if kind == "commit":
+                self.commits_confirmed.append(i)
             if kind == "vclaim" or kind == "bump":
                 victim_fees += tx.fee * count
             else:

@@ -44,6 +44,10 @@ def take(runs: list, lo: int, hi: int) -> list:
     """Remove what the map holds of indices lo .. hi - 1; the runs removed."""
     if lo >= hi:
         return []
+    if not runs or lo <= runs[0][0] and runs[-1][1] <= hi:  # the whole map
+        taken = runs[:]
+        runs.clear()
+        return taken
     i, j = cut(runs, lo), cut(runs, hi)
     taken = runs[i:j]
     del runs[i:j]
@@ -53,6 +57,9 @@ def take(runs: list, lo: int, hi: int) -> list:
 def put(runs: list, lo: int, hi: int, x) -> None:
     """Hold `x` at indices lo .. hi - 1, none of which the map holds yet."""
     if lo >= hi:
+        return
+    if not runs:
+        runs.append((lo, hi, x))
         return
     i = j = bisect_left(runs, lo, key=_lo_of)
     if i and runs[i - 1][1] == lo and runs[i - 1][2] == x:

@@ -22,7 +22,7 @@ from htlcrace.attack import (
     validate_config,
 )
 from htlcrace.chain import ChainState
-from htlcrace.channel import WeightSchedule
+from htlcrace.channel import WeightSchedule, profile_params
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +313,29 @@ def test_eager_profile_publishes_claims_same_tick():
         claims = [(h, count) for h, txid, status, count in log
                   if txid.startswith(channel + "-sl") and status != "rejected"]
         assert claims[0] == (height, 30)
+
+
+class ReversedBlocks(ChainState):
+    """Hands the race each block's transactions in reverse order; the chain
+    itself keeps the order it mined them in."""
+
+    def mine_block(self):
+        block = super().mine_block()
+        return dataclasses.replace(block, txs=block.txs[::-1])
+
+
+def test_victims_release_claims_in_channel_order_not_confirmation_order():
+    # Several commitments confirm per block here, and the later channels'
+    # claims lose the race, so the order the victims submit them in decides
+    # whose HTLCs are stolen.  It must be channel order, however the block
+    # lists the commitments.
+    cfg = AttackConfig(num_victim_channels=8, blockmaxweight=10_000, seed=5,
+                       victim_profile=profile_params("lnd", max_accepted_htlcs=20))
+    report = run_attack(cfg)
+    assert report.per_channel_stolen == (0, 0, 0, 0, 6, 20, 20, 20)
+    run = _Run(cfg)
+    run.chain = ReversedBlocks(cfg.blockmaxweight)
+    assert run.execute() == report
 
 
 def test_weight_schedule_overrides_flow_through():

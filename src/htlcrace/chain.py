@@ -411,12 +411,11 @@ class ChainState:
         mp.members += count
         for ref in inputs:
             _put(mp.spent, ref.txid, ref.index, ref.index + count, txid)
-        if shared or links:
-            parents = {p if isinstance(p, str) else p[0] for p in shared}
-            parents.update(link[2] for link in links)
-            children = mp.children
-            for parent in parents:
-                children.setdefault(parent, []).append(txid)
+        parents = {p if isinstance(p, str) else p[0] for p in shared}
+        parents.update(link[2] for link in links)
+        children = mp.children
+        for parent in parents:
+            children.setdefault(parent, []).append(txid)
         if not links:  # every member waits on the same parents: one piece
             piece = _Piece(tx, 0, count, base, len(shared))
             mp.pieces[txid] = [piece]

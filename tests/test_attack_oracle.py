@@ -6,9 +6,9 @@ takes: each profile's broadcast and expiry deltas and eager claim
 publication, every MitigationPolicy field, traffic on and off, batch and
 staggered release, minimize windows, either pass order at expiry, and the
 race stopping with every HTLC resolved, at quiescence or at drain_cap.
-Traffic ranges include the edges of the engine's inlined randint draws: one
-weight, feerates of exactly 0, and widths that are powers of two, where
-half the raw draws are thrown back.
+Each config with traffic runs once more with its ranges at one edge of the
+engine's inlined randint draws: one weight, feerates of exactly 0, or
+widths that are powers of two, where half the raw draws are thrown back.
 The whole report must agree, trace and per-channel counts included, or
 both engines must refuse the config with ConfigError.
 """
@@ -36,10 +36,8 @@ POLICIES = {
     "non-replaceable": {"non_replaceable_htlc_success": True},
     "cpfp": {"cpfp_demo": True},
 }
-# Traffic range edges, one per config k % 4 with traffic on; drawing none
-# keeps every other draw of the config as it is.
+# Traffic range edges; config k with traffic runs again at edge k % 3.
 TRAFFIC_EDGES = {
-    "drawn": {},
     "one-weight": {"weight_high": 400},
     "zero-feerate": {"feerate_low": 0, "feerate_high": 0},
     "power-of-two-widths": {"weight_high": 400 + 1023, "feerate_high": 500 + 4095},
@@ -71,7 +69,6 @@ def config(k: int) -> tuple[AttackConfig, str, str]:
                               weight_high=rng.choice((2_000, 8_000)), feerate_low=500,
                               feerate_high=rng.choice((4_000, 30_000)),
                               end_height=rng.choice((None, expiry + rng.randint(-5, 20))))
-        traffic = replace(traffic, **list(TRAFFIC_EDGES.values())[k % 4])
     base = AttackConfig(
         num_victim_channels=n, victim_profile=profile, htlc_expiry_height=expiry,
         channel_funding=rng.choice((10_000_000, 1_000_000, 200_000)),
@@ -95,19 +92,22 @@ def outcome(run, cfg):
         return ("refused",)
 
 
+def check(cfg: AttackConfig, seen: Counter) -> tuple:
+    """Both engines' outcome for cfg, which must agree."""
+    got = outcome(run_attack, cfg)
+    assert got == outcome(lambda c: run_reference(c, seen), cfg), cfg
+    return got
+
+
 def test_run_attack_matches_per_htlc_reference():
     seen = Counter()
     for k in range(200):
         cfg, profile, field = config(k)
-        got = outcome(run_attack, cfg)
-        want = outcome(lambda c: run_reference(c, seen), cfg)
-        assert got == want, (k, cfg)
+        got = check(cfg, seen)
         seen[f"profile:{profile}"] += 1
         seen[f"policy:{field or 'none'}"] += 1
         seen[f"release:{cfg.preimage_release}"] += 1
         seen["config:traffic" if cfg.background_traffic else "config:no-traffic"] += 1
-        if cfg.background_traffic:
-            seen[f"traffic:{list(TRAFFIC_EDGES)[k % 4]}"] += 1
         seen["config:minimize-window"] += cfg.feerate_strategy != "naive"
         seen["config:victim-first"] += cfg.victim_first_at_expiry
         seen[f"config:{got[0]}"] += 1
@@ -122,10 +122,26 @@ def test_run_attack_matches_per_htlc_reference():
         "victim:cpfp-child": 20, "classify:pending-attacker-claim": 20,
         "stop:all-resolved": 20, "stop:drain-cap": 5, "stop:quiescent": 5,
         "stolen": 20, "no-theft": 20, "unresolved": 1,
-        **{f"traffic:{edge}": 10 for edge in TRAFFIC_EDGES},
     }
     for path, least in need.items():
         assert seen[path] >= least, (path, seen)
     # The reference still stops on an empty mempool while HTLCs are open;
     # run_attack has no such stop, because it cannot happen.
+    assert seen["stop:empty-mempool"] == 0, seen
+
+
+def test_run_attack_matches_reference_at_traffic_range_edges():
+    seen = Counter()
+    for k in range(200):
+        cfg = config(k)[0]
+        if cfg.background_traffic is None:
+            continue
+        edge = list(TRAFFIC_EDGES)[k % 3]
+        traffic = replace(cfg.background_traffic, **TRAFFIC_EDGES[edge])
+        got = check(replace(cfg, background_traffic=traffic), seen)
+        seen[f"traffic:{edge}:{got[0]}"] += 1
+    for edge in TRAFFIC_EDGES:
+        assert seen[f"traffic:{edge}:ok"] >= 20, (edge, seen)
+    for path in ("stolen", "no-theft", "attacker:outbid-impossible"):
+        assert seen[path] >= 10, (path, seen)
     assert seen["stop:empty-mempool"] == 0, seen

@@ -238,7 +238,6 @@ class _Run:
         self.values: list[int] = []
         self.stolen: list[int] = []
         self.open_htlcs = 0
-        self.claims_released: dict[int, None] = {}  # channels, in release order
         # The race's victim events: channels to close, by height, and channels
         # whose commitment confirmed since the last release pass.
         self.closes: dict[int, list[int]] = {}
@@ -281,7 +280,7 @@ class _Run:
                                  source_params, victim, self.weights)
             ch_out = open_channel(chain, f"b{i:03d}", name, TARGET, cfg.channel_funding,
                                   victim, target_params, self.weights)
-            self.meta[f"a{i:03d}-fund"] = ("fund", i, -1)
+            self.meta[ch_in.funding_outpoint.txid] = ("fund", i, -1)
             self.channels.append((ch_in, ch_out, name))
             fund_ids.append(ch_in.funding_outpoint.txid)
             fund_ids.append(ch_out.funding_outpoint.txid)
@@ -433,14 +432,16 @@ class _Run:
             self.meta[tx.id] = ("vclaim", i, first)
             runs.restate(self.spans[i], first, first + tx.count,
                          lambda span: span._replace(claim=tx.id, side="victim"))
-        self.claims_released[i] = None
         return len(claims)
 
     def _unbumped_victim_spans(self):
         """(channel, lo, hi, span) for every span with a pending victim claim
-        not yet fee-bumped, in the order the victims submitted their claims."""
-        for i in self.claims_released:
-            for lo, hi, span in list(self.spans[i]):
+        not yet fee-bumped, in channel index order.  That is the order the
+        victims submitted their claims in: every channel has the same delta,
+        feerate and commitment weight, so channels close, and their
+        commitments confirm, in index order."""
+        for i, spans in enumerate(self.spans):
+            for lo, hi, span in list(spans):
                 if span.side == "victim" and not span.bumped:
                     yield i, lo, hi, span
 

@@ -16,9 +16,10 @@ and rate-limit rules of the full BIP are deliberately out of scope.
 Cohorts: a Transaction with count k stands for k alike members submitted
 one after another.  Member m spends (ref.txid, ref.index + m) for each input
 ref and owns the outputs (id, m * len(outputs) + j).  Every rule above holds
-member by member; submit takes or refuses a cohort whole and raises
-ValueError where its members would not share one verdict, mining takes as
-many members of a fee class as fit in one step, and replacement evicts
+member by member; submit takes or refuses a cohort whole, and it raises
+ValueError unless the members' inputs, conflicts and evictions line up
+member by member (the caller then splits the cohort).  Mining takes as many
+members of a fee class as fit in one step, and replacement evicts
 member-aligned runs.  The unspent set and the mempool's spent index map a
 txid to a run map (htlcrace.runs) from output index to the output or to its
 spender, so cost follows cohorts and runs of alike outputs, not members.
@@ -59,58 +60,22 @@ class TxOutput(NamedTuple):
     kind: str = "plain"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Transaction:
+class Transaction(NamedTuple):
     """A transaction, or a cohort of `count` of them (see the module notes);
-    weight, fee and outputs are each member's own."""
+    weight, fee and outputs are each member's own.  A block that takes part
+    of a cohort holds members first .. first + count - 1 of it."""
     id: str
     inputs: tuple[OutputRef, ...]
     outputs: tuple[TxOutput, ...]
     weight: int
     fee: int
     rbf_signal: bool = False
-    count: int = 1
-
-    first = 0  # number of the first member; only a Slice starts elsewhere
-
-    def __init__(self, id: str, inputs: tuple[OutputRef, ...],
-                 outputs: tuple[TxOutput, ...], weight: int, fee: int,
-                 rbf_signal: bool = False, count: int = 1):
-        # Frozen: assignment raises.  The generated __init__ would fill each
-        # slot through object.__setattr__; the slot descriptors do the same
-        # at half the cost.
-        _set_id(self, id)
-        _set_inputs(self, inputs)
-        _set_outputs(self, outputs)
-        _set_weight(self, weight)
-        _set_fee(self, fee)
-        _set_rbf_signal(self, rbf_signal)
-        _set_count(self, count)
+    count: int = 1  # shadows tuple.count, which nothing calls on a Transaction
+    first: int = 0
 
     def outranks(self, other: "Transaction") -> bool:
         """Exact strictly-greater feerate comparison."""
         return self.fee * other.weight > other.fee * self.weight
-
-
-_set_id = Transaction.id.__set__
-_set_inputs = Transaction.inputs.__set__
-_set_outputs = Transaction.outputs.__set__
-_set_weight = Transaction.weight.__set__
-_set_fee = Transaction.fee.__set__
-_set_rbf_signal = Transaction.rbf_signal.__set__
-_set_count = Transaction.count.__set__
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class Slice(Transaction):
-    """Members first .. first + count - 1 of the cohort `id`: what a block
-    holds where it took only part of a cohort."""
-    first: int = 0
-
-    def __init__(self, cohort: Transaction, first: int, count: int):
-        Transaction.__init__(self, cohort.id, cohort.inputs, cohort.outputs,
-                             cohort.weight, cohort.fee, cohort.rbf_signal, count)
-        Slice.first.__set__(self, first)
 
 
 _value_of = itemgetter(0)
@@ -368,8 +333,8 @@ class ChainState:
             raise ValueError(f"duplicate transaction id {txid!r}")
         if not 0 < tx.weight <= MAX_TX_WEIGHT:
             raise ValueError(f"transaction weight {tx.weight} out of range")
-        if count < 1:
-            raise ValueError(f"cohort {txid!r} of {count} members")
+        if count < 1 or tx.first:  # a submitted cohort starts at member 0
+            raise ValueError(f"cohort {txid!r} of {count} members from member {tx.first}")
         inputs = tx.inputs
         if len(inputs) > 1:
             if len(set(inputs)) != len(inputs):
@@ -649,7 +614,8 @@ class ChainState:
                 value += taken * sum(map(_value_of, tx.outputs))
                 fees += taken * tx.fee
                 confirmed.add(txid)
-                selected.append(tx if taken == tx.count else Slice(tx, lo, taken))
+                selected.append(tx if taken == tx.count else Transaction(
+                    txid, tx.inputs, tx.outputs, weight, tx.fee, tx.rbf_signal, taken, lo))
                 if kids:
                     mp._release(tx, lo, end)
                 if not pieces[txid]:

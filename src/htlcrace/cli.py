@@ -181,13 +181,11 @@ def build_series(sc: Scenario) -> FeerateSeries | None:
         if not resolved.is_file():
             raise ScenarioError(f"missing-input: feerate csv not found: {resolved}")
         return ingest_feerate_csv(resolved)
-    return synthetic_feerate_series(
-        seed=v.get("synthetic_seed", sc.seed),
-        length=v.get("synthetic_length", 2016),
-        start_height=v.get("synthetic_start", 0),
-        low=v.get("synthetic_low", 500),
-        high=v.get("synthetic_high", 20_000),
-    )
+    return synthetic_feerate_series(  # with its own defaults for the keys left unset
+        v.get("synthetic_seed", sc.seed), v.get("synthetic_length", 2016),
+        **{param: v[key] for key, param in (("synthetic_start", "start_height"),
+                                            ("synthetic_low", "low"),
+                                            ("synthetic_high", "high")) if key in v})
 
 
 def build_attack_config(sc: Scenario, seed: int) -> AttackConfig:

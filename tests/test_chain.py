@@ -19,7 +19,6 @@ from htlcrace.chain import (
     Block,
     ChainState,
     OutputRef,
-    Slice,
     Transaction,
     TxOutput,
     available_space,
@@ -235,8 +234,8 @@ def test_feerate_ties_break_by_weight_then_submission():
 
 
 def audited_chain():
-    """Three mined blocks: a cohort of six cut into Slices of five and one, a
-    two-output single beside the second Slice, and a cohort of three spending
+    """Three mined blocks: a cohort of six cut into parts of five and one, a
+    two-output single beside the second part, and a cohort of three spending
     members 1..3 of the first.  Cohort outputs stay unspent on both sides of
     that gap."""
     chain = ChainState(blockmaxweight=2_000)
@@ -250,9 +249,8 @@ def audited_chain():
     kid = Transaction("K", (OutputRef("C", 1),), (TxOutput(8_000, "k"),), 400, 1_000, count=3)
     assert chain.submit(kid).ok
     chain.mine_block()
-    assert [[(type(t).__name__, t.id, t.first, t.count) for t in b.txs] for b in chain.blocks] == [
-        [("Slice", "C", 0, 5)], [("Slice", "C", 5, 1), ("Transaction", "P", 0, 1)],
-        [("Transaction", "K", 0, 3)]]
+    assert [[(t.id, t.first, t.count) for t in b.txs] for b in chain.blocks] == [
+        [("C", 0, 5)], [("C", 5, 1), ("P", 0, 1)], [("K", 0, 3)]]
     chain.audit()
     return chain
 
@@ -283,7 +281,7 @@ def test_audit_rejects_a_block_weight_that_is_off(height, delta):
 
 def test_audit_rejects_a_block_over_the_weight_limit():
     chain = audited_chain()
-    chain.blockmaxweight = 1_999  # block 1's Slice of five takes 2,000
+    chain.blockmaxweight = 1_999  # block 1's part of five takes 2,000
     with pytest.raises(AssertionError, match="weight bookkeeping"):
         chain.audit()
 
@@ -292,13 +290,13 @@ def spends_again(chain):
     cohort = chain.blocks[0].txs[0]
     kid = chain.blocks[2].txs[0]
     return {
-        # a grant member the first Slice spent
+        # a grant member the first part of C spent
         "single": Transaction("X", (OutputRef(cohort.inputs[0].txid, 2),),
                               (TxOutput(9_000, "x"),), 400, 1_000),
-        # members 3..4 of C again, as a Slice of C itself
-        "slice": Slice(cohort, 3, 2),
+        # members 3..4 of C again, as a part of C itself
+        "slice": cohort._replace(first=3, count=2),
         # K's last member again: C's output 3
-        "kid-slice": Slice(kid, 2, 1),
+        "kid-slice": kid._replace(first=2, count=1),
         # a cohort over C's outputs 2..5, of which 2 and 3 are spent
         "cohort": Transaction("Y", (OutputRef("C", 2),), (TxOutput(8_000, "y"),),
                               400, 1_000, count=4),
@@ -319,7 +317,7 @@ def test_audit_rejects_a_member_spent_twice_across_blocks(case):
 def test_audit_rejects_a_member_spent_twice_within_one_block():
     chain = audited_chain()
     kid = chain.blocks[2].txs[0]
-    forge(chain, 3, kid, Slice(kid, 1, 1))  # C's output 2 again
+    forge(chain, 3, kid, kid._replace(first=1, count=1))  # C's output 2 again
     with pytest.raises(AssertionError, match="missing or double-spent"):
         chain.audit()
 
@@ -330,10 +328,9 @@ def test_audit_rejects_a_fee_mismatch_in_a_confirmed_entry(height, at, cohort):
     chain = audited_chain()
     txs = list(chain.blocks[height - 1].txs)
     tx = txs[at]
-    changed = Transaction(tx.id, tx.inputs, tx.outputs, tx.weight, tx.fee + 1,
-                          tx.rbf_signal, tx.count)
-    txs[at] = Slice(changed, tx.first, tx.count) if isinstance(tx, Slice) else changed
-    assert (txs[at].count > 1 or isinstance(tx, Slice)) == cohort
+    txs[at] = tx._replace(fee=tx.fee + 1)
+    part = tx.count < {"C": 6, "P": 1, "K": 3}[tx.id]  # the counts audited_chain submits
+    assert (txs[at].count > 1 or part) == cohort
     forge(chain, height, *txs)
     with pytest.raises(AssertionError, match="fee mismatch"):
         chain.audit()
@@ -410,14 +407,14 @@ def test_a_channel_sized_cohort_life_holds_a_bounded_number_of_runs(n):
     assert (result.status, result.evicted) == ("replaced", ("A",))
     assert chain.mempool.spent == {"commit": [(2, 2 + q, "A"), (2 + q, 2 + q + half, "B"),
                                               (2 + q + half, 2 + n, "A")]}
-    slices = 0
+    parts = 0
     while chain.mempool.pending:
         block = chain.mine_block()
-        slices += sum(isinstance(tx, Slice) for tx in block.txs)
+        parts += sum(tx.count < {"A": n, "B": half}[tx.id] for tx in block.txs)
         check_runs(chain.utxo, 5)  # to_local, to_remote and three HTLC stretches
         check_runs(chain.mempool.spent, 3)
         assert len(utxo_of(chain)) == 2 + n  # each claim replaces the output it spends
-    assert slices >= 4
+    assert parts >= 4
     assert chain.mempool.spent == {}
     assert chain.utxo == {"commit": [(0, 1, local), (1, 2, remote)],
                           "A": [(0, q, won), (q + half, n, won)], "B": [(0, half, lost)]}
@@ -531,12 +528,26 @@ def test_default_limits():
 
 def test_transaction_is_frozen_and_fully_initialised():
     tx = Transaction("t", (), (TxOutput(5, "n"),), 400, 10)
-    every = {f.name: getattr(tx, f.name) for f in dataclasses.fields(Transaction)}
+    assert Transaction._fields == ("id", "inputs", "outputs", "weight", "fee",
+                                   "rbf_signal", "count", "first")
+    every = {name: getattr(tx, name) for name in Transaction._fields}
     assert every == {"id": "t", "inputs": (), "outputs": (TxOutput(5, "n"),),
-                     "weight": 400, "fee": 10, "rbf_signal": False, "count": 1}
+                     "weight": 400, "fee": 10, "rbf_signal": False, "count": 1, "first": 0}
     assert tx == Transaction(id="t", inputs=(), outputs=(TxOutput(5, "n"),),
                              weight=400, fee=10, rbf_signal=False)
-    assert hash(tx) == hash(dataclasses.replace(tx))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert hash(tx) == hash(tx._replace())
+    with pytest.raises(AttributeError):
         tx.fee = 11
-    assert dataclasses.replace(tx, fee=11).fee == 11
+    assert tx._replace(fee=11).fee == 11
+    assert tx.fee == 10
+
+
+@pytest.mark.parametrize("first", [1, 3])
+def test_submit_refuses_a_cohort_that_does_not_start_at_member_0(first):
+    chain = ChainState()
+    g = chain.grant("g", 10_000, count=4)
+    tx = Transaction("C", (g,), (TxOutput(9_000, "n"),), 400, 1_000, count=2, first=first)
+    with pytest.raises(ValueError, match=f"from member {first}"):
+        chain.submit(tx)
+    assert "C" not in chain.mempool and not chain.mempool.spent
+    assert chain.submit(tx._replace(first=0)).status == "accepted"

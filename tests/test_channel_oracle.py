@@ -4,7 +4,6 @@ operations, and after each one every outcome, balance and HTLC must agree."""
 
 import random
 from collections import Counter
-from dataclasses import fields
 
 import channel_reference as ref
 from htlcrace.chain import ChainState, OutputRef
@@ -19,7 +18,7 @@ HASH_MESSAGES = (UnknownPreimage, PreimageMissing)
 
 
 def tx_fields(tx):
-    return tuple(getattr(tx, f.name) for f in fields(tx))
+    return tuple(tx)
 
 
 def outcome(call):

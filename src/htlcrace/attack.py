@@ -176,13 +176,23 @@ def validate_config(cfg: AttackConfig) -> None:
             raise ConfigError("dynamic_delta needs slope >= 0 and cap >= 1")
     spec = cfg.background_traffic
     if spec is not None and not (0 < spec.weight_low <= spec.weight_high <= MAX_TX_WEIGHT
-                                 and 0 <= spec.feerate_low <= spec.feerate_high):
-        raise ConfigError("traffic needs 0 < weight_low <= weight_high <= "
-                          f"{MAX_TX_WEIGHT} and 0 <= feerate_low <= feerate_high")
+                                 and 0 <= spec.feerate_low <= spec.feerate_high
+                                 and spec.txs_per_tick >= 0
+                                 and (spec.end_height is None
+                                      or spec.start_height <= spec.end_height)):
+        raise ConfigError(f"traffic needs 0 < weight_low <= weight_high <= {MAX_TX_WEIGHT}, "
+                          "0 <= feerate_low <= feerate_high, txs_per_tick >= 0 and "
+                          "end_height >= start_height")
     try:
         victim = cfg.victim_params()
     except ValueError as exc:  # an unknown profile name
         raise ConfigError(str(exc)) from exc
+    w = cfg.weights
+    heaviest = max(w.commitment_weight(victim.max_accepted_htlcs), w.htlc_timeout,
+                   w.htlc_success + (ANCHOR_INPUT_WEIGHT if cfg.anchor_mode else 0))
+    if heaviest > MAX_TX_WEIGHT:
+        raise ConfigError(f"the run would build a transaction of weight {heaviest}, "
+                          f"over MAX_TX_WEIGHT {MAX_TX_WEIGHT}")
     # Set-up ends at the earliest when the funding confirms at height 1 and
     # the minimize window has passed.
     _check_expiry(cfg, victim, 1 + duration)

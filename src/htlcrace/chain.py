@@ -3,8 +3,9 @@ replacement, and greedy feerate-ordered block assembly.
 
 One block is mined per tick, there are no reorgs, and all amounts are integer
 satoshis.  Feerates are satoshi per 1000 weight units (sat/kWU); wherever a
-policy decision depends on a fee/weight ratio the comparison is done by
-integer cross-multiplication so results never hinge on float rounding.
+policy decision depends on a fee/weight ratio the comparison is exact in
+integers (cross-multiplied, or the mining queue's _rank) so results never
+hinge on float rounding.
 
 Replacement policy (submit): a transaction conflicting with pending
 transactions is accepted only if every direct conflict is replaceable --
@@ -19,7 +20,7 @@ ref and owns the outputs (id, m * len(outputs) + j).  Every rule above holds
 member by member; submit takes or refuses a cohort whole, and it raises
 ValueError unless the members' inputs, conflicts and evictions line up
 member by member (the caller then splits the cohort).  Mining takes as many
-members of a fee class as fit in one step, and replacement evicts
+members of the best queued piece as fit in one step, and replacement evicts
 member-aligned runs.  The unspent set and the mempool's spent index map a
 txid to a run map (htlcrace.runs) from output index to the output or to its
 spender, so cost follows cohorts and runs of alike outputs, not members.
@@ -27,8 +28,6 @@ spender, so cost follows cohorts and runs of alike outputs, not members.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
@@ -83,10 +82,14 @@ _value_of = itemgetter(0)
 
 def _take(index: dict, txid: str, lo: int, hi: int) -> list:
     """runs.take on index[txid], dropping the txid once it holds nothing."""
-    held = index.get(txid, [])
+    held = index.get(txid)
+    if not held:
+        return []
+    if lo <= held[0][0] and held[-1][1] <= hi:  # all of it
+        return index.pop(txid)
     taken = runs.take(held, lo, hi)
     if not held:
-        index.pop(txid, None)
+        del index[txid]
     return taken
 
 
@@ -143,26 +146,13 @@ class _Piece:
     base: int
     waits: int
 
-    def seq(self) -> int:
-        return self.base + self.lo
 
-
-class _FeeClass:
-    """Minable pieces sharing one (fee, weight), in submission order.
-    Classes order by exact feerate (highest first, cross-multiplied), then
-    by weight (lighter first: it packs better under a weight limit); within
-    a class submission order decides."""
-    __slots__ = ("fee", "weight", "entries")
-
-    def __init__(self, fee: int, weight: int):
-        self.fee = fee
-        self.weight = weight
-        self.entries: deque[_Piece] = deque()
-
-    def __lt__(self, other: "_FeeClass") -> bool:
-        mine = self.fee * other.weight
-        theirs = other.fee * self.weight
-        return mine > theirs or (mine == theirs and self.weight < other.weight)
+def _rank(fee: int, weight: int) -> int:
+    """Mining-queue key of feerate fee / weight, lower for a higher feerate.
+    Exact for weights up to MAX_TX_WEIGHT: two distinct feerates then differ
+    by more than 1 / MAX_TX_WEIGHT ** 2 > 2 ** -44, so their floors scaled by
+    2 ** 44 differ too."""
+    return -((fee << 44) // weight)
 
 
 @dataclass
@@ -174,16 +164,19 @@ class MempoolState:
     differs.  spent maps a txid to a run map (lo, hi, spender) of its outputs
     spent by pending members, which makes conflict detection cheap; children
     maps a cohort to the cohorts spending its outputs.  Pieces with no
-    pending parent wait in a _FeeClass; the classes form a heap (_queue),
-    and an emptied piece (evicted members) is dropped when mining reaches it.
+    pending parent wait in one heap (_queue) of (_rank, weight, base + lo,
+    piece) entries: highest feerate first, then lighter (it packs better
+    under a weight limit), then submission order.  A partly mined piece
+    keeps its key, which stays in place because a cohort's members hold
+    consecutive sequence numbers; an emptied piece (evicted members) is
+    dropped when mining reaches it.
     """
     pending: dict[str, Transaction] = field(default_factory=dict)
     pieces: dict[str, list[_Piece]] = field(default_factory=dict)
     spent: dict[str, list[tuple[int, int, str]]] = field(default_factory=dict)
     children: dict[str, list[str]] = field(default_factory=dict)
     members: int = 0
-    _classes: dict[tuple[int, int], _FeeClass] = field(default_factory=dict)
-    _queue: list[_FeeClass] = field(default_factory=list)
+    _queue: list[tuple[int, int, int, _Piece]] = field(default_factory=list)
     _next_seq: int = 0
 
     def __len__(self) -> int:
@@ -195,16 +188,8 @@ class MempoolState:
     def _enqueue(self, piece: _Piece) -> None:
         """Make a piece with no pending parent minable."""
         tx = piece.tx
-        key = (tx.fee, tx.weight)
-        cls = self._classes.get(key)
-        if cls is None:
-            cls = self._classes[key] = _FeeClass(tx.fee, tx.weight)
-            heapq.heappush(self._queue, cls)
-        entries = cls.entries
-        if entries and entries[-1].seq() > piece.seq():
-            insort(entries, piece, key=_Piece.seq)  # freed after later peers
-        else:
-            entries.append(piece)
+        heapq.heappush(self._queue, (_rank(tx.fee, tx.weight), tx.weight,
+                                     piece.base + piece.lo, piece))
 
     def parts(self, txid: str, lo: int, hi: int) -> list[tuple[int, int]]:
         """The pending members of `txid` among lo .. hi - 1, as maximal runs."""
@@ -269,13 +254,16 @@ class MempoolState:
         txid = tx.id
         del self.pending[txid]
         del self.pieces[txid]
-        self.children.pop(txid, None)
+        children = self.children
+        children.pop(txid, None)
+        if not children:
+            return
         for parent in {ref.txid for ref in tx.inputs}:
-            siblings = self.children.get(parent)
+            siblings = children.get(parent)
             if siblings and txid in siblings:
                 siblings.remove(txid)
                 if not siblings:
-                    del self.children[parent]
+                    del children[parent]
 
     def _unspend(self, tx: Transaction, lo: int, hi: int) -> None:
         for ref in tx.inputs:
@@ -376,11 +364,12 @@ class ChainState:
         mp.members += count
         for ref in inputs:
             _put(mp.spent, ref.txid, ref.index, ref.index + count, txid)
-        parents = {p if isinstance(p, str) else p[0] for p in shared}
-        parents.update(link[2] for link in links)
-        children = mp.children
-        for parent in parents:
-            children.setdefault(parent, []).append(txid)
+        if shared or links:
+            parents = {p if isinstance(p, str) else p[0] for p in shared}
+            parents.update(link[2] for link in links)
+            children = mp.children
+            for parent in parents:
+                children.setdefault(parent, []).append(txid)
         if not links:  # every member waits on the same parents: one piece
             piece = _Piece(tx, 0, count, base, len(shared))
             mp.pieces[txid] = [piece]
@@ -405,13 +394,18 @@ class ChainState:
         `links` as (first, end, cohort id)."""
         txid, lo = ref
         hi = lo + count
-        have, found = 0, set()
         held = self.utxo.get(txid)
+        pending = self.mempool.pending
+        if held is not None and len(held) == 1 and txid not in pending:
+            a, b, out = held[0]
+            if a <= lo and hi <= b:  # one unspent run holds every member's input
+                return out.value
+        have, found = 0, set()
         if held is not None:
             for a, b, out in runs.overlap(held, lo, hi):
                 have += b - a
                 found.add(out)
-        parent = self.mempool.pending.get(txid)
+        parent = pending.get(txid)
         if parent is not None and parent.outputs:
             nout = len(parent.outputs)
             if parent.count == 1:
@@ -562,10 +556,10 @@ class ChainState:
         """Greedy assembly: repeatedly take the best eligible member
         (parents confirmed or already selected), skipping ones that do not
         fit, until nothing else can be added.  The best member heads the
-        best fee class, and as many of its cohort's members as fit go in at
-        once -- one at a time when the cohort has pending children, which
-        may outrank it once freed.  A class whose weight no longer fits is
-        skipped whole for the rest of the block."""
+        best queued piece, and as many of its members as fit go in at once
+        -- one at a time when the cohort has pending children, which may
+        outrank it once freed.  A piece too heavy for the room left is set
+        aside and queued again after the block."""
         mp = self.mempool
         queue = mp._queue
         pieces = mp.pieces
@@ -576,54 +570,44 @@ class ChainState:
         value = self._utxo_value
         fees = self._fees_confirmed
         selected: list[Transaction] = []
-        skipped: list[_FeeClass] = []
+        skipped: list[tuple[int, int, int, _Piece]] = []
         while queue:
-            cls = queue[0]
-            entries = cls.entries
-            weight = cls.weight
-            if not entries:
-                heapq.heappop(queue)
-                del mp._classes[(cls.fee, weight)]
+            entry = queue[0]
+            piece = entry[3]
+            lo, hi = piece.lo, piece.hi
+            if lo >= hi:
+                heapq.heappop(queue)  # evicted after it was queued
                 continue
+            weight = entry[1]
             if weight > room:
                 skipped.append(heapq.heappop(queue))
                 continue
-            # This class stays the best until it runs dry, stops fitting,
-            # or a selection frees children that may outrank it.
-            while entries and weight <= room:
-                piece = entries[0]
-                lo, hi = piece.lo, piece.hi
-                if lo >= hi:
-                    entries.popleft()  # evicted after it was queued
-                    continue
-                tx = piece.tx
-                txid = tx.id
-                kids = txid in children
-                end = lo + 1 if kids else min(hi, lo + room // weight)
-                taken = end - lo
-                piece.lo = end
-                if end == hi:
-                    entries.popleft()
-                    pieces[txid].remove(piece)
-                room -= weight * taken
-                for ref in tx.inputs:  # parents precede children: topological
-                    for a, b, out in _take(utxo, ref.txid, ref.index + lo, ref.index + end):
-                        value -= (b - a) * out.value
-                mp._unspend(tx, lo, end)
-                _mint(utxo, txid, tx.outputs, lo, end)
-                value += taken * sum(map(_value_of, tx.outputs))
-                fees += taken * tx.fee
-                confirmed.add(txid)
-                selected.append(tx if taken == tx.count else Transaction(
-                    txid, tx.inputs, tx.outputs, weight, tx.fee, tx.rbf_signal, taken, lo))
-                if kids:
-                    mp._release(tx, lo, end)
-                if not pieces[txid]:
-                    mp._forget(tx)
-                if kids:
-                    break
-        for cls in skipped:
-            heapq.heappush(queue, cls)
+            tx = piece.tx
+            txid = tx.id
+            kids = txid in children
+            end = lo + 1 if kids else min(hi, lo + room // weight)
+            taken = end - lo
+            piece.lo = end  # a piece left in the queue keeps its key
+            if end == hi:
+                heapq.heappop(queue)
+                pieces[txid].remove(piece)
+            room -= weight * taken
+            for ref in tx.inputs:  # parents precede children: topological
+                for a, b, out in _take(utxo, ref.txid, ref.index + lo, ref.index + end):
+                    value -= (b - a) * out.value
+            mp._unspend(tx, lo, end)
+            _mint(utxo, txid, tx.outputs, lo, end)
+            value += taken * sum(map(_value_of, tx.outputs))
+            fees += taken * tx.fee
+            confirmed.add(txid)
+            selected.append(tx if taken == tx.count else Transaction(
+                txid, tx.inputs, tx.outputs, weight, tx.fee, tx.rbf_signal, taken, lo))
+            if kids:
+                mp._release(tx, lo, end)
+            if not pieces[txid]:
+                mp._forget(tx)
+        for entry in skipped:
+            heapq.heappush(queue, entry)
 
         self._utxo_value = value
         self._fees_confirmed = fees

@@ -21,6 +21,7 @@ from htlcrace.chain import (
     OutputRef,
     Transaction,
     TxOutput,
+    _rank,
     available_space,
 )
 
@@ -226,6 +227,40 @@ def test_feerate_ties_break_by_weight_then_submission():
     chain.submit(spend("light", [refs[2]], 100_000, 50, 500))
     # equal 100 sat/kWU everywhere: lighter tx first, then submission order.
     assert [t.id for t in chain.mine_block().txs] == ["light", "first", "second"]
+
+
+# The mining queue's integer rank orders feerates exactly as cross-multiplied
+# fee / weight comparisons do, for every weight submit accepts.
+
+
+def same_order(f1, w1, f2, w2):
+    cross = (f1 * w2 > f2 * w1) - (f1 * w2 < f2 * w1)  # +1: f1 / w1 is higher
+    ranked = (_rank(f1, w1) < _rank(f2, w2)) - (_rank(f1, w1) > _rank(f2, w2))
+    return cross == ranked
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, MAX_TX_WEIGHT), st.integers(1, MAX_TX_WEIGHT),
+       st.integers(0, 2**64), st.integers(0, 2**64), st.integers(-2, 2), st.booleans())
+def test_rank_orders_feerates_exactly(w1, w2, f1, f2, step, near):
+    if near:  # f2 / w2 within 2 / w2 of f1 / w1, and equal to it where it can be
+        f2 = max(0, f1 * w2 // w1 + step)
+    assert same_order(f1, w1, f2, w2)
+
+
+@pytest.mark.parametrize("t", [0, 1, 10**6, 2**40, (2**64 - 2) // MAX_TX_WEIGHT])
+def test_rank_separates_adjacent_fractions_at_the_largest_weights(t):
+    big = MAX_TX_WEIGHT
+    assert big ** 2 < 1 << 44  # what makes the rank exact
+    # hi / big exceeds lo / (big - 1) by 1 / (big * (big - 1)), the least
+    # two feerates at these weights can differ by
+    hi, lo = big - 1 + t * big, big - 2 + t * (big - 1)
+    assert hi * (big - 1) - lo * big == 1
+    assert _rank(hi, big) < _rank(lo, big - 1)
+    assert _rank(2 * t, big) == _rank(t, big // 2)
+    for f1, w1, f2, w2 in ((hi, big, lo, big - 1), (t, big, t, big - 1),
+                           (t + 1, big, t, big), (t + 1, big - 1, t, big - 1)):
+        assert same_order(f1, w1, f2, w2) and same_order(f2, w2, f1, w1)
 
 
 # ---------------------------------------------------------------------------

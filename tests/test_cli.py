@@ -398,8 +398,19 @@ def test_unknown_keys_are_config_errors(tmp_path, text):
     FAST_ATTACK + "    htlc_expiry_height = 8\n",
     FAST_FEE.replace("window = 4", "window = 0"),
     FAST_FEE.replace("minimize_duration = 36", "minimize_duration = -5"),
+    # transactions over MAX_TX_WEIGHT: a commitment of 724 + 483 * 9000
+    FAST_ATTACK + "\n    [weights]\n    per_htlc_output = 9000\n",
+    FAST_ATTACK + "\n    [weights]\n    htlc_success = 5000000\n",
+    FAST_ATTACK + "\n    [weights]\n    htlc_timeout = 4000001\n",
+    # 3999721 + ANCHOR_INPUT_WEIGHT; big blocks let the commitment confirm
+    FAST_ATTACK.replace("40000", "4000000")
+    + "    anchor_mode = true\n\n    [weights]\n    htlc_success = 3999721\n",
+    FAST_MATRIX + "\n    [policy:wide]\n    max_accepted_htlcs_override = 500\n"
+                  "\n    [weights]\n    per_htlc_output = 8000\n",
 ], ids=["sweep-from-0", "policy-delta-out-of-range", "attack-dynamic-delta-negative",
-        "attack-dynamic-delta-nan", "attack-expiry-too-soon", "fee-window-0", "fee-minimize-negative"])
+        "attack-dynamic-delta-nan", "attack-expiry-too-soon", "fee-window-0", "fee-minimize-negative",
+        "attack-commitment-too-heavy", "attack-success-too-heavy", "attack-timeout-too-heavy",
+        "attack-anchor-success-too-heavy", "policy-commitment-too-heavy"])
 def test_run_inputs_are_checked_at_configure(tmp_path, text):
     # Each would fail only once the runs start: validate must refuse it too.
     path = write_scenario(tmp_path, text)
@@ -502,6 +513,19 @@ def test_bad_traffic_is_a_config_error(tmp_path):
                                                   "    weight_low = 900\n    weight_high = 800\n")
     assert validate_scenario(path) == 2
     assert run_scenario(path, tmp_path / "out") == 2
+
+
+@pytest.mark.parametrize("lines", [
+    "txs_per_tick = -5\n",
+    "txs_per_tick = 2\n    start_height = 20\n    end_height = 19\n",
+], ids=["txs-per-tick-negative", "heights-inverted"])
+def test_traffic_that_could_never_run_is_a_config_error(tmp_path, lines):
+    # Neither can add a filler: refuse it rather than run with no traffic.
+    path = write_scenario(tmp_path, FAST_ATTACK + "\n    [traffic]\n    " + lines)
+    assert validate_scenario(path) == 2
+    out = tmp_path / "out"
+    assert run_scenario(path, out) == 2
+    assert "FAILED at stage configure" in (out / "summary.txt").read_text()
 
 
 def test_engine_value_error_is_a_runtime_error(tmp_path, monkeypatch):

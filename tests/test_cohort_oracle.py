@@ -261,6 +261,30 @@ def test_member_evicted_along_two_paths_counts_once():
     s.chain.audit()
 
 
+def test_a_partly_mined_piece_keeps_its_place():
+    # P, K and L share fee and weight, so submission order decides.  K spends
+    # P's members 1..4: its members 0-1 are minable at once and 2-3 wait on
+    # P's last two, which go one at a time (P has a pending child), each
+    # freeing one member of K.  A block then takes K's first member only, and
+    # the rest of that piece must still precede all of L, submitted later.
+    s = Session(random.Random(0))
+    s.limit = 1_200
+    s.chain = ChainState(s.limit)
+    g = s.chain.grant("g", 10_000, count=5)
+    h = s.chain.grant("h", 10_000, count=4)
+    s.submit(Transaction("P", (g,), (TxOutput(9_000, "p"),), 400, 1_000, count=5))
+    s.mine()
+    s.submit(Transaction("K", (OutputRef("P", 1),), (TxOutput(8_000, "k"),), 400, 1_000,
+                         count=4))
+    s.submit(Transaction("L", (h,), (TxOutput(9_000, "l"),), 400, 1_000, count=4))
+    while s.mine():  # each block as oracle_block orders the members
+        pass
+    assert [[(t.id, t.first, t.count) for t in b.txs] for b in s.chain.blocks] == [
+        [("P", 0, 3)], [("P", 3, 1), ("P", 4, 1), ("K", 0, 1)],
+        [("K", 1, 1), ("K", 2, 1), ("K", 3, 1)], [("L", 0, 3)], [("L", 3, 1)], []]
+    s.chain.audit()
+
+
 def test_cohort_sessions_match_member_by_member_references():
     seen = Counter()
     for seed in range(40):

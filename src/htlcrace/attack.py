@@ -163,6 +163,8 @@ def validate_config(cfg: AttackConfig) -> None:
         raise ConfigError("blockmaxweight must be positive")
     if cfg.min_htlc_amount < 0:
         raise ConfigError("min_htlc_amount must be non-negative")
+    if cfg.drain_cap < 0:
+        raise ConfigError("drain_cap must be non-negative")
     if cfg.preimage_release not in ("batch", "staggered"):
         raise ConfigError(f"unknown preimage_release {cfg.preimage_release!r}")
     kind, duration = parse_strategy(cfg.feerate_strategy)
@@ -544,11 +546,11 @@ class _Run:
             name = self.channels[i][2]
             parent = chain.mempool.pending[span.claim]
             member = lo - self.meta[span.claim][2]
-            out_value = parent.outputs[0].value
+            out_value = parent.outputs[0][2].value  # a claim's one output
             fee = min(fee_for_weight(CPFP_CHILD_FEERATE, CPFP_CHILD_WEIGHT), out_value)
             child = Transaction(
                 id=f"{parent.id}-bump{member}", inputs=(OutputRef(parent.id, member),),
-                outputs=(TxOutput(out_value - fee, name, "claim"),),
+                outputs=((0, 1, TxOutput(out_value - fee, name, "claim")),),
                 weight=CPFP_CHILD_WEIGHT, fee=fee, rbf_signal=True, count=hi - lo)
             result = chain.submit(child)
             if result.ok:
@@ -574,7 +576,7 @@ class _Run:
         n_weight = spec.weight_high - spec.weight_low + 1
         n_fee = spec.feerate_high - spec.feerate_low + 1
         k_weight, k_fee = n_weight.bit_length(), n_fee.bit_length()
-        outputs = (TxOutput(1000, "background", "plain"),)
+        outputs = ((0, 1, TxOutput(1000, "background", "plain")),)
         for j in range(spec.txs_per_tick):
             r = getrandbits(k_weight)
             while r >= n_weight:

@@ -14,23 +14,24 @@ ancestor -- and the newcomer pays strictly more total fee than everything it
 evicts while also beating each evicted transaction's feerate.  Absolute-fee
 and rate-limit rules of the full BIP are deliberately out of scope.
 
-Cohorts: a Transaction with count k stands for k alike members submitted
-one after another.  Member m spends (ref.txid, ref.index + m) for each input
-ref and owns the outputs (id, m * len(outputs) + j).  Every rule above holds
-member by member; submit takes or refuses a cohort whole, and it raises
-ValueError unless the members' inputs, conflicts and evictions line up
-member by member (the caller then splits the cohort).  Mining takes as many
-members of the best queued piece as fit in one step, and replacement evicts
-member-aligned runs.  The unspent set and the mempool's spent index map a
-txid to a run map (htlcrace.runs) from output index to the output or to its
-spender, so cost follows cohorts and runs of alike outputs, not members.
+Outputs and cohorts: a Transaction's outputs are a run map (htlcrace.runs)
+over one member's output indexes 0 .. nout - 1, ((lo, hi, TxOutput), ...)
+with alike neighbours joined, so a 483-HTLC commitment is three runs to
+submit, mine and audit.  A Transaction with count k stands for k alike
+members submitted one after another.  Member m spends (ref.txid, ref.index
++ m) for each input ref and owns the outputs (id, m * nout + j).  Every rule
+above holds member by member; submit takes or refuses a cohort whole, and it
+raises ValueError unless the members' inputs, conflicts and evictions line
+up member by member (the caller then splits the cohort).  Mining takes as
+many members of the best queued piece as fit in one step, and replacement
+evicts member-aligned runs.  The unspent set and the mempool's spent index
+map a txid to a run map from output index to the output or to its spender,
+so cost follows cohorts and runs of alike outputs, not members.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from . import runs
@@ -61,11 +62,11 @@ class TxOutput(NamedTuple):
 
 class Transaction(NamedTuple):
     """A transaction, or a cohort of `count` of them (see the module notes);
-    weight, fee and outputs are each member's own.  A block that takes part
-    of a cohort holds members first .. first + count - 1 of it."""
+    weight, fee and output runs are each member's own.  A block that takes
+    part of a cohort holds members first .. first + count - 1 of it."""
     id: str
     inputs: tuple[OutputRef, ...]
-    outputs: tuple[TxOutput, ...]
+    outputs: tuple[tuple[int, int, TxOutput], ...]
     weight: int
     fee: int
     rbf_signal: bool = False
@@ -75,9 +76,6 @@ class Transaction(NamedTuple):
     def outranks(self, other: "Transaction") -> bool:
         """Exact strictly-greater feerate comparison."""
         return self.fee * other.weight > other.fee * self.weight
-
-
-_value_of = itemgetter(0)
 
 
 def _take(index: dict, txid: str, lo: int, hi: int) -> list:
@@ -98,17 +96,15 @@ def _put(index: dict, txid: str, lo: int, hi: int, x) -> None:
     runs.put(index.setdefault(txid, []), lo, hi, x)
 
 
-def _mint(utxo: dict, txid: str, outputs: tuple[TxOutput, ...], lo: int, hi: int) -> None:
-    """Add the outputs of members lo .. hi - 1 of `txid` (member m's at
-    m * len(outputs) on), one run per stretch of alike outputs."""
-    n = len(outputs)
-    if n and outputs.count(outputs[0]) == n:  # alike outputs: one run for all members
-        return _put(utxo, txid, lo * n, hi * n, outputs[0])
-    stretches = [(out, len(list(same))) for out, same in groupby(outputs)]
+def _mint(utxo: dict, txid: str, outputs: tuple, lo: int, hi: int) -> None:
+    """Add the output runs of members lo .. hi - 1 of `txid`, member m's at
+    m * nout on."""
+    n = outputs[-1][1] if outputs else 0  # nout: the last run's end
+    if len(outputs) == 1:  # one run: one for all members
+        return _put(utxo, txid, lo * n, hi * n, outputs[0][2])
     for at in range(lo * n, hi * n, n or 1):  # no outputs: nothing to add
-        for out, k in stretches:
-            _put(utxo, txid, at, at + k, out)
-            at += k
+        for a, b, out in outputs:
+            _put(utxo, txid, at + a, at + b, out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,7 +228,7 @@ class MempoolState:
     def _release(self, parent: Transaction, lo: int, hi: int) -> None:
         """Members lo .. hi - 1 of `parent` left the mempool by confirmation."""
         txid = parent.id
-        nout = len(parent.outputs)
+        nout = parent.outputs[-1][1]  # its children spend some, so it has runs
         for kid in self.children.get(txid, ()):
             child = self.pending[kid]
             if parent.count == 1:
@@ -345,8 +341,11 @@ class ChainState:
             rival = self._rival(ref, count)
             if rival is not None:
                 direct.add(rival)
-        outputs = tx.outputs
-        out_value = outputs[0].value if len(outputs) == 1 else sum(map(_value_of, outputs))
+        out_value = at = 0
+        for a, b, out in tx.outputs:
+            if a != at or b <= a:
+                raise ValueError(f"tx {txid!r}: outputs are not non-empty runs from 0 on")
+            out_value, at = out_value + (b - a) * out.value, b
         if total_in - out_value != tx.fee or tx.fee < 0:
             raise ValueError(
                 f"tx {txid!r}: fee {tx.fee} != inputs {total_in} - outputs {out_value}"
@@ -395,39 +394,37 @@ class ChainState:
         txid, lo = ref
         hi = lo + count
         held = self.utxo.get(txid)
-        pending = self.mempool.pending
-        if held is not None and len(held) == 1 and txid not in pending:
+        parent = self.mempool.pending.get(txid)
+        single = parent is not None and parent.count == 1
+        if single:
+            held = parent.outputs  # all pending: the runs it will mint
+        elif held is not None and len(held) == 1 and parent is None:
             a, b, out = held[0]
             if a <= lo and hi <= b:  # one unspent run holds every member's input
                 return out.value
         have, found = 0, set()
-        if held is not None:
-            for a, b, out in runs.overlap(held, lo, hi):
+        for a, b, out in runs.overlap(held, lo, hi) if held else ():
+            have += b - a
+            found.add(out)
+        if single:
+            if have:
+                shared.add(txid)
+        elif parent is not None and parent.outputs:
+            outputs = parent.outputs
+            nout = outputs[-1][1]
+            for a, b in self.mempool.parts(txid, lo // nout, (hi - 1) // nout + 1):
+                if count == 1:
+                    shared.add((txid, a))
+                elif nout != 1:
+                    raise ValueError(
+                        f"cohort spends members of {txid!r}, which have several outputs")
+                else:
+                    links.append((a - lo, b - lo, txid))
                 have += b - a
-                found.add(out)
-        parent = pending.get(txid)
-        if parent is not None and parent.outputs:
-            nout = len(parent.outputs)
-            if parent.count == 1:
-                held = parent.outputs[max(lo, 0):max(hi, 0)]  # none below 0
-                if held:
-                    shared.add(txid)
-                    have += len(held)
-                    found.update(held)
-            else:
-                for a, b in self.mempool.parts(txid, lo // nout, (hi - 1) // nout + 1):
-                    if count == 1:
-                        shared.add((txid, a))
-                    elif nout != 1:
-                        raise ValueError(
-                            f"cohort spends members of {txid!r}, which have several outputs")
-                    else:
-                        links.append((a - lo, b - lo, txid))
-                    have += b - a
-                    found.add(parent.outputs[lo % nout])
+                found.add(runs.overlap(outputs, lo % nout, lo % nout + 1)[0][2])
         if not have:
             return None
-        values = set(map(_value_of, found))
+        values = {out.value for out in found}
         if have < count or len(values) != 1:
             raise ValueError(f"cohort inputs at {ref} differ or only partly exist")
         return values.pop()
@@ -470,7 +467,7 @@ class ChainState:
                     continue
                 # The newcomer cannot ride on outputs it is about to destroy.
                 if count == 1:
-                    if lo <= ref.index // len(gone.outputs) < hi:
+                    if lo <= ref.index // gone.outputs[-1][1] < hi:
                         return _REJECTED[REJECT_MISSING_INPUT]
                 elif ref.index == lo:
                     return _REJECTED[REJECT_MISSING_INPUT]
@@ -495,7 +492,7 @@ class ChainState:
             parent = mp.pending.get(ref.txid)
             if parent is None:
                 continue
-            nout = len(parent.outputs)
+            nout = parent.outputs[-1][1]
             a, b = (ref.index + lo) // nout, (ref.index + hi - 1) // nout + 1
             runs = mp.parts(ref.txid, a, b)
             if any(self._replaceable(ref.txid, *run) for run in runs):
@@ -518,8 +515,8 @@ class ChainState:
                 continue
             out.add(cur)
             txid, lo, hi = cur
-            nout = len(mp.pending[txid].outputs)
             for kid in mp.children.get(txid, ()):
+                nout = mp.pending[txid].outputs[-1][1]
                 child = mp.pending[kid]
                 for ref in child.inputs:
                     if ref.txid != txid:
@@ -597,7 +594,7 @@ class ChainState:
                     value -= (b - a) * out.value
             mp._unspend(tx, lo, end)
             _mint(utxo, txid, tx.outputs, lo, end)
-            value += taken * sum(map(_value_of, tx.outputs))
+            value += taken * sum((b - a) * out.value for a, b, out in tx.outputs)
             fees += taken * tx.fee
             confirmed.add(txid)
             selected.append(tx if taken == tx.count else Transaction(
@@ -655,7 +652,7 @@ class ChainState:
                     in_val += values.pop()
                 _mint(utxo, tx.id, tx.outputs, first, first + count)
                 fees += tx.fee * count
-                if in_val - sum(map(_value_of, tx.outputs)) != tx.fee:
+                if in_val - sum((b - a) * out.value for a, b, out in tx.outputs) != tx.fee:
                     raise AssertionError(f"fee mismatch in confirmed tx {tx.id}")
         left = sum((b - a) * out.value for runs in utxo.values() for a, b, out in runs)
         if left + fees != self._granted_total:

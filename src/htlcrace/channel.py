@@ -358,9 +358,9 @@ class Channel:
 
     def build_commitment(self, holder: str) -> Transaction:
         """Holder's current commitment: to_local, to_remote, then one output
-        per pending HTLC in id order, a run's outputs one repeated tuple.
-        Fee comes out of the initiator's output (guaranteed non-negative by
-        add_htlc)."""
+        per pending HTLC in id order, as one output run per stretch of alike
+        HTLC outputs.  Fee comes out of the initiator's output (guaranteed
+        non-negative by add_htlc)."""
         other = self.other(holder)
         weight = self.weights.commitment_weight(self.pending_count)
         fee = fee_for_weight(self.feerate, weight)
@@ -368,11 +368,12 @@ class Channel:
         remote = self.balances[other] - (fee if other == self.initiator else 0)
         if local < 0 or remote < 0:
             raise InsufficientBalance("initiator balance cannot cover commitment fee")
-        outputs = [TxOutput(local, holder, "to_local"),
-                   TxOutput(remote, other, "to_remote")]
+        outputs = [(0, 1, TxOutput(local, holder, "to_local")),
+                   (1, 2, TxOutput(remote, other, "to_remote"))]
         for lo, hi, h in self.runs:
             if not _settled(h):
-                outputs += (TxOutput(h.amount, self.channel_id, "htlc"),) * (hi - lo)
+                at = outputs[-1][1]
+                runs.put(outputs, at, at + hi - lo, TxOutput(h.amount, self.channel_id, "htlc"))
         self._build_count += 1
         return Transaction(
             id=f"{self.channel_id}-commit{self._build_count}-{holder}",
@@ -485,7 +486,7 @@ class Channel:
         self._build_count += 1
         return Transaction(
             f"{self.channel_id}-{_KIND_CODE[kind]}{self._build_count}-h{htlc_id}",
-            tuple(inputs), (TxOutput(total_in - fee, claimer, "claim"),),
+            tuple(inputs), ((0, 1, TxOutput(total_in - fee, claimer, "claim")),),
             weight, fee, rbf, count)
 
     def mark_claimed(self, htlc_id: int, by_timeout: bool, count: int = 1) -> None:
@@ -515,7 +516,7 @@ def open_channel(chain: ChainState, channel_id: str, initiator: str, peer: str,
         raise ValueError("funding must be positive")
     fee = fee_for_weight(initiator_params.channel_feerate, FUNDING_TX_WEIGHT)
     tx = Transaction(f"{channel_id}-fund", (chain.grant(initiator, funding + fee),),
-                     (TxOutput(funding, channel_id, "funding"),), FUNDING_TX_WEIGHT, fee)
+                     ((0, 1, TxOutput(funding, channel_id, "funding")),), FUNDING_TX_WEIGHT, fee)
     result = chain.submit(tx)
     if not result.ok:
         raise AssertionError(f"funding tx rejected: {result.reason}")

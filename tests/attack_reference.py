@@ -34,6 +34,7 @@ from htlcrace.chain import OutputRef, Transaction, TxOutput
 from htlcrace.channel import ANCHOR_INPUT_WEIGHT, ChannelParams, fee_for_weight
 from mining_reference import oracle_block
 from rbf_reference import oracle_submit
+from test_chain import flat_outputs
 
 
 class Result(NamedTuple):
@@ -83,7 +84,7 @@ class Chain:
         for tx in txs:
             for spent in tx.inputs:
                 del self.utxo[spent]
-            for k, out in enumerate(tx.outputs):
+            for k, out in enumerate(flat_outputs(tx)):
                 self.utxo[OutputRef(tx.id, k)] = out
         self.confirmed.update(ids)
         self.pending = [t for t in self.pending if t.id not in self.confirmed]
@@ -384,10 +385,10 @@ class _Run:
         for i, hid, claim in self.unbumped():
             name = self.channels[i][2]
             parent = next(t for t in chain.pending if t.id == claim.txid)
-            out_value = parent.outputs[0].value
+            out_value = flat_outputs(parent)[0].value
             fee = min(fee_for_weight(CPFP_CHILD_FEERATE, CPFP_CHILD_WEIGHT), out_value)
             child = Transaction(f"{parent.id}-bump", (OutputRef(parent.id, 0),),
-                                (TxOutput(out_value - fee, name, "claim"),),
+                                ((0, 1, TxOutput(out_value - fee, name, "claim")),),
                                 CPFP_CHILD_WEIGHT, fee, True)
             if chain.submit(child).ok:
                 self.meta[child.id] = ("bump", i, hid)
@@ -408,7 +409,7 @@ class _Run:
             weight = rng.randint(spec.weight_low, spec.weight_high)
             fee = fee_for_weight(rng.randint(spec.feerate_low, spec.feerate_high), weight)
             tx = Transaction(f"bg{h}.{j}", (chain.grant("background", 1000 + fee),),
-                             (TxOutput(1000, "background", "plain"),), weight, fee)
+                             ((0, 1, TxOutput(1000, "background", "plain")),), weight, fee)
             assert chain.submit(tx).ok
         return spec.txs_per_tick
 

@@ -5,7 +5,9 @@ HTLC with its own payment hash, preimage and set of parties that know it,
 and a published commitment that maps every HTLC id to its output.  Kept
 unchanged as the reference `tests/test_channel_oracle.py` drives the
 run-based `htlcrace.channel.Channel` against; it shares only the
-declarations (parameters, weights, errors) with it.
+declarations (parameters, weights, errors) with it.  It builds a
+commitment's outputs one per HTLC and hands them to the chain as the
+output runs a Transaction holds.
 """
 from __future__ import annotations
 
@@ -234,11 +236,17 @@ class Channel:
                    TxOutput(remote, other, "to_remote")]
         outputs += [_tuple_new(TxOutput, (htlc.amount, self.channel_id, "htlc"))
                     for htlc in self.pending_htlcs.values()]
+        runs = []  # the outputs as the chain takes them: alike neighbours joined
+        for k, out in enumerate(outputs):
+            if runs and runs[-1][2] == out:
+                runs[-1] = (runs[-1][0], k + 1, out)
+            else:
+                runs.append((k, k + 1, out))
         self._build_count += 1
         return Transaction(
             id=f"{self.channel_id}-commit{self._build_count}-{holder}",
             inputs=(self.funding_outpoint,),
-            outputs=tuple(outputs),
+            outputs=tuple(runs),
             weight=weight,
             fee=fee,
             rbf_signal=False,
@@ -356,7 +364,7 @@ class Channel:
         self._build_count += 1
         return Transaction(
             f"{self.channel_id}-{_KIND_CODE[kind]}{self._build_count}-h{htlc_id}",
-            tuple(inputs), (TxOutput(total_in - fee, claimer, "claim"),),
+            tuple(inputs), ((0, 1, TxOutput(total_in - fee, claimer, "claim")),),
             weight, fee, rbf, count)
 
     def mark_claimed(self, htlc_id: int, by_timeout: bool, count: int = 1) -> None:
@@ -383,7 +391,7 @@ def open_channel(chain: ChainState, channel_id: str, initiator: str, peer: str,
         raise ValueError("funding must be positive")
     fee = fee_for_weight(initiator_params.channel_feerate, FUNDING_TX_WEIGHT)
     tx = Transaction(f"{channel_id}-fund", (chain.grant(initiator, funding + fee),),
-                     (TxOutput(funding, channel_id, "funding"),), FUNDING_TX_WEIGHT, fee)
+                     ((0, 1, TxOutput(funding, channel_id, "funding")),), FUNDING_TX_WEIGHT, fee)
     result = chain.submit(tx)
     if not result.ok:
         raise AssertionError(f"funding tx rejected: {result.reason}")

@@ -9,6 +9,7 @@ list for the best transaction that may go in next.
 import random
 
 from htlcrace.chain import MAX_TX_WEIGHT, ChainState, OutputRef, Transaction, TxOutput
+from test_chain import flat_outputs
 
 
 def _better(a, a_pos, b, b_pos):
@@ -108,8 +109,12 @@ def random_session(seed):
         fee = rng.choice(FEERATES) * weight // 1000 + rng.choice((0, 0, 0, 1, -1))
         fee = max(0, min(fee, total - 2))
         share = (total - fee) // 2
-        outputs = ((TxOutput(total - fee, "n"),) if rng.random() < 0.5 else
-                   (TxOutput(share, "n"), TxOutput(total - fee - share, "n")))
+        if rng.random() < 0.5:
+            outputs = ((0, 1, TxOutput(total - fee, "n")),)
+        elif share == total - fee - share:  # alike outputs: one run
+            outputs = ((0, 2, TxOutput(share, "n")),)
+        else:
+            outputs = ((0, 1, TxOutput(share, "n")), (1, 2, TxOutput(total - fee - share, "n")))
         tx = Transaction(f"t{seed}-{j}", tuple(picks), outputs, weight, fee,
                          rng.random() < 0.7)
         result = chain.submit(tx)
@@ -118,7 +123,7 @@ def random_session(seed):
         gone = set(result.evicted)
         for old in pending:
             if old.id in gone:
-                for k in range(len(old.outputs)):
+                for k in range(len(flat_outputs(old))):
                     values.pop(OutputRef(old.id, k), None)
                 for ref in old.inputs:
                     if spender.get(ref) == old.id:
@@ -127,7 +132,7 @@ def random_session(seed):
         pending.append(tx)
         for ref in picks:
             spender[ref] = tx.id
-        for k, out in enumerate(outputs):
+        for k, out in enumerate(flat_outputs(tx)):
             values[OutputRef(tx.id, k)] = out.value
     while mine():
         pass

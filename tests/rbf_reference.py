@@ -9,6 +9,7 @@ by scanning input/output edges.
 import random
 
 from htlcrace.chain import ChainState, OutputRef, Transaction, TxOutput
+from test_chain import flat_outputs
 
 
 def _parents_of(tx, by_id):
@@ -50,9 +51,10 @@ def oracle_submit(pending, utxo_refs, tx):
     if len(set(tx.inputs)) != len(tx.inputs):
         return "rejected", "double-spend-of-own-input", frozenset()
     by_id = {t.id: t for t in pending}
-    pending_outputs = {OutputRef(t.id, i) for t in pending for i in range(len(t.outputs))}
     for ref in tx.inputs:
-        if ref not in utxo_refs and ref not in pending_outputs:
+        parent = by_id.get(ref.txid)
+        if ref not in utxo_refs and (
+                parent is None or not 0 <= ref.index < len(flat_outputs(parent))):
             return "rejected", "missing-input", frozenset()
     conflicts = [t for t in pending if set(t.inputs) & set(tx.inputs)]
     if not conflicts:
@@ -74,7 +76,7 @@ def oracle_submit(pending, utxo_refs, tx):
 
 def _spend(txid, inputs, total, fee, weight, rbf, owner="w"):
     return Transaction(txid, tuple(inputs),
-                       (TxOutput(total - fee, owner, "plain"),),
+                       ((0, 1, TxOutput(total - fee, owner, "plain")),),
                        weight, fee, rbf)
 
 
@@ -107,7 +109,7 @@ def random_case(seed):
         assert chain.submit(tx).status == "accepted"
         pending.append(tx)
         spent.update(ins)
-        for k, out in enumerate(tx.outputs):
+        for k, out in enumerate(flat_outputs(tx)):
             values[OutputRef(tx.id, k)] = out.value
 
     candidates = list(values)

@@ -33,6 +33,11 @@ def utxo_of(chain):
             for first, end, out in runs for i in range(first, end)}
 
 
+def flat_outputs(tx):
+    """tx's outputs expanded from their runs, one TxOutput per output index."""
+    return tuple(out for first, end, out in tx.outputs for _ in range(first, end))
+
+
 def set_utxo(chain, outputs):
     """Make the chain's live unspent set exactly `outputs` (as utxo_of
     gives it), as sorted runs joined where alike outputs meet."""
@@ -50,7 +55,7 @@ def spend(txid, inputs, in_value, fee, weight, rbf=False, owner="node"):
     return Transaction(
         id=txid,
         inputs=tuple(inputs),
-        outputs=(TxOutput(in_value - fee, owner, "plain"),),
+        outputs=((0, 1, TxOutput(in_value - fee, owner, "plain")),),
         weight=weight,
         fee=fee,
         rbf_signal=rbf,
@@ -134,7 +139,7 @@ def test_replacement_cannot_spend_output_it_evicts():
     bad = Transaction(
         id="B",
         inputs=(ref, OutputRef("A", 0)),
-        outputs=(TxOutput(100_000, "node", "plain"),),
+        outputs=((0, 1, TxOutput(100_000, "node", "plain")),),
         weight=900,
         fee=299_000,
         rbf_signal=False,
@@ -162,7 +167,7 @@ def test_malformed_transactions_raise():
         chain.submit(spend("W2", [ref], 100_000, 100, MAX_TX_WEIGHT + 1))
     with pytest.raises(ValueError):
         # declared fee disagrees with inputs - outputs
-        chain.submit(Transaction("F", (ref,), (TxOutput(90_000, "x", "plain"),),
+        chain.submit(Transaction("F", (ref,), ((0, 1, TxOutput(90_000, "x", "plain")),),
                                  400, 5_000, False))
     chain.submit(spend("A", [ref], 100_000, 1_000, 700))
     with pytest.raises(ValueError):
@@ -276,12 +281,14 @@ def audited_chain():
     chain = ChainState(blockmaxweight=2_000)
     g = chain.grant("g", 10_000, count=6)
     h = chain.grant("h", 50_000)
-    cohort = Transaction("C", (g,), (TxOutput(9_000, "n"),), 400, 1_000, count=6)
-    single = Transaction("P", (h,), (TxOutput(20_000, "a"), TxOutput(29_000, "b")), 800, 1_000)
+    cohort = Transaction("C", (g,), ((0, 1, TxOutput(9_000, "n")),), 400, 1_000, count=6)
+    single = Transaction("P", (h,), ((0, 1, TxOutput(20_000, "a")), (1, 2, TxOutput(29_000, "b"))),
+                         800, 1_000)
     assert chain.submit(cohort).ok and chain.submit(single).ok
     chain.mine_block()
     chain.mine_block()
-    kid = Transaction("K", (OutputRef("C", 1),), (TxOutput(8_000, "k"),), 400, 1_000, count=3)
+    kid = Transaction("K", (OutputRef("C", 1),), ((0, 1, TxOutput(8_000, "k")),), 400, 1_000,
+                      count=3)
     assert chain.submit(kid).ok
     chain.mine_block()
     assert [[(t.id, t.first, t.count) for t in b.txs] for b in chain.blocks] == [
@@ -327,16 +334,16 @@ def spends_again(chain):
     return {
         # a grant member the first part of C spent
         "single": Transaction("X", (OutputRef(cohort.inputs[0].txid, 2),),
-                              (TxOutput(9_000, "x"),), 400, 1_000),
+                              ((0, 1, TxOutput(9_000, "x")),), 400, 1_000),
         # members 3..4 of C again, as a part of C itself
         "slice": cohort._replace(first=3, count=2),
         # K's last member again: C's output 3
         "kid-slice": kid._replace(first=2, count=1),
         # a cohort over C's outputs 2..5, of which 2 and 3 are spent
-        "cohort": Transaction("Y", (OutputRef("C", 2),), (TxOutput(8_000, "y"),),
+        "cohort": Transaction("Y", (OutputRef("C", 2),), ((0, 1, TxOutput(8_000, "y")),),
                               400, 1_000, count=4),
         # an output that never existed
-        "never-made": Transaction("Z", (OutputRef("C", 6),), (TxOutput(8_000, "z"),),
+        "never-made": Transaction("Z", (OutputRef("C", 6),), ((0, 1, TxOutput(8_000, "z")),),
                                   400, 1_000),
     }
 
@@ -427,17 +434,19 @@ def test_a_channel_sized_cohort_life_holds_a_bounded_number_of_runs(n):
     local, remote = TxOutput(500_000, "bob", "to_local"), TxOutput(300_000, "alice", "to_remote")
     htlc = TxOutput(10_000, "chan", "htlc")
     fund = chain.grant("alice", 800_000 + 10_000 * n + 5_000)
-    commit = Transaction("commit", (fund,), (local, remote) + (htlc,) * n, commit_weight, 5_000)
+    commit = Transaction("commit", (fund,), ((0, 1, local), (1, 2, remote), (2, 2 + n, htlc)),
+                         commit_weight, 5_000)
     assert chain.submit(commit).ok
     chain.mine_block()
     assert chain.utxo["commit"] == [(0, 1, local), (1, 2, remote), (2, 2 + n, htlc)]
 
     won, lost = TxOutput(9_300, "bob", "claim"), TxOutput(8_600, "alice", "claim")
-    claim = Transaction("A", (OutputRef("commit", 2),), (won,), 700, 700, True, count=n)
+    claim = Transaction("A", (OutputRef("commit", 2),), ((0, 1, won),), 700, 700, True, count=n)
     assert chain.submit(claim).status == "accepted"
     assert chain.mempool.spent == {"commit": [(2, 2 + n, "A")]}
     q, half = n // 4, n // 2  # the replacement takes members q .. q + half - 1
-    rival = Transaction("B", (OutputRef("commit", 2 + q),), (lost,), 700, 1_400, count=half)
+    rival = Transaction("B", (OutputRef("commit", 2 + q),), ((0, 1, lost),), 700, 1_400,
+                        count=half)
     result = chain.submit(rival)
     assert (result.status, result.evicted) == ("replaced", ("A",))
     assert chain.mempool.spent == {"commit": [(2, 2 + q, "A"), (2 + q, 2 + q + half, "B"),
@@ -453,6 +462,50 @@ def test_a_channel_sized_cohort_life_holds_a_bounded_number_of_runs(n):
     assert chain.mempool.spent == {}
     assert chain.utxo == {"commit": [(0, 1, local), (1, 2, remote)],
                           "A": [(0, q, won), (q + half, n, won)], "B": [(0, half, lost)]}
+    chain.audit()
+
+
+A, B = TxOutput(100, "a"), TxOutput(200, "b")
+
+
+@pytest.mark.parametrize("outputs", [
+    ((1, 2, A),), ((0, 1, A), (2, 3, B)), ((0, 2, A), (1, 3, B)), ((0, 1, A), (1, 1, B)),
+    ((0, 0, A),), ((1, 2, B), (0, 1, A)),
+], ids=["not-from-0", "gap", "overlap", "empty-run", "empty-only-run", "unsorted"])
+def test_submit_refuses_outputs_that_are_not_runs_from_0(outputs):
+    chain = ChainState()
+    g = chain.grant("g", 10_000)
+    # a fee that adds up, so only the outputs' shape is wrong
+    fee = 10_000 - sum((b - a) * out.value for a, b, out in outputs)
+    with pytest.raises(ValueError, match="runs from 0"):
+        chain.submit(Transaction("T", (g,), outputs, 400, fee))
+    assert not chain.mempool.pending and not chain.mempool.spent
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3_000)), min_size=1, max_size=4),
+       st.integers(1, 6), st.integers(0, 10**6), st.booleans())
+def test_cohort_output_runs_expand_member_by_member(shape, k, pick, child):
+    # Member m of a cohort owns (id, m * nout + j), nout the last run's end;
+    # a single child may spend any one of them while the cohort is pending.
+    runs, nout = [], 0
+    for j, (length, value) in enumerate(shape):  # owners keep neighbours apart
+        runs.append((nout, nout + length, TxOutput(value, f"o{j}")))
+        nout += length
+    cohort = Transaction("C", (), tuple(runs), 400, 400, count=k)
+    flat = flat_outputs(cohort)
+    chain = ChainState(blockmaxweight=1_000)  # at most two members a block
+    g = chain.grant("g", sum(o.value for o in flat) + 400, count=k)
+    assert chain.submit(cohort._replace(inputs=(g,))).status == "accepted"
+    want = {OutputRef("C", m * nout + j): flat[j] for m in range(k) for j in range(nout)}
+    if child:
+        ref = OutputRef("C", pick % (k * nout))
+        out = TxOutput(want.pop(ref).value, "k")
+        assert chain.submit(Transaction("K", (ref,), ((0, 1, out),), 400, 0)).ok
+        want[OutputRef("K", 0)] = out
+    while chain.mempool.pending:
+        chain.mine_block()
+    assert utxo_of(chain) == want
     chain.audit()
 
 
@@ -562,13 +615,13 @@ def test_default_limits():
 
 
 def test_transaction_is_frozen_and_fully_initialised():
-    tx = Transaction("t", (), (TxOutput(5, "n"),), 400, 10)
+    tx = Transaction("t", (), ((0, 1, TxOutput(5, "n")),), 400, 10)
     assert Transaction._fields == ("id", "inputs", "outputs", "weight", "fee",
                                    "rbf_signal", "count", "first")
     every = {name: getattr(tx, name) for name in Transaction._fields}
-    assert every == {"id": "t", "inputs": (), "outputs": (TxOutput(5, "n"),),
+    assert every == {"id": "t", "inputs": (), "outputs": ((0, 1, TxOutput(5, "n")),),
                      "weight": 400, "fee": 10, "rbf_signal": False, "count": 1, "first": 0}
-    assert tx == Transaction(id="t", inputs=(), outputs=(TxOutput(5, "n"),),
+    assert tx == Transaction(id="t", inputs=(), outputs=((0, 1, TxOutput(5, "n")),),
                              weight=400, fee=10, rbf_signal=False)
     assert hash(tx) == hash(tx._replace())
     with pytest.raises(AttributeError):
@@ -581,7 +634,7 @@ def test_transaction_is_frozen_and_fully_initialised():
 def test_submit_refuses_a_cohort_that_does_not_start_at_member_0(first):
     chain = ChainState()
     g = chain.grant("g", 10_000, count=4)
-    tx = Transaction("C", (g,), (TxOutput(9_000, "n"),), 400, 1_000, count=2, first=first)
+    tx = Transaction("C", (g,), ((0, 1, TxOutput(9_000, "n")),), 400, 1_000, count=2, first=first)
     with pytest.raises(ValueError, match=f"from member {first}"):
         chain.submit(tx)
     assert "C" not in chain.mempool and not chain.mempool.spent

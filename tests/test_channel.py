@@ -31,7 +31,7 @@ from htlcrace.channel import (
     open_channel,
     profile_params,
 )
-from test_chain import utxo_of
+from test_chain import flat_outputs, utxo_of
 
 
 def htlcs(ch):
@@ -82,7 +82,7 @@ def test_open_spends_one_grant_of_funding_plus_fee_whole():
     assert fund.fee == fee and fund.weight == FUNDING_TX_WEIGHT
     [grant] = fund.inputs
     assert utxo_of(chain)[grant] == TxOutput(1_000_000 + fee, "alice", "grant")
-    assert fund.outputs == (TxOutput(1_000_000, "chan", "funding"),)  # no change
+    assert fund.outputs == ((0, 1, TxOutput(1_000_000, "chan", "funding")),)  # no change
     chain.mine_block()
     assert not any(r.txid == grant.txid for r in utxo_of(chain))
 
@@ -116,7 +116,11 @@ def test_commitment_weight_and_fee_hand_checked():
     full = ch.build_commitment("alice")
     assert full.weight == 83_800
     assert full.fee == 2_500 * 83_800 // 1000 == 209_500
-    assert len(full.outputs) == 2 + 483
+    local, remote = 2_000_000 - 483 * 2_000 - full.fee, 0
+    assert full.outputs == ((0, 1, TxOutput(local, "alice", "to_local")),
+                            (1, 2, TxOutput(remote, "bob", "to_remote")),
+                            (2, 2 + 483, TxOutput(2_000, ch.channel_id, "htlc")))
+    assert len(flat_outputs(full)) == 2 + 483
 
 
 def test_commitment_weight_linear_in_htlc_count():
@@ -134,7 +138,7 @@ def test_commitment_conserves_funding():
         ch.add_htlc("alice", 11_000 + k, k, 100)
     for holder in ("alice", "bob"):
         tx = ch.build_commitment(holder)
-        assert sum(o.value for o in tx.outputs) + tx.fee == 1_000_000
+        assert sum(o.value for o in flat_outputs(tx)) + tx.fee == 1_000_000
 
 
 def test_both_commitments_carry_identical_htlc_sets():
@@ -142,18 +146,21 @@ def test_both_commitments_carry_identical_htlc_sets():
     amounts = [7_000, 9_000, 7_000, 12_345]
     for k, a in enumerate(amounts):
         ch.add_htlc("alice", a, k, 100)
-    mine = sorted(o.value for o in ch.build_commitment("alice").outputs if o.kind == "htlc")
-    theirs = sorted(o.value for o in ch.build_commitment("bob").outputs if o.kind == "htlc")
+    mine = sorted(o.value for o in flat_outputs(ch.build_commitment("alice"))
+                  if o.kind == "htlc")
+    theirs = sorted(o.value for o in flat_outputs(ch.build_commitment("bob"))
+                    if o.kind == "htlc")
     assert mine == theirs == sorted(amounts)
 
 
 def test_fee_always_comes_out_of_initiator_output():
     chain, ch = fresh_channel(funding=1_000_000, feerate=2_500)
     ours = ch.build_commitment("alice")
-    assert ours.outputs[0].kind == "to_local" and ours.outputs[0].owner == "alice"
-    assert ours.outputs[0].value == 1_000_000 - ours.fee
+    to_local = flat_outputs(ours)[0]
+    assert to_local.kind == "to_local" and to_local.owner == "alice"
+    assert to_local.value == 1_000_000 - ours.fee
     theirs = ch.build_commitment("bob")
-    to_remote = next(o for o in theirs.outputs if o.owner == "alice")
+    to_remote = next(o for o in flat_outputs(theirs) if o.owner == "alice")
     assert to_remote.value == 1_000_000 - theirs.fee
 
 
@@ -250,7 +257,7 @@ def test_random_offchain_traffic_conserves_funding(seed):
         assert ch.balances["alice"] + ch.balances["bob"] + in_flight(ch) == 1_000_000
         assert min(ch.balances.values()) >= 0
         tx = ch.build_commitment("bob")
-        assert sum(o.value for o in tx.outputs) + tx.fee == 1_000_000
+        assert sum(o.value for o in flat_outputs(tx)) + tx.fee == 1_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from htlcrace.chain import ChainState, OutputRef
 from htlcrace.channel import (
     CLAIM_KINDS, ChannelParams, PreimageMissing, UnknownPreimage, open_channel,
 )
+from test_chain import flat_outputs
 from test_channel import htlcs as expand
 
 PARTIES = ("alice", "bob")
@@ -18,7 +19,11 @@ HASH_MESSAGES = (UnknownPreimage, PreimageMissing)
 
 
 def tx_fields(tx):
-    return tuple(tx)
+    """tx's fields, its outputs expanded one per index; the output runs must
+    meet end to start, with alike neighbours joined."""
+    runs = tx.outputs
+    assert all(b == c and x != y for (_, b, x), (c, _, y) in zip(runs, runs[1:])), runs
+    return tuple(tx._replace(outputs=flat_outputs(tx)))
 
 
 def outcome(call):

@@ -49,6 +49,9 @@ def read_csv(path):
 
 def test_validate_accepts_wellformed_file(tmp_path):
     assert validate_scenario(write_scenario(tmp_path, FAST_ATTACK)) == 0
+    # the race may stop at expiry itself
+    assert validate_scenario(write_scenario(tmp_path, FAST_ATTACK + "    drain_cap = 0\n",
+                                            "drain0.ini")) == 0
 
 
 def test_seed_is_mandatory(tmp_path):
@@ -407,10 +410,13 @@ def test_unknown_keys_are_config_errors(tmp_path, text):
     + "    anchor_mode = true\n\n    [weights]\n    htlc_success = 3999721\n",
     FAST_MATRIX + "\n    [policy:wide]\n    max_accepted_htlcs_override = 500\n"
                   "\n    [weights]\n    per_htlc_output = 8000\n",
+    # a race stopped before expiry: the attacker never acts
+    FAST_ATTACK.replace("40000", "100000") + "    drain_cap = -1\n",
 ], ids=["sweep-from-0", "policy-delta-out-of-range", "attack-dynamic-delta-negative",
         "attack-dynamic-delta-nan", "attack-expiry-too-soon", "fee-window-0", "fee-minimize-negative",
         "attack-commitment-too-heavy", "attack-success-too-heavy", "attack-timeout-too-heavy",
-        "attack-anchor-success-too-heavy", "policy-commitment-too-heavy"])
+        "attack-anchor-success-too-heavy", "policy-commitment-too-heavy",
+        "attack-drain-cap-negative"])
 def test_run_inputs_are_checked_at_configure(tmp_path, text):
     # Each would fail only once the runs start: validate must refuse it too.
     path = write_scenario(tmp_path, text)

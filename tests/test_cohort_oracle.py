@@ -22,7 +22,7 @@ from htlcrace.chain import (
 )
 from mining_reference import oracle_block
 from rbf_reference import oracle_submit
-from test_chain import utxo_of
+from test_chain import flat_outputs, utxo_of
 
 FEERATES = (1_000, 2_000, 2_500, 5_000)
 WEIGHTS = (400, 500, 800, 1_000)
@@ -39,6 +39,7 @@ class Session:
         self.pending = []    # expanded pending members, in submission order
         self.seen = Counter()
         self.counter = 0
+        self.commitments = set()  # ids of commitment-shaped singles
 
     # -- expansion ---------------------------------------------------------
 
@@ -50,7 +51,7 @@ class Session:
         tx = self.cohorts.get(txid)
         if tx is None or tx.count == 1:
             return OutputRef(txid, index)
-        nout = len(tx.outputs)
+        nout = len(flat_outputs(tx))
         return OutputRef(self.member_id(txid, index // nout), index % nout)
 
     def members(self, tx, first=0, count=None):
@@ -69,6 +70,8 @@ class Session:
         """Submit a cohort, checking it against the references member by
         member; on ValueError submit its two halves instead."""
         self.cohorts[tx.id] = tx
+        parents = {r.txid for r in tx.inputs} & self.commitments
+        pending_parents = parents & set(self.chain.mempool.pending)
         confirmed = self.confirmed_refs()
         mirror = list(self.pending)
         verdicts = []
@@ -102,6 +105,10 @@ class Session:
             assert len(self.chain.mempool) == len(mirror)
             self.seen["cohort" if tx.count > 1 else "single"] += 1
             self.seen["large-cohort"] += tx.count >= 200
+            self.seen["commitment"] += tx.id in self.commitments
+            for parent in parents if tx.count > 1 else ():
+                self.seen["commitment-child-" + (
+                    "pending" if parent in pending_parents else "confirmed")] += 1
             if result.status == "replaced":
                 self.seen["replaced"] += 1
                 self.seen["evicted-members"] += len(gone)
@@ -152,10 +159,13 @@ class Session:
             else:
                 out.append((txid, i, 1, o.value))
         for txid, tx in self.chain.mempool.pending.items():
-            if tx.count == 1:
-                out += [(txid, k, 1, o.value) for k, o in enumerate(tx.outputs)]
-            elif len(tx.outputs) == 1:
-                out += [(txid, a, b - a, tx.outputs[0].value)
+            flat = flat_outputs(tx)
+            if txid in self.commitments:
+                out += [(txid, a, b - a, o.value) for a, b, o in tx.outputs]
+            elif tx.count == 1:
+                out += [(txid, k, 1, o.value) for k, o in enumerate(flat)]
+            elif len(flat) == 1:
+                out += [(txid, a, b - a, flat[0].value)
                         for a, b in self.chain.mempool.parts(txid, 0, tx.count)]
         return out
 
@@ -166,8 +176,9 @@ class Session:
         if ref in utxo:
             return utxo[ref].value
         tx = self.chain.mempool.pending.get(ref.txid)
-        if tx is not None and ref.index < tx.count * len(tx.outputs):
-            return tx.outputs[ref.index % len(tx.outputs)].value
+        flat = flat_outputs(tx) if tx is not None else ()
+        if flat and ref.index < tx.count * len(flat):
+            return flat[ref.index % len(flat)].value
         return 1_000
 
     def conflicting(self):
@@ -183,19 +194,46 @@ class Session:
         refs = self.rng.sample(refs, k=self.rng.randint(1, len(refs)))
         return refs, hi - lo, tx
 
-    def random_cohort(self):
+    def commitment(self):
+        """A single shaped like a commitment, spending one spendable output:
+        to_local and to_remote, then 1 to 60 alike HTLC outputs."""
+        rng = self.rng
+        runs = self.runs()
+        if not runs:
+            return None
+        txid_, start, _, value = rng.choice(runs)
+        htlcs = rng.randint(1, 60)
+        if value < 2 * (htlcs + 2):
+            return None
+        self.counter += 1
+        txid = f"k{self.counter}"
+        weight = rng.choice(WEIGHTS)
+        fee = min(rng.choice(FEERATES) * weight // 1000, value // 2)
+        amount = rng.randint(1, (value - fee) // (htlcs + 2))
+        local = (value - fee - htlcs * amount) // 2
+        self.commitments.add(txid)
+        return Transaction(txid, (OutputRef(txid_, start),),
+                           ((0, 1, TxOutput(local, "a", "to_local")),
+                            (1, 2, TxOutput(value - fee - htlcs * amount - local, "b",
+                                            "to_remote")),
+                            (2, 2 + htlcs, TxOutput(amount, "n", "htlc"))),
+                           weight, fee, rng.random() < 0.7)
+
+    def random_cohort(self, among=None):
+        """A random cohort; given `among`, one spending stretches of outputs
+        of those txids only."""
         rng = self.rng
         self.counter += 1
         txid = f"c{self.counter}"
         target = None
-        if rng.random() < 0.3 and (found := self.conflicting()) is not None:
+        if among is None and rng.random() < 0.3 and (found := self.conflicting()) is not None:
             refs, count, target = found
             if rng.random() < 0.2:  # shift: members clash with the wrong ones
                 refs = [OutputRef(r.txid, r.index + rng.choice((-1, 1))) for r in refs]
             utxo = utxo_of(self.chain)
             total = sum(self.value_at(ref, utxo) for ref in refs)
         else:
-            runs = self.runs()
+            runs = [r for r in self.runs() if among is None or r[0] in among and r[2] > 1]
             if not runs:
                 return None
             picks = rng.sample(runs, k=min(len(runs), rng.choice((1, 1, 2))))
@@ -214,23 +252,36 @@ class Session:
         fee = max(0, min(fee, total - 2))
         if count == 1 and rng.random() < 0.3:
             half = (total - fee) // 2
-            outputs = (TxOutput(half, "n"), TxOutput(total - fee - half, "n"))
+            outputs = ((0, 1, TxOutput(half, "n")), (1, 2, TxOutput(total - fee - half, "n")))
+            if 2 * half == total - fee:  # alike outputs: one run
+                outputs = ((0, 2, TxOutput(half, "n")),)
         else:
-            outputs = (TxOutput(total - fee, "n"),)
+            outputs = ((0, 1, TxOutput(total - fee, "n")),)
         return Transaction(txid, tuple(refs), outputs, weight, fee,
                            rng.random() < 0.7, count)
 
 
-def run_session(seed):
+def run_session(seed, commitments=False):
+    """One session; with `commitments`, some steps submit commitment-shaped
+    singles and some cohorts that spend outputs of them only."""
     rng = random.Random(seed)
     s = Session(rng)
     for i in range(rng.randint(2, 3)):
         s.chain.grant(f"g{i}", rng.randint(20_000, 80_000), count=rng.choice((1, 40, 500)))
     for _ in range(rng.randint(15, 30)):
-        if rng.random() < 0.3:
+        step = rng.random()
+        if step < 0.3:
             s.mine()
             continue
-        tx = s.random_cohort()
+        if commitments and step < 0.45:
+            tx = s.commitment()
+            if tx is not None:  # and at once a cohort spending it while pending
+                s.submit(tx)
+                tx = s.random_cohort(among={tx.id})
+        elif commitments and step < 0.75:
+            tx = s.random_cohort(among=s.commitments)
+        else:
+            tx = s.random_cohort()
         if tx is not None:
             s.submit(tx)
     while s.mine():
@@ -246,15 +297,15 @@ def test_member_evicted_along_two_paths_counts_once():
     s = Session(random.Random(0))
     g = s.chain.grant("g", 100_000)
     h = s.chain.grant("h", 30_000, count=3)
-    p = Transaction("P", (g,), (TxOutput(33_000, "n"),) * 3, 500, 1_000, True)
-    y = Transaction("Y", (h,), (TxOutput(29_000, "n"),), 400, 1_000, True, count=3)
-    k = Transaction("K", (OutputRef("P", 0), OutputRef("Y", 0)), (TxOutput(61_000, "n"),),
+    p = Transaction("P", (g,), ((0, 3, TxOutput(33_000, "n")),), 500, 1_000, True)
+    y = Transaction("Y", (h,), ((0, 1, TxOutput(29_000, "n")),), 400, 1_000, True, count=3)
+    k = Transaction("K", (OutputRef("P", 0), OutputRef("Y", 0)), ((0, 1, TxOutput(61_000, "n")),),
                     400, 1_000, True, count=3)
     for tx in (p, y, k):
         s.submit(tx)
     for fee in (5_000, 5_001):  # evicted: P, Y's last member and all of K
         s.submit(Transaction(f"N{fee}", (g, OutputRef(h.txid, 2)),
-                             (TxOutput(130_000 - fee, "n"),), 600, fee))
+                             ((0, 1, TxOutput(130_000 - fee, "n")),), 600, fee))
     assert s.seen["insufficient-replacement-fee"] == 1 and s.seen["replaced"] == 1
     while s.mine():
         pass
@@ -272,11 +323,11 @@ def test_a_partly_mined_piece_keeps_its_place():
     s.chain = ChainState(s.limit)
     g = s.chain.grant("g", 10_000, count=5)
     h = s.chain.grant("h", 10_000, count=4)
-    s.submit(Transaction("P", (g,), (TxOutput(9_000, "p"),), 400, 1_000, count=5))
+    s.submit(Transaction("P", (g,), ((0, 1, TxOutput(9_000, "p")),), 400, 1_000, count=5))
     s.mine()
-    s.submit(Transaction("K", (OutputRef("P", 1),), (TxOutput(8_000, "k"),), 400, 1_000,
+    s.submit(Transaction("K", (OutputRef("P", 1),), ((0, 1, TxOutput(8_000, "k")),), 400, 1_000,
                          count=4))
-    s.submit(Transaction("L", (h,), (TxOutput(9_000, "l"),), 400, 1_000, count=4))
+    s.submit(Transaction("L", (h,), ((0, 1, TxOutput(9_000, "l")),), 400, 1_000, count=4))
     while s.mine():  # each block as oracle_block orders the members
         pass
     assert [[(t.id, t.first, t.count) for t in b.txs] for b in s.chain.blocks] == [
@@ -296,4 +347,15 @@ def test_cohort_sessions_match_member_by_member_references():
                  "insufficient-replacement-fee"):
         assert seen[what] > 5, seen
     assert seen["evicted-members"] > 500, seen
+    print(dict(seen))
+
+
+def test_commitment_shaped_parents_match_member_by_member_references():
+    # Singles with a few output runs, spent a stretch at a time by cohorts
+    # while they are pending and after they confirm.
+    seen = Counter()
+    for seed in range(15):
+        seen.update(run_session(9_000 + seed, commitments=True))
+    for what in ("commitment", "commitment-child-pending", "commitment-child-confirmed"):
+        assert seen[what] > 5, seen
     print(dict(seen))

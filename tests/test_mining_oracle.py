@@ -36,7 +36,7 @@ def test_float_feerate_tie_is_broken_exactly():
     for txid, fee, weight in (("richer", 7_788_721_690, 3_179_719),
                               ("lighter", 7_788_716_791, 3_179_717)):
         ref = chain.grant(txid, fee + 1_000)
-        pair.append(Transaction(txid, (ref,), (TxOutput(1_000, "n"),), weight, fee))
+        pair.append(Transaction(txid, (ref,), ((0, 1, TxOutput(1_000, "n")),), weight, fee))
     for tx in reversed(pair):
         assert chain.submit(tx).status == "accepted"
     assert oracle_block(list(reversed(pair)), chain.blockmaxweight) == ["richer"]

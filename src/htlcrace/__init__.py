@@ -23,14 +23,13 @@ from .channel import (
     fee_for_weight, open_channel, profile_params,
 )
 from .fees import (
-    FeerateSeries, FillerBlock, SeriesError, SpaceAnalysis, StrategyOutcome,
+    ConfigError, FeerateSeries, FillerBlock, SpaceAnalysis, StrategyOutcome,
     fraction_of_time_above, ingest_feerate_csv, simulate_feerate_strategy,
     synthetic_blocks, synthetic_feerate_series, victim_available_space,
 )
 from .attack import (
-    AttackConfig, AttackReport, ConfigError, TraceRow, TrafficSpec,
-    break_even_channels, compute_htlc_value, min_channels_guaranteed_theft,
-    run_attack, sweep_channels,
+    AttackConfig, AttackReport, TraceRow, TrafficSpec, break_even_channels,
+    compute_htlc_value, min_channels_guaranteed_theft, run_attack, sweep_channels,
 )
 from .mitigations import (
     MatrixRow, MitigationPolicy, apply_policy, apply_to_config,
@@ -43,7 +42,7 @@ __all__ = [
     "AttackConfig", "AttackReport", "Block", "ChainState", "Channel",
     "ChannelError", "ChannelParams", "ConfigError", "DEFAULT_BLOCKMAXWEIGHT",
     "FeerateSeries", "FillerBlock", "MAX_TX_WEIGHT", "MatrixRow",
-    "MitigationPolicy", "OutputRef", "PROFILES", "SeriesError", "SpaceAnalysis",
+    "MitigationPolicy", "OutputRef", "PROFILES", "SpaceAnalysis",
     "StrategyOutcome", "SubmitResult", "TraceRow", "TrafficSpec", "Transaction",
     "TxOutput", "WeightSchedule", "apply_policy", "apply_to_config",
     "available_space", "break_even_channels", "compute_htlc_value",

@@ -39,16 +39,12 @@ from .channel import (
     ANCHOR_INPUT_WEIGHT, Channel, ChannelParams, WeightSchedule, fee_for_weight,
     open_channel, profile_params,
 )
-from .fees import FeerateSeries, parse_strategy, running_minimum
+from .fees import ConfigError, FeerateSeries, parse_strategy, running_minimum
 
 SOURCE = "attacker-source"
 TARGET = "attacker-target"
 CPFP_CHILD_WEIGHT = 400
 CPFP_CHILD_FEERATE = 25_000
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def compute_htlc_value(balance: int, max_in_flight: int | None,

@@ -178,9 +178,6 @@ class MempoolState:
     def __len__(self) -> int:
         return self.members
 
-    def __contains__(self, txid: str) -> bool:
-        return txid in self.pending
-
     def _enqueue(self, piece: _Piece) -> None:
         """Make a piece with no pending parent minable."""
         tx = piece.tx
@@ -341,11 +338,11 @@ class ChainState:
             rival = self._rival(ref, count)
             if rival is not None:
                 direct.add(rival)
-        out_value = at = 0
+        out_value, at, last = 0, 0, None
         for a, b, out in tx.outputs:
-            if a != at or b <= a:
+            if a != at or b <= a or out == last:  # alike neighbours must be one run
                 raise ValueError(f"tx {txid!r}: outputs are not non-empty runs from 0 on")
-            out_value, at = out_value + (b - a) * out.value, b
+            out_value, at, last = out_value + (b - a) * out.value, b, out
         if total_in - out_value != tx.fee or tx.fee < 0:
             raise ValueError(
                 f"tx {txid!r}: fee {tx.fee} != inputs {total_in} - outputs {out_value}"

@@ -10,10 +10,9 @@ the remaining sections configure the modules involved (see README for full
 examples).  Runs write report.csv, trace.csv and summary.txt into --out;
 summary.txt is written even when a stage fails, recording which one.
 
-Exit codes: 0 success, 2 configuration/input error, 3 runtime error.  A
-configuration error is a ScenarioError, ConfigError or SeriesError,
-whenever it is raised; building a run's inputs turns any other
-ValueError into a ScenarioError, so any other exception is an engine fault.
+Exit codes: 0 success, 2 configuration/input error (a ConfigError), 3
+runtime error.  Building a run's inputs turns any other ValueError into a
+ConfigError, so any other exception is an engine fault.
 """
 from __future__ import annotations
 
@@ -26,13 +25,13 @@ from functools import partial
 from pathlib import Path
 
 from .attack import (
-    AttackConfig, AttackReport, ConfigError, TrafficSpec, break_even_channels,
+    AttackConfig, AttackReport, TrafficSpec, break_even_channels,
     min_channels_guaranteed_theft, run_attack, sweep_channels, validate_config,
 )
 from .chain import DEFAULT_BLOCKMAXWEIGHT
 from .channel import WeightSchedule
 from .fees import (
-    FeerateSeries, SeriesError, fraction_of_time_above, ingest_feerate_csv,
+    ConfigError, FeerateSeries, fraction_of_time_above, ingest_feerate_csv,
     parse_strategy, simulate_feerate_strategy, synthetic_blocks,
     synthetic_feerate_series, victim_available_space,
 )
@@ -44,13 +43,6 @@ REPORT_COLUMNS = (
     "stolen_value_sat", "victim_fees_sat", "attacker_cost_sat",
     "launch_feerate", "end_height",
 )
-
-
-class ScenarioError(ValueError):
-    pass
-
-
-CONFIG_ERRORS = (ScenarioError, ConfigError, SeriesError)
 
 
 @dataclass
@@ -72,33 +64,33 @@ class Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     if not path.is_file():
-        raise ScenarioError(f"scenario file not found: {path}")
+        raise ConfigError(f"scenario file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read(path)
     except configparser.Error as exc:
-        raise ScenarioError(f"config-parse-error: {exc}") from exc
+        raise ConfigError(f"config-parse-error: {exc}") from exc
     if not parser.has_section("scenario"):
-        raise ScenarioError("config-parse-error: missing [scenario] section")
+        raise ConfigError("config-parse-error: missing [scenario] section")
     kind = parser.get("scenario", "kind", fallback=None)
-    if kind not in _RUNNERS:
-        raise ScenarioError(
-            f"config-parse-error: kind must be one of {tuple(_RUNNERS)}, got {kind!r}")
-    needs, reads = _KIND_SECTIONS[kind]
+    if kind not in _KINDS:
+        raise ConfigError(
+            f"config-parse-error: kind must be one of {tuple(_KINDS)}, got {kind!r}")
+    needs, reads, _ = _KINDS[kind]
     tables = [_table(section) for section in parser.sections()]
     for section, table in zip(parser.sections(), tables):
         if table not in ("scenario", *needs, *reads):
-            raise ScenarioError(
+            raise ConfigError(
                 f"config-parse-error: unknown section [{section}] for kind {kind}")
     for table in needs:
         if table not in tables:
-            raise ScenarioError(f"config-parse-error: kind {kind} needs a [{table}] section")
+            raise ConfigError(f"config-parse-error: kind {kind} needs a [{table}] section")
     if not parser.has_option("scenario", "seed"):
-        raise ScenarioError("config-parse-error: seed is mandatory (determinism contract)")
+        raise ConfigError("config-parse-error: seed is mandatory (determinism contract)")
     try:
         seed = parser.getint("scenario", "seed")
     except ValueError as exc:
-        raise ScenarioError(f"config-parse-error: seed must be an integer: {exc}") from exc
+        raise ConfigError(f"config-parse-error: seed must be an integer: {exc}") from exc
     return Scenario(kind, seed, path, parser)
 
 
@@ -164,11 +156,11 @@ def _read(sc: Scenario, section: str) -> dict:
     values = {}
     for key, raw in sc.parser.items(section):
         if key not in keys:
-            raise ScenarioError(f"config-parse-error: [{section}] unknown key {key!r}")
+            raise ConfigError(f"config-parse-error: [{section}] unknown key {key!r}")
         try:
             values[key] = keys[key](raw)
         except ValueError as exc:
-            raise ScenarioError(f"config-parse-error: [{section}] {key}: {exc}") from exc
+            raise ConfigError(f"config-parse-error: [{section}] {key}: {exc}") from exc
     return values
 
 
@@ -179,7 +171,7 @@ def build_series(sc: Scenario) -> FeerateSeries | None:
     if "csv" in v:
         resolved = (sc.path.parent / v["csv"]).resolve()
         if not resolved.is_file():
-            raise ScenarioError(f"missing-input: feerate csv not found: {resolved}")
+            raise ConfigError(f"missing-input: feerate csv not found: {resolved}")
         return ingest_feerate_csv(resolved)
     return synthetic_feerate_series(  # with its own defaults for the keys left unset
         v.get("synthetic_seed", sc.seed), v.get("synthetic_length", 2016),
@@ -262,7 +254,7 @@ def _configure_sweep(sc: Scenario, seed: int):
     v = _read(sc, "sweep")
     n_from, n_to, step = v.get("n_from"), v.get("n_to"), v.get("n_step", 1)
     if n_from is None or n_to is None or step < 1 or not 1 <= n_from <= n_to:
-        raise ScenarioError(
+        raise ConfigError(
             "config-parse-error: [sweep] needs 1 <= n_from <= n_to, n_step >= 1")
     template = replace(build_attack_config(sc, seed), num_victim_channels=n_from)
     return partial(_execute_sweep, template, range(n_from, n_to + 1, step))
@@ -320,12 +312,12 @@ def _configure_fee(sc: Scenario, seed: int):
     launch_step = v.get("launch_step", 1)
     blockmaxweight = v.get("blockmaxweight", DEFAULT_BLOCKMAXWEIGHT)
     if launch_to is None or launch_to < launch_from:
-        raise ScenarioError("config-parse-error: [fee_analysis] needs launch_to >= launch_from")
+        raise ConfigError("config-parse-error: [fee_analysis] needs launch_to >= launch_from")
     if launch_step < 1 or window < 1:
-        raise ScenarioError(
+        raise ConfigError(
             "config-parse-error: [fee_analysis] needs launch_step >= 1, window >= 1")
     if launch_from - duration < series.first_height:
-        raise ScenarioError(
+        raise ConfigError(
             f"config-parse-error: launch_from {launch_from} leaves no room for a "
             f"{duration}-block minimization before it (series starts at "
             f"{series.first_height})")
@@ -333,11 +325,15 @@ def _configure_fee(sc: Scenario, seed: int):
                        "500000,1000000,1500000,2000000,2500000,3000000,3500000,4000000")
     thresholds = [int(t) for t in thresholds.split(",") if t.strip()]
     if not thresholds:
-        raise ScenarioError("config-parse-error: [fee_analysis] needs at least one threshold")
-    blocks = synthetic_blocks(  # with its own defaults for the filler keys left unset
-        v.get("blocks_seed", seed), launch_from, (launch_to - launch_from) + window + 2,
-        blockmaxweight, **{key.removeprefix("block_"): v[key] for key in (
-            "fill_low", "fill_high", "block_feerate_low", "block_feerate_high") if key in v})
+        raise ConfigError("config-parse-error: [fee_analysis] needs at least one threshold")
+    try:
+        blocks = synthetic_blocks(  # with its own defaults for the filler keys left unset
+            v.get("blocks_seed", seed), launch_from, (launch_to - launch_from) + window + 2,
+            blockmaxweight, **{key.removeprefix("block_"): v[key] for key in (
+                "fill_low", "fill_high", "block_feerate_low", "block_feerate_high")
+                if key in v})
+    except ConfigError as exc:  # bad [fee_analysis] filler keys, tagged as the reader tags them
+        raise ConfigError(f"config-parse-error: {exc}") from exc
     return partial(_execute_fee, series, blocks,
                    range(launch_from, launch_to + 1, launch_step), window, duration,
                    blockmaxweight, thresholds)
@@ -375,22 +371,15 @@ def _execute_fee(series: FeerateSeries, blocks, launches: range, window: int,
     return lines
 
 
-# Per kind, the sections it needs and the further ones it may read, besides
-# [scenario]; "policy:*" stands for one or more [policy:<name>] sections.
+# The scenario kinds: per kind, the sections it needs and the further ones
+# it may read, besides [scenario] ("policy:*" stands for one or more
+# [policy:<name>] sections), and its configure step.
 _ATTACK_READS = ("weights", "traffic", "feerates")
-_KIND_SECTIONS = {
-    "attack": (("attack",), _ATTACK_READS),
-    "sweep": (("attack", "sweep"), _ATTACK_READS),
-    "mitigation-matrix": (("attack", "policy:*"), _ATTACK_READS),
-    "fee-analysis": (("feerates", "fee_analysis"), ()),
-}
-
-# The scenario kinds, each with its configure step.
-_RUNNERS = {
-    "attack": _configure_attack,
-    "sweep": _configure_sweep,
-    "fee-analysis": _configure_fee,
-    "mitigation-matrix": _configure_matrix,
+_KINDS = {
+    "attack": (("attack",), _ATTACK_READS, _configure_attack),
+    "sweep": (("attack", "sweep"), _ATTACK_READS, _configure_sweep),
+    "fee-analysis": (("feerates", "fee_analysis"), (), _configure_fee),
+    "mitigation-matrix": (("attack", "policy:*"), _ATTACK_READS, _configure_matrix),
 }
 
 
@@ -398,11 +387,11 @@ def _configure(sc: Scenario, seed: int):
     """The run's execute step, with every input built: a ValueError raised
     while building them is the scenario's fault, not the engine's."""
     try:
-        return _RUNNERS[sc.kind](sc, seed)
-    except CONFIG_ERRORS:
+        return _KINDS[sc.kind][2](sc, seed)
+    except ConfigError:
         raise
     except ValueError as exc:
-        raise ScenarioError(f"config-parse-error: {exc}") from exc
+        raise ConfigError(f"config-parse-error: {exc}") from exc
 
 
 def run_scenario(path: str | Path, out_dir: str | Path,
@@ -425,7 +414,7 @@ def run_scenario(path: str | Path, out_dir: str | Path,
         summary.append("scenario file echo:")
         summary.extend(sc.echo_lines())
         return 0
-    except CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         summary.append(f"status: FAILED at stage {stage}: {exc}")
         print(f"error ({stage}): {exc}", file=sys.stderr)
         return 2
@@ -442,7 +431,7 @@ def validate_scenario(path: str | Path) -> int:
     try:
         sc = load_scenario(path)
         _configure(sc, sc.seed)
-    except CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     print("ok")

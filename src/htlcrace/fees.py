@@ -23,8 +23,8 @@ SAT_PER_VB_TO_KWU = 250  # 1 vbyte == 4 weight units => sat/vB * 1000/4
 MAX_REGIME_RUN = 144  # longest run of blocks a synthetic estimate holds
 
 
-class SeriesError(ValueError):
-    pass
+class ConfigError(ValueError):
+    """The user's configuration is wrong: the command line exits 2 on it."""
 
 
 class FillerBlock(NamedTuple):
@@ -38,12 +38,12 @@ class FeerateSeries:
     def __init__(self, points):
         pts = [(int(h), int(f), int(c)) for h, f, c in points]
         if not pts:
-            raise SeriesError("empty feerate series")
+            raise ConfigError("empty feerate series")
         heights = [p[0] for p in pts]
         if any(b <= a for a, b in zip(heights, heights[1:])):
-            raise SeriesError("series heights must be strictly increasing")
+            raise ConfigError("series heights must be strictly increasing")
         if any(p[1] <= 0 for p in pts):
-            raise SeriesError("feerates must be positive")
+            raise ConfigError("feerates must be positive")
         self.points = pts
         self._heights = heights
 
@@ -55,46 +55,46 @@ class FeerateSeries:
         """Latest sample at or before `height` (step function)."""
         i = bisect.bisect_right(self._heights, height)
         if i == 0:
-            raise SeriesError(
+            raise ConfigError(
                 f"height {height} precedes first sample {self._heights[0]}")
         return self.points[i - 1][1]
 
 
 def ingest_feerate_csv(path) -> FeerateSeries:
     """Parse `height,feerate,unit,conf_target` rows.  Units: sat_kwu is taken
-    as-is, sat_vb is converted (x250).  Raises SeriesError with the offending
+    as-is, sat_vb is converted (x250).  Raises ConfigError with the offending
     line number on malformed input."""
     points = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["height", "feerate", "unit", "conf_target"]:
-            raise SeriesError(f"{path}: expected header height,feerate,unit,conf_target")
+            raise ConfigError(f"{path}: expected header height,feerate,unit,conf_target")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != 4:
-                raise SeriesError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+                raise ConfigError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
             try:
                 height = int(row[0])
                 rate = float(row[1])
                 conf = int(row[3])
             except ValueError as exc:
-                raise SeriesError(f"{path}:{lineno}: {exc}") from None
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
             unit = row[2].strip()
             if unit == "sat_kwu":
                 feerate = int(round(rate))
             elif unit == "sat_vb":
                 feerate = int(round(rate * SAT_PER_VB_TO_KWU))
             else:
-                raise SeriesError(f"{path}:{lineno}: unknown unit {unit!r}")
+                raise ConfigError(f"{path}:{lineno}: unknown unit {unit!r}")
             if feerate <= 0:
-                raise SeriesError(f"{path}:{lineno}: feerate must be positive")
+                raise ConfigError(f"{path}:{lineno}: feerate must be positive")
             points.append((height, feerate, conf))
     try:
         return FeerateSeries(points)
-    except SeriesError as exc:
-        raise SeriesError(f"{path}: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def parse_strategy(strategy: str) -> tuple[str, int]:
@@ -102,10 +102,10 @@ def parse_strategy(strategy: str) -> tuple[str, int]:
     if strategy == "naive":
         return "naive", 0
     if not (isinstance(strategy, str) and strategy.startswith("minimize:")):
-        raise SeriesError(f"unknown feerate strategy {strategy!r}")
+        raise ConfigError(f"unknown feerate strategy {strategy!r}")
     dur = int(strategy.split(":", 1)[1])
     if dur < 0:
-        raise SeriesError("minimize duration must be non-negative")
+        raise ConfigError("minimize duration must be non-negative")
     return "minimize", dur
 
 
@@ -182,14 +182,14 @@ def victim_available_space(blocks: dict[int, FillerBlock], channel_feerate: int,
     -> space; share one dict only between calls over the same blocks and
     blockmaxweight."""
     if window <= 0:
-        raise SeriesError("window must be positive")
+        raise ConfigError("window must be positive")
     at_rate = {} if spaces is None else spaces.setdefault(channel_feerate, {})
     per = []
     for h in range(launch_height + 1, launch_height + window + 1):
         space = at_rate.get(h)
         if space is None:
             if h not in blocks:
-                raise SeriesError(f"insufficient block data: missing height {h}")
+                raise ConfigError(f"insufficient block data: missing height {h}")
             space = at_rate[h] = available_space(channel_feerate, blocks[h].entries,
                                                  blockmaxweight)
         per.append(space)
@@ -200,7 +200,7 @@ def victim_available_space(blocks: dict[int, FillerBlock], channel_feerate: int,
 def fraction_of_time_above(values, threshold: float) -> float:
     vals = list(values)
     if not vals:
-        raise SeriesError("no samples")
+        raise ConfigError("no samples")
     return sum(1 for v in vals if v >= threshold) / len(vals)
 
 
@@ -231,9 +231,9 @@ def synthetic_blocks(seed: int, start_height: int, count: int,
     """Filler blocks for space analysis: per height, (fee, weight, 1) entries
     filling a uniform share in [fill_low, fill_high] of blockmaxweight."""
     if not 1 <= feerate_low <= feerate_high:
-        raise ValueError(f"block feerate range [{feerate_low}, {feerate_high}] is empty or below 1")
+        raise ConfigError(f"block feerate range [{feerate_low}, {feerate_high}] is empty or below 1")
     if not (0 <= fill_low <= fill_high <= 1 and blockmaxweight >= 1):
-        raise ValueError("need 0 <= fill_low <= fill_high <= 1 and blockmaxweight >= 1")
+        raise ConfigError("need 0 <= fill_low <= fill_high <= 1 and blockmaxweight >= 1")
     # Each randint(a, b) is inlined as a + r, r the first getrandbits(k)
     # draw below n = b - a + 1 with k = n.bit_length(): what the standard
     # library's randint does, draw for draw, at a fraction of its cost.

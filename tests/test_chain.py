@@ -74,7 +74,7 @@ def test_replace_directly_signaling_conflict():
     res = chain.submit(spend("B", [ref], 100_000, 2_000, 700))
     assert res.status == "replaced"
     assert res.evicted == ("A",)
-    assert "A" not in chain.mempool and "B" in chain.mempool
+    assert "A" not in chain.mempool.pending and "B" in chain.mempool.pending
 
 
 def test_nonsignaling_conflict_is_final():
@@ -84,7 +84,7 @@ def test_nonsignaling_conflict_is_final():
     res = chain.submit(spend("B", [ref], 100_000, 50_000, 700))
     assert res.status == "rejected"
     assert res.reason == "conflict-not-replaceable"
-    assert "A" in chain.mempool
+    assert "A" in chain.mempool.pending
 
 
 def test_replaceability_is_inherited_from_unconfirmed_ancestor():
@@ -96,7 +96,7 @@ def test_replaceability_is_inherited_from_unconfirmed_ancestor():
     res = chain.submit(spend("B", [OutputRef("A", 0)], 99_000, 2_000, 500))
     assert res.status == "replaced"
     assert res.evicted == ("C",)
-    assert "A" in chain.mempool  # only the conflicting branch dies
+    assert "A" in chain.mempool.pending  # only the conflicting branch dies
 
 
 def test_equal_fee_is_not_enough():
@@ -146,7 +146,7 @@ def test_replacement_cannot_spend_output_it_evicts():
     )
     res = chain.submit(bad)
     assert (res.status, res.reason) == ("rejected", "missing-input")
-    assert "A" in chain.mempool
+    assert "A" in chain.mempool.pending
 
 
 def test_missing_input_and_own_double_spend():
@@ -187,7 +187,7 @@ def test_greedy_skips_what_does_not_fit():
     chain.submit(spend("B", [rb], 1_000_000, 15_000, 3_000_000))  # 5 sat/kWU
     block = chain.mine_block()
     assert [t.id for t in block.txs] == ["A"]
-    assert "B" in chain.mempool
+    assert "B" in chain.mempool.pending
     assert [t.id for t in chain.mine_block().txs] == ["B"]
 
 
@@ -470,8 +470,8 @@ A, B = TxOutput(100, "a"), TxOutput(200, "b")
 
 @pytest.mark.parametrize("outputs", [
     ((1, 2, A),), ((0, 1, A), (2, 3, B)), ((0, 2, A), (1, 3, B)), ((0, 1, A), (1, 1, B)),
-    ((0, 0, A),), ((1, 2, B), (0, 1, A)),
-], ids=["not-from-0", "gap", "overlap", "empty-run", "empty-only-run", "unsorted"])
+    ((0, 0, A),), ((1, 2, B), (0, 1, A)), ((0, 1, A), (1, 2, A)),
+], ids=["not-from-0", "gap", "overlap", "empty-run", "empty-only-run", "unsorted", "unjoined"])
 def test_submit_refuses_outputs_that_are_not_runs_from_0(outputs):
     chain = ChainState()
     g = chain.grant("g", 10_000)
@@ -637,5 +637,5 @@ def test_submit_refuses_a_cohort_that_does_not_start_at_member_0(first):
     tx = Transaction("C", (g,), ((0, 1, TxOutput(9_000, "n")),), 400, 1_000, count=2, first=first)
     with pytest.raises(ValueError, match=f"from member {first}"):
         chain.submit(tx)
-    assert "C" not in chain.mempool and not chain.mempool.spent
+    assert "C" not in chain.mempool.pending and not chain.mempool.spent
     assert chain.submit(tx._replace(first=0)).status == "accepted"

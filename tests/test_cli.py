@@ -8,10 +8,10 @@ import pytest
 
 import htlcrace.chain as chain_module
 import htlcrace.cli as cli
+from htlcrace import ConfigError
 from htlcrace.attack import AttackConfig, run_attack
 from htlcrace.cli import (
     REPORT_COLUMNS,
-    ScenarioError,
     load_scenario,
     main,
     run_scenario,
@@ -62,7 +62,7 @@ def test_seed_is_mandatory(tmp_path):
         [attack]
         num_victim_channels = 1
     """)
-    with pytest.raises(ScenarioError, match="seed is mandatory"):
+    with pytest.raises(ConfigError, match="seed is mandatory"):
         load_scenario(path)
     assert validate_scenario(path) == 2
     out = tmp_path / "out"
@@ -491,27 +491,42 @@ def test_runtime_errors_exit_3_and_leave_a_summary(tmp_path, monkeypatch):
     def explode(jobs, out_dir):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._RUNNERS, "attack", lambda sc, seed: explode)
+    needs, reads, _ = cli._KINDS["attack"]
+    monkeypatch.setitem(cli._KINDS, "attack", (needs, reads, lambda sc, seed: explode))
     assert run_scenario(path, out) == 3
     summary = (out / "summary.txt").read_text()
     assert "FAILED at stage execute" in summary and "boom" in summary
 
 
-def test_engine_config_errors_exit_2(tmp_path):
-    # expiry inside the victims' reaction window: caught by the engine,
-    # surfaced as a config failure
-    path = write_scenario(tmp_path, FAST_ATTACK + "    htlc_expiry_height = 8\n")
-    out = tmp_path / "out"
-    assert run_scenario(path, out) == 2
-    assert "FAILED at stage" in (out / "summary.txt").read_text()
-
-
-def test_bad_weight_schedule_is_a_config_error(tmp_path):
-    path = write_scenario(tmp_path, FAST_ATTACK + "\n    [weights]\n    htlc_success = 0\n")
+@pytest.mark.parametrize("text, message", [
+    (FAST_ATTACK + "    num_victim_chanels = 100\n",
+     "config-parse-error: [attack] unknown key 'num_victim_chanels'"),
+    (FAST_ATTACK + "\n    [feerates]\n    csv = rates.csv\n",
+     "{csv}:2: unknown unit 'btc_kb'"),
+    # expiry inside the victims' reaction window
+    (FAST_ATTACK + "    htlc_expiry_height = 8\n",
+     "htlc_expiry_height 8 leaves less than 41 blocks after setup ends at height 1"),
+    (FAST_MATRIX + "\n    [policy:both]\n    anchor_outputs_mode = true\n"
+                   "    non_replaceable_htlc_success = true\n",
+     "anchor_mode needs replaceable victim claims to re-issue them"),
+    # WeightSchedule's own ValueError, which configure makes a ConfigError
+    (FAST_ATTACK + "\n    [weights]\n    htlc_success = 0\n",
+     "config-parse-error: htlc_success must be positive"),
+], ids=["reader", "fees", "engine", "policy", "channel"])
+def test_each_layer_refusal_exits_2_with_its_message(tmp_path, capsys, text, message):
+    # Every layer that reads the configuration refuses it with a ConfigError:
+    # run and validate both exit 2 and print the message as it was raised.
+    (tmp_path / "rates.csv").write_text(
+        "height,feerate,unit,conf_target\n0,3000,btc_kb,1\n")
+    message = message.format(csv=(tmp_path / "rates.csv").resolve())
+    path = write_scenario(tmp_path, text)
     assert validate_scenario(path) == 2
+    assert capsys.readouterr().err == f"invalid: {message}\n"
     out = tmp_path / "out"
     assert run_scenario(path, out) == 2
-    assert "htlc_success must be positive" in (out / "summary.txt").read_text()
+    assert capsys.readouterr().err == f"error (configure): {message}\n"
+    assert (out / "summary.txt").read_text().splitlines()[1] == \
+        f"status: FAILED at stage configure: {message}"
 
 
 def test_bad_traffic_is_a_config_error(tmp_path):

@@ -9,8 +9,8 @@ import pytest
 import fee_reference
 from htlcrace.chain import available_space
 from htlcrace.fees import (
+    ConfigError,
     FeerateSeries,
-    SeriesError,
     running_minimum,
     synthetic_blocks,
     victim_available_space,
@@ -35,8 +35,8 @@ def both(series, rate, start, stop):
                 lambda: fee_reference.running_minimum(series, rate, range(start, stop))):
         try:
             out.append(list(run()))
-        except SeriesError as exc:
-            out.append(("SeriesError", str(exc)))
+        except ConfigError as exc:
+            out.append(("ConfigError", str(exc)))
     return out
 
 
@@ -56,7 +56,7 @@ def test_running_minimum_matches_per_height_reference():
             seen["empty"] += 1
         elif start < heights[0]:
             seen["before-first"] += 1
-            assert got[0] == "SeriesError"
+            assert got[0] == "ConfigError"
         else:
             seen["on-sample" if start in heights else "between-samples"] += 1
             seen["past-last"] += stop > heights[-1] + 1
@@ -111,9 +111,9 @@ def test_memoized_spaces_still_need_every_block():
     blocks = synthetic_blocks(2, 0, 10)
     spaces = {}
     victim_available_space(blocks, 1_000, 0, 9, spaces=spaces)
-    with pytest.raises(SeriesError, match="missing height 10"):
+    with pytest.raises(ConfigError, match="missing height 10"):
         victim_available_space(blocks, 1_000, 0, 10, spaces=spaces)
-    with pytest.raises(SeriesError, match="window must be positive"):
+    with pytest.raises(ConfigError, match="window must be positive"):
         victim_available_space(blocks, 1_000, 0, 0, spaces=spaces)
 
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import fee_reference
 from htlcrace.chain import available_space
 from htlcrace.fees import (
+    ConfigError,
     FeerateSeries,
     FillerBlock,
-    SeriesError,
     fraction_of_time_above,
     ingest_feerate_csv,
     parse_strategy,
@@ -52,25 +52,25 @@ def test_ingest_converts_sat_per_vbyte(tmp_path):
 
 
 def test_ingest_rejects_zero_feerate(tmp_path):
-    with pytest.raises(SeriesError):
+    with pytest.raises(ConfigError, match="feerate must be positive"):
         ingest_feerate_csv(write_csv(tmp_path, ["5,0,sat_kwu,1"]))
 
 
 def test_ingest_rejects_unsorted_heights(tmp_path):
-    with pytest.raises(SeriesError):
+    with pytest.raises(ConfigError, match="series heights must be strictly increasing"):
         ingest_feerate_csv(write_csv(tmp_path, ["5,100,sat_kwu,1", "5,200,sat_kwu,1"]))
 
 
 def test_ingest_rejects_unknown_unit(tmp_path):
-    with pytest.raises(SeriesError):
+    with pytest.raises(ConfigError, match="unknown unit 'btc_kb'"):
         ingest_feerate_csv(write_csv(tmp_path, ["5,100,btc_kb,1"]))
 
 
 def test_series_rejects_queries_before_first_sample():
     series = FeerateSeries([(100, 1_000, 1)])
-    with pytest.raises(SeriesError):
+    with pytest.raises(ConfigError, match="height 99 precedes first sample 100"):
         series.estimate_at(99)
-    with pytest.raises(SeriesError):
+    with pytest.raises(ConfigError, match="empty feerate series"):
         FeerateSeries([])
 
 
@@ -82,9 +82,9 @@ def test_series_rejects_queries_before_first_sample():
 def test_parse_strategy_forms():
     assert parse_strategy("naive") == ("naive", 0)
     assert parse_strategy("minimize:1008") == ("minimize", 1_008)
-    with pytest.raises(SeriesError):
+    with pytest.raises(ConfigError, match="unknown feerate strategy 'lowball'"):
         parse_strategy("lowball")
-    with pytest.raises(SeriesError):
+    with pytest.raises(ConfigError, match="minimize duration must be non-negative"):
         parse_strategy("minimize:-3")
 
 
@@ -113,7 +113,7 @@ def test_naive_launches_immediately():
 
 def test_open_height_must_be_in_series():
     series = FeerateSeries([(50, 100, 1)])
-    with pytest.raises(SeriesError):
+    with pytest.raises(ConfigError, match="height 49 precedes first sample 50"):
         simulate_feerate_strategy(series, "naive", open_height=49)
 
 
@@ -157,9 +157,9 @@ def test_space_with_two_megaweight_of_better_payers():
 
 def test_space_requires_block_coverage():
     blocks = {h: FillerBlock([], 0) for h in range(3)}
-    with pytest.raises(SeriesError):
+    with pytest.raises(ConfigError, match="insufficient block data: missing height 3"):
         victim_available_space(blocks, 2_000, launch_height=0, window=5)
-    with pytest.raises(SeriesError):
+    with pytest.raises(ConfigError, match="window must be positive"):
         victim_available_space(blocks, 2_000, launch_height=0, window=0)
 
 
@@ -167,7 +167,7 @@ def test_fraction_of_time_above():
     assert fraction_of_time_above([1, 2, 3], 2) == pytest.approx(2 / 3)
     assert fraction_of_time_above([1, 2, 3], 0) == 1.0
     assert fraction_of_time_above([1, 2, 3], 4) == 0.0
-    with pytest.raises(SeriesError):
+    with pytest.raises(ConfigError, match="no samples"):
         fraction_of_time_above([], 1)
 
 
@@ -208,7 +208,7 @@ def test_synthetic_blocks_deterministic_and_within_limit():
 def test_inverted_block_feerate_range_is_refused():
     # Refused before any draw: rejection sampling over an empty range would
     # never end.
-    with pytest.raises(ValueError, match="feerate range"):
+    with pytest.raises(ConfigError, match="feerate range"):
         synthetic_blocks(1, 0, 5, feerate_low=900, feerate_high=800)
 
 

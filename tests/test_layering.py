@@ -1,8 +1,10 @@
 """The layers import downwards only: the run map knows nothing of the
 package, and the chain knows nothing of it but the run map, so neither
-can come to depend on HTLCs, channels or the race."""
+can come to depend on HTLCs, channels or the race.  A configuration error
+has one type, fees.ConfigError, in every layer."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import htlcrace
@@ -41,3 +43,21 @@ def test_the_reader_sees_each_import_form():
     """package_imports finds what the other two tests rely on it to find."""
     assert package_imports("channel") == {"runs", "chain"}
     assert {"runs", "chain", "channel", "fees"} <= package_imports("attack")
+
+
+def test_config_error_is_the_only_value_error_class():
+    """No module defines a second ValueError subclass, directly or through
+    another class, for the command line to tell from a configuration error."""
+    bases = {}  # (module, class name) -> the names of its bases
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases[path.stem, node.name] = {getattr(b, "id", getattr(b, "attr", None))
+                                               for b in node.bases}
+    names = {name for name, obj in vars(builtins).items()
+             if isinstance(obj, type) and issubclass(obj, ValueError)}
+    found: set = set()
+    while new := {key for key, base in bases.items() if base & names} - found:
+        found |= new
+        names |= {name for _, name in new}
+    assert found == {("fees", "ConfigError")}

@@ -639,3 +639,78 @@ def test_submit_refuses_a_cohort_that_does_not_start_at_member_0(first):
         chain.submit(tx)
     assert "C" not in chain.mempool.pending and not chain.mempool.spent
     assert chain.submit(tx._replace(first=0)).status == "accepted"
+
+
+# ---------------------------------------------------------------------------
+# cohort refusals: submit raises (the caller splits the cohort) or refuses
+# ---------------------------------------------------------------------------
+
+
+def cohort(txid, inputs, value, fee, count, rbf=False, nout=1):
+    """A cohort of `count` members, each with `nout` alike outputs of `value`."""
+    return Transaction(txid, tuple(inputs), ((0, nout, TxOutput(value, "n")),), 400, fee,
+                       rbf, count)
+
+
+def raised(chain, tx):
+    """The message of the ValueError submit raises for tx, which stays out."""
+    with pytest.raises(ValueError) as exc:
+        chain.submit(tx)
+    assert tx.id not in chain.mempool.pending
+    return str(exc.value)
+
+
+def test_cohort_whose_members_spend_one_anothers_inputs_raises():
+    chain = ChainState()
+    g = chain.grant("g", 10_000, count=4)
+    tx = cohort("C", [g, OutputRef(g.txid, 1)], 19_000, 1_000, 2)  # member 0 spends g:1 too
+    assert raised(chain, tx) == "members of cohort 'C' spend one another's inputs"
+    assert not chain.mempool.spent
+
+
+def test_cohort_spending_members_with_several_outputs_raises():
+    chain = ChainState()
+    g = chain.grant("g", 10_000, count=2)
+    assert chain.submit(cohort("P", [g], 4_000, 2_000, 2, nout=2)).ok
+    tx = cohort("K", [OutputRef("P", 0)], 3_000, 1_000, 2)  # both outputs of P's member 0
+    assert raised(chain, tx) == "cohort spends members of 'P', which have several outputs"
+
+
+def test_cohort_larger_than_the_outputs_it_spends_raises():
+    chain = ChainState()
+    g = chain.grant("g", 10_000, count=2)
+    assert raised(chain, cohort("C", [g], 9_000, 1_000, 3)) == \
+        "cohort inputs at OutputRef(txid='grant-0', index=0) differ or only partly exist"
+
+
+def test_cohort_clashing_with_members_of_another_out_of_line_raises():
+    # Y's member 1 spends g:1 and g:3, its member 0 g:0 and g:2: the
+    # newcomer's members clash with Y's members 1 and 0, in that order.
+    chain = ChainState()
+    g = chain.grant("g", 10_000, count=4)
+    assert chain.submit(cohort("Y", [g, OutputRef(g.txid, 2)], 19_000, 1_000, 2, True)).ok
+    tx = cohort("N", [OutputRef(g.txid, 1)], 5_000, 5_000, 2)
+    assert raised(chain, tx) == \
+        "cohort members conflict unevenly at OutputRef(txid='grant-0', index=1)"
+    assert chain.mempool.parts("Y", 0, 2) == [(0, 2)]
+
+
+def test_cohort_spending_the_members_it_evicts_is_missing_its_input():
+    chain = ChainState()
+    g = chain.grant("g", 10_000, count=3)
+    assert chain.submit(cohort("P", [g], 9_000, 1_000, 3, True)).ok
+    res = chain.submit(cohort("N", [g, OutputRef("P", 0)], 14_000, 5_000, 3))
+    assert (res.status, res.reason) == ("rejected", "missing-input")
+    assert chain.mempool.parts("P", 0, 3) == [(0, 3)] and "N" not in chain.mempool.pending
+
+
+def test_cohort_whose_members_differ_in_replaceability_raises():
+    # R's member 1 inherits replaceability from P's pending member 1; its
+    # member 0 spends P's confirmed member 0 and does not.
+    chain = ChainState(blockmaxweight=400)
+    g = chain.grant("g", 10_000, count=2)
+    assert chain.submit(cohort("P", [g], 9_000, 1_000, 2, True)).ok
+    assert [(t.id, t.first, t.count) for t in chain.mine_block().txs] == [("P", 0, 1)]
+    assert chain.submit(cohort("R", [OutputRef("P", 0)], 8_000, 1_000, 2)).ok
+    tx = cohort("N", [OutputRef("P", 0)], 6_000, 3_000, 2)
+    assert raised(chain, tx) == "members of 'R' differ in replaceability"

@@ -84,6 +84,7 @@ class Session:
             result = self.chain.submit(tx)
         except ValueError as exc:
             del self.cohorts[tx.id]
+            self.check_readiness()
             if tx.count == 1:  # inputs that do not add up to outputs plus fee
                 assert "fee" in str(exc), exc
                 self.seen["malformed"] += 1
@@ -117,6 +118,7 @@ class Session:
         else:
             del self.cohorts[tx.id]
             self.seen[result.reason] += 1
+        self.check_readiness()
 
     def cohort_of(self, member_id):
         return member_id.split("#")[0]
@@ -144,7 +146,23 @@ class Session:
         self.seen["ties"] += len({(t.fee, t.weight) for t in self.pending if t.id in mined}) \
             < len({self.cohort_of(i) for i in mined})
         self.pending = [t for t in self.pending if t.id not in mined]
+        self.check_readiness()
         return mined
+
+    def check_readiness(self):
+        """A live piece waits exactly when its members spend outputs of
+        pending members, member by member, and a piece that does not wait
+        is queued for mining."""
+        mempool = self.chain.mempool
+        pending = {t.id for t in self.pending}
+        queued = {entry[3] for entry in mempool._queue}
+        for txid, pieces in mempool.pieces.items():
+            for p in pieces:  # every listed piece is live: lo < hi
+                assert p.lo < p.hi, (txid, p.lo)
+                for member in self.members(self.cohorts[txid], p.lo, p.hi - p.lo):
+                    waiting = any(ref.txid in pending for ref in member.inputs)
+                    assert waiting == (p.waits > 0), (member.id, p.waits)
+                assert p.waits or p in queued, (txid, p.lo, p.hi)
 
     # -- random cohorts --------------------------------------------------------
 

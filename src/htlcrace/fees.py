@@ -103,7 +103,10 @@ def parse_strategy(strategy: str) -> tuple[str, int]:
         return "naive", 0
     if not (isinstance(strategy, str) and strategy.startswith("minimize:")):
         raise ConfigError(f"unknown feerate strategy {strategy!r}")
-    dur = int(strategy.split(":", 1)[1])
+    try:
+        dur = int(strategy.removeprefix("minimize:"))
+    except ValueError:  # no integer duration
+        raise ConfigError(f"unknown feerate strategy {strategy!r}") from None
     if dur < 0:
         raise ConfigError("minimize duration must be non-negative")
     return "minimize", dur

@@ -503,6 +503,8 @@ def test_runtime_errors_exit_3_and_leave_a_summary(tmp_path, monkeypatch):
      "config-parse-error: [attack] unknown key 'num_victim_chanels'"),
     (FAST_ATTACK + "\n    [feerates]\n    csv = rates.csv\n",
      "{csv}:2: unknown unit 'btc_kb'"),
+    (FAST_ATTACK + "    feerate_strategy = minimize:abc\n",
+     "unknown feerate strategy 'minimize:abc'"),
     # expiry inside the victims' reaction window
     (FAST_ATTACK + "    htlc_expiry_height = 8\n",
      "htlc_expiry_height 8 leaves less than 41 blocks after setup ends at height 1"),
@@ -512,7 +514,7 @@ def test_runtime_errors_exit_3_and_leave_a_summary(tmp_path, monkeypatch):
     # WeightSchedule's own ValueError, which configure makes a ConfigError
     (FAST_ATTACK + "\n    [weights]\n    htlc_success = 0\n",
      "config-parse-error: htlc_success must be positive"),
-], ids=["reader", "fees", "engine", "policy", "channel"])
+], ids=["reader", "fees", "strategy", "engine", "policy", "channel"])
 def test_each_layer_refusal_exits_2_with_its_message(tmp_path, capsys, text, message):
     # Every layer that reads the configuration refuses it with a ConfigError:
     # run and validate both exit 2 and print the message as it was raised.
@@ -527,6 +529,40 @@ def test_each_layer_refusal_exits_2_with_its_message(tmp_path, capsys, text, mes
     assert capsys.readouterr().err == f"error (configure): {message}\n"
     assert (out / "summary.txt").read_text().splitlines()[1] == \
         f"status: FAILED at stage configure: {message}"
+
+
+@pytest.mark.parametrize("text, stage, message", [
+    (FAST_ATTACK.replace("= 2", "= ten"), "configure",
+     "config-parse-error: [attack] num_victim_channels: "
+     "invalid literal for int() with base 10: 'ten'"),
+    (FAST_ATTACK + "    anchor_mode = maybe\n", "configure",
+     "config-parse-error: [attack] anchor_mode: not a boolean: 'maybe'"),
+    (FAST_ATTACK + "    dynamic_delta = 5\n", "configure",
+     "config-parse-error: [attack] dynamic_delta: wants 'slope,cap', got '5'"),
+    (FAST_ATTACK.replace("seed = 9", "seed = one"), "parse",
+     "config-parse-error: seed must be an integer: "
+     "invalid literal for int() with base 10: 'one'"),
+    (FAST_ATTACK.replace("[scenario]", "[setup]"), "parse",
+     "config-parse-error: missing [scenario] section"),
+    (FAST_ATTACK + "\n    [attack]\n", "parse",
+     "config-parse-error: While reading from {path!r} [line 10]: "
+     "section 'attack' already exists"),
+], ids=["int", "bool", "pair", "seed", "no-scenario", "malformed"])
+def test_reader_conversions_exit_2_with_their_message(tmp_path, capsys, text, stage, message):
+    # A value the reader cannot convert, or a file it cannot read, is the
+    # user's error: exit 2 with the message, at the stage that read it.
+    path = write_scenario(tmp_path, text)
+    message = message.format(path=path)
+    assert validate_scenario(path) == 2
+    assert capsys.readouterr().err == f"invalid: {message}\n"
+    out = tmp_path / "out"
+    assert run_scenario(path, out) == 2
+    assert capsys.readouterr().err == f"error ({stage}): {message}\n"
+    summary = (out / "summary.txt").read_text().splitlines()
+    if stage == "parse":  # no scenario was read, so no scenario: line
+        assert summary == [f"status: FAILED at stage parse: {message}"]
+    else:
+        assert summary[1] == f"status: FAILED at stage configure: {message}"
 
 
 def test_bad_traffic_is_a_config_error(tmp_path):

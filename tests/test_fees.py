@@ -88,6 +88,13 @@ def test_parse_strategy_forms():
         parse_strategy("minimize:-3")
 
 
+@pytest.mark.parametrize("strategy", ["minimize:abc", "minimize:", "minimize:1.5"])
+def test_parse_strategy_refuses_a_duration_that_is_not_an_integer(strategy):
+    with pytest.raises(ConfigError) as exc:
+        parse_strategy(strategy)
+    assert str(exc.value) == f"unknown feerate strategy {strategy!r}"
+
+
 def test_minimize_takes_running_min():
     series = FeerateSeries([(0, 100, 1), (1, 80, 1), (2, 120, 1)])
     out = simulate_feerate_strategy(series, "minimize:2", open_height=0)

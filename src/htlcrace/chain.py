@@ -22,11 +22,13 @@ members submitted one after another.  Member m spends (ref.txid, ref.index
 + m) for each input ref and owns the outputs (id, m * nout + j).  Every rule
 above holds member by member; submit takes or refuses a cohort whole, and it
 raises ValueError unless the members' inputs, conflicts and evictions line
-up member by member (the caller then splits the cohort).  Mining takes as
-many members of the best queued piece as fit in one step, and replacement
-evicts member-aligned runs.  The unspent set and the mempool's spent index
-map a txid to a run map from output index to the output or to its spender,
-so cost follows cohorts and runs of alike outputs, not members.
+up member by member (the caller then splits the cohort).  A cohort's
+pending members form pieces that count their pending inputs, one per input
+spending a pending member's output; mining takes as many members of the
+best queued piece as fit in one step, and replacement evicts member-aligned
+runs.  The unspent set and the mempool's spent index map a txid to a run
+map from output index to the output or to its spender, so cost follows
+cohorts and runs of alike outputs, not members.
 """
 from __future__ import annotations
 
@@ -133,9 +135,9 @@ class Block:
 
 @dataclass(slots=True, eq=False)
 class _Piece:
-    """Pending members lo .. hi - 1 of one cohort that share their number of
-    pending parents (waits).  Member m was submitted with sequence number
-    base + m."""
+    """Pending members lo .. hi - 1 of one cohort, each with `waits` inputs
+    that spend an output of a pending member.  Member m was submitted with
+    sequence number base + m."""
     tx: Transaction
     lo: int
     hi: int
@@ -151,21 +153,29 @@ def _rank(fee: int, weight: int) -> int:
     return -((fee << 44) // weight)
 
 
+def _spending(index: int, nout: int, lo: int, hi: int, count: int) -> tuple[int, int]:
+    """(a, b): members a .. b - 1 of a cohort of `count` with an input at
+    `index` spend members lo .. hi - 1 of a parent with `nout` outputs each;
+    none if a >= b."""
+    return max(lo * nout - index, 0), min(hi * nout - index, count)
+
+
 @dataclass
 class MempoolState:
     """Pending cohorts plus the indexes needed for cheap policy checks.
 
     pending maps a cohort with any pending member to the cohort, and pieces
-    to its pending members, split where their number of pending parents
-    differs.  spent maps a txid to a run map (lo, hi, spender) of its outputs
-    spent by pending members, which makes conflict detection cheap; children
-    maps a cohort to the cohorts spending its outputs.  Pieces with no
-    pending parent wait in one heap (_queue) of (_rank, weight, base + lo,
-    piece) entries: highest feerate first, then lighter (it packs better
-    under a weight limit), then submission order.  A partly mined piece
-    keeps its key, which stays in place because a cohort's members hold
-    consecutive sequence numbers; an emptied piece (evicted members) is
-    dropped when mining reaches it.
+    to its pending members, split where their number of pending inputs
+    (waits) differs; every input that spends a pending member's output
+    counts once, until that member is mined.  spent maps a txid to a run
+    map (lo, hi, spender) of its outputs spent by pending members, which
+    makes conflict detection cheap; children maps a cohort to the cohorts
+    spending its outputs.  Pieces with no pending input wait in one heap
+    (_queue) of (_rank, weight, base + lo, piece) entries: highest feerate
+    first, then lighter (it packs better under a weight limit), then
+    submission order.  A partly mined piece keeps its key, which stays in
+    place because a cohort's members hold consecutive sequence numbers; an
+    emptied piece (evicted members) is dropped when mining reaches it.
     """
     pending: dict[str, Transaction] = field(default_factory=dict)
     pieces: dict[str, list[_Piece]] = field(default_factory=dict)
@@ -179,7 +189,7 @@ class MempoolState:
         return self.members
 
     def _enqueue(self, piece: _Piece) -> None:
-        """Make a piece with no pending parent minable."""
+        """Make a piece with no pending input minable."""
         tx = piece.tx
         heapq.heappush(self._queue, (_rank(tx.fee, tx.weight), tx.weight,
                                      piece.base + piece.lo, piece))
@@ -216,31 +226,23 @@ class MempoolState:
         return inside
 
     def _adjust(self, txid: str, lo: int, hi: int) -> None:
-        """Members lo .. hi - 1 of `txid` lost one pending parent."""
+        """Members lo .. hi - 1 of `txid` lost one pending input."""
         for p in self._split(txid, lo, hi):
             p.waits -= 1
             if not p.waits:
                 self._enqueue(p)
 
-    def _release(self, parent: Transaction, lo: int, hi: int) -> None:
-        """Members lo .. hi - 1 of `parent` left the mempool by confirmation."""
-        txid = parent.id
-        nout = parent.outputs[-1][1]  # its children spend some, so it has runs
+    def _spenders(self, txid: str, lo: int, hi: int) -> Iterable[tuple[str, int, int]]:
+        """(kid, a, b) for each input of a pending cohort by which its
+        members a .. b - 1 spend members lo .. hi - 1 of `txid`."""
+        parent = self.pending[txid]
         for kid in self.children.get(txid, ()):
             child = self.pending[kid]
-            if parent.count == 1:
-                self._adjust(kid, 0, child.count)
-                continue
-            if child.count == 1:
-                owners = {ref.index // nout for ref in child.inputs if ref.txid == txid}
-                for _ in range(sum(lo <= w < hi for w in owners)):
-                    self._adjust(kid, 0, 1)
-                continue
             for ref in child.inputs:
                 if ref.txid == txid:
-                    a, b = max(lo - ref.index, 0), min(hi - ref.index, child.count)
+                    a, b = _spending(ref.index, parent.outputs[-1][1], lo, hi, child.count)
                     if a < b:
-                        self._adjust(kid, a, b)
+                        yield kid, a, b
 
     def _forget(self, tx: Transaction) -> None:
         """The cohort has no pending member left."""
@@ -327,11 +329,10 @@ class ChainState:
                     raise ValueError(f"members of cohort {txid!r} spend one another's inputs")
 
         total_in = 0
-        shared: set = set()  # pending parents of every member
-        links: list[tuple[int, int, str]] = []  # members with a pending cohort parent
+        links: list[tuple[int, int, str]] = []  # one per pending input
         direct: set[tuple[str, int, int]] = set()
         for ref in inputs:
-            value = self._input_value(ref, count, shared, links)
+            value = self._input_value(ref, count, links)
             if value is None:
                 return _REJECTED[REJECT_MISSING_INPUT]
             total_in += value
@@ -360,42 +361,32 @@ class ChainState:
         mp.members += count
         for ref in inputs:
             _put(mp.spent, ref.txid, ref.index, ref.index + count, txid)
-        if shared or links:
-            parents = {p if isinstance(p, str) else p[0] for p in shared}
-            parents.update(link[2] for link in links)
-            children = mp.children
-            for parent in parents:
-                children.setdefault(parent, []).append(txid)
-        if not links:  # every member waits on the same parents: one piece
-            piece = _Piece(tx, 0, count, base, len(shared))
+        if not links:  # no pending input: one piece, minable at once
+            piece = _Piece(tx, 0, count, base, 0)
             mp.pieces[txid] = [piece]
-            if not shared:
-                mp._enqueue(piece)
+            mp._enqueue(piece)
             return result
+        for parent in dict.fromkeys(link[2] for link in links):
+            mp.children.setdefault(parent, []).append(txid)
         cuts = sorted({0, count}.union(*((a, b) for a, b, _ in links)))
         pieces = mp.pieces[txid] = []
         for lo, hi in zip(cuts, cuts[1:]):
-            waits = len(shared) + sum(a <= lo < b for a, b, _ in links)
+            waits = sum(a <= lo < b for a, b, _ in links)
             piece = _Piece(tx, lo, hi, base, waits)
             pieces.append(piece)
             if not waits:
                 mp._enqueue(piece)
         return result
 
-    def _input_value(self, ref: OutputRef, count: int, shared: set,
-                     links: list) -> int | None:
+    def _input_value(self, ref: OutputRef, count: int, links: list) -> int | None:
         """Value of the output each member spends at `ref`, or None if none
-        of them exists.  A pending transaction every member spends from goes
-        in `shared`; members spending a pending member of a cohort go in
-        `links` as (first, end, cohort id)."""
+        of them exists.  Members a .. b - 1 that spend a run of pending
+        members of the parent go in `links` as (a, b, parent id), one per run."""
         txid, lo = ref
         hi = lo + count
         held = self.utxo.get(txid)
         parent = self.mempool.pending.get(txid)
-        single = parent is not None and parent.count == 1
-        if single:
-            held = parent.outputs  # all pending: the runs it will mint
-        elif held is not None and len(held) == 1 and parent is None:
+        if parent is None and held is not None and len(held) == 1:
             a, b, out = held[0]
             if a <= lo and hi <= b:  # one unspent run holds every member's input
                 return out.value
@@ -403,22 +394,18 @@ class ChainState:
         for a, b, out in runs.overlap(held, lo, hi) if held else ():
             have += b - a
             found.add(out)
-        if single:
-            if have:
-                shared.add(txid)
-        elif parent is not None and parent.outputs:
+        if parent is not None and parent.outputs:
             outputs = parent.outputs
             nout = outputs[-1][1]
-            for a, b in self.mempool.parts(txid, lo // nout, (hi - 1) // nout + 1):
-                if count == 1:
-                    shared.add((txid, a))
-                elif nout != 1:
+            for pa, pb in self.mempool.parts(txid, lo // nout, (hi - 1) // nout + 1):
+                if count > 1 and parent.count > 1 and nout != 1:
                     raise ValueError(
                         f"cohort spends members of {txid!r}, which have several outputs")
-                else:
-                    links.append((a - lo, b - lo, txid))
+                a, b = _spending(lo, nout, pa, pb, count)
+                links.append((a, b, txid))
                 have += b - a
-                found.add(runs.overlap(outputs, lo % nout, lo % nout + 1)[0][2])
+                at = lo - pa * nout  # member m spends member pa's output at + m
+                found.update(out for _, _, out in runs.overlap(outputs, at + a, at + b))
         if not have:
             return None
         values = {out.value for out in found}
@@ -458,18 +445,15 @@ class ChainState:
                 return _REJECTED[REJECT_NOT_REPLACEABLE]
         evicted = self._with_descendants(direct, count)
         for txid, lo, hi in evicted:
-            gone = pending[txid]
             for ref in tx.inputs:
                 if ref.txid != txid:
                     continue
                 # The newcomer cannot ride on outputs it is about to destroy.
-                if count == 1:
-                    if lo <= ref.index // gone.outputs[-1][1] < hi:
-                        return _REJECTED[REJECT_MISSING_INPUT]
-                elif ref.index == lo:
+                a, b = _spending(ref.index, pending[txid].outputs[-1][1], lo, hi, count)
+                if a < b:
+                    if b - a < count:
+                        raise ValueError(f"cohort {tx.id!r} spends what it evicts unevenly")
                     return _REJECTED[REJECT_MISSING_INPUT]
-                elif ref.index < hi and lo < ref.index + count:
-                    raise ValueError(f"cohort {tx.id!r} spends what it evicts unevenly")
         if tx.fee * count <= sum(pending[txid].fee * (hi - lo) for txid, lo, hi in evicted) \
                 or not all(tx.outranks(pending[txid]) for txid, _, _ in evicted):
             return _REJECTED[REJECT_INSUFFICIENT_FEE]
@@ -512,18 +496,11 @@ class ChainState:
                 continue
             out.add(cur)
             txid, lo, hi = cur
-            for kid in mp.children.get(txid, ()):
-                nout = mp.pending[txid].outputs[-1][1]
-                child = mp.pending[kid]
-                for ref in child.inputs:
-                    if ref.txid != txid:
-                        continue
-                    a = max(lo * nout - ref.index, 0)
-                    b = min(hi * nout - ref.index, child.count)
-                    runs = mp.parts(kid, a, b) if a < b else []
-                    if count > 1 and runs and runs != [(lo - ref.index, hi - ref.index)]:
-                        raise ValueError(f"descendants of {txid!r} do not line up")
-                    stack.extend((kid, x, y) for x, y in runs)
+            for kid, a, b in mp._spenders(txid, lo, hi):
+                runs = mp.parts(kid, a, b)
+                if count > 1 and runs and (runs != [(a, b)] or b - a != hi - lo):
+                    raise ValueError(f"descendants of {txid!r} do not line up")
+                stack.extend((kid, x, y) for x, y in runs)
         merged: list[tuple[str, int, int]] = []
         for txid, lo, hi in sorted(out):  # runs reached along two paths may overlap
             if merged and merged[-1][0] == txid and lo < merged[-1][2]:
@@ -596,8 +573,9 @@ class ChainState:
             confirmed.add(txid)
             selected.append(tx if taken == tx.count else Transaction(
                 txid, tx.inputs, tx.outputs, weight, tx.fee, tx.rbf_signal, taken, lo))
-            if kids:
-                mp._release(tx, lo, end)
+            if kids:  # members that spend them lose a pending input each
+                for kid, a, b in mp._spenders(txid, lo, end):
+                    mp._adjust(kid, a, b)
             if not pieces[txid]:
                 mp._forget(tx)
         for entry in skipped:

@@ -532,7 +532,7 @@ def test_each_layer_refusal_exits_2_with_its_message(tmp_path, capsys, text, mes
 
 
 @pytest.mark.parametrize("text, stage, message", [
-    (FAST_ATTACK.replace("= 2", "= ten"), "configure",
+    (FAST_ATTACK.replace("channels = 2", "channels = ten"), "configure",
      "config-parse-error: [attack] num_victim_channels: "
      "invalid literal for int() with base 10: 'ten'"),
     (FAST_ATTACK + "    anchor_mode = maybe\n", "configure",

@@ -161,7 +161,7 @@ class Session:
                 assert p.lo < p.hi, (txid, p.lo)
                 for member in self.members(self.cohorts[txid], p.lo, p.hi - p.lo):
                     waiting = any(ref.txid in pending for ref in member.inputs)
-                    assert waiting == (p.waits > 0), (member.id, p.waits)
+                    assert waiting == bool(p.waits), (member.id, p.waits)
                 assert p.waits or p in queued, (txid, p.lo, p.hi)
 
     # -- random cohorts --------------------------------------------------------
@@ -352,6 +352,26 @@ def test_a_partly_mined_piece_keeps_its_place():
         [("P", 0, 3)], [("P", 3, 1), ("P", 4, 1), ("K", 0, 1)],
         [("K", 1, 1), ("K", 2, 1), ("K", 3, 1)], [("L", 0, 3)], [("L", 3, 1)], []]
     s.chain.audit()
+
+
+def test_inputs_spending_one_pending_member_clear_together():
+    # K spends two outputs of P's member 0, a single and then a cohort of
+    # two-output members.  Blocks of one transaction confirm that member
+    # alone: K must then be ready, and queued, with no pending input left.
+    for count in (1, 2):
+        s = Session(random.Random(0))
+        s.limit = 400
+        s.chain = ChainState(s.limit)
+        g = s.chain.grant("g", 10_000, count=count)
+        s.submit(Transaction("P", (g,), ((0, 2, TxOutput(4_000, "p")),), 400, 2_000, True,
+                             count))
+        s.submit(Transaction("K", (OutputRef("P", 0), OutputRef("P", 1)),
+                             ((0, 1, TxOutput(7_000, "k")),), 400, 1_000))
+        assert s.seen["single"] == 1 + (count == 1) and "K" in s.chain.mempool.pending
+        while s.mine():  # as oracle_block orders the members; checks readiness
+            pass
+        assert s.chain.blocks[0].txs[0].id == "P" and s.chain.is_confirmed("K")
+        s.chain.audit()
 
 
 def test_cohort_sessions_match_member_by_member_references():

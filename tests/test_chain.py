@@ -714,3 +714,57 @@ def test_cohort_whose_members_differ_in_replaceability_raises():
     assert chain.submit(cohort("R", [OutputRef("P", 0)], 8_000, 1_000, 2)).ok
     tx = cohort("N", [OutputRef("P", 0)], 6_000, 3_000, 2)
     assert raised(chain, tx) == "members of 'R' differ in replaceability"
+
+
+def test_cohort_clashing_with_two_rivals_raises():
+    chain = ChainState()
+    g = chain.grant("g", 10_000, count=2)
+    assert chain.submit(cohort("A", [g], 9_000, 1_000, 1, True)).ok
+    assert chain.submit(cohort("B", [OutputRef(g.txid, 1)], 9_000, 1_000, 1, True)).ok
+    assert raised(chain, cohort("N", [g], 5_000, 5_000, 2)) == \
+        "cohort members conflict unevenly at OutputRef(txid='grant-0', index=0)"
+
+
+def test_cohort_clashing_with_what_is_only_partly_spent_raises():
+    chain = ChainState()
+    g = chain.grant("g", 10_000, count=2)
+    assert chain.submit(cohort("A", [g], 9_000, 1_000, 1, True)).ok
+    assert raised(chain, cohort("N", [g], 5_000, 5_000, 2)) == \
+        "cohort members conflict unevenly at OutputRef(txid='grant-0', index=0)"
+
+
+def test_cohort_whose_evicted_descendants_do_not_line_up_raises():
+    # K spends P's member 0 only: evicting P would take one member of K
+    # for the newcomer's two.
+    chain = ChainState()
+    g = chain.grant("g", 10_000, count=2)
+    assert chain.submit(cohort("P", [g], 9_000, 1_000, 2, True)).ok
+    assert chain.submit(cohort("K", [OutputRef("P", 0)], 8_000, 1_000, 1)).ok
+    assert raised(chain, cohort("N", [g], 5_000, 5_000, 2)) == \
+        "descendants of 'P' do not line up"
+
+
+def test_cohort_evicting_one_descendant_along_two_paths_raises():
+    # The newcomer clashes with A's members 0-1 and B's members 1-2; K's
+    # member 1 spends both A's member 1 and B's member 1.
+    chain = ChainState()
+    g = chain.grant("g", 10_000, count=3)
+    h = chain.grant("h", 10_000, count=3)
+    assert chain.submit(cohort("A", [g], 9_000, 1_000, 3, True)).ok
+    assert chain.submit(cohort("B", [h], 9_000, 1_000, 3, True)).ok
+    assert chain.submit(cohort("K", [OutputRef("A", 0), OutputRef("B", 0)], 17_000, 1_000, 3)).ok
+    tx = cohort("N", [g, OutputRef(h.txid, 1)], 15_000, 5_000, 2)
+    assert raised(chain, tx) == "cohort members would evict the same transactions"
+
+
+def test_pending_transaction_without_outputs_is_replaced_and_mined():
+    chain = ChainState()
+    g = chain.grant("g", 10_000)
+    h = chain.grant("h", 30_000)
+    assert chain.submit(Transaction("P", (g,), (), 400, 10_000, True)).ok
+    res = chain.submit(Transaction("N", (g,), ((0, 1, TxOutput(1, "n")),), 400, 9_999))
+    assert (res.status, res.reason) == ("rejected", "insufficient-replacement-fee")
+    res = chain.submit(Transaction("N", (g, h), ((0, 1, TxOutput(1, "n")),), 400, 39_999))
+    assert (res.status, res.evicted) == ("replaced", ("P",))
+    assert [t.id for t in chain.mine_block().txs] == ["N"]
+    chain.audit()

@@ -168,9 +168,9 @@ class MempoolState:
     to its pending members, split where their number of pending inputs
     (waits) differs; every input that spends a pending member's output
     counts once, until that member is mined.  spent maps a txid to a run
-    map (lo, hi, spender) of its outputs spent by pending members, which
-    makes conflict detection cheap; children maps a cohort to the cohorts
-    spending its outputs.  Pieces with no pending input wait in one heap
+    map (lo, hi, spender) of its outputs spent by pending members: the one
+    index of who spends what, which names both a newcomer's conflicts and
+    each cohort's spenders.  Pieces with no pending input wait in one heap
     (_queue) of (_rank, weight, base + lo, piece) entries: highest feerate
     first, then lighter (it packs better under a weight limit), then
     submission order.  A partly mined piece keeps its key, which stays in
@@ -180,7 +180,6 @@ class MempoolState:
     pending: dict[str, Transaction] = field(default_factory=dict)
     pieces: dict[str, list[_Piece]] = field(default_factory=dict)
     spent: dict[str, list[tuple[int, int, str]]] = field(default_factory=dict)
-    children: dict[str, list[str]] = field(default_factory=dict)
     members: int = 0
     _queue: list[tuple[int, int, int, _Piece]] = field(default_factory=list)
     _next_seq: int = 0
@@ -232,33 +231,25 @@ class MempoolState:
             if not p.waits:
                 self._enqueue(p)
 
-    def _spenders(self, txid: str, lo: int, hi: int) -> Iterable[tuple[str, int, int]]:
+    def _spenders(self, txid: str, lo: int, hi: int) -> list[tuple[str, int, int]]:
         """(kid, a, b) for each input of a pending cohort by which its
-        members a .. b - 1 spend members lo .. hi - 1 of `txid`."""
-        parent = self.pending[txid]
-        for kid in self.children.get(txid, ()):
+        members a .. b - 1 spend outputs lo .. hi - 1 of `txid`, which may
+        be pending, confirmed or a grant."""
+        found = []
+        held = self.spent.get(txid, [])
+        for kid in dict.fromkeys(x for _, _, x in runs.overlap(held, lo, hi)):
             child = self.pending[kid]
             for ref in child.inputs:
                 if ref.txid == txid:
-                    a, b = _spending(ref.index, parent.outputs[-1][1], lo, hi, child.count)
+                    a, b = _spending(ref.index, 1, lo, hi, child.count)
                     if a < b:
-                        yield kid, a, b
+                        found.append((kid, a, b))
+        return found
 
     def _forget(self, tx: Transaction) -> None:
         """The cohort has no pending member left."""
-        txid = tx.id
-        del self.pending[txid]
-        del self.pieces[txid]
-        children = self.children
-        children.pop(txid, None)
-        if not children:
-            return
-        for parent in {ref.txid for ref in tx.inputs}:
-            siblings = children.get(parent)
-            if siblings and txid in siblings:
-                siblings.remove(txid)
-                if not siblings:
-                    del children[parent]
+        del self.pending[tx.id]
+        del self.pieces[tx.id]
 
     def _unspend(self, tx: Transaction, lo: int, hi: int) -> None:
         for ref in tx.inputs:
@@ -366,8 +357,6 @@ class ChainState:
             mp.pieces[txid] = [piece]
             mp._enqueue(piece)
             return result
-        for parent in dict.fromkeys(link[2] for link in links):
-            mp.children.setdefault(parent, []).append(txid)
         cuts = sorted({0, count}.union(*((a, b) for a, b, _ in links)))
         pieces = mp.pieces[txid] = []
         for lo, hi in zip(cuts, cuts[1:]):
@@ -417,22 +406,12 @@ class ChainState:
         """The pending members spending what the cohort's members spend at
         `ref`: (cohort id, first, end), member first + m clashing with member
         m; None if none does."""
-        held = self.mempool.spent.get(ref.txid)
-        if held is None:
-            return None
-        meet = runs.overlap(held, ref.index, ref.index + count)
+        meet = self.mempool._spenders(ref.txid, ref.index, ref.index + count)
         if not meet:
             return None
-        rivals = {x for _, _, x in meet}
-        if len(rivals) != 1 or sum(b - a for a, b, _ in meet) != count:
+        if len(meet) != 1 or meet[0][2] - meet[0][1] != count:
             raise ValueError(f"cohort members conflict unevenly at {ref}")
-        rival = rivals.pop()
-        other = self.mempool.pending[rival]
-        first = next(ref.index - theirs.index for theirs in other.inputs
-                     if theirs.txid == ref.txid and 0 <= ref.index - theirs.index < other.count)
-        if first + count > other.count:
-            raise ValueError(f"cohort members conflict unevenly at {ref}")
-        return rival, first, first + count
+        return meet[0]
 
     def _replace(self, tx: Transaction, direct: set[tuple[str, int, int]]) -> SubmitResult:
         """Apply the replacement rules for `tx` against its direct conflicts;
@@ -496,7 +475,9 @@ class ChainState:
                 continue
             out.add(cur)
             txid, lo, hi = cur
-            for kid, a, b in mp._spenders(txid, lo, hi):
+            outputs = mp.pending[txid].outputs
+            n = outputs[-1][1] if outputs else 0  # nout
+            for kid, a, b in mp._spenders(txid, lo * n, hi * n):
                 runs = mp.parts(kid, a, b)
                 if count > 1 and runs and (runs != [(a, b)] or b - a != hi - lo):
                     raise ValueError(f"descendants of {txid!r} do not line up")
@@ -528,13 +509,13 @@ class ChainState:
         (parents confirmed or already selected), skipping ones that do not
         fit, until nothing else can be added.  The best member heads the
         best queued piece, and as many of its members as fit go in at once
-        -- one at a time when the cohort has pending children, which may
-        outrank it once freed.  A piece too heavy for the room left is set
-        aside and queued again after the block."""
+        -- one at a time while the members it takes have pending spenders,
+        which may outrank it once freed.  A piece too heavy for the room
+        left is set aside and queued again after the block."""
         mp = self.mempool
         queue = mp._queue
         pieces = mp.pieces
-        children = mp.children
+        spent = mp.spent
         utxo = self.utxo
         confirmed = self.confirmed_ids
         room = self.blockmaxweight
@@ -555,7 +536,8 @@ class ChainState:
                 continue
             tx = piece.tx
             txid = tx.id
-            kids = txid in children
+            n = tx.outputs[-1][1] if tx.outputs else 0  # nout
+            kids = txid in spent and mp._spenders(txid, lo * n, hi * n)
             end = lo + 1 if kids else min(hi, lo + room // weight)
             taken = end - lo
             piece.lo = end  # a piece left in the queue keeps its key
@@ -574,7 +556,7 @@ class ChainState:
             selected.append(tx if taken == tx.count else Transaction(
                 txid, tx.inputs, tx.outputs, weight, tx.fee, tx.rbf_signal, taken, lo))
             if kids:  # members that spend them lose a pending input each
-                for kid, a, b in mp._spenders(txid, lo, end):
+                for kid, a, b in mp._spenders(txid, lo * n, end * n):
                     mp._adjust(kid, a, b)
             if not pieces[txid]:
                 mp._forget(tx)

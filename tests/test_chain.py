@@ -224,6 +224,18 @@ def test_child_rides_along_when_space_remains():
     assert block.weight_used == 4_000_000
 
 
+def test_cohort_goes_one_member_at_a_time_only_while_its_members_have_spenders():
+    # K spends P's member 0 only, so P's members 1-3 go in at once; K, at a
+    # lower feerate, no longer fits.
+    chain = ChainState(1_600)
+    g = chain.grant("g", 10_000, count=4)
+    assert chain.submit(cohort("P", [g], 9_000, 1_000, 4, True)).ok
+    assert chain.submit(cohort("K", [OutputRef("P", 0)], 8_800, 200, 1)).ok
+    assert [(t.id, t.first, t.count) for t in chain.mine_block().txs] == [("P", 0, 1), ("P", 1, 3)]
+    assert [(t.id, t.first, t.count) for t in chain.mine_block().txs] == [("K", 0, 1)]
+    chain.audit()
+
+
 def test_feerate_ties_break_by_weight_then_submission():
     chain = ChainState()
     refs = [chain.grant("n", 100_000) for _ in range(3)]

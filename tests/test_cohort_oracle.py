@@ -152,17 +152,31 @@ class Session:
     def check_readiness(self):
         """A live piece waits exactly when its members spend outputs of
         pending members, member by member, and a piece that does not wait
-        is queued for mining."""
+        is queued for mining.  The pending members the mempool's spender
+        walk names over a piece's outputs are exactly those whose inputs
+        spend the piece's members."""
         mempool = self.chain.mempool
         pending = {t.id for t in self.pending}
+        spenders = {}  # member id -> pending member ids spending its outputs
+        for t in self.pending:
+            for ref in t.inputs:
+                spenders.setdefault(ref.txid, set()).add(t.id)
         queued = {entry[3] for entry in mempool._queue}
         for txid, pieces in mempool.pieces.items():
+            tx = self.cohorts[txid]
+            nout = len(flat_outputs(tx))
             for p in pieces:  # every listed piece is live: lo < hi
                 assert p.lo < p.hi, (txid, p.lo)
-                for member in self.members(self.cohorts[txid], p.lo, p.hi - p.lo):
+                for member in self.members(tx, p.lo, p.hi - p.lo):
                     waiting = any(ref.txid in pending for ref in member.inputs)
                     assert waiting == bool(p.waits), (member.id, p.waits)
                 assert p.waits or p in queued, (txid, p.lo, p.hi)
+                named = {self.member_id(kid, m)
+                         for kid, a, b in mempool._spenders(txid, p.lo * nout, p.hi * nout)
+                         for x, y in mempool.parts(kid, a, b) for m in range(x, y)}
+                want = set().union(*(spenders.get(self.member_id(txid, m), ())
+                                     for m in range(p.lo, p.hi)))
+                assert named == want, (txid, p.lo, p.hi)
 
     # -- random cohorts --------------------------------------------------------
 
@@ -333,7 +347,7 @@ def test_member_evicted_along_two_paths_counts_once():
 def test_a_partly_mined_piece_keeps_its_place():
     # P, K and L share fee and weight, so submission order decides.  K spends
     # P's members 1..4: its members 0-1 are minable at once and 2-3 wait on
-    # P's last two, which go one at a time (P has a pending child), each
+    # P's last two, which go one at a time (K spends them), each
     # freeing one member of K.  A block then takes K's first member only, and
     # the rest of that piece must still precede all of L, submitted later.
     s = Session(random.Random(0))

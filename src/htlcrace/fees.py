@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import math
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,6 +82,8 @@ def ingest_feerate_csv(path) -> FeerateSeries:
                 conf = int(row[3])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            if not math.isfinite(rate):  # inf, -inf, nan, or past float range
+                raise ConfigError(f"{path}:{lineno}: feerate must be finite")
             unit = row[2].strip()
             if unit == "sat_kwu":
                 feerate = int(round(rate))

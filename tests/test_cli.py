@@ -196,6 +196,17 @@ def test_missing_feerate_csv_is_config_error(tmp_path):
     assert "missing-input" in (out / "summary.txt").read_text()
 
 
+def test_infinite_csv_feerate_exits_2_from_run_and_validate(tmp_path, capsys):
+    (tmp_path / "rates.csv").write_text(
+        "height,feerate,unit,conf_target\n0,inf,sat_kwu,2\n")
+    path = write_scenario(tmp_path, FAST_ATTACK + "\n    [feerates]\n    csv = rates.csv\n")
+    message = f"{(tmp_path / 'rates.csv').resolve()}:2: feerate must be finite"
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"invalid: {message}\n"
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error (configure): {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep / matrix / fee-analysis runs
 # ---------------------------------------------------------------------------

@@ -56,6 +56,15 @@ def test_ingest_rejects_zero_feerate(tmp_path):
         ingest_feerate_csv(write_csv(tmp_path, ["5,0,sat_kwu,1"]))
 
 
+@pytest.mark.parametrize("unit", ["sat_kwu", "sat_vb"])
+@pytest.mark.parametrize("rate", ["inf", "-inf", "nan", "1e400"])
+def test_ingest_rejects_a_feerate_that_is_not_finite(tmp_path, rate, unit):
+    path = write_csv(tmp_path, ["5,100,sat_kwu,1", f"6,{rate},{unit},1"])
+    with pytest.raises(ConfigError) as exc:
+        ingest_feerate_csv(path)
+    assert str(exc.value) == f"{path}:3: feerate must be finite"
+
+
 def test_ingest_rejects_unsorted_heights(tmp_path):
     with pytest.raises(ConfigError, match="series heights must be strictly increasing"):
         ingest_feerate_csv(write_csv(tmp_path, ["5,100,sat_kwu,1", "5,200,sat_kwu,1"]))

@@ -236,8 +236,8 @@ class MempoolState:
         members a .. b - 1 spend outputs lo .. hi - 1 of `txid`, which may
         be pending, confirmed or a grant."""
         found = []
-        held = self.spent.get(txid, [])
-        for kid in dict.fromkeys(x for _, _, x in runs.overlap(held, lo, hi)):
+        held = self.spent.get(txid)
+        for kid in dict.fromkeys(x for _, _, x in runs.overlap(held, lo, hi)) if held else ():
             child = self.pending[kid]
             for ref in child.inputs:
                 if ref.txid == txid:

@@ -406,10 +406,12 @@ class ChainState:
         """The pending members spending what the cohort's members spend at
         `ref`: (cohort id, first, end), member first + m clashing with member
         m; None if none does."""
-        meet = self.mempool._spenders(ref.txid, ref.index, ref.index + count)
+        mp = self.mempool
+        meet = mp._spenders(ref.txid, ref.index, ref.index + count)
         if not meet:
             return None
-        if len(meet) != 1 or meet[0][2] - meet[0][1] != count:
+        kid, a, b = meet[0]  # a partly evicted rival conflicts unevenly too
+        if len(meet) != 1 or b - a != count or mp.parts(kid, a, b) != [(a, b)]:
             raise ValueError(f"cohort members conflict unevenly at {ref}")
         return meet[0]
 
@@ -509,13 +511,12 @@ class ChainState:
         (parents confirmed or already selected), skipping ones that do not
         fit, until nothing else can be added.  The best member heads the
         best queued piece, and as many of its members as fit go in at once
-        -- one at a time while the members it takes have pending spenders,
-        which may outrank it once freed.  A piece too heavy for the room
+        -- one at a time while any of its remaining members has a pending
+        spender, which may outrank it once freed.  A piece too heavy for the room
         left is set aside and queued again after the block."""
         mp = self.mempool
         queue = mp._queue
         pieces = mp.pieces
-        spent = mp.spent
         utxo = self.utxo
         confirmed = self.confirmed_ids
         room = self.blockmaxweight
@@ -536,8 +537,8 @@ class ChainState:
                 continue
             tx = piece.tx
             txid = tx.id
-            n = tx.outputs[-1][1] if tx.outputs else 0  # nout
-            kids = txid in spent and mp._spenders(txid, lo * n, hi * n)
+            held = mp.spent.get(txid)  # then tx has outputs: n per member
+            kids = held and runs.overlap(held, lo * (n := tx.outputs[-1][1]), hi * n)
             end = lo + 1 if kids else min(hi, lo + room // weight)
             taken = end - lo
             piece.lo = end  # a piece left in the queue keeps its key

@@ -82,15 +82,14 @@ def ingest_feerate_csv(path) -> FeerateSeries:
                 conf = int(row[3])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            if not math.isfinite(rate):  # inf, -inf, nan, or past float range
-                raise ConfigError(f"{path}:{lineno}: feerate must be finite")
             unit = row[2].strip()
-            if unit == "sat_kwu":
-                feerate = int(round(rate))
-            elif unit == "sat_vb":
-                feerate = int(round(rate * SAT_PER_VB_TO_KWU))
-            else:
+            if unit == "sat_vb":
+                rate *= SAT_PER_VB_TO_KWU
+            elif unit != "sat_kwu":
                 raise ConfigError(f"{path}:{lineno}: unknown unit {unit!r}")
+            if not math.isfinite(rate):  # inf, -inf, nan, or past float range once scaled
+                raise ConfigError(f"{path}:{lineno}: feerate must be finite")
+            feerate = int(round(rate))
             if feerate <= 0:
                 raise ConfigError(f"{path}:{lineno}: feerate must be positive")
             points.append((height, feerate, conf))

@@ -745,6 +745,19 @@ def test_cohort_clashing_with_what_is_only_partly_spent_raises():
         "cohort members conflict unevenly at OutputRef(txid='grant-0', index=0)"
 
 
+def test_cohort_clashing_with_a_partly_evicted_rival_raises():
+    # X evicts R's member 0 and Z evicts X: only R's member 1 still spends g.
+    chain = ChainState()
+    g = chain.grant("g", 10_000, count=2)
+    h = chain.grant("h", 10_000)
+    assert chain.submit(cohort("R", [g], 9_000, 1_000, 2, True)).ok
+    assert chain.submit(cohort("X", [g, h], 18_000, 2_000, 1, True)).evicted == ("R",)
+    assert chain.submit(cohort("Z", [h], 5_000, 5_000, 1)).evicted == ("X",)
+    assert raised(chain, cohort("N", [g], 5_000, 5_000, 2)) == \
+        "cohort members conflict unevenly at OutputRef(txid='grant-0', index=0)"
+    assert chain.mempool.parts("R", 0, 2) == [(1, 2)] and len(chain.mempool) == 2
+
+
 def test_cohort_whose_evicted_descendants_do_not_line_up_raises():
     # K spends P's member 0 only: evicting P would take one member of K
     # for the newcomer's two.

@@ -196,17 +196,6 @@ def test_missing_feerate_csv_is_config_error(tmp_path):
     assert "missing-input" in (out / "summary.txt").read_text()
 
 
-def test_infinite_csv_feerate_exits_2_from_run_and_validate(tmp_path, capsys):
-    (tmp_path / "rates.csv").write_text(
-        "height,feerate,unit,conf_target\n0,inf,sat_kwu,2\n")
-    path = write_scenario(tmp_path, FAST_ATTACK + "\n    [feerates]\n    csv = rates.csv\n")
-    message = f"{(tmp_path / 'rates.csv').resolve()}:2: feerate must be finite"
-    assert main(["validate", str(path)]) == 2
-    assert capsys.readouterr().err == f"invalid: {message}\n"
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"error (configure): {message}\n"
-
-
 # ---------------------------------------------------------------------------
 # sweep / matrix / fee-analysis runs
 # ---------------------------------------------------------------------------
@@ -509,28 +498,31 @@ def test_runtime_errors_exit_3_and_leave_a_summary(tmp_path, monkeypatch):
     assert "FAILED at stage execute" in summary and "boom" in summary
 
 
-@pytest.mark.parametrize("text, message", [
-    (FAST_ATTACK + "    num_victim_chanels = 100\n",
+FEERATE_CSV = FAST_ATTACK + "\n    [feerates]\n    csv = rates.csv\n"
+
+
+@pytest.mark.parametrize("text, row, message", [
+    (FAST_ATTACK + "    num_victim_chanels = 100\n", None,
      "config-parse-error: [attack] unknown key 'num_victim_chanels'"),
-    (FAST_ATTACK + "\n    [feerates]\n    csv = rates.csv\n",
-     "{csv}:2: unknown unit 'btc_kb'"),
-    (FAST_ATTACK + "    feerate_strategy = minimize:abc\n",
+    (FEERATE_CSV, "0,3000,btc_kb,1", "{csv}:2: unknown unit 'btc_kb'"),
+    (FEERATE_CSV, "0,inf,sat_kwu,2", "{csv}:2: feerate must be finite"),
+    (FAST_ATTACK + "    feerate_strategy = minimize:abc\n", None,
      "unknown feerate strategy 'minimize:abc'"),
     # expiry inside the victims' reaction window
-    (FAST_ATTACK + "    htlc_expiry_height = 8\n",
+    (FAST_ATTACK + "    htlc_expiry_height = 8\n", None,
      "htlc_expiry_height 8 leaves less than 41 blocks after setup ends at height 1"),
     (FAST_MATRIX + "\n    [policy:both]\n    anchor_outputs_mode = true\n"
-                   "    non_replaceable_htlc_success = true\n",
+                   "    non_replaceable_htlc_success = true\n", None,
      "anchor_mode needs replaceable victim claims to re-issue them"),
     # WeightSchedule's own ValueError, which configure makes a ConfigError
-    (FAST_ATTACK + "\n    [weights]\n    htlc_success = 0\n",
+    (FAST_ATTACK + "\n    [weights]\n    htlc_success = 0\n", None,
      "config-parse-error: htlc_success must be positive"),
-], ids=["reader", "fees", "strategy", "engine", "policy", "channel"])
-def test_each_layer_refusal_exits_2_with_its_message(tmp_path, capsys, text, message):
+], ids=["reader", "fees", "fees-inf", "strategy", "engine", "policy", "channel"])
+def test_each_layer_refusal_exits_2_with_its_message(tmp_path, capsys, text, row, message):
     # Every layer that reads the configuration refuses it with a ConfigError:
     # run and validate both exit 2 and print the message as it was raised.
-    (tmp_path / "rates.csv").write_text(
-        "height,feerate,unit,conf_target\n0,3000,btc_kb,1\n")
+    if row is not None:
+        (tmp_path / "rates.csv").write_text(f"height,feerate,unit,conf_target\n{row}\n")
     message = message.format(csv=(tmp_path / "rates.csv").resolve())
     path = write_scenario(tmp_path, text)
     assert validate_scenario(path) == 2

@@ -56,8 +56,10 @@ def test_ingest_rejects_zero_feerate(tmp_path):
         ingest_feerate_csv(write_csv(tmp_path, ["5,0,sat_kwu,1"]))
 
 
-@pytest.mark.parametrize("unit", ["sat_kwu", "sat_vb"])
-@pytest.mark.parametrize("rate", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("rate, unit", [
+    *((rate, unit) for rate in ("inf", "-inf", "nan", "1e400") for unit in ("sat_kwu", "sat_vb")),
+    ("1e307", "sat_vb"),  # finite, but not once scaled to sat/kWU
+])
 def test_ingest_rejects_a_feerate_that_is_not_finite(tmp_path, rate, unit):
     path = write_csv(tmp_path, ["5,100,sat_kwu,1", f"6,{rate},{unit},1"])
     with pytest.raises(ConfigError) as exc:

@@ -512,8 +512,8 @@ class ChainState:
         fit, until nothing else can be added.  The best member heads the
         best queued piece, and as many of its members as fit go in at once
         -- one at a time while any of its remaining members has a pending
-        spender, which may outrank it once freed.  A piece too heavy for the room
-        left is set aside and queued again after the block."""
+        spender, which may outrank it once freed.  A piece too heavy for the
+        room left is set aside and queued again after the block."""
         mp = self.mempool
         queue = mp._queue
         pieces = mp.pieces

@@ -36,8 +36,8 @@ from .chain import (
     Transaction, TxOutput,
 )
 from .channel import (
-    ANCHOR_INPUT_WEIGHT, Channel, ChannelParams, WeightSchedule, fee_for_weight,
-    open_channel, profile_params,
+    ANCHOR_INPUT_WEIGHT, FUNDING_TX_WEIGHT, Channel, ChannelParams, WeightSchedule,
+    fee_for_weight, open_channel, profile_params,
 )
 from .fees import ConfigError, FeerateSeries, parse_strategy, running_minimum
 
@@ -155,8 +155,9 @@ def validate_config(cfg: AttackConfig) -> None:
         raise ConfigError("channel_feerate must be positive")
     if cfg.attacker_fee_bump_increment < 1:
         raise ConfigError("attacker_fee_bump_increment must be at least 1")
-    if cfg.blockmaxweight <= 0:
-        raise ConfigError("blockmaxweight must be positive")
+    if cfg.blockmaxweight < FUNDING_TX_WEIGHT:  # set-up could never confirm the funding
+        raise ConfigError(f"blockmaxweight must be at least {FUNDING_TX_WEIGHT}, "
+                          "the funding transaction's weight")
     if cfg.min_htlc_amount < 0:
         raise ConfigError("min_htlc_amount must be non-negative")
     if cfg.drain_cap < 0:
@@ -166,6 +167,9 @@ def validate_config(cfg: AttackConfig) -> None:
     kind, duration = parse_strategy(cfg.feerate_strategy)
     if kind == "minimize" and cfg.feerate_series is None:
         raise ConfigError("minimize strategy requires a feerate_series")
+    if cfg.feerate_series is not None and cfg.feerate_series.first_height > 0:
+        raise ConfigError(f"feerate series starts at height {cfg.feerate_series.first_height}, "
+                          "after the channels open at height 0")
     if cfg.anchor_mode and not cfg.victim_claims_replaceable:
         raise ConfigError("anchor_mode needs replaceable victim claims to re-issue them")
     if cfg.dynamic_delta is not None:
@@ -240,12 +244,9 @@ class _Run:
         self.expiry = cfg.htlc_expiry_height
         self.channels: list[tuple[Channel, Channel, str]] = []  # (incoming, outgoing, victim)
         self.meta: dict[str, tuple[str, int, int]] = {}  # txid -> (kind, channel, first htlc id)
-        # Per channel: a run map from unresolved HTLC ids to _Spans, the HTLC
-        # value, and how many HTLCs the attacker has confirmed claims on.
+        # Per channel: a run map from unresolved HTLC ids to _Spans.
         self.spans: list[list[tuple[int, int, _Span]]] = []
-        self.values: list[int] = []
-        self.stolen: list[int] = []
-        self.open_htlcs = 0
+        self.htlc_value = 0
         # The race's victim events: channels to close, by height, and channels
         # whose commitment confirmed since the last release pass.
         self.closes: dict[int, list[int]] = {}
@@ -253,8 +254,6 @@ class _Run:
         self.victim_fees = 0
         self.attacker_cost = 0
         self.trace: list[TraceRow] = []
-        self.launch_feerate = 0
-        self.htlcs_per_channel = 0
 
     # -- phases ------------------------------------------------------------
 
@@ -293,10 +292,7 @@ class _Run:
             fund_ids.append(ch_in.funding_outpoint.txid)
             fund_ids.append(ch_out.funding_outpoint.txid)
         while any(not chain.is_confirmed(t) for t in fund_ids):
-            block = self._mine()
-            if block.weight_used == 0:
-                raise ConfigError(
-                    "funding transactions cannot confirm under this blockmaxweight")
+            self._mine()
 
     def _minimize_feerate(self) -> None:
         kind, duration = parse_strategy(self.cfg.feerate_strategy)
@@ -320,28 +316,24 @@ class _Run:
                             raise AssertionError(f"update_fee refused: {why}")
                 self._background_pass()
                 self._mine()
-        self.launch_feerate = current
 
     def _load_htlcs(self) -> None:
         cfg = self.cfg
         victim = self.victim_params
         _check_expiry(cfg, victim, self.chain.height)
         count = victim.max_accepted_htlcs
-        self.htlcs_per_channel = count
         out_expiry = self.expiry - victim.htlc_expiry_delta
+        # Every channel has the same funding and feerate, so one value fits all.
+        ch = self.channels[0][0]
+        value = self.htlc_value = compute_htlc_value(
+            ch.balances[SOURCE], victim.max_htlc_value_in_flight, count, ch.commitment_fee(count))
+        if value < cfg.min_htlc_amount:
+            raise ConfigError(
+                f"HTLC value {value} below configured minimum {cfg.min_htlc_amount}")
         for i, (ch_in, ch_out, name) in enumerate(self.channels):
-            fee = ch_in.commitment_fee(count)
-            value = compute_htlc_value(ch_in.balances[SOURCE],
-                                       victim.max_htlc_value_in_flight, count, fee)
-            if value < cfg.min_htlc_amount:
-                raise ConfigError(
-                    f"HTLC value {value} below configured minimum {cfg.min_htlc_amount}")
             ids = ch_in.add_htlcs(SOURCE, value, self._preimages(i), self.expiry)
             ch_out.add_htlcs(name, value, self._preimages(i), out_expiry, known_to=(TARGET,))
             self.spans.append([(ids.start, ids.stop, _Span())])
-            self.values.append(value)
-            self.stolen.append(0)
-            self.open_htlcs += count
 
     def _release_channel(self, i: int) -> None:
         """Phase III for one channel: the target settles the forwarded HTLCs,
@@ -362,7 +354,7 @@ class _Run:
     def _preimages(self, i: int) -> range:
         """Channel pair i's payment preimages, one per HTLC, each shared by
         the incoming HTLC and the outgoing one it is forwarded as."""
-        count = self.htlcs_per_channel
+        count = self.victim_params.max_accepted_htlcs
         return range(i * count, (i + 1) * count)
 
     # -- phase IV ------------------------------------------------------------
@@ -390,7 +382,7 @@ class _Run:
             subs += self._background_pass()
             block = self._mine()
             if self.chain.height > expiry:
-                if not self.open_htlcs:
+                if not any(self.spans):
                     break  # every HTLC has a confirmed claim; report is final
                 if subs == 0 and block.weight_used == 0:
                     empty_streak += 1
@@ -476,7 +468,7 @@ class _Run:
                     paid = sum(e.fee for e in evicted)
                     least = max([paid + 1] + [e.fee * w_timeout // e.weight + 1
                                               for e in evicted])
-                    if least > self.values[i]:
+                    if least > self.htlc_value:
                         continue  # no fee the HTLC can pay outbids the claim
                     fee = max(fee, least, paid + cfg.attacker_fee_bump_increment)
                 tx = ch_in.build_htlc_claims(
@@ -608,10 +600,8 @@ class _Run:
                 lo = first + tx.first
                 self.channels[i][0].mark_claimed(lo, kind == "aclaim", count)
                 runs.take(self.spans[i], lo, lo + count)
-                self.open_htlcs -= count
                 if kind == "aclaim":
                     attacker_conf += count
-                    self.stolen[i] += count
                 else:
                     victim_conf += count
         self.victim_fees += victim_fees
@@ -623,38 +613,36 @@ class _Run:
     # -- reporting -----------------------------------------------------------
 
     def _classify(self) -> AttackReport:
-        stolen = unresolved = stolen_value = 0
+        unresolved = 0
         per_channel = []
         for i, (ch_in, _, _) in enumerate(self.channels):
-            taken = self.stolen[i]
             for lo, hi, span in self.spans[i]:
                 if span.side == "attacker":
                     # Quiescent but decided: the attacker's claim is the only
                     # live spend and does not signal replaceability, so the
                     # victim can never displace it.
                     ch_in.mark_claimed(lo, True, hi - lo)
-                    taken += hi - lo
                 else:
                     unresolved += hi - lo
-            stolen += taken
-            stolen_value += taken * self.values[i]
-            per_channel.append(taken)
+            per_channel.append(sum(hi - lo for lo, hi, h in ch_in.runs
+                                   if h.state == "claimed-by-timeout"))
+        stolen = sum(per_channel)
         victim_claimed = sum(row.victim_claims_confirmed for row in self.trace)
         total = sum(c[0].next_htlc_id for c in self.channels)
         if stolen + victim_claimed + unresolved != total:
             raise AssertionError("theft accounting does not add up")
         return AttackReport(
             num_victim_channels=self.cfg.num_victim_channels,
-            htlcs_per_channel=self.htlcs_per_channel,
-            htlc_value=self.values[-1],
+            htlcs_per_channel=self.victim_params.max_accepted_htlcs,
+            htlc_value=self.htlc_value,
             total_htlcs=total,
             stolen_htlcs=stolen,
             victim_claimed_htlcs=victim_claimed,
             unresolved_htlcs=unresolved,
-            stolen_value=stolen_value,
+            stolen_value=stolen * self.htlc_value,
             victim_fees_paid=self.victim_fees,
             attacker_cost=self.attacker_cost,
-            launch_feerate=self.launch_feerate,
+            launch_feerate=self.channels[0][0].feerate,
             end_height=self.chain.height,
             per_channel_stolen=tuple(per_channel),
             trace=tuple(self.trace),

@@ -2,10 +2,10 @@
 replacement, and greedy feerate-ordered block assembly.
 
 One block is mined per tick, there are no reorgs, and all amounts are integer
-satoshis.  Feerates are satoshi per 1000 weight units (sat/kWU); wherever a
-policy decision depends on a fee/weight ratio the comparison is exact in
-integers (cross-multiplied, or the mining queue's _rank) so results never
-hinge on float rounding.
+satoshis, output values never negative.  Feerates are satoshi per 1000
+weight units (sat/kWU); wherever a policy decision depends on a fee/weight
+ratio the comparison is exact in integers (cross-multiplied, or the mining
+queue's _rank) so results never hinge on float rounding.
 
 Replacement policy (submit): a transaction conflicting with pending
 transactions is accepted only if every direct conflict is replaceable --
@@ -180,12 +180,11 @@ class MempoolState:
     pending: dict[str, Transaction] = field(default_factory=dict)
     pieces: dict[str, list[_Piece]] = field(default_factory=dict)
     spent: dict[str, list[tuple[int, int, str]]] = field(default_factory=dict)
-    members: int = 0
     _queue: list[tuple[int, int, int, _Piece]] = field(default_factory=list)
     _next_seq: int = 0
 
     def __len__(self) -> int:
-        return self.members
+        return sum(p.hi - p.lo for pieces in self.pieces.values() for p in pieces)
 
     def _enqueue(self, piece: _Piece) -> None:
         """Make a piece with no pending input minable."""
@@ -254,7 +253,6 @@ class MempoolState:
     def _unspend(self, tx: Transaction, lo: int, hi: int) -> None:
         for ref in tx.inputs:
             _take(self.spent, ref.txid, ref.index + lo, ref.index + hi)
-        self.members -= hi - lo
 
 
 class ChainState:
@@ -276,7 +274,6 @@ class ChainState:
         self._granted_total = 0
         self._utxo_value = 0
         self._fees_confirmed = 0
-        self._grant_counter = 0
         self._grants: dict[str, tuple[TxOutput, int]] = {}
 
     # -- funding ---------------------------------------------------------
@@ -287,8 +284,7 @@ class ChainState:
         (genesis/coinbase stand-in), at indices 0 .. count - 1 of the ref."""
         if value <= 0 or count < 1:
             raise ValueError("grant value and count must be positive")
-        ref = OutputRef(f"grant-{self._grant_counter}", 0)
-        self._grant_counter += 1
+        ref = OutputRef(f"grant-{len(self._grants)}", 0)  # grants are never removed
         out = TxOutput(value, owner, kind)
         self.utxo[ref.txid] = [(0, count, out)]
         self._grants[ref.txid] = (out, count)
@@ -334,6 +330,8 @@ class ChainState:
         for a, b, out in tx.outputs:
             if a != at or b <= a or out == last:  # alike neighbours must be one run
                 raise ValueError(f"tx {txid!r}: outputs are not non-empty runs from 0 on")
+            if out.value < 0:
+                raise ValueError(f"tx {txid!r}: output value {out.value} is negative")
             out_value, at, last = out_value + (b - a) * out.value, b, out
         if total_in - out_value != tx.fee or tx.fee < 0:
             raise ValueError(
@@ -349,7 +347,6 @@ class ChainState:
         base = mp._next_seq
         mp._next_seq = base + count
         pending[txid] = tx
-        mp.members += count
         for ref in inputs:
             _put(mp.spent, ref.txid, ref.index, ref.index + count, txid)
         if not links:  # no pending input: one piece, minable at once

@@ -201,7 +201,6 @@ class Channel:
 
     def __post_init__(self):
         self.feerate = self.params[self.initiator].channel_feerate  # commitment's, now
-        self.status = "open"  # open | force-closing | closed
         self.balances = {self.initiator: self.funding_value, self.peer: 0}
         self.runs: list[tuple[int, int, Htlcs]] = []  # every HTLC added, by id
         self.next_htlc_id = 0
@@ -233,7 +232,7 @@ class Channel:
         order, as one run; the ids they get.  Either all are added or none:
         if adding them one at a time would fail, this raises what the first
         failing add would raise and changes nothing."""
-        if self.status != "open":
+        if self.published is not None:
             raise ChannelNotOpen(self.channel_id)
         first = self.next_htlc_id
         count = len(preimages)
@@ -305,7 +304,7 @@ class Channel:
         """Reveal, and if `settle` also fulfil, HTLCs lo, lo + 1, ... one at a
         time: what happens before the first that raises happens, then it
         raises."""
-        if self.status != "open":
+        if self.published is not None:
             raise ChannelNotOpen(self.channel_id)
         end, offset = lo + len(preimages), preimages.start - lo
         hi, h = self._scan(lo, end, lambda h: _settled(h) or h.preimage_offset != offset
@@ -340,7 +339,7 @@ class Channel:
         """Initiator-only feerate renegotiation.  The counterparty accepts
         any proposal that tracks its own fee estimate within
         FEE_UPDATE_TOLERANCE."""
-        if self.status != "open":
+        if self.published is not None:
             return False, "channel-not-open"
         if proposer != self.initiator:
             return False, "not-initiator"
@@ -387,13 +386,12 @@ class Channel:
     def force_close(self, chain: ChainState, closer: str) -> Transaction:
         """Publish the closer's commitment.  Its HTLC claims are the
         caller's to build and submit, when the closer's profile says."""
-        if self.status != "open":
+        if self.published is not None:
             raise AlreadyClosing(self.channel_id)
         commit = self.build_commitment(closer)
         result = chain.submit(commit)
         if not result.ok:
             raise AssertionError(f"commitment rejected: {result.reason}")
-        self.status = "force-closing"
         self.published = PublishedCommitment(closer, commit.id)
         return commit
 

@@ -22,7 +22,8 @@ from htlcrace.attack import (
     validate_config,
 )
 from htlcrace.chain import ChainState
-from htlcrace.channel import WeightSchedule, profile_params
+from htlcrace.channel import FUNDING_TX_WEIGHT, WeightSchedule, profile_params
+from htlcrace.fees import FeerateSeries
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +101,18 @@ def test_validate_rejects_silly_configs():
         validate_config(dataclasses.replace(base, attacker_fee_bump_increment=0))
     with pytest.raises(ConfigError):
         validate_config(dataclasses.replace(base, preimage_release="dribble"))
+    # Set-up must confirm every funding transaction, and it reads the
+    # feerate at height 0, where the channels open.
+    with pytest.raises(ConfigError, match="blockmaxweight must be at least 800"):
+        validate_config(dataclasses.replace(base, blockmaxweight=FUNDING_TX_WEIGHT - 1))
+    with pytest.raises(ConfigError, match="series starts at height 5, after the channels"):
+        validate_config(dataclasses.replace(base, feerate_series=FeerateSeries([(5, 3_000, 2)])))
+
+
+def test_set_up_confirms_the_funding_at_the_smallest_blockmaxweight():
+    # Each block then confirms one of the two funding transactions.
+    report = run_attack(AttackConfig(num_victim_channels=1, blockmaxweight=FUNDING_TX_WEIGHT))
+    assert [row.weight_used for row in report.trace[:3]] == [FUNDING_TX_WEIGHT] * 2 + [0]
 
 
 def test_expiry_must_clear_the_setup_horizon():

@@ -494,6 +494,21 @@ def test_submit_refuses_outputs_that_are_not_runs_from_0(outputs):
     assert not chain.mempool.pending and not chain.mempool.spent
 
 
+def test_submit_refuses_a_negative_output():
+    # Without inputs a -100 output would pay for a +100 one: value from nothing.
+    chain = ChainState()
+    outputs = ((0, 1, TxOutput(-100, "x")), (1, 2, TxOutput(100, "thief")))
+    with pytest.raises(ValueError, match="output value -100 is negative"):
+        chain.submit(Transaction("mint", (), outputs, 400, 0))
+    g = chain.grant("g", 1_000)
+    with pytest.raises(ValueError, match="negative"):
+        chain.submit(Transaction("T", (g,), ((0, 2, TxOutput(-1, "x")),), 400, 1_002))
+    assert not chain.mempool.pending and not chain.mempool.spent and len(chain.mempool) == 0
+    chain.mine_block()
+    chain.audit()
+    assert utxo_of(chain) == {g: TxOutput(1_000, "g", "grant")}
+
+
 @settings(max_examples=80)
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3_000)), min_size=1, max_size=4),
        st.integers(1, 6), st.integers(0, 10**6), st.booleans())

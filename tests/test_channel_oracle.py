@@ -78,8 +78,8 @@ class Twin:
     def check(self):
         new, old = self.new, self.old
         assert new.balances == old.balances
-        assert (new.status, new.feerate, new._build_count, new.next_htlc_id) == \
-            (old.status, old.feerate, old._build_count, old._next_htlc_id)
+        assert (new.published is None, new.feerate, new._build_count, new.next_htlc_id) == \
+            (old.status == "open", old.feerate, old._build_count, old._next_htlc_id)
         htlcs = expand(new)
         assert htlcs == reference_htlcs(old)
         # One run per stretch of alike HTLCs: no empty run, no alike neighbours.
@@ -258,7 +258,7 @@ class Twin:
                ("fulfill", 1), ("reveal", 1), ("force_close", 1), ("update_fee", 1))
 
     def step(self, seen):
-        table = self.OPEN if self.new.status == "open" else self.CLOSING
+        table = self.OPEN if self.new.published is None else self.CLOSING
         name = self.rng.choices([n for n, _ in table], [w for _, w in table])[0]
         if name == "fulfill" or name == "reveal":
             self.release(seen, settle=name == "fulfill")

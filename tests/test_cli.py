@@ -506,6 +506,11 @@ FEERATE_CSV = FAST_ATTACK + "\n    [feerates]\n    csv = rates.csv\n"
      "config-parse-error: [attack] unknown key 'num_victim_chanels'"),
     (FEERATE_CSV, "0,3000,btc_kb,1", "{csv}:2: unknown unit 'btc_kb'"),
     (FEERATE_CSV, "0,inf,sat_kwu,2", "{csv}:2: feerate must be finite"),
+    # set-up reads the feerate at height 0 and must confirm the funding
+    (FEERATE_CSV, "5,3000,sat_kwu,2",
+     "feerate series starts at height 5, after the channels open at height 0"),
+    (FAST_ATTACK.replace("40000", "700"), None,
+     "blockmaxweight must be at least 800, the funding transaction's weight"),
     (FAST_ATTACK + "    feerate_strategy = minimize:abc\n", None,
      "unknown feerate strategy 'minimize:abc'"),
     # expiry inside the victims' reaction window
@@ -517,7 +522,8 @@ FEERATE_CSV = FAST_ATTACK + "\n    [feerates]\n    csv = rates.csv\n"
     # WeightSchedule's own ValueError, which configure makes a ConfigError
     (FAST_ATTACK + "\n    [weights]\n    htlc_success = 0\n", None,
      "config-parse-error: htlc_success must be positive"),
-], ids=["reader", "fees", "fees-inf", "strategy", "engine", "policy", "channel"])
+], ids=["reader", "fees", "fees-inf", "series-start", "funding-weight", "strategy", "engine",
+        "policy", "channel"])
 def test_each_layer_refusal_exits_2_with_its_message(tmp_path, capsys, text, row, message):
     # Every layer that reads the configuration refuses it with a ConfigError:
     # run and validate both exit 2 and print the message as it was raised.

@@ -103,7 +103,6 @@ class Session:
             cohorts_gone = {self.cohort_of(i) for i in gone}
             assert set(result.evicted) == cohorts_gone, (result.evicted, gone)
             self.pending = mirror
-            assert len(self.chain.mempool) == len(mirror)
             self.seen["cohort" if tx.count > 1 else "single"] += 1
             self.seen["large-cohort"] += tx.count >= 200
             self.seen["commitment"] += tx.id in self.commitments
@@ -154,8 +153,10 @@ class Session:
         pending members, member by member, and a piece that does not wait
         is queued for mining.  The pending members the mempool's spender
         walk names over a piece's outputs are exactly those whose inputs
-        spend the piece's members."""
+        spend the piece's members, and the mempool counts every pending
+        member."""
         mempool = self.chain.mempool
+        assert len(mempool) == len(self.pending)
         pending = {t.id for t in self.pending}
         spenders = {}  # member id -> pending member ids spending its outputs
         for t in self.pending:

@@ -13,14 +13,14 @@ The run proceeds in four phases:
        victims the preimages -- while the source goes silent, so the incoming
        HTLCs can only be redeemed on-chain;
   IV.  victims force-close when expiry minus their broadcast delta arrives
-       and race to confirm success claims; from the expiry height on, the
-       attacker broadcasts single-signer timeout claims, replacing any victim
-       claim still in the mempool.
+       and race to confirm success claims; at the expiry height the attacker
+       broadcasts single-signer timeout claims, once, replacing any victim
+       claim still in the mempool that it can outbid.
 
 Accounting: an HTLC is stolen when the attacker's timeout claim confirms, or
 -- if the chain stalls -- when at quiescence the attacker holds the only live
-claim on it and the victim is locked out (the pending claim does not signal
-replaceability and any competing victim spend would be rejected).
+claim on it: victims submit nothing from the expiry height on, so nothing
+can displace it.
 """
 from __future__ import annotations
 
@@ -93,14 +93,12 @@ class AttackConfig:
     feerate_series: FeerateSeries | None = None
     background_traffic: TrafficSpec | None = None
     preimage_release: str = "batch"  # batch | staggered (one channel per tick)
-    attacker_claims_replaceable: bool = False
     # Victim-side behavior knobs; a mitigation policy may switch these on.
     victim_claims_replaceable: bool = True
     dynamic_delta: tuple[float, int] | None = None  # (blocks per pending HTLC, cap)
     anchor_mode: bool = False
     victim_bump_feerate: int = 25_000
     victim_bump_offset: int = 2
-    victim_bump_funds: bool = True
     cpfp_demo: bool = False
     victim_first_at_expiry: bool = False
     drain_cap: int = 300
@@ -137,11 +135,10 @@ class AttackReport:
 
 class _Span(NamedTuple):
     """Where an unresolved HTLC stands in the race: the pending claim cohort
-    on it and whose it is, whether the attacker was refused, and whether the
-    victim bumped its fee (`kid`: its CPFP child)."""
+    on it and whose it is, and whether the victim bumped its fee (`kid`: its
+    CPFP child)."""
     claim: str = ""
     side: str = ""  # "" | "victim" | "attacker"
-    blocked: bool = False
     bumped: bool = False
     kid: str = ""
 
@@ -327,9 +324,10 @@ class _Run:
         ch = self.channels[0][0]
         value = self.htlc_value = compute_htlc_value(
             ch.balances[SOURCE], victim.max_htlc_value_in_flight, count, ch.commitment_fee(count))
-        if value < cfg.min_htlc_amount:
-            raise ConfigError(
-                f"HTLC value {value} below configured minimum {cfg.min_htlc_amount}")
+        floor, which = max((cfg.min_htlc_amount, "configured minimum"),
+                           (victim.htlc_minimum, "victim's htlc_minimum"))
+        if value < floor:
+            raise ConfigError(f"HTLC value {value} below {which} {floor}")
         for i, (ch_in, ch_out, name) in enumerate(self.channels):
             ids = ch_in.add_htlcs(SOURCE, value, self._preimages(i), self.expiry)
             ch_out.add_htlcs(name, value, self._preimages(i), out_expiry, known_to=(TARGET,))
@@ -375,9 +373,9 @@ class _Run:
             subs += self._victim_release_pass(h)
             if cfg.victim_first_at_expiry:
                 subs += self._victim_bump_pass(h)
-                subs += self._attacker_pass(h) if h >= expiry else 0
+                subs += self._attacker_pass(h) if h == expiry else 0
             else:
-                subs += self._attacker_pass(h) if h >= expiry else 0
+                subs += self._attacker_pass(h) if h == expiry else 0
                 subs += self._victim_bump_pass(h)
             subs += self._background_pass()
             block = self._mine()
@@ -447,7 +445,9 @@ class _Run:
 
     def _attacker_pass(self, h: int) -> int:
         """Timeout-remote claims for every HTLC output not yet confirmed-spent,
-        replacing pending victim claims (and their fee-bump children)."""
+        replacing the pending victim claims (and fee-bump children) it can
+        outbid.  It runs once, at expiry: nothing it could take appears later,
+        as victims submit no new claim and nothing spends an attacker claim."""
         cfg = self.cfg
         chain = self.chain
         pending = chain.mempool.pending
@@ -455,11 +455,7 @@ class _Run:
         subs = 0
         for i, spans in enumerate(self.spans):
             ch_in = self.channels[i][0]
-            if ch_in.published is None:
-                continue  # victim has not closed yet; outputs do not exist
             for lo, hi, span in list(spans):
-                if span.blocked or span.side == "attacker":
-                    continue
                 fee = fee_for_weight(ch_in.feerate, w_timeout)
                 if span.side == "victim":
                     evicted = [pending[span.claim]]
@@ -471,20 +467,17 @@ class _Run:
                     if least > self.htlc_value:
                         continue  # no fee the HTLC can pay outbids the claim
                     fee = max(fee, least, paid + cfg.attacker_fee_bump_increment)
-                tx = ch_in.build_htlc_claims(
-                    SOURCE, lo, hi - lo, "timeout-remote", h,
-                    fee_override=fee, rbf_signal=cfg.attacker_claims_replaceable)
+                tx = ch_in.build_htlc_claims(SOURCE, lo, hi - lo, "timeout-remote", h,
+                                             fee_override=fee)
                 result = chain.submit(tx)
                 if result.ok:
                     self.meta[tx.id] = ("aclaim", i, lo)
-                    now = span._replace(claim=tx.id, side="attacker", kid="")
+                    runs.restate(spans, lo, hi, lambda span: span._replace(
+                        claim=tx.id, side="attacker", kid=""))
                     subs += 1
-                elif result.reason == REJECT_NOT_REPLACEABLE:
-                    now = span._replace(blocked=True)
-                else:
+                elif result.reason != REJECT_NOT_REPLACEABLE:
                     raise AssertionError(
                         f"unexpected replacement rejection: {result.reason}")
-                runs.restate(spans, lo, hi, lambda _: now)
         return subs
 
     def _victim_bump_pass(self, h: int) -> int:
@@ -504,8 +497,6 @@ class _Run:
         chain = self.chain
         subs = 0
         for i, lo, hi, span in self._unbumped_victim_spans():
-            if not cfg.victim_bump_funds:
-                break  # nothing spendable: behaves like baseline
             ch_in, _, name = self.channels[i]
             old = chain.mempool.pending[span.claim]
             weight = self.weights.htlc_success + ANCHOR_INPUT_WEIGHT
@@ -526,8 +517,8 @@ class _Run:
 
     def _cpfp_bumps(self) -> int:
         """Futile child-pays-for-parent attempt on still-unconfirmed claims:
-        the child inherits the parent's replaceability, so the attacker's
-        replacement sweeps both away."""
+        the attacker's replacement of a claim evicts the child with it, as a
+        descendant of the replaced claim."""
         chain = self.chain
         subs = 0
         for i, lo, hi, span in self._unbumped_victim_spans():
@@ -619,8 +610,8 @@ class _Run:
             for lo, hi, span in self.spans[i]:
                 if span.side == "attacker":
                     # Quiescent but decided: the attacker's claim is the only
-                    # live spend and does not signal replaceability, so the
-                    # victim can never displace it.
+                    # live spend, and victims submit nothing from the expiry
+                    # height on, so nothing can displace it.
                     ch_in.mark_claimed(lo, True, hi - lo)
                 else:
                     unresolved += hi - lo

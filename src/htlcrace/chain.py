@@ -278,14 +278,13 @@ class ChainState:
 
     # -- funding ---------------------------------------------------------
 
-    def grant(self, owner: str, value: int, kind: str = "grant",
-              count: int = 1) -> OutputRef:
+    def grant(self, owner: str, value: int, count: int = 1) -> OutputRef:
         """Mint `count` spendable outputs of `value` out of thin air
         (genesis/coinbase stand-in), at indices 0 .. count - 1 of the ref."""
         if value <= 0 or count < 1:
             raise ValueError("grant value and count must be positive")
         ref = OutputRef(f"grant-{len(self._grants)}", 0)  # grants are never removed
-        out = TxOutput(value, owner, kind)
+        out = TxOutput(value, owner, "grant")
         self.utxo[ref.txid] = [(0, count, out)]
         self._grants[ref.txid] = (out, count)
         self._granted_total += value * count

@@ -324,9 +324,9 @@ class _Run:
                         continue
                     fee = max(fee, least, paid + cfg.attacker_fee_bump_increment)
                 tx = ch_in.build_htlc_claim(SOURCE, hid, "timeout-remote", h,
-                                            fee_override=fee,
-                                            rbf_signal=cfg.attacker_claims_replaceable)
+                                            fee_override=fee)
                 result = self.chain.submit(tx)
+                self.seen["attacker:after-expiry-acted"] += h > self.expiry
                 if result.ok:
                     self.seen[f"attacker:{result.status}"] += 1
                     self.meta[tx.id] = ("aclaim", i, hid)
@@ -362,8 +362,6 @@ class _Run:
         cfg, chain = self.cfg, self.chain
         subs = 0
         for i, hid, claim in self.unbumped():
-            if not cfg.victim_bump_funds:
-                break
             ch_in, _, name = self.channels[i]
             old = next(t for t in chain.pending if t.id == claim.txid)
             weight = cfg.weights.htlc_success + ANCHOR_INPUT_WEIGHT

@@ -6,6 +6,7 @@ suite; everything here keeps n or blockmaxweight small to stay fast.
 """
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -128,6 +129,16 @@ def test_worthless_htlcs_refused():
     with pytest.raises(ConfigError):
         run_attack(AttackConfig(num_victim_channels=1,
                                 channel_funding=fee + 400, seed=1))
+
+
+def test_htlcs_below_the_victims_minimum_refused():
+    # The victims would refuse every HTLC the attacker can afford: that is
+    # a configuration error naming the floor that binds, not a channel fault.
+    victim = profile_params("lnd", htlc_minimum=10**9)
+    with pytest.raises(ConfigError, match="below victim's htlc_minimum 1000000000"):
+        run_attack(AttackConfig(num_victim_channels=1, victim_profile=victim, seed=1))
+    with pytest.raises(ConfigError, match="below configured minimum 1000000000"):
+        run_attack(AttackConfig(num_victim_channels=1, min_htlc_amount=10**9, seed=1))
 
 
 def test_unknown_profile_rejected():
@@ -268,10 +279,12 @@ class RecordingChain(ChainState):
     def __init__(self, blockmaxweight):
         super().__init__(blockmaxweight)
         self.log = []
+        self.spent = set()  # txids whose outputs a submitted transaction spends
 
     def submit(self, tx):
         res = super().submit(tx)
         self.log.append((self.height, tx.id, res.status, tx.count))
+        self.spent.update(ref.txid for ref in tx.inputs)
         return res
 
 
@@ -286,17 +299,52 @@ def test_victim_success_claims_never_start_after_expiry(bmw):
             assert height < cfg.htlc_expiry_height, (height, txid)
 
 
-def test_attacker_claims_only_at_or_after_expiry():
-    cfg = AttackConfig(num_victim_channels=2, blockmaxweight=40_000, seed=13)
+def recorded_race(profile, release, dynamic):
+    """A run just past the profile's closed-form break-even on 100k-weight
+    blocks, and its RecordingChain.  The victims' window is the profile's
+    broadcast delta, or, under a dynamic delta whose cap exceeds it, up to
+    two blocks more."""
+    victim = profile_params(profile)
+    window = victim.commitment_broadcast_delta + 2
+    n = min_channels_guaranteed_theft(victim, blockmaxweight=100_000, window=window) + 1
+    cfg = AttackConfig(num_victim_channels=n, victim_profile=profile,
+                       htlc_expiry_height=victim.htlc_expiry_delta + n + 4,
+                       blockmaxweight=100_000, seed=13, preimage_release=release,
+                       dynamic_delta=(1.0, window) if dynamic else None)
     run = _Run(cfg)
     run.chain = RecordingChain(cfg.blockmaxweight)
-    run.execute()
-    seen = 0
-    for height, txid, status, count in run.chain.log:
-        if "-tr" in txid:
-            seen += count
-            assert height >= cfg.htlc_expiry_height, (height, txid)
-    assert seen >= 2 * 483  # both channels' worth of timeout spends
+    return cfg, run.execute(), run.chain
+
+
+RACES = pytest.mark.parametrize("profile,release,dynamic", list(itertools.product(
+    ("lnd", "c-lightning", "eclair"), ("batch", "staggered"), (False, True))))
+
+
+@RACES
+def test_attacker_claims_only_at_expiry(profile, release, dynamic):
+    # The attacker submits every timeout claim at the expiry height, and
+    # none before or after it.
+    cfg, report, chain = recorded_race(profile, release, dynamic)
+    heights = {height for height, txid, _, _ in chain.log if "-tr" in txid}
+    assert heights == {cfg.htlc_expiry_height}
+    taken = sum(count for _, txid, status, count in chain.log
+                if "-tr" in txid and status != "rejected")
+    assert taken >= report.stolen_htlcs > 0
+
+
+@RACES
+def test_victims_close_before_expiry_and_nothing_spends_attacker_claims(
+        profile, release, dynamic):
+    # Why the attacker's one pass at expiry is enough: every commitment
+    # was submitted before it, and no transaction ever spends an attacker
+    # claim, so nothing the attacker could take appears later.
+    cfg, _, chain = recorded_race(profile, release, dynamic)
+    commits = [height for height, txid, _, _ in chain.log if "-commit" in txid]
+    assert len(commits) == cfg.num_victim_channels
+    assert max(commits) < cfg.htlc_expiry_height
+    attacker = {txid for _, txid, status, _ in chain.log
+                if "-tr" in txid and status != "rejected"}
+    assert attacker and not attacker & chain.spent
 
 
 def test_race_submits_cohorts_not_one_claim_per_htlc():

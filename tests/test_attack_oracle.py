@@ -77,9 +77,7 @@ def config(k: int) -> tuple[AttackConfig, str, str]:
         feerate_series=FALLING if window or rng.random() < 0.3 else None,
         preimage_release=release,
         attacker_fee_bump_increment=rng.choice((1, 1, 500)),
-        attacker_claims_replaceable=rng.random() < 0.2,
         victim_bump_feerate=rng.choice((2_000, 12_000, 60_000)),
-        victim_bump_funds=rng.random() < 0.9,
         victim_first_at_expiry=rng.random() < 0.5,
         drain_cap=rng.choice((10, 30, 60)))
     return apply_to_config(MitigationPolicy(**policy), base), name, field
@@ -128,6 +126,9 @@ def test_run_attack_matches_per_htlc_reference():
     # The reference still stops on an empty mempool while HTLCs are open;
     # run_attack has no such stop, because it cannot happen.
     assert seen["stop:empty-mempool"] == 0, seen
+    # The reference runs its attacker pass at every height from expiry on;
+    # run_attack runs it once, at expiry, because no later pass can act.
+    assert seen["attacker:after-expiry-acted"] == 0, seen
 
 
 def test_run_attack_matches_reference_at_traffic_range_edges():
@@ -145,3 +146,4 @@ def test_run_attack_matches_reference_at_traffic_range_edges():
     for path in ("stolen", "no-theft", "attacker:outbid-impossible"):
         assert seen[path] >= 10, (path, seen)
     assert seen["stop:empty-mempool"] == 0, seen
+    assert seen["attacker:after-expiry-acted"] == 0, seen

@@ -456,9 +456,9 @@ ACCEPTED_KEYS = {
         "num_victim_channels", "victim_profile", "htlc_expiry_height",
         "channel_funding", "channel_feerate", "attacker_fee_bump_increment",
         "blockmaxweight", "min_htlc_amount", "feerate_strategy", "preimage_release",
-        "attacker_claims_replaceable", "victim_claims_replaceable", "dynamic_delta",
-        "anchor_mode", "victim_bump_feerate", "victim_bump_offset",
-        "victim_bump_funds", "cpfp_demo", "victim_first_at_expiry", "drain_cap"},
+        "victim_claims_replaceable", "dynamic_delta", "anchor_mode",
+        "victim_bump_feerate", "victim_bump_offset", "cpfp_demo",
+        "victim_first_at_expiry", "drain_cap"},
     "weights": {"commitment_base", "per_htlc_output", "htlc_success", "htlc_timeout"},
     "traffic": {"txs_per_tick", "weight_low", "weight_high", "feerate_low",
                 "feerate_high", "start_height", "end_height"},

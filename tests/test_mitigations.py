@@ -185,12 +185,6 @@ def test_anchor_bump_rescues_crowded_out_claims():
     assert anchored.victim_fees_paid > baseline.victim_fees_paid
 
 
-def test_anchor_without_spare_funds_is_baseline():
-    broke = run_attack(dataclasses.replace(ANCHOR_DEMO, anchor_mode=True,
-                                           victim_bump_funds=False))
-    assert broke.stolen_htlcs == 966
-
-
 # ---------------------------------------------------------------------------
 # anchor claim construction: the engine's bump cohorts
 # ---------------------------------------------------------------------------
@@ -246,10 +240,6 @@ def test_anchor_claim_outbids_its_predecessor():
         assert len(old.inputs) == 1
         assert tx.fee > old.fee
         assert tx.fee * old.weight > old.fee * tx.weight  # strict feerate dominance
-
-
-def test_anchor_claim_needs_funds():
-    assert anchor_bumps(victim_bump_funds=False) == []
 
 
 # ---------------------------------------------------------------------------

@@ -305,12 +305,15 @@ class _Run:
                     # renegotiate their outgoing channels in step with the
                     # attacker's proposals on the incoming ones.
                     for ch_in, ch_out, name in self.channels:
-                        ok, why = ch_in.update_fee(SOURCE, current, current)
-                        if not ok:
-                            raise AssertionError(f"update_fee refused: {why}")
-                        ok, why = ch_out.update_fee(name, current, current)
-                        if not ok:
-                            raise AssertionError(f"update_fee refused: {why}")
+                        for ch, proposer in ((ch_in, SOURCE), (ch_out, name)):
+                            ok, why = ch.update_fee(proposer, current, current)
+                            if why == "cannot-afford-fee":  # no HTLC is loaded yet
+                                fee = fee_for_weight(current, self.weights.commitment_weight(0))
+                                raise ConfigError(
+                                    f"channel_funding {self.cfg.channel_funding} cannot pay "
+                                    f"the commitment fee {fee} at feerate {current}")
+                            if not ok:
+                                raise AssertionError(f"update_fee refused: {why}")
                 self._background_pass()
                 self._mine()
 

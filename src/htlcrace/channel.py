@@ -43,63 +43,8 @@ def _settled(htlcs) -> bool:
 
 
 class ChannelError(Exception):
-    pass
-
-
-class ChannelNotOpen(ChannelError):
-    pass
-
-
-class AlreadyClosing(ChannelError):
-    pass
-
-
-class TooManyHtlcs(ChannelError):
-    pass
-
-
-class ValueInFlightExceeded(ChannelError):
-    pass
-
-
-class InsufficientBalance(ChannelError):
-    pass
-
-
-class HtlcBelowMinimum(ChannelError):
-    pass
-
-
-class HtlcNotPending(ChannelError):
-    pass
-
-
-class UnknownPreimage(ChannelError):
-    pass
-
-
-class CounterpartyUnresponsive(ChannelError):
-    pass
-
-
-class PreimageMissing(ChannelError):
-    pass
-
-
-class PrematureTimeout(ChannelError):
-    pass
-
-
-class FeeOverrideOnDualSigned(ChannelError):
-    pass
-
-
-class WrongClaim(ChannelError):
-    pass
-
-
-class NoPublishedCommitment(ChannelError):
-    pass
+    """A channel operation refused; the message starts with a kebab-case
+    reason code, e.g. "too-many-htlcs: 483 already pending"."""
 
 
 def fee_for_weight(feerate: int, weight: int) -> int:
@@ -233,7 +178,7 @@ class Channel:
         if adding them one at a time would fail, this raises what the first
         failing add would raise and changes nothing."""
         if self.published is not None:
-            raise ChannelNotOpen(self.channel_id)
+            raise ChannelError(f"channel-not-open: {self.channel_id} is closing")
         first = self.next_htlc_id
         count = len(preimages)
         if count == 0:
@@ -260,27 +205,28 @@ class Channel:
         receiver = self.other(offerer)
         accept = self.params[receiver]
         if amount < accept.htlc_minimum:
-            raise HtlcBelowMinimum(f"{amount} < {accept.htlc_minimum}")
+            raise ChannelError(f"below-minimum: {amount} < {accept.htlc_minimum}")
         offered = [(hi - lo, h.amount) for lo, hi, h in self.runs
                    if h.offerer == offerer and not _settled(h)]
         if sum(n for n, _ in offered) + k >= accept.max_accepted_htlcs:
-            raise TooManyHtlcs(f"{accept.max_accepted_htlcs} already pending")
+            raise ChannelError(f"too-many-htlcs: {accept.max_accepted_htlcs} already pending")
         cap = accept.max_htlc_value_in_flight
         if cap is not None and \
                 sum(n * value for n, value in offered) + (k + 1) * amount > cap:
-            raise ValueInFlightExceeded(f"in-flight cap {cap}")
+            raise ChannelError(f"in-flight-exceeded: in-flight cap {cap}")
         new_fee = self.commitment_fee(self.pending_count + k + 1)
         balance = self.balances[offerer] - k * amount
         if offerer == self.initiator:
             if balance < amount + new_fee:
-                raise InsufficientBalance(
-                    f"{offerer} has {balance}, needs {amount + new_fee}")
+                raise ChannelError(
+                    f"insufficient-balance: {offerer} has {balance}, needs {amount + new_fee}")
         else:
             if balance < amount:
-                raise InsufficientBalance(
-                    f"{offerer} has {balance}, needs {amount}")
+                raise ChannelError(
+                    f"insufficient-balance: {offerer} has {balance}, needs {amount}")
             if self.balances[self.initiator] < new_fee:
-                raise InsufficientBalance(f"initiator cannot cover fee {new_fee}")
+                raise ChannelError(
+                    f"insufficient-balance: initiator cannot cover fee {new_fee}")
 
     def fulfill_htlc_offchain(self, htlc_id: int, preimage: int) -> None:
         """Receiver redeems with the preimage; needs the offerer to co-sign
@@ -305,17 +251,17 @@ class Channel:
         time: what happens before the first that raises happens, then it
         raises."""
         if self.published is not None:
-            raise ChannelNotOpen(self.channel_id)
+            raise ChannelError(f"channel-not-open: {self.channel_id} is closing")
         end, offset = lo + len(preimages), preimages.start - lo
         hi, h = self._scan(lo, end, lambda h: _settled(h) or h.preimage_offset != offset
                            or settle and h.offerer in self.silent)
         revealed, error = hi, None
         if h is None or _settled(h):
-            error = HtlcNotPending(hi) if hi < end else None
+            error = ChannelError(f"not-pending: {hi}") if hi < end else None
         elif h.preimage_offset != offset:
-            error = UnknownPreimage(f"HTLC {hi}")
+            error = ChannelError(f"unknown-preimage: HTLC {hi}")
         else:  # that HTLC's preimage is out, its settlement is not
-            revealed, error = hi + 1, CounterpartyUnresponsive(h.offerer)
+            revealed, error = hi + 1, ChannelError(f"unresponsive: {h.offerer} is silent")
         both = {self.initiator, self.peer}
         runs.restate(self.runs, lo, revealed, lambda h: h._replace(known_by=h.known_by | both))
         if settle:
@@ -366,7 +312,8 @@ class Channel:
         local = self.balances[holder] - (fee if holder == self.initiator else 0)
         remote = self.balances[other] - (fee if other == self.initiator else 0)
         if local < 0 or remote < 0:
-            raise InsufficientBalance("initiator balance cannot cover commitment fee")
+            raise ChannelError(
+                "insufficient-balance: initiator balance cannot cover commitment fee")
         outputs = [(0, 1, TxOutput(local, holder, "to_local")),
                    (1, 2, TxOutput(remote, other, "to_remote"))]
         for lo, hi, h in self.runs:
@@ -387,7 +334,7 @@ class Channel:
         """Publish the closer's commitment.  Its HTLC claims are the
         caller's to build and submit, when the closer's profile says."""
         if self.published is not None:
-            raise AlreadyClosing(self.channel_id)
+            raise ChannelError(f"already-closing: {self.channel_id} is closing")
         commit = self.build_commitment(closer)
         result = chain.submit(commit)
         if not result.ok:
@@ -426,17 +373,17 @@ class Channel:
         spends (extra_input.txid, extra_input.index + m).  Raises what
         building the first failing member alone would."""
         if kind not in CLAIM_KINDS:
-            raise WrongClaim(f"unknown claim kind {kind!r}")
+            raise ChannelError(f"wrong-claim: unknown claim kind {kind!r}")
         published = self.published
         if published is None:
-            raise NoPublishedCommitment(self.channel_id)
+            raise ChannelError(f"no-commitment: {self.channel_id} has published none")
         end = htlc_id + count
         # Nothing settles once closing: the HTLCs not settled are those on
         # the commitment, and a stretch of them sits on consecutive outputs.
         # Those already claimed on chain have no output left to claim.
         missing, _ = self._scan(htlc_id, end, lambda h: h.state != "pending")
         if missing < end:
-            raise HtlcNotPending(missing)
+            raise ChannelError(f"not-pending: {missing}")
         claimed = [h for _, _, h in runs.overlap(self.runs, htlc_id, end)]
         if len({h.amount for h in claimed}) != 1:
             raise ValueError(f"HTLCs {htlc_id}..{end - 1} differ in amount "
@@ -444,20 +391,21 @@ class Channel:
         success = kind.startswith("success")
         local = kind.endswith("local")
         if local != (published.holder == claimer):
-            raise WrongClaim(f"{kind} does not match published commitment holder")
+            raise ChannelError(
+                f"wrong-claim: {kind} does not match published commitment holder")
         offerers = {h.offerer for h in claimed}
         if success:
             if claimer in offerers:
-                raise WrongClaim("success claims redeem incoming HTLCs only")
+                raise ChannelError("wrong-claim: success claims redeem incoming HTLCs only")
             unknown, _ = self._scan(htlc_id, end, lambda h: claimer not in h.known_by)
             if unknown < end:
-                raise PreimageMissing(f"HTLC {unknown}")
+                raise ChannelError(f"preimage-missing: HTLC {unknown}")
         else:
             if offerers != {claimer}:
-                raise WrongClaim("timeout claims refund the offerer only")
+                raise ChannelError("wrong-claim: timeout claims refund the offerer only")
             late = [h.expiry_height for h in claimed if height < h.expiry_height]
             if late:
-                raise PrematureTimeout(f"height {height} < expiry {late[0]}")
+                raise ChannelError(f"premature-timeout: height {height} < expiry {late[0]}")
         weight = self.weights.htlc_success if success else self.weights.htlc_timeout
         if local and not anchor:
             # Both signatures commit to this exact transaction, so neither the
@@ -465,11 +413,9 @@ class Channel:
             # commitment signs its claims with flags that leave room for the
             # claimer to add an input and raise the fee.)
             if fee_override is not None:
-                raise FeeOverrideOnDualSigned(
-                    "pre-signed claim fee is fixed by both signatures")
+                raise ChannelError("pre-signed: claim fee is fixed by both signatures")
             if extra_input is not None:
-                raise FeeOverrideOnDualSigned(
-                    "pre-signed claim cannot gain inputs")
+                raise ChannelError("pre-signed: claim cannot gain inputs")
         fee = fee_for_weight(self.feerate, weight) if fee_override is None else fee_override
         # Claims both parties sign signal replaceability unless told otherwise.
         rbf = local if rbf_signal is None else bool(rbf_signal)
@@ -492,7 +438,7 @@ class Channel:
         htlc_id + count - 1 of a force-closed channel, each once: those before
         the first not pending are marked, and then that one raises."""
         if self.published is None:
-            raise NoPublishedCommitment(self.channel_id)
+            raise ChannelError(f"no-commitment: {self.channel_id} has published none")
         end = htlc_id + count
         stop, h = self._scan(htlc_id, end, lambda h: h.state != "pending")
         state = "claimed-by-timeout" if by_timeout else "claimed-by-success"

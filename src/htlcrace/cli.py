@@ -257,7 +257,10 @@ def _configure_sweep(sc: Scenario, seed: int):
         raise ConfigError(
             "config-parse-error: [sweep] needs 1 <= n_from <= n_to, n_step >= 1")
     template = replace(build_attack_config(sc, seed), num_victim_channels=n_from)
-    return partial(_execute_sweep, template, range(n_from, n_to + 1, step))
+    ns = range(n_from, n_to + 1, step)
+    for n in ns:  # a staggered release needs one more block per channel
+        validate_config(replace(template, num_victim_channels=n))
+    return partial(_execute_sweep, template, ns)
 
 
 def _execute_sweep(template: AttackConfig, ns: range, jobs: int, out: Path) -> list[str]:

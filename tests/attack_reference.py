@@ -12,7 +12,8 @@ but its transaction and output types, nothing with htlcrace.runs, and
 nothing with htlcrace.attack but its declarations.  It takes an
 AttackConfig and returns the AttackReport htlcrace.attack.run_attack must
 return for it, or raises ConfigError where the funding cannot confirm or
-set-up leaves the HTLCs too little time or value; it does not repeat
+pay a minimize dip's commitment fee, or set-up leaves the HTLCs too little
+time or value; it does not repeat
 validate_config's other checks.
 
 `seen` counts the paths a run took, for tests/test_attack_oracle.py.
@@ -172,8 +173,11 @@ class _Run:
                 current = dips[h]
                 self.seen["minimize:dip"] += 1
                 for ch_in, ch_out, name in self.channels:
-                    assert ch_in.update_fee(SOURCE, current, current) == (True, None)
-                    assert ch_out.update_fee(name, current, current) == (True, None)
+                    for ch, proposer in ((ch_in, SOURCE), (ch_out, name)):
+                        ok, why = ch.update_fee(proposer, current, current)
+                        if why == "cannot-afford-fee":
+                            raise ConfigError("the funding cannot pay a dip's commitment fee")
+                        assert (ok, why) == (True, None)
             self.background()
             self.mine()
         return current

@@ -3,11 +3,11 @@
 The channel as it was before it held HTLCs as runs: one `Htlc` object per
 HTLC with its own payment hash, preimage and set of parties that know it,
 and a published commitment that maps every HTLC id to its output.  Kept
-unchanged as the reference `tests/test_channel_oracle.py` drives the
-run-based `htlcrace.channel.Channel` against; it shares only the
-declarations (parameters, weights, errors) with it.  It builds a
-commitment's outputs one per HTLC and hands them to the chain as the
-output runs a Transaction holds.
+as the reference `tests/test_channel_oracle.py` drives the run-based
+`htlcrace.channel.Channel` against; it shares only the declarations
+(parameters, weights, the ChannelError type) with it, and states each
+refusal's reason code itself.  It builds a commitment's outputs one per
+HTLC and hands them to the chain as the output runs a Transaction holds.
 """
 from __future__ import annotations
 
@@ -18,11 +18,7 @@ from operator import attrgetter, contains
 from htlcrace.chain import ChainState, OutputRef, Transaction, TxOutput
 from htlcrace.channel import (
     ANCHOR_INPUT_WEIGHT, CLAIM_KINDS, FEE_UPDATE_TOLERANCE, FUNDING_TX_WEIGHT,
-    AlreadyClosing, ChannelError, ChannelNotOpen, ChannelParams,
-    CounterpartyUnresponsive, FeeOverrideOnDualSigned, HtlcBelowMinimum,
-    HtlcNotPending, InsufficientBalance, NoPublishedCommitment, PrematureTimeout,
-    PreimageMissing, TooManyHtlcs, UnknownPreimage, ValueInFlightExceeded,
-    WeightSchedule, WrongClaim, fee_for_weight,
+    ChannelError, ChannelParams, WeightSchedule, fee_for_weight,
 )
 
 # Builds a named tuple from a ready tuple of all its fields, skipping the
@@ -101,7 +97,7 @@ class Channel:
         would fail, this raises what the first failing add would raise and
         changes nothing."""
         if self.status != "open":
-            raise ChannelNotOpen(self.channel_id)
+            raise ChannelError(f"channel-not-open: {self.channel_id} is closing")
         count = len(payment_hashes)
         if len(preimages) != count:
             raise ValueError("one preimage per payment hash")
@@ -137,24 +133,25 @@ class Channel:
         receiver = self.other(offerer)
         accept = self.params[receiver]
         if amount < accept.htlc_minimum:
-            raise HtlcBelowMinimum(f"{amount} < {accept.htlc_minimum}")
+            raise ChannelError(f"below-minimum: {amount} < {accept.htlc_minimum}")
         if self._offered_count[offerer] + k >= accept.max_accepted_htlcs:
-            raise TooManyHtlcs(f"{accept.max_accepted_htlcs} already pending")
+            raise ChannelError(f"too-many-htlcs: {accept.max_accepted_htlcs} already pending")
         cap = accept.max_htlc_value_in_flight
         if cap is not None and self._offered_value[offerer] + (k + 1) * amount > cap:
-            raise ValueInFlightExceeded(f"in-flight cap {cap}")
+            raise ChannelError(f"in-flight-exceeded: in-flight cap {cap}")
         new_fee = self.commitment_fee(len(self.pending_htlcs) + k + 1)
         balance = self.balances[offerer] - k * amount
         if offerer == self.initiator:
             if balance < amount + new_fee:
-                raise InsufficientBalance(
-                    f"{offerer} has {balance}, needs {amount + new_fee}")
+                raise ChannelError(
+                    f"insufficient-balance: {offerer} has {balance}, needs {amount + new_fee}")
         else:
             if balance < amount:
-                raise InsufficientBalance(
-                    f"{offerer} has {balance}, needs {amount}")
+                raise ChannelError(
+                    f"insufficient-balance: {offerer} has {balance}, needs {amount}")
             if self.balances[self.initiator] < new_fee:
-                raise InsufficientBalance(f"initiator cannot cover fee {new_fee}")
+                raise ChannelError(
+                    f"insufficient-balance: initiator cannot cover fee {new_fee}")
 
     def fulfill_htlc_offchain(self, htlc_id: int, preimage: str) -> None:
         """Receiver redeems with the preimage; needs the offerer to co-sign
@@ -166,11 +163,11 @@ class Channel:
         """fulfill_htlc_offchain for each (htlc id, preimage) pair, in order,
         stopping at the first that raises."""
         if self.status != "open":
-            raise ChannelNotOpen(self.channel_id)
+            raise ChannelError(f"channel-not-open: {self.channel_id} is closing")
         for htlc_id, preimage in preimages:
             htlc = self._reveal(htlc_id, preimage)
             if htlc.offerer in self.silent:
-                raise CounterpartyUnresponsive(htlc.offerer)
+                raise ChannelError(f"unresponsive: {htlc.offerer} is silent")
             self._resolve(htlc, credit_to=self.other(htlc.offerer),
                           state="fulfilled-offchain")
 
@@ -179,16 +176,16 @@ class Channel:
         in order: the preimage reaches both parties.  Unlike fulfilling, it
         needs no cooperation, so a silent offerer cannot stop it."""
         if self.status != "open":
-            raise ChannelNotOpen(self.channel_id)
+            raise ChannelError(f"channel-not-open: {self.channel_id} is closing")
         for htlc_id, preimage in preimages:
             self._reveal(htlc_id, preimage)
 
     def _reveal(self, htlc_id: int, preimage: str) -> Htlc:
         htlc = self.pending_htlcs.get(htlc_id)
         if htlc is None:
-            raise HtlcNotPending(htlc_id)
+            raise ChannelError(f"not-pending: {htlc_id}")
         if preimage != htlc.preimage:
-            raise UnknownPreimage(htlc.payment_hash)
+            raise ChannelError(f"unknown-preimage: {htlc.payment_hash}")
         htlc.preimage_known_by.add(self.other(htlc.offerer))
         htlc.preimage_known_by.add(htlc.offerer)
         return htlc
@@ -231,7 +228,8 @@ class Channel:
         local = self.balances[holder] - (fee if holder == self.initiator else 0)
         remote = self.balances[other] - (fee if other == self.initiator else 0)
         if local < 0 or remote < 0:
-            raise InsufficientBalance("initiator balance cannot cover commitment fee")
+            raise ChannelError(
+                "insufficient-balance: initiator balance cannot cover commitment fee")
         outputs = [TxOutput(local, holder, "to_local"),
                    TxOutput(remote, other, "to_remote")]
         outputs += [_tuple_new(TxOutput, (htlc.amount, self.channel_id, "htlc"))
@@ -256,7 +254,7 @@ class Channel:
         """Publish the closer's commitment.  Its HTLC claims are the
         caller's to build and submit, when the closer's profile says."""
         if self.status != "open":
-            raise AlreadyClosing(self.channel_id)
+            raise ChannelError(f"already-closing: {self.channel_id} is closing")
         commit = self.build_commitment(closer)
         result = chain.submit(commit)
         if not result.ok:
@@ -307,17 +305,17 @@ class Channel:
         spends (extra_input.txid, extra_input.index + m).  Raises what
         building the first failing member alone would."""
         if kind not in CLAIM_KINDS:
-            raise WrongClaim(f"unknown claim kind {kind!r}")
+            raise ChannelError(f"wrong-claim: unknown claim kind {kind!r}")
         published = self.published
         if published is None:
-            raise NoPublishedCommitment(self.channel_id)
+            raise ChannelError(f"no-commitment: {self.channel_id} has published none")
         ids = range(htlc_id, htlc_id + count)
         htlcs = list(map(self.all_htlcs.get, ids))
         vouts = list(map(published.htlc_index.get, ids))
         missing = [hid for hid, h, v in zip(ids, htlcs, vouts)
                    if h is None or v is None or h.state != "pending"]
         if missing:
-            raise HtlcNotPending(missing[0])
+            raise ChannelError(f"not-pending: {missing[0]}")
         amounts = set(map(_amount_of, htlcs))
         if len(amounts) != 1 or vouts != list(range(vouts[0], vouts[0] + count)):
             raise ValueError(f"HTLCs {htlc_id}..{htlc_id + count - 1} differ in amount "
@@ -325,21 +323,23 @@ class Channel:
         success = kind.startswith("success")
         local = kind.endswith("local")
         if local != (published.holder == claimer):
-            raise WrongClaim(f"{kind} does not match published commitment holder")
+            raise ChannelError(
+                f"wrong-claim: {kind} does not match published commitment holder")
         offerers = set(map(_offerer_of, htlcs))
         if success:
             if claimer in offerers:
-                raise WrongClaim("success claims redeem incoming HTLCs only")
+                raise ChannelError("wrong-claim: success claims redeem incoming HTLCs only")
             known = list(map(contains, map(_known_by, htlcs), repeat(claimer)))
             if not all(known):
-                raise PreimageMissing(htlcs[known.index(False)].payment_hash)
+                raise ChannelError(
+                    f"preimage-missing: {htlcs[known.index(False)].payment_hash}")
         else:
             if offerers != {claimer}:
-                raise WrongClaim("timeout claims refund the offerer only")
+                raise ChannelError("wrong-claim: timeout claims refund the offerer only")
             expiry = max(map(_expiry_of, htlcs))
             if height < expiry:
                 expiry = next(e for e in map(_expiry_of, htlcs) if height < e)
-                raise PrematureTimeout(f"height {height} < expiry {expiry}")
+                raise ChannelError(f"premature-timeout: height {height} < expiry {expiry}")
         weight = self.weights.htlc_success if success else self.weights.htlc_timeout
         if local and not anchor:
             # Both signatures commit to this exact transaction, so neither the
@@ -347,11 +347,9 @@ class Channel:
             # commitment signs its claims with flags that leave room for the
             # claimer to add an input and raise the fee.)
             if fee_override is not None:
-                raise FeeOverrideOnDualSigned(
-                    "pre-signed claim fee is fixed by both signatures")
+                raise ChannelError("pre-signed: claim fee is fixed by both signatures")
             if extra_input is not None:
-                raise FeeOverrideOnDualSigned(
-                    "pre-signed claim cannot gain inputs")
+                raise ChannelError("pre-signed: claim cannot gain inputs")
         fee = fee_for_weight(self.feerate, weight) if fee_override is None else fee_override
         # Claims both parties sign signal replaceability unless told otherwise.
         rbf = local if rbf_signal is None else bool(rbf_signal)
@@ -371,7 +369,7 @@ class Channel:
         """Record the on-chain outcome of contested HTLCs htlc_id ..
         htlc_id + count - 1 of a force-closed channel (each exactly once)."""
         if self.published is None:
-            raise NoPublishedCommitment(self.channel_id)
+            raise ChannelError(f"no-commitment: {self.channel_id} has published none")
         state = "claimed-by-timeout" if by_timeout else "claimed-by-success"
         for hid in range(htlc_id, htlc_id + count):
             htlc = self.all_htlcs[hid]

@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+import attack_reference
 from htlcrace.attack import (
     AttackConfig,
     ConfigError,
@@ -139,6 +140,21 @@ def test_htlcs_below_the_victims_minimum_refused():
         run_attack(AttackConfig(num_victim_channels=1, victim_profile=victim, seed=1))
     with pytest.raises(ConfigError, match="below configured minimum 1000000000"):
         run_attack(AttackConfig(num_victim_channels=1, min_htlc_amount=10**9, seed=1))
+
+
+def test_minimize_dip_the_funding_cannot_pay_refused():
+    # The commitment fee at the 5,000 dip is 5000 * 724 // 1000 = 3,620, over
+    # the 3,000 funding, though the launch commitment at feerate 100 fits:
+    # a configuration error, in this engine and in the per-HTLC reference.
+    cfg = AttackConfig(1, victim_profile="c-lightning", channel_funding=3_000,
+                       feerate_strategy="minimize:5", htlc_expiry_height=100,
+                       feerate_series=FeerateSeries([(0, 10_000, 6), (1, 5_000, 6),
+                                                     (2, 100, 6)]))
+    with pytest.raises(ConfigError, match="^channel_funding 3000 cannot pay the commitment "
+                                          "fee 3620 at feerate 5000$"):
+        run_attack(cfg)
+    with pytest.raises(ConfigError):
+        attack_reference.run_reference(cfg)
 
 
 def test_unknown_profile_rejected():

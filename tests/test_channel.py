@@ -14,18 +14,7 @@ from htlcrace.channel import (
     Channel,
     ChannelError,
     ChannelParams,
-    CounterpartyUnresponsive,
-    FeeOverrideOnDualSigned,
-    HtlcBelowMinimum,
-    HtlcNotPending,
     Htlcs,
-    InsufficientBalance,
-    NoPublishedCommitment,
-    PrematureTimeout,
-    TooManyHtlcs,
-    UnknownPreimage,
-    ValueInFlightExceeded,
-    WrongClaim,
     WeightSchedule,
     fee_for_weight,
     open_channel,
@@ -175,7 +164,7 @@ def test_htlc_count_limit():
         ch.add_htlc("alice", 2_049, k, 100)
     assert in_flight(ch) == 483 * 2_049 == 989_667
     assert len(ch.runs) == 1  # identical HTLCs join into one run
-    with pytest.raises(TooManyHtlcs):
+    with pytest.raises(ChannelError, match="^too-many-htlcs:"):
         ch.add_htlc("alice", 2_049, 483, 100)
 
 
@@ -188,7 +177,7 @@ def test_zero_amount_htlc_is_legal_by_default():
 def test_minimum_htlc_policy_knob():
     params = ChannelParams(htlc_minimum=1)
     chain, ch = fresh_channel(peer_params=params)
-    with pytest.raises(HtlcBelowMinimum):
+    with pytest.raises(ChannelError, match="^below-minimum:"):
         ch.add_htlc("alice", 0, 0, 100)
 
 
@@ -196,14 +185,14 @@ def test_value_in_flight_cap():
     params = ChannelParams(max_htlc_value_in_flight=10_000)
     chain, ch = fresh_channel(peer_params=params)
     ch.add_htlc("alice", 9_000, 0, 100)
-    with pytest.raises(ValueInFlightExceeded):
+    with pytest.raises(ChannelError, match="^in-flight-exceeded:"):
         ch.add_htlc("alice", 1_001, 1, 100)
 
 
 def test_htlc_needs_balance_beyond_new_commitment_fee():
     chain, ch = fresh_channel(funding=100_000, feerate=2_500)
     fee_with_one = fee_for_weight(2_500, 724 + 172)
-    with pytest.raises(InsufficientBalance):
+    with pytest.raises(ChannelError, match="^insufficient-balance:"):
         ch.add_htlc("alice", 100_000 - fee_with_one + 1, 0, 100)
     ch.add_htlc("alice", 100_000 - fee_with_one, 0, 100)  # exact fit
 
@@ -220,7 +209,7 @@ def test_fulfill_moves_balance():
 def test_wrong_preimage_rejected():
     chain, ch = fresh_channel()
     hid = ch.add_htlc("alice", 40_000, 7, 100)
-    with pytest.raises(UnknownPreimage):
+    with pytest.raises(ChannelError, match="^unknown-preimage:"):
         ch.fulfill_htlc_offchain(hid, 8)
 
 
@@ -228,7 +217,7 @@ def test_silent_offerer_blocks_settlement_but_leaks_preimage():
     chain, ch = fresh_channel()
     hid = ch.add_htlc("alice", 40_000, 7, 100)
     ch.silent.add("alice")
-    with pytest.raises(CounterpartyUnresponsive):
+    with pytest.raises(ChannelError, match="^unresponsive:"):
         ch.fulfill_htlc_offchain(hid, 7)
     assert "bob" in htlcs(ch)[hid][3]  # the reveal is one-way
     assert htlcs(ch)[hid][4] == "pending"
@@ -249,8 +238,8 @@ def test_random_offchain_traffic_conserves_funding(seed):
             amount = rng.randint(0, 30_000)
             try:
                 ch.add_htlc(party, amount, step, 100)
-            except InsufficientBalance:
-                pass
+            except ChannelError as exc:
+                assert str(exc).startswith("insufficient-balance:"), exc
         elif pending(ch):
             hid = rng.choice(pending(ch))
             ch.fulfill_htlc_offchain(hid, htlcs(ch)[hid][5])
@@ -341,10 +330,10 @@ def test_success_local_claim_fee_is_fixed_by_both_signatures():
     assert claim.weight == 703
     assert claim.fee == 2_500 * 703 // 1000 == 1_757
     assert claim.rbf_signal is True  # pre-signed with replaceable flags
-    with pytest.raises(FeeOverrideOnDualSigned):
+    with pytest.raises(ChannelError, match="^pre-signed:"):
         ch.build_htlc_claim("bob", hid, "success-local", chain.height,
                             fee_override=9_999)
-    with pytest.raises(FeeOverrideOnDualSigned):
+    with pytest.raises(ChannelError, match="^pre-signed:"):
         ch.build_htlc_claim("bob", hid, "success-local", chain.height,
                             extra_input=OutputRef("spare", 0), extra_value=50_000)
 
@@ -371,7 +360,7 @@ def test_timeout_before_expiry_is_premature():
     ch.silent.clear()
     ch.force_close(chain, "bob")
     hid = 0  # the commitment's only HTLC
-    with pytest.raises(PrematureTimeout):
+    with pytest.raises(ChannelError, match="^premature-timeout:"):
         ch.build_htlc_claim("alice", hid, "timeout-remote", height=59)
 
 
@@ -398,7 +387,7 @@ def test_mark_claimed_exactly_once():
 
 def test_mark_claimed_needs_a_force_closed_channel():
     chain, ch = closing_channel("lnd", n_htlcs=3)
-    with pytest.raises(NoPublishedCommitment):
+    with pytest.raises(ChannelError, match="^no-commitment:"):
         ch.mark_claimed(0, by_timeout=False, count=3)
     assert [h[4] for h in htlcs(ch).values()] == ["pending"] * 3
     assert ch.pending_count == 3
@@ -525,7 +514,8 @@ def test_claimable_successes_equal_build_htlc_claim_per_htlc(rbf):
     assert list(got) == [0]  # one cohort, from HTLC 0 on
     assert members(got[0]) == [plain(tx) for tx in want]
     assert got[0].id.startswith("chan-sl")
-    with pytest.raises(WrongClaim):  # alice's success claim on bob's commitment
+    # alice's success claim on bob's commitment
+    with pytest.raises(ChannelError, match="^wrong-claim:"):
         batch.claimable_successes("alice", chain.height)
 
 
@@ -568,9 +558,9 @@ def test_claims_refuse_htlcs_already_claimed_on_chain():
     ch.force_close(chain, "bob")
     ch.mark_claimed(0, by_timeout=False, count=3)
     for claimer, kind in (("bob", "success-local"), ("alice", "timeout-remote")):
-        with pytest.raises(HtlcNotPending, match="^0$"):
+        with pytest.raises(ChannelError, match="^not-pending: 0$"):
             ch.build_htlc_claims(claimer, 0, 3, kind, 60)
-        with pytest.raises(HtlcNotPending, match="^2$"):  # the first claimed one
+        with pytest.raises(ChannelError, match="^not-pending: 2$"):  # the first claimed one
             ch.build_htlc_claims(claimer, 2, 2, kind, 60)
         assert ch.build_htlc_claims(claimer, 3, 1, kind, 60).count == 1
 
@@ -585,11 +575,11 @@ def test_timeout_cohort_equals_single_claims_and_checks_every_member():
                                      rbf_signal=True, extra_input=OutputRef("spare", 7 + m),
                                      extra_value=1_000)
         assert member == plain(single)
-    with pytest.raises(WrongClaim):  # HTLC 4 is bob's own offer
+    with pytest.raises(ChannelError, match="^wrong-claim:"):  # HTLC 4 is bob's own offer
         ch.build_htlc_claims("alice", 2, 3, "timeout-remote", 60)
-    with pytest.raises(PrematureTimeout):
+    with pytest.raises(ChannelError, match="^premature-timeout:"):
         ch.build_htlc_claims("alice", 0, 3, "timeout-remote", 59)
-    with pytest.raises(HtlcNotPending):
+    with pytest.raises(ChannelError, match="^not-pending:"):
         ch.build_htlc_claims("alice", 3, 4, "timeout-remote", 60)
 
 
@@ -598,9 +588,9 @@ def test_reveal_preimages_reaches_both_sides_of_a_silent_channel():
     ch.reveal_preimages(0, range(2))
     for hid in (0, 1):
         assert htlcs(ch)[hid][3] == ["alice", "bob"]
-    with pytest.raises(UnknownPreimage):
+    with pytest.raises(ChannelError, match="^unknown-preimage:"):
         ch.reveal_preimages(0, range(1, 2))
-    with pytest.raises(CounterpartyUnresponsive):
+    with pytest.raises(ChannelError, match="^unresponsive:"):
         ch.fulfill_htlcs_offchain(0, range(1))
     assert pending(ch) == [0, 1]
 

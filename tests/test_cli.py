@@ -317,6 +317,33 @@ def test_fee_analysis_needs_room_to_minimize(tmp_path):
     assert "leaves no room" in (out / "summary.txt").read_text()
 
 
+def test_minimize_dip_the_funding_cannot_pay_exits_2(tmp_path):
+    # The commitment fee at the 5,000 dip is 3,620, over the 3,000 funding:
+    # the user's error, found while the window runs (validate misses it).
+    (tmp_path / "rates.csv").write_text("height,feerate,unit,conf_target\n"
+                                        "0,10000,sat_kwu,6\n1,5000,sat_kwu,6\n"
+                                        "2,100,sat_kwu,6\n")
+    path = write_scenario(tmp_path, """
+        [scenario]
+        kind = attack
+        seed = 9
+
+        [attack]
+        victim_profile = c-lightning
+        channel_funding = 3000
+        feerate_strategy = minimize:5
+        htlc_expiry_height = 100
+
+        [feerates]
+        csv = rates.csv
+    """)
+    out = tmp_path / "out"
+    assert run_scenario(path, out) == 2
+    assert (out / "summary.txt").read_text().splitlines()[1] == (
+        "status: FAILED at stage execute: channel_funding 3000 cannot pay the "
+        "commitment fee 3620 at feerate 5000")
+
+
 def test_fee_analysis_needs_launch_to(tmp_path):
     path = write_scenario(tmp_path, FAST_FEE.replace("launch_to = 80", ""))
     assert validate_scenario(path) == 2
@@ -412,11 +439,14 @@ def test_unknown_keys_are_config_errors(tmp_path, text):
                   "\n    [weights]\n    per_htlc_output = 8000\n",
     # a race stopped before expiry: the attacker never acts
     FAST_ATTACK.replace("40000", "100000") + "    drain_cap = -1\n",
+    # from n = 19 a staggered release leaves less than 41 + n blocks to expiry
+    FAST_SWEEP.replace("n_to = 2", "n_to = 30").replace(
+        "blockmaxweight = 40000", "preimage_release = staggered\n    htlc_expiry_height = 60"),
 ], ids=["sweep-from-0", "policy-delta-out-of-range", "attack-dynamic-delta-negative",
         "attack-dynamic-delta-nan", "attack-expiry-too-soon", "fee-window-0", "fee-minimize-negative",
         "attack-commitment-too-heavy", "attack-success-too-heavy", "attack-timeout-too-heavy",
         "attack-anchor-success-too-heavy", "policy-commitment-too-heavy",
-        "attack-drain-cap-negative"])
+        "attack-drain-cap-negative", "sweep-staggered-expiry-at-large-n"])
 def test_run_inputs_are_checked_at_configure(tmp_path, text):
     # Each would fail only once the runs start: validate must refuse it too.
     path = write_scenario(tmp_path, text)

@@ -1,7 +1,8 @@
 """The layers import downwards only: the run map knows nothing of the
 package, and the chain knows nothing of it but the run map, so neither
 can come to depend on HTLCs, channels or the race.  A configuration error
-has one type, fees.ConfigError, in every layer."""
+has one type, fees.ConfigError, in every layer, and a refused channel
+operation one, channel.ChannelError."""
 
 import ast
 import builtins
@@ -45,19 +46,32 @@ def test_the_reader_sees_each_import_form():
     assert {"runs", "chain", "channel", "fees"} <= package_imports("attack")
 
 
-def test_config_error_is_the_only_value_error_class():
-    """No module defines a second ValueError subclass, directly or through
-    another class, for the command line to tell from a configuration error."""
+def subclasses(names: set[str]) -> set[tuple[str, str]]:
+    """The (module, class name) of every package class that inherits,
+    directly or through another class, from a class named in `names`."""
     bases = {}  # (module, class name) -> the names of its bases
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ClassDef):
                 bases[path.stem, node.name] = {getattr(b, "id", getattr(b, "attr", None))
                                                for b in node.bases}
-    names = {name for name, obj in vars(builtins).items()
-             if isinstance(obj, type) and issubclass(obj, ValueError)}
+    names = set(names)
     found: set = set()
     while new := {key for key, base in bases.items() if base & names} - found:
         found |= new
         names |= {name for _, name in new}
-    assert found == {("fees", "ConfigError")}
+    return found
+
+
+def test_config_error_is_the_only_value_error_class():
+    """No module defines a second ValueError subclass, directly or through
+    another class, for the command line to tell from a configuration error."""
+    names = {name for name, obj in vars(builtins).items()
+             if isinstance(obj, type) and issubclass(obj, ValueError)}
+    assert subclasses(names) == {("fees", "ConfigError")}
+
+
+def test_channel_error_has_no_subclass():
+    """A refused channel operation is told apart by the reason code its
+    message starts with, not by a subclass."""
+    assert subclasses({"ChannelError"}) == set()

@@ -143,7 +143,20 @@ class _Span(NamedTuple):
     kid: str = ""
 
 
-def validate_config(cfg: AttackConfig) -> None:
+class _Plan(NamedTuple):
+    """Set-up as the config decides it: the block count that confirms every
+    funding, the feerate the channels open at, the minimize window's dips
+    (height -> feerate), the launch height and the HTLC value."""
+    funded: int
+    feerate: int
+    dips: dict[int, int]
+    launch: int
+    htlc_value: int
+
+
+def validate_config(cfg: AttackConfig) -> _Plan:
+    """Raise ConfigError for a config the run would refuse, set-up included;
+    otherwise return its set-up plan (a _Plan), which the run carries out."""
     if cfg.num_victim_channels < 1:
         raise ConfigError("num_victim_channels must be at least 1")
     if cfg.channel_funding <= 0:
@@ -162,10 +175,11 @@ def validate_config(cfg: AttackConfig) -> None:
     if cfg.preimage_release not in ("batch", "staggered"):
         raise ConfigError(f"unknown preimage_release {cfg.preimage_release!r}")
     kind, duration = parse_strategy(cfg.feerate_strategy)
-    if kind == "minimize" and cfg.feerate_series is None:
+    series = cfg.feerate_series
+    if kind == "minimize" and series is None:
         raise ConfigError("minimize strategy requires a feerate_series")
-    if cfg.feerate_series is not None and cfg.feerate_series.first_height > 0:
-        raise ConfigError(f"feerate series starts at height {cfg.feerate_series.first_height}, "
+    if series is not None and series.first_height > 0:
+        raise ConfigError(f"feerate series starts at height {series.first_height}, "
                           "after the channels open at height 0")
     if cfg.anchor_mode and not cfg.victim_claims_replaceable:
         raise ConfigError("anchor_mode needs replaceable victim claims to re-issue them")
@@ -187,26 +201,39 @@ def validate_config(cfg: AttackConfig) -> None:
     except ValueError as exc:  # an unknown profile name
         raise ConfigError(str(exc)) from exc
     w = cfg.weights
-    heaviest = max(w.commitment_weight(victim.max_accepted_htlcs), w.htlc_timeout,
+    count = victim.max_accepted_htlcs
+    heaviest = max(w.commitment_weight(count), w.htlc_timeout,
                    w.htlc_success + (ANCHOR_INPUT_WEIGHT if cfg.anchor_mode else 0))
     if heaviest > MAX_TX_WEIGHT:
         raise ConfigError(f"the run would build a transaction of weight {heaviest}, "
                           f"over MAX_TX_WEIGHT {MAX_TX_WEIGHT}")
-    # Set-up ends at the earliest when the funding confirms at height 1 and
-    # the minimize window has passed.
-    _check_expiry(cfg, victim, 1 + duration)
-
-
-def _check_expiry(cfg: AttackConfig, victim: ChannelParams, setup_end: int) -> None:
-    """The HTLCs must leave the victims their expiry delta after set-up ends
-    at `setup_end`, plus one block per channel when released one at a time."""
-    needed = victim.htlc_expiry_delta + 1
-    if cfg.preimage_release == "staggered":
-        needed += cfg.num_victim_channels
-    if cfg.htlc_expiry_height - setup_end < needed:
+    # Only the 2n fundings are pending at height 0, all of one weight and
+    # feerate, so each block confirms as many as fit.  Naive has no window.
+    n = cfg.num_victim_channels
+    funded = -(-2 * n // (cfg.blockmaxweight // FUNDING_TX_WEIGHT))
+    launch = funded + duration
+    feerate = cfg.channel_feerate if series is None else series.estimate_at(0)
+    dips = dict(running_minimum(series, feerate, funded, launch))
+    if dips:  # no HTLC is loaded yet; dips only fall, so the first binds
+        dip = next(iter(dips.values()))
+        fee = fee_for_weight(dip, w.commitment_weight(0))
+        if cfg.channel_funding < fee:
+            raise ConfigError(f"channel_funding {cfg.channel_funding} cannot pay "
+                              f"the commitment fee {fee} at feerate {dip}")
+    # The victims' expiry delta after launch, and a block per staggered release.
+    needed = victim.htlc_expiry_delta + 1 + (n if cfg.preimage_release == "staggered" else 0)
+    if cfg.htlc_expiry_height - launch < needed:
         raise ConfigError(
             f"htlc_expiry_height {cfg.htlc_expiry_height} leaves less than {needed} "
-            f"blocks after setup ends at height {setup_end}")
+            f"blocks after setup ends at height {launch}")
+    value = compute_htlc_value(
+        cfg.channel_funding, victim.max_htlc_value_in_flight, count,
+        fee_for_weight(min(dips.values(), default=feerate), w.commitment_weight(count)))
+    floor, which = max((cfg.min_htlc_amount, "configured minimum"),
+                       (victim.htlc_minimum, "victim's htlc_minimum"))
+    if value < floor:
+        raise ConfigError(f"HTLC value {value} below {which} {floor}")
+    return _Plan(funded, feerate, dips, launch, value)
 
 
 @contextmanager
@@ -226,7 +253,6 @@ def _cyclic_gc_paused():
 
 
 def run_attack(cfg: AttackConfig) -> AttackReport:
-    validate_config(cfg)
     with _cyclic_gc_paused():
         return _Run(cfg).execute()
 
@@ -234,16 +260,16 @@ def run_attack(cfg: AttackConfig) -> AttackReport:
 class _Run:
     def __init__(self, cfg: AttackConfig):
         self.cfg = cfg
+        self.plan = validate_config(cfg)
         self.rng = random.Random(cfg.seed)
         self.chain = ChainState(cfg.blockmaxweight)
         self.weights = cfg.weights
-        self.victim_params = cfg.victim_params()
+        self.victim_params = replace(cfg.victim_params(), channel_feerate=self.plan.feerate)
         self.expiry = cfg.htlc_expiry_height
         self.channels: list[tuple[Channel, Channel, str]] = []  # (incoming, outgoing, victim)
         self.meta: dict[str, tuple[str, int, int]] = {}  # txid -> (kind, channel, first htlc id)
         # Per channel: a run map from unresolved HTLC ids to _Spans.
         self.spans: list[list[tuple[int, int, _Span]]] = []
-        self.htlc_value = 0
         # The race's victim events: channels to close, by height, and channels
         # whose commitment confirmed since the last release pass.
         self.closes: dict[int, list[int]] = {}
@@ -267,70 +293,44 @@ class _Run:
 
     def _open_channels(self) -> None:
         cfg = self.cfg
-        chain = self.chain
-        feerate = cfg.channel_feerate
-        if cfg.feerate_series is not None:
-            feerate = cfg.feerate_series.estimate_at(chain.height)
+        victim = self.victim_params
+        feerate = victim.channel_feerate
         source_params = ChannelParams(channel_feerate=feerate)
-        victim = replace(self.victim_params, channel_feerate=feerate)
-        self.victim_params = victim
         target_params = ChannelParams(
             max_accepted_htlcs=max(1000, victim.max_accepted_htlcs),
             channel_feerate=feerate, commitment_broadcast_delta=1, htlc_expiry_delta=1)
-        fund_ids = []
         for i in range(cfg.num_victim_channels):
             name = f"victim{i:03d}"
-            ch_in = open_channel(chain, f"a{i:03d}", SOURCE, name, cfg.channel_funding,
+            ch_in = open_channel(self.chain, f"a{i:03d}", SOURCE, name, cfg.channel_funding,
                                  source_params, victim, self.weights)
-            ch_out = open_channel(chain, f"b{i:03d}", name, TARGET, cfg.channel_funding,
+            ch_out = open_channel(self.chain, f"b{i:03d}", name, TARGET, cfg.channel_funding,
                                   victim, target_params, self.weights)
             self.meta[ch_in.funding_outpoint.txid] = ("fund", i, -1)
             self.channels.append((ch_in, ch_out, name))
-            fund_ids.append(ch_in.funding_outpoint.txid)
-            fund_ids.append(ch_out.funding_outpoint.txid)
-        while any(not chain.is_confirmed(t) for t in fund_ids):
+        for _ in range(self.plan.funded):
             self._mine()
+        if len(self.chain.mempool):
+            raise AssertionError("a funding transaction is unconfirmed after set-up's blocks")
 
     def _minimize_feerate(self) -> None:
-        kind, duration = parse_strategy(self.cfg.feerate_strategy)
-        current = self.channels[0][0].feerate
-        if kind == "minimize":
-            start = self.chain.height  # one block is mined per height
-            dips = dict(running_minimum(self.cfg.feerate_series, current,
-                                        start, start + duration))
-            for h in range(start, start + duration):
-                if h in dips:
-                    current = dips[h]
-                    # Every node watches the same fee market, so the victims
-                    # renegotiate their outgoing channels in step with the
-                    # attacker's proposals on the incoming ones.
-                    for ch_in, ch_out, name in self.channels:
-                        for ch, proposer in ((ch_in, SOURCE), (ch_out, name)):
-                            ok, why = ch.update_fee(proposer, current, current)
-                            if why == "cannot-afford-fee":  # no HTLC is loaded yet
-                                fee = fee_for_weight(current, self.weights.commitment_weight(0))
-                                raise ConfigError(
-                                    f"channel_funding {self.cfg.channel_funding} cannot pay "
-                                    f"the commitment fee {fee} at feerate {current}")
-                            if not ok:
-                                raise AssertionError(f"update_fee refused: {why}")
-                self._background_pass()
-                self._mine()
+        for h in range(self.plan.funded, self.plan.launch):  # one block per height
+            feerate = self.plan.dips.get(h)
+            if feerate is not None:
+                # Every node watches the same fee market, so the victims
+                # renegotiate their outgoing channels in step with the
+                # attacker's proposals on the incoming ones.
+                for ch_in, ch_out, name in self.channels:
+                    for ch, proposer in ((ch_in, SOURCE), (ch_out, name)):
+                        ok, why = ch.update_fee(proposer, feerate, feerate)
+                        if not ok:
+                            raise AssertionError(f"update_fee refused: {why}")
+            self._background_pass()
+            self._mine()
 
     def _load_htlcs(self) -> None:
-        cfg = self.cfg
         victim = self.victim_params
-        _check_expiry(cfg, victim, self.chain.height)
-        count = victim.max_accepted_htlcs
         out_expiry = self.expiry - victim.htlc_expiry_delta
-        # Every channel has the same funding and feerate, so one value fits all.
-        ch = self.channels[0][0]
-        value = self.htlc_value = compute_htlc_value(
-            ch.balances[SOURCE], victim.max_htlc_value_in_flight, count, ch.commitment_fee(count))
-        floor, which = max((cfg.min_htlc_amount, "configured minimum"),
-                           (victim.htlc_minimum, "victim's htlc_minimum"))
-        if value < floor:
-            raise ConfigError(f"HTLC value {value} below {which} {floor}")
+        value = self.plan.htlc_value
         for i, (ch_in, ch_out, name) in enumerate(self.channels):
             ids = ch_in.add_htlcs(SOURCE, value, self._preimages(i), self.expiry)
             ch_out.add_htlcs(name, value, self._preimages(i), out_expiry, known_to=(TARGET,))
@@ -467,7 +467,7 @@ class _Run:
                     paid = sum(e.fee for e in evicted)
                     least = max([paid + 1] + [e.fee * w_timeout // e.weight + 1
                                               for e in evicted])
-                    if least > self.htlc_value:
+                    if least > self.plan.htlc_value:
                         continue  # no fee the HTLC can pay outbids the claim
                     fee = max(fee, least, paid + cfg.attacker_fee_bump_increment)
                 tx = ch_in.build_htlc_claims(SOURCE, lo, hi - lo, "timeout-remote", h,
@@ -628,12 +628,12 @@ class _Run:
         return AttackReport(
             num_victim_channels=self.cfg.num_victim_channels,
             htlcs_per_channel=self.victim_params.max_accepted_htlcs,
-            htlc_value=self.htlc_value,
+            htlc_value=self.plan.htlc_value,
             total_htlcs=total,
             stolen_htlcs=stolen,
             victim_claimed_htlcs=victim_claimed,
             unresolved_htlcs=unresolved,
-            stolen_value=stolen * self.htlc_value,
+            stolen_value=stolen * self.plan.htlc_value,
             victim_fees_paid=self.victim_fees,
             attacker_cost=self.attacker_cost,
             launch_feerate=self.channels[0][0].feerate,

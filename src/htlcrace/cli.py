@@ -182,15 +182,13 @@ def build_series(sc: Scenario) -> FeerateSeries | None:
 
 def build_attack_config(sc: Scenario, seed: int) -> AttackConfig:
     traffic = _read(sc, "traffic")  # none set: no traffic, as txs_per_tick = 0
-    cfg = AttackConfig(
+    return AttackConfig(
         **{"num_victim_channels": 1, **_read(sc, "attack")},
         seed=seed,
         weights=WeightSchedule(**_read(sc, "weights")),
         feerate_series=build_series(sc),
         background_traffic=TrafficSpec(**traffic) if traffic else None,
     )
-    validate_config(cfg)
-    return cfg
 
 
 def build_policies(sc: Scenario) -> list[MitigationPolicy]:
@@ -229,7 +227,9 @@ def _trace_rows(r: AttackReport) -> list[tuple]:
 
 
 def _configure_attack(sc: Scenario, seed: int):
-    return partial(_execute_attack, build_attack_config(sc, seed))
+    cfg = build_attack_config(sc, seed)
+    validate_config(cfg)
+    return partial(_execute_attack, cfg)
 
 
 def _execute_attack(cfg: AttackConfig, jobs: int, out: Path) -> list[str]:
@@ -258,7 +258,7 @@ def _configure_sweep(sc: Scenario, seed: int):
             "config-parse-error: [sweep] needs 1 <= n_from <= n_to, n_step >= 1")
     template = replace(build_attack_config(sc, seed), num_victim_channels=n_from)
     ns = range(n_from, n_to + 1, step)
-    for n in ns:  # a staggered release needs one more block per channel
+    for n in ns:  # set-up's blocks and a staggered release's grow with n
         validate_config(replace(template, num_victim_channels=n))
     return partial(_execute_sweep, template, ns)
 

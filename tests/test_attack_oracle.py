@@ -10,7 +10,8 @@ Each config with traffic runs once more with its ranges at one edge of the
 engine's inlined randint draws: one weight, feerates of exactly 0, or
 widths that are powers of two, where half the raw draws are thrown back.
 The whole report must agree, trace and per-channel counts included, or
-both engines must refuse the config with ConfigError.
+both engines must refuse the config with ConfigError; validate_config,
+which works set-up out from the config alone, must refuse exactly those.
 """
 
 import random
@@ -18,7 +19,9 @@ from collections import Counter
 from dataclasses import asdict, replace
 
 from attack_reference import run_reference
-from htlcrace.attack import AttackConfig, ConfigError, TrafficSpec, run_attack
+from htlcrace.attack import (
+    AttackConfig, ConfigError, TrafficSpec, run_attack, validate_config,
+)
 from htlcrace.channel import WeightSchedule, profile_params
 from htlcrace.fees import FeerateSeries
 from htlcrace.mitigations import MitigationPolicy, apply_to_config
@@ -91,10 +94,21 @@ def outcome(run, cfg):
 
 
 def check(cfg: AttackConfig, seen: Counter) -> tuple:
-    """Both engines' outcome for cfg, which must agree."""
+    """Both engines' outcome for cfg, which must agree; validate_config,
+    which plans set-up without simulating it, refuses exactly the configs
+    both refuse."""
     got = outcome(run_attack, cfg)
     assert got == outcome(lambda c: run_reference(c, seen), cfg), cfg
+    assert (got == ("refused",)) == validate_refuses(cfg), cfg
     return got
+
+
+def validate_refuses(cfg: AttackConfig) -> bool:
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        return True
+    return False
 
 
 def test_run_attack_matches_per_htlc_reference():

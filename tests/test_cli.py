@@ -319,7 +319,7 @@ def test_fee_analysis_needs_room_to_minimize(tmp_path):
 
 def test_minimize_dip_the_funding_cannot_pay_exits_2(tmp_path):
     # The commitment fee at the 5,000 dip is 3,620, over the 3,000 funding:
-    # the user's error, found while the window runs (validate misses it).
+    # the user's error, found before the window runs.
     (tmp_path / "rates.csv").write_text("height,feerate,unit,conf_target\n"
                                         "0,10000,sat_kwu,6\n1,5000,sat_kwu,6\n"
                                         "2,100,sat_kwu,6\n")
@@ -337,10 +337,11 @@ def test_minimize_dip_the_funding_cannot_pay_exits_2(tmp_path):
         [feerates]
         csv = rates.csv
     """)
+    assert validate_scenario(path) == 2
     out = tmp_path / "out"
     assert run_scenario(path, out) == 2
     assert (out / "summary.txt").read_text().splitlines()[1] == (
-        "status: FAILED at stage execute: channel_funding 3000 cannot pay the "
+        "status: FAILED at stage configure: channel_funding 3000 cannot pay the "
         "commitment fee 3620 at feerate 5000")
 
 
@@ -456,6 +457,22 @@ def test_run_inputs_are_checked_at_configure(tmp_path, text):
     assert "FAILED at stage configure" in (out / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("text", [
+    # the matrix runs only its policies, each at 30 HTLCs of about 333,000
+    FAST_ATTACK.replace("kind = attack", "kind = mitigation-matrix")
+    + "    min_htlc_amount = 100000\n"
+    + "\n    [policy:fewer-htlcs]\n    max_accepted_htlcs_override = 30\n",
+    # the sweep sets the channel count itself
+    FAST_SWEEP.replace("[attack]", "[attack]\n    num_victim_channels = 0"),
+], ids=["matrix-unused-base", "sweep-channel-count"])
+def test_configure_checks_only_the_configs_that_run(tmp_path, text):
+    # The [attack] section alone is no run of these kinds: only what they
+    # run is checked, so validate and run both accept them.
+    path = write_scenario(tmp_path, text)
+    assert validate_scenario(path) == 0
+    assert run_scenario(path, tmp_path / "out") == 0
+
+
 @pytest.mark.parametrize("line", ["victim_claims_replaceable = false",
                                   "dynamic_delta = 0.05,40"],
                          ids=["claims-not-replaceable", "dynamic-delta"])
@@ -546,6 +563,14 @@ FEERATE_CSV = FAST_ATTACK + "\n    [feerates]\n    csv = rates.csv\n"
     # expiry inside the victims' reaction window
     (FAST_ATTACK + "    htlc_expiry_height = 8\n", None,
      "htlc_expiry_height 8 leaves less than 41 blocks after setup ends at height 1"),
+    # set-up: four 800-weight blocks confirm the four fundings one by one
+    (FAST_ATTACK.replace("40000", "800"), None,
+     "htlc_expiry_height 44 leaves less than 41 blocks after setup ends at height 4"),
+    # the commitment fee and the HTLC value at launch
+    (FAST_ATTACK + "    channel_funding = 100000\n    channel_feerate = 50000\n", None,
+     "balance 100000 does not cover commitment fee 4190000"),
+    (FAST_ATTACK + "    min_htlc_amount = 50000\n", None,
+     "HTLC value 20356 below configured minimum 50000"),
     (FAST_MATRIX + "\n    [policy:both]\n    anchor_outputs_mode = true\n"
                    "    non_replaceable_htlc_success = true\n", None,
      "anchor_mode needs replaceable victim claims to re-issue them"),
@@ -553,7 +578,7 @@ FEERATE_CSV = FAST_ATTACK + "\n    [feerates]\n    csv = rates.csv\n"
     (FAST_ATTACK + "\n    [weights]\n    htlc_success = 0\n", None,
      "config-parse-error: htlc_success must be positive"),
 ], ids=["reader", "fees", "fees-inf", "series-start", "funding-weight", "strategy", "engine",
-        "policy", "channel"])
+        "expiry-at-launch", "launch-fee", "htlc-floor", "policy", "channel"])
 def test_each_layer_refusal_exits_2_with_its_message(tmp_path, capsys, text, row, message):
     # Every layer that reads the configuration refuses it with a ConfigError:
     # run and validate both exit 2 and print the message as it was raised.

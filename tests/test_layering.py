@@ -2,7 +2,8 @@
 package, and the chain knows nothing of it but the run map, so neither
 can come to depend on HTLCs, channels or the race.  A configuration error
 has one type, fees.ConfigError, in every layer, and a refused channel
-operation one, channel.ChannelError."""
+operation one, channel.ChannelError.  The attack run raises no
+ConfigError: validate_config refuses a config before it starts."""
 
 import ast
 import builtins
@@ -75,3 +76,17 @@ def test_channel_error_has_no_subclass():
     """A refused channel operation is told apart by the reason code its
     message starts with, not by a subclass."""
     assert subclasses({"ChannelError"}) == set()
+
+
+def test_the_run_raises_no_config_error():
+    """validate_config works out set-up from the config and raises every
+    refusal before the run starts: a set-up that does not go as planned is
+    an engine fault, so no ConfigError is raised inside class _Run."""
+    tree = ast.parse((PACKAGE / "attack.py").read_text())
+    runs = [node for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "_Run"]
+    assert len(runs) == 1
+    raised = [node.lineno for node in ast.walk(runs[0]) if isinstance(node, ast.Raise)
+              and "ConfigError" in {getattr(n, "id", getattr(n, "attr", None))
+                                    for n in ast.walk(node.exc or node)}]
+    assert raised == []

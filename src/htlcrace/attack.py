@@ -284,9 +284,6 @@ class _Run:
         self._open_channels()
         self._minimize_feerate()
         self._load_htlcs()
-        if self.cfg.preimage_release == "batch":
-            for i in range(len(self.channels)):
-                self._release_channel(i)
         self._race()
         self.chain.audit()   # conservation + double-spend replay, every run
         return self._classify()
@@ -320,10 +317,8 @@ class _Run:
                 # renegotiate their outgoing channels in step with the
                 # attacker's proposals on the incoming ones.
                 for ch_in, ch_out, name in self.channels:
-                    for ch, proposer in ((ch_in, SOURCE), (ch_out, name)):
-                        ok, why = ch.update_fee(proposer, feerate, feerate)
-                        if not ok:
-                            raise AssertionError(f"update_fee refused: {why}")
+                    ch_in.update_fee(SOURCE, feerate, feerate)
+                    ch_out.update_fee(name, feerate, feerate)
             self._background_pass()
             self._mine()
 
@@ -363,34 +358,36 @@ class _Run:
     def _race(self) -> None:
         cfg = self.cfg
         expiry = self.expiry
-        load_height = self.chain.height
-        empty_streak = 0
+        mempool = self.chain.mempool
+        # Phase III's schedule: channel i is released at the loading height,
+        # plus i when staggered.
+        staggered = cfg.preimage_release == "staggered"
+        releases: dict[int, list[int]] = {}
+        for i in range(len(self.channels)):
+            releases.setdefault(self.chain.height + i * staggered, []).append(i)
+        # Each bid acts at its own height; the order settles ties at expiry.
+        bids = ((self._anchor_bumps, self._cpfp_bumps, self._attacker_pass)
+                if cfg.victim_first_at_expiry else
+                (self._attacker_pass, self._anchor_bumps, self._cpfp_bumps))
+        quiet = 0
         while True:
             h = self.chain.height
-            subs = 0
-            if cfg.preimage_release == "staggered":
-                i = h - load_height
-                if 0 <= i < len(self.channels):
-                    self._release_channel(i)
-            subs += self._victim_close_pass(h)
-            subs += self._victim_release_pass(h)
-            if cfg.victim_first_at_expiry:
-                subs += self._victim_bump_pass(h)
-                subs += self._attacker_pass(h) if h == expiry else 0
-            else:
-                subs += self._attacker_pass(h) if h == expiry else 0
-                subs += self._victim_bump_pass(h)
-            subs += self._background_pass()
+            seq = mempool.seq
+            for i in releases.pop(h, ()):
+                self._release_channel(i)
+            self._victim_close_pass(h)
+            self._victim_release_pass(h)
+            for bid in bids:
+                bid(h)
+            self._background_pass()
             block = self._mine()
             if self.chain.height > expiry:
                 if not any(self.spans):
                     break  # every HTLC has a confirmed claim; report is final
-                if subs == 0 and block.weight_used == 0:
-                    empty_streak += 1
-                    if empty_streak >= 2:
-                        break  # quiescent: whatever is left can never advance
-                else:
-                    empty_streak = 0
+                # Quiet: the mempool accepted nothing and the block is empty.
+                quiet = quiet + 1 if mempool.seq == seq and not block.weight_used else 0
+                if quiet >= 2:
+                    break  # quiescent: whatever is left can never advance
             if self.chain.height >= expiry + cfg.drain_cap:
                 break
 
@@ -402,27 +399,24 @@ class _Run:
         # Capped before int(): a huge slope makes the product infinite.
         return int(min(base + per_htlc * ch.pending_count, cap))
 
-    def _victim_close_pass(self, h: int) -> int:
-        subs = 0
+    def _victim_close_pass(self, h: int) -> None:
         # Channels are released in index order, so each height's closes are
         # too: submission order decides ties in the mining queue.
         for i in self.closes.pop(h, ()):
             ch_in, _, name = self.channels[i]
             commit = ch_in.force_close(self.chain, name)
             self.meta[commit.id] = ("commit", i, -1)
-            subs += 1
             if not self.victim_params.wait_for_commit_confirmation:
-                subs += self._submit_victim_claims(i, h)
-        return subs
+                self._submit_victim_claims(i, h)
 
-    def _victim_release_pass(self, h: int) -> int:
+    def _victim_release_pass(self, h: int) -> None:
         confirmed, self.commits_confirmed = self.commits_confirmed, []
-        if not self.victim_params.wait_for_commit_confirmation or h >= self.expiry:
-            return 0
-        # In index order too, whatever order the commitments confirmed in.
-        return sum(self._submit_victim_claims(i, h) for i in sorted(confirmed))
+        if self.victim_params.wait_for_commit_confirmation and h < self.expiry:
+            # In index order too, whatever order the commitments confirmed in.
+            for i in sorted(confirmed):
+                self._submit_victim_claims(i, h)
 
-    def _submit_victim_claims(self, i: int, h: int) -> int:
+    def _submit_victim_claims(self, i: int, h: int) -> None:
         ch_in, _, name = self.channels[i]
         claims = ch_in.claimable_successes(
             name, h, rbf_signal=self.cfg.victim_claims_replaceable)
@@ -433,7 +427,6 @@ class _Run:
             self.meta[tx.id] = ("vclaim", i, first)
             runs.restate(self.spans[i], first, first + tx.count,
                          lambda span: span._replace(claim=tx.id, side="victim"))
-        return len(claims)
 
     def _unbumped_victim_spans(self):
         """(channel, lo, hi, span) for every span with a pending victim claim
@@ -446,16 +439,17 @@ class _Run:
                 if span.side == "victim" and not span.bumped:
                     yield i, lo, hi, span
 
-    def _attacker_pass(self, h: int) -> int:
+    def _attacker_pass(self, h: int) -> None:
         """Timeout-remote claims for every HTLC output not yet confirmed-spent,
         replacing the pending victim claims (and fee-bump children) it can
         outbid.  It runs once, at expiry: nothing it could take appears later,
         as victims submit no new claim and nothing spends an attacker claim."""
+        if h != self.expiry:
+            return
         cfg = self.cfg
         chain = self.chain
         pending = chain.mempool.pending
         w_timeout = self.weights.htlc_timeout
-        subs = 0
         for i, spans in enumerate(self.spans):
             ch_in = self.channels[i][0]
             for lo, hi, span in list(spans):
@@ -477,28 +471,18 @@ class _Run:
                     self.meta[tx.id] = ("aclaim", i, lo)
                     runs.restate(spans, lo, hi, lambda span: span._replace(
                         claim=tx.id, side="attacker", kid=""))
-                    subs += 1
                 elif result.reason != REJECT_NOT_REPLACEABLE:
                     raise AssertionError(
                         f"unexpected replacement rejection: {result.reason}")
-        return subs
 
-    def _victim_bump_pass(self, h: int) -> int:
-        cfg = self.cfg
-        subs = 0
-        if cfg.anchor_mode and h == self.expiry - cfg.victim_bump_offset:
-            subs += self._anchor_bumps(h)
-        if cfg.cpfp_demo and h == self.expiry:
-            subs += self._cpfp_bumps()
-        return subs
-
-    def _anchor_bumps(self, h: int) -> int:
+    def _anchor_bumps(self, h: int) -> None:
         """With anchor-style commitments the success claim is no longer
         fee-frozen: the victim re-issues it with an extra wallet input at an
-        aggressive feerate."""
+        aggressive feerate, `victim_bump_offset` blocks before expiry."""
         cfg = self.cfg
+        if not (cfg.anchor_mode and h == self.expiry - cfg.victim_bump_offset):
+            return
         chain = self.chain
-        subs = 0
         for i, lo, hi, span in self._unbumped_victim_spans():
             ch_in, _, name = self.channels[i]
             old = chain.mempool.pending[span.claim]
@@ -515,15 +499,14 @@ class _Run:
             self.meta[tx.id] = ("vclaim", i, lo)
             runs.restate(self.spans[i], lo, hi,
                          lambda span: span._replace(claim=tx.id, bumped=True))
-            subs += 1
-        return subs
 
-    def _cpfp_bumps(self) -> int:
-        """Futile child-pays-for-parent attempt on still-unconfirmed claims:
-        the attacker's replacement of a claim evicts the child with it, as a
-        descendant of the replaced claim."""
+    def _cpfp_bumps(self, h: int) -> None:
+        """Futile child-pays-for-parent attempt at expiry on still-unconfirmed
+        claims: the attacker's replacement of a claim evicts the child with
+        it, as a descendant of the replaced claim."""
+        if not (self.cfg.cpfp_demo and h == self.expiry):
+            return
         chain = self.chain
-        subs = 0
         for i, lo, hi, span in self._unbumped_victim_spans():
             name = self.channels[i][2]
             parent = chain.mempool.pending[span.claim]
@@ -539,19 +522,17 @@ class _Run:
                 self.meta[child.id] = ("bump", i, lo)
                 runs.restate(self.spans[i], lo, hi,
                              lambda span: span._replace(bumped=True, kid=child.id))
-                subs += 1
-        return subs
 
-    def _background_pass(self) -> int:
+    def _background_pass(self) -> None:
         spec = self.cfg.background_traffic
         if spec is None or spec.txs_per_tick <= 0:
-            return 0
+            return
         chain = self.chain
         h = chain.height
         if h < spec.start_height:
-            return 0
+            return
         if spec.end_height is not None and h >= spec.end_height:
-            return 0
+            return
         # Each randint(a, b) inlined as in fees.synthetic_blocks: a + r, r the
         # first getrandbits(k) draw below n = b - a + 1, k = n.bit_length().
         getrandbits = self.rng.getrandbits
@@ -572,7 +553,6 @@ class _Run:
             result = chain.submit(Transaction(f"bg{h}.{j}", (ref,), outputs, weight, fee))
             if not result.ok:
                 raise AssertionError(f"background tx rejected: {result.reason}")
-        return spec.txs_per_tick
 
     def _mine(self):
         block = self.chain.mine_block()
@@ -679,10 +659,10 @@ def sweep_channels(template: AttackConfig, n_values, jobs: int = 1):
 
 def map_runs(run, items: list, jobs: int) -> list:
     """[run(item) for item in items], in order; with jobs > 1, spread over
-    `jobs` forked worker processes."""
+    `jobs` forked worker processes, one at most per item."""
     if jobs > 1 and len(items) > 1:
         import multiprocessing  # only parallel runs pay for importing it
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        with multiprocessing.get_context("fork").Pool(min(jobs, len(items))) as pool:
             return pool.map(run, items)
     return [run(item) for item in items]
 

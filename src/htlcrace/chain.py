@@ -175,13 +175,14 @@ class MempoolState:
     first, then lighter (it packs better under a weight limit), then
     submission order.  A partly mined piece keeps its key, which stays in
     place because a cohort's members hold consecutive sequence numbers; an
-    emptied piece (evicted members) is dropped when mining reaches it.
+    emptied piece (evicted members) is dropped when mining reaches it.  seq
+    counts the members accepted so far, and so numbers the next one.
     """
     pending: dict[str, Transaction] = field(default_factory=dict)
     pieces: dict[str, list[_Piece]] = field(default_factory=dict)
     spent: dict[str, list[tuple[int, int, str]]] = field(default_factory=dict)
     _queue: list[tuple[int, int, int, _Piece]] = field(default_factory=list)
-    _next_seq: int = 0
+    seq: int = 0
 
     def __len__(self) -> int:
         return sum(p.hi - p.lo for pieces in self.pieces.values() for p in pieces)
@@ -343,8 +344,8 @@ class ChainState:
             if not result.ok:
                 return result
 
-        base = mp._next_seq
-        mp._next_seq = base + count
+        base = mp.seq
+        mp.seq = base + count
         pending[txid] = tx
         for ref in inputs:
             _put(mp.spent, ref.txid, ref.index, ref.index + count, txid)

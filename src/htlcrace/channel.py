@@ -281,23 +281,23 @@ class Channel:
                 return a, h
         return min(hi, max(lo, self.next_htlc_id)), None
 
-    def update_fee(self, proposer: str, new_feerate: int, oracle_estimate: int):
+    def update_fee(self, proposer: str, new_feerate: int, oracle_estimate: int) -> None:
         """Initiator-only feerate renegotiation.  The counterparty accepts
         any proposal that tracks its own fee estimate within
         FEE_UPDATE_TOLERANCE."""
         if self.published is not None:
-            return False, "channel-not-open"
+            raise ChannelError(f"channel-not-open: {self.channel_id} is closing")
         if proposer != self.initiator:
-            return False, "not-initiator"
+            raise ChannelError(f"not-initiator: {proposer} did not open {self.channel_id}")
         if new_feerate <= 0:
-            return False, "invalid-feerate"
+            raise ChannelError(f"invalid-feerate: {new_feerate}")
         if abs(new_feerate - oracle_estimate) > FEE_UPDATE_TOLERANCE * oracle_estimate:
-            return False, "unreasonable-feerate"
+            raise ChannelError(
+                f"unreasonable-feerate: {new_feerate} strays from estimate {oracle_estimate}")
         new_fee = fee_for_weight(new_feerate, self.weights.commitment_weight(self.pending_count))
         if self.balances[self.initiator] < new_fee:
-            return False, "cannot-afford-fee"
+            raise ChannelError(f"cannot-afford-fee: commitment fee {new_fee}")
         self.feerate = new_feerate
-        return True, None
 
     # -- on-chain transactions ---------------------------------------------
 

@@ -10,9 +10,10 @@ the remaining sections configure the modules involved (see README for full
 examples).  Runs write report.csv, trace.csv and summary.txt into --out;
 summary.txt is written even when a stage fails, recording which one.
 
-Exit codes: 0 success, 2 configuration/input error (a ConfigError), 3
-runtime error.  Building a run's inputs turns any other ValueError into a
-ConfigError, so any other exception is an engine fault.
+Exit codes: 0 success, 2 configuration/input error (a ConfigError, or an
+--out that cannot be made a directory), 3 runtime error.  Building a run's
+inputs turns any other ValueError into a ConfigError, so any other exception
+is an engine fault.
 """
 from __future__ import annotations
 
@@ -67,8 +68,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigError(f"scenario file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config-parse-error: {exc}") from exc
     if not parser.has_section("scenario"):
         raise ConfigError("config-parse-error: missing [scenario] section")
@@ -400,7 +401,11 @@ def _configure(sc: Scenario, seed: int):
 def run_scenario(path: str | Path, out_dir: str | Path,
                  seed_override: int | None = None, jobs: int = 1) -> int:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names a file: no summary.txt can go there
+        print(f"error (output): {exc}", file=sys.stderr)
+        return 2
     stage = "parse"
     summary: list[str] = []
     try:

@@ -7,6 +7,7 @@ suite; everything here keeps n or blockmaxweight small to stay fast.
 
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,7 @@ from htlcrace.attack import (
     _Run,
     break_even_channels,
     compute_htlc_value,
+    map_runs,
     min_channels_guaranteed_theft,
     run_attack,
     sweep_channels,
@@ -284,6 +286,31 @@ def test_sweep_seeds_derive_from_template():
 def test_sweep_repeats_identically():
     template = AttackConfig(num_victim_channels=1, blockmaxweight=40_000, seed=11)
     assert sweep_channels(template, [1, 2]) == sweep_channels(template, [1, 2])
+
+
+def test_map_runs_forks_at_most_one_worker_per_item(monkeypatch):
+    # A fake fork context: its Pool records the worker count and maps in-process.
+    import multiprocessing
+    sizes = []
+
+    class Pool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, run, items):
+            return [run(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    assert map_runs(abs, [-1, 2, -3, 4], 64) == [1, 2, 3, 4]
+    assert map_runs(abs, [-1, 2, -3, 4], 2) == [1, 2, 3, 4]
+    assert map_runs(abs, [-5], 64) == [5]  # one item runs in this process
+    assert sizes == [4, 2]
 
 
 # ---------------------------------------------------------------------------

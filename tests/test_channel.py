@@ -256,29 +256,40 @@ def test_random_offchain_traffic_conserves_funding(seed):
 
 def test_update_fee_tracks_oracle():
     chain, ch = fresh_channel(feerate=2_500)
-    ok, why = ch.update_fee("alice", 1_950, oracle_estimate=2_000)
-    assert ok and why is None
+    assert ch.update_fee("alice", 1_950, oracle_estimate=2_000) is None
     assert ch.feerate == 1_950
     assert ch.build_commitment("alice").fee == fee_for_weight(1_950, 724)
 
 
 def test_update_fee_rejects_non_initiator():
     chain, ch = fresh_channel()
-    assert ch.update_fee("bob", 2_000, oracle_estimate=2_000) == (False, "not-initiator")
+    with pytest.raises(ChannelError, match="^not-initiator:"):
+        ch.update_fee("bob", 2_000, oracle_estimate=2_000)
+    assert ch.feerate == 2_500
 
 
 def test_update_fee_rejects_unreasonable_proposal():
     chain, ch = fresh_channel()
-    ok, why = ch.update_fee("alice", 20_000, oracle_estimate=2_000)
-    assert (ok, why) == (False, "unreasonable-feerate")
-    ok, why = ch.update_fee("alice", 2_200, oracle_estimate=2_000)  # exactly +10%
-    assert ok
+    with pytest.raises(ChannelError, match="^unreasonable-feerate:"):
+        ch.update_fee("alice", 20_000, oracle_estimate=2_000)
+    ch.update_fee("alice", 2_200, oracle_estimate=2_000)  # exactly +10%
+    assert ch.feerate == 2_200
+
+
+def test_update_fee_rejects_bad_and_unaffordable_feerates():
+    chain, ch = fresh_channel(funding=10_000)
+    with pytest.raises(ChannelError, match="^invalid-feerate:"):
+        ch.update_fee("alice", 0, oracle_estimate=0)
+    with pytest.raises(ChannelError, match="^cannot-afford-fee:"):
+        ch.update_fee("alice", 20_000, oracle_estimate=20_000)  # 14,480 sat > 10,000
+    assert ch.feerate == 2_500
 
 
 def test_update_fee_refused_once_closing():
     chain, ch = fresh_channel()
     ch.force_close(chain, "alice")
-    assert ch.update_fee("alice", 1_000, oracle_estimate=1_000) == (False, "channel-not-open")
+    with pytest.raises(ChannelError, match="^channel-not-open:"):
+        ch.update_fee("alice", 1_000, oracle_estimate=1_000)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +377,12 @@ def test_timeout_before_expiry_is_premature():
 
 def test_claim_fee_rigid_after_close():
     chain, ch = closing_channel("lnd", n_htlcs=1, feerate=2_500)
-    assert ch.update_fee("alice", 2_400, oracle_estimate=2_400)[0]  # still open
+    ch.update_fee("alice", 2_400, oracle_estimate=2_400)  # still open
     ch.force_close(chain, "bob")
     hid = 0  # the commitment's only HTLC
     first = ch.build_htlc_claim("bob", hid, "success-local", chain.height)
-    assert not ch.update_fee("alice", 1_000, oracle_estimate=1_000)[0]
+    with pytest.raises(ChannelError, match="^channel-not-open:"):
+        ch.update_fee("alice", 1_000, oracle_estimate=1_000)
     again = ch.build_htlc_claim("bob", hid, "success-local", chain.height)
     assert again.fee == first.fee == fee_for_weight(2_400, 703)
 

@@ -629,6 +629,30 @@ def test_reader_conversions_exit_2_with_their_message(tmp_path, capsys, text, st
         assert summary[1] == f"status: FAILED at stage configure: {message}"
 
 
+def test_undecodable_scenario_exits_2(tmp_path, capsys):
+    # Bytes that are not UTF-8 are the file's fault: exit 2 at the parse stage.
+    path = write_scenario(tmp_path, FAST_ATTACK)
+    path.write_bytes(path.read_bytes() + b"min_htlc_amount = \xff\xfe\n")
+    message = "config-parse-error: 'utf-8' codec can't decode byte 0xff"
+    assert validate_scenario(path) == 2
+    assert capsys.readouterr().err.startswith(f"invalid: {message}")
+    out = tmp_path / "out"
+    assert run_scenario(path, out) == 2
+    assert capsys.readouterr().err.startswith(f"error (parse): {message}")
+    (line,) = (out / "summary.txt").read_text().splitlines()
+    assert line.startswith(f"status: FAILED at stage parse: {message}")
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    # No directory, so no summary.txt: the message goes to stderr alone.
+    path = write_scenario(tmp_path, FAST_ATTACK)
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    assert main(["run", str(path), "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error (output): ")
+    assert taken.read_text() == "a file\n"
+
+
 def test_bad_traffic_is_a_config_error(tmp_path):
     path = write_scenario(tmp_path, FAST_ATTACK + "\n    [traffic]\n    txs_per_tick = 2\n"
                                                   "    weight_low = 900\n    weight_high = 800\n")

@@ -23,7 +23,7 @@ from .channel import (
     fee_for_weight, open_channel, profile_params,
 )
 from .fees import (
-    ConfigError, FeerateSeries, FillerBlock, SpaceAnalysis, StrategyOutcome,
+    ConfigError, FeerateSeries, StrategyOutcome,
     fraction_of_time_above, ingest_feerate_csv, simulate_feerate_strategy,
     synthetic_blocks, synthetic_feerate_series, victim_available_space,
 )
@@ -41,8 +41,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackConfig", "AttackReport", "Block", "ChainState", "Channel",
     "ChannelError", "ChannelParams", "ConfigError", "DEFAULT_BLOCKMAXWEIGHT",
-    "FeerateSeries", "FillerBlock", "MAX_TX_WEIGHT", "MatrixRow",
-    "MitigationPolicy", "OutputRef", "PROFILES", "SpaceAnalysis",
+    "FeerateSeries", "MAX_TX_WEIGHT", "MatrixRow",
+    "MitigationPolicy", "OutputRef", "PROFILES",
     "StrategyOutcome", "SubmitResult", "TraceRow", "TrafficSpec", "Transaction",
     "TxOutput", "WeightSchedule", "apply_policy", "apply_to_config",
     "available_space", "break_even_channels", "compute_htlc_value",

@@ -330,9 +330,12 @@ def _configure_fee(sc: Scenario, seed: int):
     thresholds = [int(t) for t in thresholds.split(",") if t.strip()]
     if not thresholds:
         raise ConfigError("config-parse-error: [fee_analysis] needs at least one threshold")
+    # Blocks launch_from to launch_to + window.  The windows read from
+    # launch_from + 1 on, but the block at launch_from stays: it is drawn
+    # first, and dropping it would shift every later draw.
     try:
         blocks = synthetic_blocks(  # with its own defaults for the filler keys left unset
-            v.get("blocks_seed", seed), launch_from, (launch_to - launch_from) + window + 2,
+            v.get("blocks_seed", seed), launch_from, (launch_to - launch_from) + window + 1,
             blockmaxweight, **{key.removeprefix("block_"): v[key] for key in (
                 "fill_low", "fill_high", "block_feerate_low", "block_feerate_high")
                 if key in v})
@@ -348,16 +351,14 @@ def _execute_fee(series: FeerateSeries, blocks, launches: range, window: int,
                  jobs: int, out: Path) -> list[str]:
     # Both strategies are compared at the same launch height over the same
     # blocks: naive opened right there, minimize opened `duration` blocks
-    # earlier and has been ratcheting the feerate down since.
-    spaces: dict[int, dict[int, int]] = {}  # feerate -> height -> block space
-
-    def space(strategy: str, opened: int, launch: int) -> float:
-        feerate = simulate_feerate_strategy(series, strategy, opened).final_feerate
-        return victim_available_space(blocks, feerate, launch, window,
-                                      blockmaxweight, spaces).avg_available_space
-
-    naive = [space("naive", h, h) for h in launches]
-    mini = [space(f"minimize:{duration}", h - duration, h) for h in launches]
+    # earlier and has been ratcheting the feerate down since.  One call takes
+    # both, so the two share each (feerate, height) space they both read.
+    pairs = [(h, simulate_feerate_strategy(series, "naive", h).final_feerate)
+             for h in launches]
+    pairs += [(h, simulate_feerate_strategy(series, f"minimize:{duration}",
+                                            h - duration).final_feerate) for h in launches]
+    spaces = victim_available_space(blocks, pairs, window, blockmaxweight)
+    naive, mini = spaces[:len(launches)], spaces[len(launches):]
     _write_csv(out / "space.csv", ("launch_height", "avg_available_space"),
                zip(launches, naive))
     _write_csv(out / "space_minimized.csv", ("launch_height", "avg_available_space"),

@@ -1,5 +1,5 @@
 """Fee-estimate series, the attacker's channel-feerate strategies, and
-victim block-space analysis over filler blocks of (fee, weight) entries.
+victim block-space analysis over filler blocks of (fee, weight, 1) entries.
 
 A FeerateSeries is a step function from block height to the fee estimator's
 suggestion (sat/kWU).  The attacker either takes the estimate at channel-open
@@ -8,6 +8,9 @@ channel feerate down with update_fee every time the estimate dips but never
 raising it ("minimize:<blocks>").  Victims accept any proposal that matches
 their own estimator within tolerance, so the minimized rate is exactly the
 running minimum of the estimate over the waiting window.
+
+victim_available_space answers all of an analysis's launches at once, and
+computes each (feerate, height) block space their windows read only once.
 """
 from __future__ import annotations
 
@@ -16,7 +19,6 @@ import csv
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .chain import DEFAULT_BLOCKMAXWEIGHT, available_space
 
@@ -26,11 +28,6 @@ MAX_REGIME_RUN = 144  # longest run of blocks a synthetic estimate holds
 
 class ConfigError(ValueError):
     """The user's configuration is wrong: the command line exits 2 on it."""
-
-
-class FillerBlock(NamedTuple):
-    entries: list[tuple[int, int, int]]  # (fee, weight, 1), as available_space reads
-    weight_used: int
 
 
 class FeerateSeries:
@@ -166,40 +163,31 @@ def simulate_feerate_strategy(series: FeerateSeries, strategy, open_height: int)
 # -- block-space analysis --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpaceAnalysis:
-    launch_height: int
-    channel_feerate: int
-    window: int
-    per_block: tuple[int, ...]
-    avg_available_space: float
-
-
-def victim_available_space(blocks: dict[int, FillerBlock], channel_feerate: int,
-                           launch_height: int, window: int,
-                           blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT,
-                           spaces: dict[int, dict[int, int]] | None = None
-                           ) -> SpaceAnalysis:
-    """Average weight per block still open to transactions at the victims'
-    (fixed) claim feerate over the `window` blocks following launch.
-
-    `spaces` memoizes each block's space across calls, as feerate -> height
-    -> space; share one dict only between calls over the same blocks and
-    blockmaxweight."""
+def victim_available_space(blocks: dict[int, list[tuple[int, int, int]]],
+                           launches: list[tuple[int, int]], window: int,
+                           blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT) -> list[float]:
+    """For each (launch_height, feerate) in `launches`, in order: the average
+    weight per block still open to transactions at that (fixed) claim
+    feerate over the `window` blocks after launch, as the difference of two
+    running sums of the feerate's spaces.  A missing block raises
+    ConfigError naming the lowest missing height any window reads."""
     if window <= 0:
         raise ConfigError("window must be positive")
-    at_rate = {} if spaces is None else spaces.setdefault(channel_feerate, {})
-    per = []
-    for h in range(launch_height + 1, launch_height + window + 1):
-        space = at_rate.get(h)
-        if space is None:
-            if h not in blocks:
-                raise ConfigError(f"insufficient block data: missing height {h}")
-            space = at_rate[h] = available_space(channel_feerate, blocks[h].entries,
-                                                 blockmaxweight)
-        per.append(space)
-    return SpaceAnalysis(launch_height, channel_feerate, window,
-                         tuple(per), sum(per) / window)
+    reads: dict[int, set[int]] = {}  # feerate -> every height its windows read
+    for launch, feerate in launches:
+        reads.setdefault(feerate, set()).update(range(launch + 1, launch + window + 1))
+    missing = set().union(*reads.values()) - blocks.keys()
+    if missing:
+        raise ConfigError(f"insufficient block data: missing height {min(missing)}")
+    sums = {}  # (feerate, h) -> the feerate's spaces summed over the heights read to h
+    for feerate, read in reads.items():
+        total = 0
+        for h in sorted(read):
+            sums[feerate, h - 1] = total  # through h - 1, where a window may start
+            total += available_space(feerate, blocks[h], blockmaxweight)
+            sums[feerate, h] = total
+    return [(sums[feerate, launch + window] - sums[feerate, launch]) / window
+            for launch, feerate in launches]
 
 
 def fraction_of_time_above(values, threshold: float) -> float:
@@ -232,9 +220,9 @@ def synthetic_blocks(seed: int, start_height: int, count: int,
                      blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT,
                      fill_low: float = 0.3, fill_high: float = 1.0,
                      feerate_low: int = 500, feerate_high: int = 20_000
-                     ) -> dict[int, FillerBlock]:
+                     ) -> dict[int, list[tuple[int, int, int]]]:
     """Filler blocks for space analysis: per height, (fee, weight, 1) entries
-    filling a uniform share in [fill_low, fill_high] of blockmaxweight."""
+    whose weights fill a uniform share in [fill_low, fill_high] of blockmaxweight."""
     if not 1 <= feerate_low <= feerate_high:
         raise ConfigError(f"block feerate range [{feerate_low}, {feerate_high}] is empty or below 1")
     if not (0 <= fill_low <= fill_high <= 1 and blockmaxweight >= 1):
@@ -248,9 +236,9 @@ def synthetic_blocks(seed: int, start_height: int, count: int,
     k_weight = n_weight.bit_length()
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
-    blocks: dict[int, FillerBlock] = {}
+    blocks = {}
     for h in range(start_height, start_height + count):
-        target = room = int(blockmaxweight * rng.uniform(fill_low, fill_high))
+        room = int(blockmaxweight * rng.uniform(fill_low, fill_high))
         entries = []
         while room > 0:
             r = getrandbits(k_weight)
@@ -266,5 +254,5 @@ def synthetic_blocks(seed: int, start_height: int, count: int,
                 r = getrandbits(k_fee)
             entries.append(((feerate_low + r) * weight // 1000, weight, 1))
             room -= weight
-        blocks[h] = FillerBlock(entries, target - room)
+        blocks[h] = entries
     return blocks

@@ -141,7 +141,7 @@ def test_criterion_7_fee_strategy_ordering():
         launches = range(open_h + duration, open_h + duration + 100, 20)
         blocks = synthetic_blocks(seed + 1, start_height=launches[0],
                                   count=(launches[-1] - launches[0]) + 12)
-        naive_avgs, min_avgs = [], []
+        naive_pairs, min_pairs = [], []
         for launch in launches:
             naive = simulate_feerate_strategy(series, "naive", launch)
             mini = simulate_feerate_strategy(series, f"minimize:{duration}",
@@ -151,10 +151,10 @@ def test_criterion_7_fee_strategy_ordering():
                          for h in range(launch - duration, launch + 1)]
             assert mini.final_feerate == min(estimates)
             assert mini.launch_height == launch
-            naive_avgs.append(victim_available_space(
-                blocks, naive.final_feerate, launch, 10).avg_available_space)
-            min_avgs.append(victim_available_space(
-                blocks, mini.final_feerate, launch, 10).avg_available_space)
+            naive_pairs.append((launch, naive.final_feerate))
+            min_pairs.append((launch, mini.final_feerate))
+        naive_avgs = victim_available_space(blocks, naive_pairs, 10)
+        min_avgs = victim_available_space(blocks, min_pairs, 10)
         for t in thresholds:
             frac_naive = sum(1 for v in naive_avgs if v >= t) / len(naive_avgs)
             frac_min = sum(1 for v in min_avgs if v >= t) / len(min_avgs)

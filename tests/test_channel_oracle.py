@@ -180,7 +180,17 @@ class Twin:
         rng = self.rng
         proposer = rng.choice(PARTIES)
         estimate = rng.randint(500, 6_000)
-        rate = rng.choice((estimate, estimate + rng.randint(-700, 700), rng.randint(-5, 9_000)))
+        r = rng.random()
+        if r < 0.15:  # non-positive
+            rate = rng.choice((0, -1, -rng.randint(2, 9_000)))
+        elif r < 0.35:  # at, or one off, the lowest rate whose fee the initiator cannot pay
+            ch = self.new
+            weight = ch.weights.commitment_weight(ch.pending_count)
+            rate = -(-(ch.balances[ch.initiator] + 1) * 1000 // weight) + rng.choice((-1, 0, 1))
+            estimate = max(rate, 1)
+        else:
+            rate = rng.choice((estimate, estimate + rng.randint(-700, 700),
+                               rng.randint(-5, 9_000)))
         got = outcome(lambda: self.new.update_fee(proposer, rate, estimate))
         ok, why = self.old.update_fee(proposer, rate, estimate)
         # The reference refuses with (False, code); here the code heads a ChannelError.
@@ -289,7 +299,8 @@ def test_run_channel_matches_per_htlc_reference():
             "fulfill:partial-then-raise", "reveal:ok", "reveal:not-pending",
             "reveal:unknown-preimage", "reveal:inside-a-run",
             "reveal:partial-then-raise", "silence", "update_fee:ok",
-            "update_fee:unreasonable-feerate", "commitment:ok", "force_close:alice",
+            "update_fee:unreasonable-feerate", "update_fee:invalid-feerate",
+            "update_fee:cannot-afford-fee", "commitment:ok", "force_close:alice",
             "force_close:bob", "force_close:already-closing", "claimable:1-cohorts",
             "claimable:2-cohorts", "claimable:no-commitment",
             "claimable:wrong-claim", "claim:success-local", "claim:success-remote",

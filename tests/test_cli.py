@@ -8,6 +8,7 @@ import pytest
 
 import htlcrace.chain as chain_module
 import htlcrace.cli as cli
+import htlcrace.fees as fees_module
 from htlcrace import ConfigError
 from htlcrace.attack import AttackConfig, run_attack
 from htlcrace.cli import (
@@ -307,6 +308,29 @@ def test_fee_analysis_run(tmp_path):
     assert report[0] == ["threshold", "fraction_naive", "fraction_minimized"]
     for row in report[1:]:
         assert float(row[2]) <= float(row[1])
+
+
+def test_fee_analysis_computes_each_block_space_once(tmp_path, monkeypatch):
+    """Cost contract: one fee-analysis run computes a block's open space once
+    per (feerate, height) pair the two strategies' windows read, however
+    many overlapping windows read it."""
+    path = write_scenario(tmp_path, FAST_FEE.replace("launch_step = 5", "launch_step = 1"))
+    counted = []
+
+    def available_space(feerate, entries, blockmaxweight):
+        counted.append(feerate)
+        return chain_module.available_space(feerate, entries, blockmaxweight)
+
+    monkeypatch.setattr(fees_module, "available_space", available_space)
+    assert run_scenario(path, tmp_path / "out") == 0
+    series = fees_module.synthetic_feerate_series(7, 200)
+    pairs = set()
+    for launch in range(40, 81):
+        naive = series.estimate_at(launch)
+        mini = min(series.estimate_at(h) for h in range(launch - 36, launch + 1))
+        pairs.update((rate, h) for rate in (naive, mini) for h in range(launch + 1, launch + 5))
+    assert len(pairs) < 2 * 41 * 4  # the windows overlap: one scan per launch costs more
+    assert sorted(counted) == sorted(rate for rate, _ in pairs)
 
 
 def test_fee_analysis_needs_room_to_minimize(tmp_path):

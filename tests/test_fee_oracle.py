@@ -86,35 +86,56 @@ def test_synthetic_blocks_match_randint_reference(params):
         want = fee_reference.synthetic_blocks(seed, 50, 40, **params)
         assert list(got) == list(want)
         for h in want:
-            assert got[h].weight_used == want[h].weight_used
-            assert got[h].entries == [(t.fee, t.weight, 1) for t in want[h].txs]
+            assert sum(weight for _, weight, _ in got[h]) == want[h].weight_used
+            assert got[h] == [(t.fee, t.weight, 1) for t in want[h].txs]
 
 
-def test_memoized_window_spaces_equal_per_block_spaces():
-    blocks = synthetic_blocks(11, 0, 60, blockmaxweight=400_000)
-    spaces = {}
+def window_spaces(blocks, launches, window, blockmaxweight):
+    """Each launch's window average as the sum of its blocks' spaces, one
+    window at a time, or the error the batch must raise."""
+    if window <= 0:
+        return ("ConfigError", "window must be positive")
+    reads = [h for launch, _ in launches for h in range(launch + 1, launch + window + 1)]
+    missing = [h for h in reads if h not in blocks]
+    if missing:
+        return ("ConfigError", f"insufficient block data: missing height {min(missing)}")
+    return [sum(available_space(feerate, blocks[h], blockmaxweight)
+                for h in range(launch + 1, launch + window + 1)) / window
+            for launch, feerate in launches]
+
+
+def test_window_spaces_equal_per_block_sums():
+    blocks = synthetic_blocks(11, 0, 80, blockmaxweight=400_000)
     rng = random.Random(4)
-    for _ in range(300):
-        feerate = rng.choice((500, 2_000, 9_000, 15_000))
-        launch = rng.randint(-1, 45)
-        window = rng.randint(1, 14)
-        got = victim_available_space(blocks, feerate, launch, window, 400_000, spaces)
-        want = [available_space(feerate, blocks[h].entries, 400_000)
-                for h in range(launch + 1, launch + window + 1)]
-        assert list(got.per_block) == want
-        assert got.avg_available_space == sum(want) / window
-    assert all(space == available_space(feerate, blocks[h].entries, 400_000)
-               for feerate, at_rate in spaces.items() for h, space in at_rate.items())
-
-
-def test_memoized_spaces_still_need_every_block():
-    blocks = synthetic_blocks(2, 0, 10)
-    spaces = {}
-    victim_available_space(blocks, 1_000, 0, 9, spaces=spaces)
-    with pytest.raises(ConfigError, match="missing height 10"):
-        victim_available_space(blocks, 1_000, 0, 10, spaces=spaces)
-    with pytest.raises(ConfigError, match="window must be positive"):
-        victim_available_space(blocks, 1_000, 0, 0, spaces=spaces)
+    seen = dict.fromkeys(("ok", "window-error", "missing-error", "reused-far",
+                          "step-wider", "overlap", "repeat"), 0)
+    for _ in range(1_000):
+        window = rng.choice((0, rng.randint(1, 4), rng.randint(1, 14), rng.randint(1, 14)))
+        h = rng.randint(-4, 40)
+        launches = []
+        for _ in range(rng.randint(1, 10)):
+            launches.append((h, rng.choice((500, 2_000, 9_000, 15_000))))
+            h += rng.choice((0, 1, rng.randint(1, 8), rng.randint(1, 20)))
+        rng.shuffle(launches)  # answers come back in the order asked
+        want = window_spaces(blocks, launches, window, 400_000)
+        try:
+            got = victim_available_space(blocks, launches, window, 400_000)
+        except ConfigError as exc:
+            got = ("ConfigError", str(exc))
+        assert got == want, (launches, window)
+        if want[0] != "ConfigError":
+            seen["ok"] += 1
+        else:
+            seen["window-error" if window <= 0 else "missing-error"] += 1
+        if window <= 0:
+            continue
+        gaps = {(b[0] - a[0], a[1] == b[1]) for a in launches for b in launches if b[0] > a[0]}
+        seen["reused-far"] += any(same and gap > window for gap, same in gaps)
+        seen["step-wider"] += any(gap > window for gap, _ in gaps)
+        seen["overlap"] += any(gap < window for gap, _ in gaps)
+        seen["repeat"] += len(set(launches)) < len(launches)
+    for what, n in seen.items():
+        assert n >= 50, seen
 
 
 def reference_space(feerate, entries, blockmaxweight):

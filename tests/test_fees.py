@@ -11,7 +11,6 @@ from htlcrace.chain import available_space
 from htlcrace.fees import (
     ConfigError,
     FeerateSeries,
-    FillerBlock,
     fraction_of_time_above,
     ingest_feerate_csv,
     parse_strategy,
@@ -156,29 +155,29 @@ def test_minimize_is_exact_running_min(seed, duration):
 
 
 def full_block(weight, feerate):
-    return FillerBlock([(feerate * weight // 1000, weight, 1)], weight)
+    return [(feerate * weight // 1000, weight, 1)]
 
 
 def test_space_over_empty_blocks():
-    blocks = {h: FillerBlock([], 0) for h in range(10, 22)}
-    analysis = victim_available_space(blocks, 2_000, launch_height=10, window=10)
-    assert analysis.avg_available_space == 4_000_000
-    assert analysis.per_block == (4_000_000,) * 10
+    blocks = {h: [] for h in range(10, 22)}
+    assert victim_available_space(blocks, [(10, 2_000)], window=10) == [4_000_000]
+    # one-block windows give each block's space
+    assert victim_available_space(blocks, [(h, 2_000) for h in range(10, 20)],
+                                  window=1) == [4_000_000] * 10
 
 
 def test_space_with_two_megaweight_of_better_payers():
     # every block carries 2M wu paying above the channel feerate
     blocks = {h: full_block(2_000_000, 5_000) for h in range(5, 10)}
-    analysis = victim_available_space(blocks, 2_000, launch_height=5, window=4)
-    assert analysis.avg_available_space == 2_000_000
+    assert victim_available_space(blocks, [(5, 2_000)], window=4) == [2_000_000]
 
 
 def test_space_requires_block_coverage():
-    blocks = {h: FillerBlock([], 0) for h in range(3)}
+    blocks = {h: [] for h in range(3)}
     with pytest.raises(ConfigError, match="insufficient block data: missing height 3"):
-        victim_available_space(blocks, 2_000, launch_height=0, window=5)
+        victim_available_space(blocks, [(0, 2_000)], window=5)
     with pytest.raises(ConfigError, match="window must be positive"):
-        victim_available_space(blocks, 2_000, launch_height=0, window=0)
+        victim_available_space(blocks, [(0, 2_000)], window=0)
 
 
 def test_fraction_of_time_above():
@@ -217,10 +216,10 @@ def test_synthetic_blocks_deterministic_and_within_limit():
     want = fee_reference.synthetic_blocks(3, start_height=100, count=20)
     assert set(a) == set(range(100, 120))
     for h in a:
-        assert a[h].weight_used <= 4_000_000
-        assert a[h].weight_used == b[h].weight_used == want[h].weight_used
-        assert a[h].entries == b[h].entries \
-            == [(t.fee, t.weight, t.count) for t in want[h].txs]
+        used = sum(weight for _, weight, _ in a[h])
+        assert used <= 4_000_000
+        assert used == sum(weight for _, weight, _ in b[h]) == want[h].weight_used
+        assert a[h] == b[h] == [(t.fee, t.weight, t.count) for t in want[h].txs]
 
 
 def test_inverted_block_feerate_range_is_refused():
@@ -232,7 +231,8 @@ def test_inverted_block_feerate_range_is_refused():
 
 def test_available_space_consistency_with_chain_layer():
     blocks = synthetic_blocks(9, start_height=0, count=8)
-    analysis = victim_available_space(blocks, 1_500, launch_height=0, window=7)
-    manual = [available_space(1_500, blocks[h].entries) for h in range(1, 8)]
-    assert list(analysis.per_block) == manual
-    assert analysis.avg_available_space == pytest.approx(sum(manual) / 7)
+    manual = [available_space(1_500, blocks[h]) for h in range(1, 8)]
+    per_block = victim_available_space(blocks, [(h, 1_500) for h in range(7)], window=1)
+    assert per_block == manual
+    [avg] = victim_available_space(blocks, [(0, 1_500)], window=7)
+    assert avg == pytest.approx(sum(manual) / 7)

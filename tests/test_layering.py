@@ -3,10 +3,12 @@ package, and the chain knows nothing of it but the run map, so neither
 can come to depend on HTLCs, channels or the race.  A configuration error
 has one type, fees.ConfigError, in every layer, and a refused channel
 operation one, channel.ChannelError.  The attack run raises no
-ConfigError: validate_config refuses a config before it starts."""
+ConfigError: validate_config refuses a config before it starts.  The
+package exports exactly its public names."""
 
 import ast
 import builtins
+import types
 from pathlib import Path
 
 import htlcrace
@@ -90,3 +92,12 @@ def test_the_run_raises_no_config_error():
               and "ConfigError" in {getattr(n, "id", getattr(n, "attr", None))
                                     for n in ast.walk(node.exc or node)}]
     assert raised == []
+
+
+def test_all_names_exactly_the_public_attributes():
+    """htlcrace.__all__ names each public attribute of the package that is
+    not a module, once, and nothing else: a deleted type leaves no dangling
+    export and a new one no missing one."""
+    public = {name for name, obj in vars(htlcrace).items()
+              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert sorted(htlcrace.__all__) == sorted(public)

@@ -154,6 +154,14 @@ class _Plan(NamedTuple):
     htlc_value: int
 
 
+def _outbid(evicted, weight: int) -> int:
+    """Least fee of a member of `weight` that replaces one member of each
+    evicted transaction: more than their fees together, and a higher feerate
+    than each (ChainState._replace's rules, exact in integers)."""
+    return max([sum(e.fee for e in evicted) + 1]
+               + [e.fee * weight // e.weight + 1 for e in evicted])
+
+
 def validate_config(cfg: AttackConfig) -> _Plan:
     """Raise ConfigError for a config the run would refuse, set-up included;
     otherwise return its set-up plan (a _Plan), which the run carries out."""
@@ -270,10 +278,9 @@ class _Run:
         self.meta: dict[str, tuple[str, int, int]] = {}  # txid -> (kind, channel, first htlc id)
         # Per channel: a run map from unresolved HTLC ids to _Spans.
         self.spans: list[list[tuple[int, int, _Span]]] = []
-        # The race's victim events: channels to close, by height, and channels
-        # whose commitment confirmed since the last release pass.
-        self.closes: dict[int, list[int]] = {}
-        self.commits_confirmed: list[int] = []
+        # The race's victim events: (height, stage) -> channels, where stage 0
+        # releases a channel's preimages, 1 closes it and 2 sends its claims.
+        self.due: dict[tuple[int, int], list[int]] = {}
         self.victim_fees = 0
         self.attacker_cost = 0
         self.trace: list[TraceRow] = []
@@ -345,7 +352,7 @@ class _Run:
         # Nothing settles on the incoming channel from here on, so its delta,
         # dynamic or not, and with it its close height, are fixed now.
         at = max(self.expiry - self._victim_delta(ch_in), self.chain.height)
-        self.closes.setdefault(at, []).append(i)
+        self.due.setdefault((at, 1), []).append(i)
 
     def _preimages(self, i: int) -> range:
         """Channel pair i's payment preimages, one per HTLC, each shared by
@@ -362,9 +369,9 @@ class _Run:
         # Phase III's schedule: channel i is released at the loading height,
         # plus i when staggered.
         staggered = cfg.preimage_release == "staggered"
-        releases: dict[int, list[int]] = {}
         for i in range(len(self.channels)):
-            releases.setdefault(self.chain.height + i * staggered, []).append(i)
+            self.due.setdefault((self.chain.height + i * staggered, 0), []).append(i)
+        stages = (self._release_channel, self._close_channel, self._claim_channel)
         # Each bid acts at its own height; the order settles ties at expiry.
         bids = ((self._anchor_bumps, self._cpfp_bumps, self._attacker_pass)
                 if cfg.victim_first_at_expiry else
@@ -373,10 +380,11 @@ class _Run:
         while True:
             h = self.chain.height
             seq = mempool.seq
-            for i in releases.pop(h, ()):
-                self._release_channel(i)
-            self._victim_close_pass(h)
-            self._victim_release_pass(h)
+            # A stage may schedule a later one at this height.  Channels go
+            # in index order: submission order breaks ties in the mining queue.
+            for stage, act in enumerate(stages):
+                for i in sorted(self.due.pop((h, stage), ())):
+                    act(i)
             for bid in bids:
                 bid(h)
             self._background_pass()
@@ -399,34 +407,32 @@ class _Run:
         # Capped before int(): a huge slope makes the product infinite.
         return int(min(base + per_htlc * ch.pending_count, cap))
 
-    def _victim_close_pass(self, h: int) -> None:
-        # Channels are released in index order, so each height's closes are
-        # too: submission order decides ties in the mining queue.
-        for i in self.closes.pop(h, ()):
-            ch_in, _, name = self.channels[i]
-            commit = ch_in.force_close(self.chain, name)
-            self.meta[commit.id] = ("commit", i, -1)
-            if not self.victim_params.wait_for_commit_confirmation:
-                self._submit_victim_claims(i, h)
+    def _close_channel(self, i: int) -> None:
+        """The victim force-closes channel i; an eager victim claims after this
+        height's closes, a waiting one once the commitment confirms (_mine)."""
+        ch_in, _, name = self.channels[i]
+        self.meta[ch_in.force_close(self.chain, name).id] = ("commit", i, -1)
+        if not self.victim_params.wait_for_commit_confirmation:
+            self.due.setdefault((self.chain.height, 2), []).append(i)
 
-    def _victim_release_pass(self, h: int) -> None:
-        confirmed, self.commits_confirmed = self.commits_confirmed, []
-        if self.victim_params.wait_for_commit_confirmation and h < self.expiry:
-            # In index order too, whatever order the commitments confirmed in.
-            for i in sorted(confirmed):
-                self._submit_victim_claims(i, h)
-
-    def _submit_victim_claims(self, i: int, h: int) -> None:
+    def _claim_channel(self, i: int) -> None:
         ch_in, _, name = self.channels[i]
         claims = ch_in.claimable_successes(
-            name, h, rbf_signal=self.cfg.victim_claims_replaceable)
+            name, self.chain.height, rbf_signal=self.cfg.victim_claims_replaceable)
         for first, tx in claims.items():
-            result = self.chain.submit(tx)
-            if not result.ok:
-                raise AssertionError(f"victim claim rejected: {result.reason}")
-            self.meta[tx.id] = ("vclaim", i, first)
-            runs.restate(self.spans[i], first, first + tx.count,
-                         lambda span: span._replace(claim=tx.id, side="victim"))
+            self._post(i, first, tx, "vclaim", claim=tx.id, side="victim")
+
+    def _post(self, i: int, lo: int, tx: Transaction, kind: str, *allowed: str, **span) -> None:
+        """Submit `tx`, a claim or fee bump on channel i's HTLCs from lo on, one
+        per member; record it as `kind` and set `span` on their spans.  A
+        refusal for a reason not in `allowed` is a fault; one in it is a no-op."""
+        result = self.chain.submit(tx)
+        if not result.ok:
+            if result.reason in allowed:
+                return
+            raise AssertionError(f"{kind} {tx.id} rejected: {result.reason}")
+        self.meta[tx.id] = (kind, i, lo)
+        runs.restate(self.spans[i], lo, lo + tx.count, lambda s: s._replace(**span))
 
     def _unbumped_victim_spans(self):
         """(channel, lo, hi, span) for every span with a pending victim claim
@@ -447,33 +453,23 @@ class _Run:
         if h != self.expiry:
             return
         cfg = self.cfg
-        chain = self.chain
-        pending = chain.mempool.pending
+        pending = self.chain.mempool.pending
         w_timeout = self.weights.htlc_timeout
         for i, spans in enumerate(self.spans):
             ch_in = self.channels[i][0]
             for lo, hi, span in list(spans):
                 fee = fee_for_weight(ch_in.feerate, w_timeout)
                 if span.side == "victim":
-                    evicted = [pending[span.claim]]
-                    if span.kid:
-                        evicted.append(pending[span.kid])
-                    paid = sum(e.fee for e in evicted)
-                    least = max([paid + 1] + [e.fee * w_timeout // e.weight + 1
-                                              for e in evicted])
+                    evicted = [pending[span.claim]] + ([pending[span.kid]] if span.kid else [])
+                    least = _outbid(evicted, w_timeout)
                     if least > self.plan.htlc_value:
                         continue  # no fee the HTLC can pay outbids the claim
+                    paid = sum(e.fee for e in evicted)
                     fee = max(fee, least, paid + cfg.attacker_fee_bump_increment)
                 tx = ch_in.build_htlc_claims(SOURCE, lo, hi - lo, "timeout-remote", h,
                                              fee_override=fee)
-                result = chain.submit(tx)
-                if result.ok:
-                    self.meta[tx.id] = ("aclaim", i, lo)
-                    runs.restate(spans, lo, hi, lambda span: span._replace(
-                        claim=tx.id, side="attacker", kid=""))
-                elif result.reason != REJECT_NOT_REPLACEABLE:
-                    raise AssertionError(
-                        f"unexpected replacement rejection: {result.reason}")
+                self._post(i, lo, tx, "aclaim", REJECT_NOT_REPLACEABLE,
+                           claim=tx.id, side="attacker", kid="")
 
     def _anchor_bumps(self, h: int) -> None:
         """With anchor-style commitments the success claim is no longer
@@ -483,33 +479,27 @@ class _Run:
         if not (cfg.anchor_mode and h == self.expiry - cfg.victim_bump_offset):
             return
         chain = self.chain
+        weight = self.weights.htlc_success + ANCHOR_INPUT_WEIGHT
         for i, lo, hi, span in self._unbumped_victim_spans():
             ch_in, _, name = self.channels[i]
-            old = chain.mempool.pending[span.claim]
-            weight = self.weights.htlc_success + ANCHOR_INPUT_WEIGHT
             fee = max(fee_for_weight(cfg.victim_bump_feerate, weight),
-                      old.fee + 1, old.fee * weight // old.weight + 1)
+                      _outbid([chain.mempool.pending[span.claim]], weight))
             spare = chain.grant(name, fee, count=hi - lo)
             tx = ch_in.build_htlc_claims(
                 name, lo, hi - lo, "success-local", h, fee_override=fee,
                 rbf_signal=True, extra_input=spare, extra_value=fee, anchor=True)
-            result = chain.submit(tx)
-            if not result.ok:
-                raise AssertionError(f"victim fee bump rejected: {result.reason}")
-            self.meta[tx.id] = ("vclaim", i, lo)
-            runs.restate(self.spans[i], lo, hi,
-                         lambda span: span._replace(claim=tx.id, bumped=True))
+            self._post(i, lo, tx, "vclaim", claim=tx.id, bumped=True)
 
     def _cpfp_bumps(self, h: int) -> None:
         """Futile child-pays-for-parent attempt at expiry on still-unconfirmed
         claims: the attacker's replacement of a claim evicts the child with
-        it, as a descendant of the replaced claim."""
+        it, as a descendant of the replaced claim.  Nothing can refuse a
+        child: nothing else spends the claim outputs it spends."""
         if not (self.cfg.cpfp_demo and h == self.expiry):
             return
-        chain = self.chain
         for i, lo, hi, span in self._unbumped_victim_spans():
             name = self.channels[i][2]
-            parent = chain.mempool.pending[span.claim]
+            parent = self.chain.mempool.pending[span.claim]
             member = lo - self.meta[span.claim][2]
             out_value = parent.outputs[0][2].value  # a claim's one output
             fee = min(fee_for_weight(CPFP_CHILD_FEERATE, CPFP_CHILD_WEIGHT), out_value)
@@ -517,11 +507,7 @@ class _Run:
                 id=f"{parent.id}-bump{member}", inputs=(OutputRef(parent.id, member),),
                 outputs=((0, 1, TxOutput(out_value - fee, name, "claim")),),
                 weight=CPFP_CHILD_WEIGHT, fee=fee, rbf_signal=True, count=hi - lo)
-            result = chain.submit(child)
-            if result.ok:
-                self.meta[child.id] = ("bump", i, lo)
-                runs.restate(self.spans[i], lo, hi,
-                             lambda span: span._replace(bumped=True, kid=child.id))
+            self._post(i, lo, child, "bump", bumped=True, kid=child.id)
 
     def _background_pass(self) -> None:
         spec = self.cfg.background_traffic
@@ -564,8 +550,9 @@ class _Run:
                 continue
             kind, i, first = entry
             count = tx.count
-            if kind == "commit":
-                self.commits_confirmed.append(i)
+            if kind == "commit" and self.victim_params.wait_for_commit_confirmation \
+                    and block.height < self.expiry:  # claims at the race's next height
+                self.due.setdefault((block.height, 2), []).append(i)
             if kind == "vclaim" or kind == "bump":
                 victim_fees += tx.fee * count
             else:

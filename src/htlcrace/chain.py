@@ -87,10 +87,8 @@ def _take(index: dict, txid: str, lo: int, hi: int) -> list:
         return []
     if lo <= held[0][0] and held[-1][1] <= hi:  # all of it
         return index.pop(txid)
-    taken = runs.take(held, lo, hi)
-    if not held:
-        del index[txid]
-    return taken
+    # Else some index of held lies outside lo .. hi - 1, so held keeps it.
+    return runs.take(held, lo, hi)
 
 
 def _put(index: dict, txid: str, lo: int, hi: int, x) -> None:

@@ -10,8 +10,8 @@ the remaining sections configure the modules involved (see README for full
 examples).  Runs write report.csv, trace.csv and summary.txt into --out;
 summary.txt is written even when a stage fails, recording which one.
 
-Exit codes: 0 success, 2 configuration/input error (a ConfigError, or an
---out that cannot be made a directory), 3 runtime error.  Building a run's
+Exit codes: 0 success, 2 configuration/input error (a ConfigError, a usage
+error, or an --out that cannot be made a directory), 3 runtime error.  Building a run's
 inputs turns any other ValueError into a ConfigError, so any other exception
 is an engine fault.
 """
@@ -464,6 +464,8 @@ def main(argv=None) -> int:
     val_p.add_argument("scenario")
     args = parser.parse_args(argv)
     if args.command == "run":
+        if args.jobs < 1:
+            run_p.error(f"--jobs must be at least 1, got {args.jobs}")
         return run_scenario(args.scenario, args.out, args.seed, args.jobs)
     return validate_scenario(args.scenario)
 

@@ -113,6 +113,19 @@ def test_validate_rejects_silly_configs():
         validate_config(dataclasses.replace(base, feerate_series=FeerateSeries([(5, 3_000, 2)])))
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"channel_feerate": 0}, "channel_feerate must be positive"),
+    ({"channel_feerate": -1}, "channel_feerate must be positive"),
+    ({"min_htlc_amount": -1}, "min_htlc_amount must be non-negative"),
+    ({"feerate_strategy": "minimize:5"}, "minimize strategy requires a feerate_series"),
+], ids=["feerate-zero", "feerate-negative", "min-htlc", "minimize-no-series"])
+def test_validate_refuses_with_its_message(change, message):
+    base = AttackConfig(num_victim_channels=1)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        validate_config(dataclasses.replace(base, **change))
+    validate_config(dataclasses.replace(base, min_htlc_amount=0))  # the floor itself is fine
+
+
 def test_set_up_confirms_the_funding_at_the_smallest_blockmaxweight():
     # Each block then confirms one of the two funding transactions.
     report = run_attack(AttackConfig(num_victim_channels=1, blockmaxweight=FUNDING_TX_WEIGHT))

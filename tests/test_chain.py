@@ -158,6 +158,18 @@ def test_missing_input_and_own_double_spend():
     assert (dup.status, dup.reason) == ("rejected", "double-spend-of-own-input")
 
 
+def test_chain_refuses_non_positive_sizes():
+    for blockmaxweight in (0, -1):
+        with pytest.raises(ValueError, match="^blockmaxweight must be positive$"):
+            ChainState(blockmaxweight)
+    chain = ChainState()
+    for value, count in ((0, 1), (-5, 1), (100, 0)):
+        with pytest.raises(ValueError, match="^grant value and count must be positive$"):
+            chain.grant("alice", value, count)
+    assert not chain.utxo  # a refused grant mints nothing
+    assert chain.grant("alice", 1).txid == "grant-0"
+
+
 def test_malformed_transactions_raise():
     chain = ChainState()
     ref = chain.grant("alice", 100_000)

@@ -76,6 +76,28 @@ def test_open_spends_one_grant_of_funding_plus_fee_whole():
     assert not any(r.txid == grant.txid for r in utxo_of(chain))
 
 
+@pytest.mark.parametrize("funding", [0, -1])
+def test_open_refuses_a_non_positive_funding(funding):
+    chain = ChainState()
+    p = ChannelParams()
+    with pytest.raises(ValueError, match="^funding must be positive$"):
+        open_channel(chain, "chan", "alice", "bob", funding, p, p)
+    assert not chain.utxo and not chain.mempool.pending  # no grant, no funding
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("channel_feerate", 0, "channel_feerate must be positive"),
+    ("channel_feerate", -1, "channel_feerate must be positive"),
+    ("max_htlc_value_in_flight", -1, "max_htlc_value_in_flight must be non-negative"),
+    ("htlc_minimum", -1, "htlc_minimum must be non-negative"),
+])
+def test_channel_params_refuse_out_of_range_values(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ChannelParams(**{field: value})
+    # Each bound itself is accepted.
+    ChannelParams(channel_feerate=1, max_htlc_value_in_flight=0, htlc_minimum=0)
+
+
 def test_two_channels_two_outpoints():
     chain = ChainState()
     p = ChannelParams()

@@ -577,6 +577,7 @@ FEERATE_CSV = FAST_ATTACK + "\n    [feerates]\n    csv = rates.csv\n"
      "config-parse-error: [attack] unknown key 'num_victim_chanels'"),
     (FEERATE_CSV, "0,3000,btc_kb,1", "{csv}:2: unknown unit 'btc_kb'"),
     (FEERATE_CSV, "0,inf,sat_kwu,2", "{csv}:2: feerate must be finite"),
+    (FEERATE_CSV, "0,3000,sat_kwu", "{csv}:2: expected 4 columns, got 3"),
     # set-up reads the feerate at height 0 and must confirm the funding
     (FEERATE_CSV, "5,3000,sat_kwu,2",
      "feerate series starts at height 5, after the channels open at height 0"),
@@ -584,6 +585,8 @@ FEERATE_CSV = FAST_ATTACK + "\n    [feerates]\n    csv = rates.csv\n"
      "blockmaxweight must be at least 800, the funding transaction's weight"),
     (FAST_ATTACK + "    feerate_strategy = minimize:abc\n", None,
      "unknown feerate strategy 'minimize:abc'"),
+    (FAST_ATTACK + "    feerate_strategy = minimize:5\n", None,
+     "minimize strategy requires a feerate_series"),
     # expiry inside the victims' reaction window
     (FAST_ATTACK + "    htlc_expiry_height = 8\n", None,
      "htlc_expiry_height 8 leaves less than 41 blocks after setup ends at height 1"),
@@ -601,8 +604,9 @@ FEERATE_CSV = FAST_ATTACK + "\n    [feerates]\n    csv = rates.csv\n"
     # WeightSchedule's own ValueError, which configure makes a ConfigError
     (FAST_ATTACK + "\n    [weights]\n    htlc_success = 0\n", None,
      "config-parse-error: htlc_success must be positive"),
-], ids=["reader", "fees", "fees-inf", "series-start", "funding-weight", "strategy", "engine",
-        "expiry-at-launch", "launch-fee", "htlc-floor", "policy", "channel"])
+], ids=["reader", "fees", "fees-inf", "fees-columns", "series-start", "funding-weight",
+        "strategy", "minimize-no-series", "engine", "expiry-at-launch", "launch-fee",
+        "htlc-floor", "policy", "channel"])
 def test_each_layer_refusal_exits_2_with_its_message(tmp_path, capsys, text, row, message):
     # Every layer that reads the configuration refuses it with a ConfigError:
     # run and validate both exit 2 and print the message as it was raised.
@@ -711,6 +715,38 @@ def test_engine_value_error_is_a_runtime_error(tmp_path, monkeypatch):
     assert "FAILED at stage execute" in summary and "mempool corrupted" in summary
 
 
+@pytest.mark.parametrize("kind, claimer, reason, blockmaxweight", [
+    # Victims claim every HTLC on 100,000-weight blocks; on 40,000 their
+    # commitments never confirm and the attacker claims them all.
+    ("vclaim", "victim", chain_module.REJECT_MISSING_INPUT, 100_000),
+    ("aclaim", "attacker", chain_module.REJECT_INSUFFICIENT_FEE, 40_000),
+])
+def test_a_claim_refused_for_an_unexpected_reason_is_an_engine_fault(
+        tmp_path, monkeypatch, kind, claimer, reason, blockmaxweight):
+    # The race submits claims only where the chain must take them; the one
+    # refusal it expects is an attacker claim on a victim claim it cannot
+    # replace.  Any other refusal stops the run as a fault naming the claim.
+    submit = chain_module.ChainState.submit
+    refused = []
+
+    def refuse_the_first(self, tx):
+        out = tx.outputs[0][2] if tx.outputs else None
+        if not refused and out and out.kind == "claim" and out.owner.startswith(claimer):
+            refused.append(tx.id)
+            return chain_module.SubmitResult("rejected", reason=reason)
+        return submit(self, tx)
+
+    monkeypatch.setattr(chain_module.ChainState, "submit", refuse_the_first)
+    with pytest.raises(AssertionError) as exc:
+        run_attack(AttackConfig(num_victim_channels=2, blockmaxweight=blockmaxweight, seed=9))
+    assert str(exc.value) == f"{kind} {refused[0]} rejected: {reason}"
+    refused.clear()
+    out = tmp_path / "out"
+    text = FAST_ATTACK.replace("40000", str(blockmaxweight))
+    assert run_scenario(write_scenario(tmp_path, text), out) == 3
+    assert f"{kind} {refused[0]} rejected: {reason}" in (out / "summary.txt").read_text()
+
+
 def test_anchor_bumps_past_the_htlc_value_run_clean(tmp_path):
     # At the default bump feerate (25,000 sat/kWU) a bumped claim pays more
     # than the HTLC is worth, so the attacker cannot outbid it and leaves it
@@ -761,3 +797,13 @@ def test_main_round_trip(tmp_path):
     assert main(["run", str(path), "--out", str(tmp_path / "out2"),
                  "--seed", "123", "--jobs", "1"]) == 0
     assert (tmp_path / "out2" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    path = write_scenario(tmp_path, FAST_SWEEP)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path), "--out", str(tmp_path / "out"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: --jobs must be at least 1, got {jobs}\n")
+    assert not (tmp_path / "out").exists()  # refused before anything ran

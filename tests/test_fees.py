@@ -76,6 +76,37 @@ def test_ingest_rejects_unknown_unit(tmp_path):
         ingest_feerate_csv(write_csv(tmp_path, ["5,100,btc_kb,1"]))
 
 
+@pytest.mark.parametrize("header, rows, where, message", [
+    ("height,feerate,unit", ["5,100,sat_kwu,1"], "",
+     "expected header height,feerate,unit,conf_target"),
+    ("", [], "", "expected header height,feerate,unit,conf_target"),
+    ("height,feerate,unit,conf_target", ["5,100,sat_kwu"], ":2",
+     "expected 4 columns, got 3"),
+    ("height,feerate,unit,conf_target", ["5,100,sat_kwu,1", "", "6,100,sat_kwu,1,9"], ":4",
+     "expected 4 columns, got 5"),
+    ("height,feerate,unit,conf_target", ["5,100,sat_kwu,1", "6.5,100,sat_kwu,1"], ":3",
+     "invalid literal for int() with base 10: '6.5'"),
+    ("height,feerate,unit,conf_target", ["5,100,sat_kwu,soon"], ":2",
+     "invalid literal for int() with base 10: 'soon'"),
+], ids=["header", "empty-file", "three-columns", "five-after-blank", "height", "conf-target"])
+def test_ingest_refusals_name_the_file_and_line(tmp_path, header, rows, where, message):
+    path = write_csv(tmp_path, rows, header=header)
+    with pytest.raises(ConfigError) as exc:
+        ingest_feerate_csv(path)
+    assert str(exc.value) == f"{path}{where}: {message}"
+
+
+def test_ingest_skips_blank_rows(tmp_path):
+    path = write_csv(tmp_path, ["", "5,100,sat_kwu,1", " , , , ", "", "9,200,sat_kwu,3"])
+    assert ingest_feerate_csv(path).points == [(5, 100, 1), (9, 200, 3)]
+
+
+@pytest.mark.parametrize("feerate", [0, -100])
+def test_series_rejects_a_non_positive_feerate(feerate):
+    with pytest.raises(ConfigError, match="^feerates must be positive$"):
+        FeerateSeries([(0, 1_000, 1), (5, feerate, 1)])
+
+
 def test_series_rejects_queries_before_first_sample():
     series = FeerateSeries([(100, 1_000, 1)])
     with pytest.raises(ConfigError, match="height 99 precedes first sample 100"):

@@ -58,6 +58,11 @@ def test_apply_policy_rejects_out_of_range_overrides():
         apply_policy(MitigationPolicy(max_accepted_htlcs_override=0), "lnd")
 
 
+def test_matrix_needs_a_policy():
+    with pytest.raises(ConfigError, match="^policies must be non-empty$"):
+        run_mitigation_matrix(AttackConfig(num_victim_channels=1), [])
+
+
 def test_apply_to_config_wires_every_knob():
     base = AttackConfig(num_victim_channels=3, seed=1)
     cfg = apply_to_config(MitigationPolicy(

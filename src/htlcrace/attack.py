@@ -525,7 +525,8 @@ class _Run:
         n_weight = spec.weight_high - spec.weight_low + 1
         n_fee = spec.feerate_high - spec.feerate_low + 1
         k_weight, k_fee = n_weight.bit_length(), n_fee.bit_length()
-        outputs = ((0, 1, TxOutput(1000, "background", "plain")),)
+        # A filler is an input-less, output-less transaction whose fee the chain
+        # grants when it is mined: nothing spends or replaces it, nor refuses it.
         for j in range(spec.txs_per_tick):
             r = getrandbits(k_weight)
             while r >= n_weight:
@@ -535,10 +536,7 @@ class _Run:
             while r >= n_fee:
                 r = getrandbits(k_fee)
             fee = fee_for_weight(spec.feerate_low + r, weight)
-            ref = chain.grant("background", 1000 + fee)
-            result = chain.submit(Transaction(f"bg{h}.{j}", (ref,), outputs, weight, fee))
-            if not result.ok:
-                raise AssertionError(f"background tx rejected: {result.reason}")
+            chain.submit(Transaction(f"bg{h}.{j}", (), (), weight, fee))
 
     def _mine(self):
         block = self.chain.mine_block()
@@ -647,6 +645,8 @@ def sweep_channels(template: AttackConfig, n_values, jobs: int = 1):
 def map_runs(run, items: list, jobs: int) -> list:
     """[run(item) for item in items], in order; with jobs > 1, spread over
     `jobs` forked worker processes, one at most per item."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and len(items) > 1:
         import multiprocessing  # only parallel runs pay for importing it
         with multiprocessing.get_context("fork").Pool(min(jobs, len(items))) as pool:

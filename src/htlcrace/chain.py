@@ -28,7 +28,8 @@ spending a pending member's output; mining takes as many members of the
 best queued piece as fit in one step, and replacement evicts member-aligned
 runs.  The unspent set and the mempool's spent index map a txid to a run
 map from output index to the output or to its spender, so cost follows
-cohorts and runs of alike outputs, not members.
+cohorts and runs of alike outputs, not members.  A filler is an input-less,
+output-less transaction whose fee is granted when it is mined.
 """
 from __future__ import annotations
 
@@ -258,7 +259,8 @@ class ChainState:
     """Chain tip state: height, UTXO set, mempool and mined blocks.
 
     Value conservation (sum of unspent outputs plus all confirmed fees equals
-    everything ever granted) is re-checked incrementally after every block.
+    everything ever granted: grants, and each filler's fee as it is mined) is
+    re-checked incrementally after every block.
     """
 
     def __init__(self, blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT):
@@ -313,7 +315,7 @@ class ChainState:
                        for a, b in zip(runs, runs[1:])):
                     raise ValueError(f"members of cohort {txid!r} spend one another's inputs")
 
-        total_in = 0
+        total_in = 0 if inputs else tx.fee  # a filler's fee is granted when mined
         links: list[tuple[int, int, str]] = []  # one per pending input
         direct: set[tuple[str, int, int]] = set()
         for ref in inputs:
@@ -331,10 +333,12 @@ class ChainState:
             if out.value < 0:
                 raise ValueError(f"tx {txid!r}: output value {out.value} is negative")
             out_value, at, last = out_value + (b - a) * out.value, b, out
-        if total_in - out_value != tx.fee or tx.fee < 0:
-            raise ValueError(
-                f"tx {txid!r}: fee {tx.fee} != inputs {total_in} - outputs {out_value}"
-            )
+        if not inputs and tx.outputs:
+            raise ValueError(f"filler {txid!r} has outputs")
+        if tx.fee < 0:
+            raise ValueError(f"tx {txid!r}: fee {tx.fee} is negative")
+        if total_in - out_value != tx.fee:
+            raise ValueError(f"tx {txid!r}: fee {tx.fee} != inputs {total_in} - outputs {out_value}")
 
         result = _ACCEPTED
         if direct:
@@ -517,6 +521,7 @@ class ChainState:
         room = self.blockmaxweight
         value = self._utxo_value
         fees = self._fees_confirmed
+        granted = self._granted_total
         selected: list[Transaction] = []
         skipped: list[tuple[int, int, int, _Piece]] = []
         while queue:
@@ -548,6 +553,8 @@ class ChainState:
             _mint(utxo, txid, tx.outputs, lo, end)
             value += taken * sum((b - a) * out.value for a, b, out in tx.outputs)
             fees += taken * tx.fee
+            if not tx.inputs:  # a filler: its fee enters the chain as it is mined
+                granted += taken * tx.fee
             confirmed.add(txid)
             selected.append(tx if taken == tx.count else Transaction(
                 txid, tx.inputs, tx.outputs, weight, tx.fee, tx.rbf_signal, taken, lo))
@@ -561,15 +568,13 @@ class ChainState:
 
         self._utxo_value = value
         self._fees_confirmed = fees
+        self._granted_total = granted
         self.height += 1
         block = Block(self.height, tuple(selected), self.blockmaxweight - room)
         self.blocks.append(block)
-        if value + fees != self._granted_total:
-            raise AssertionError(
-                f"value conservation broken at height {self.height}: "
-                f"{value} utxo + {fees} fees "
-                f"!= {self._granted_total} granted"
-            )
+        if value + fees != granted:
+            raise AssertionError(f"value conservation broken at height {self.height}: "
+                                 f"{value} utxo + {fees} fees != {granted} granted")
         return block
 
     # -- queries ---------------------------------------------------------
@@ -593,7 +598,7 @@ class ChainState:
                 raise AssertionError(f"block {block.height} weight bookkeeping broken")
             for tx in txs:
                 first, count = tx.first, tx.count
-                in_val = 0
+                in_val = 0 if tx.inputs else tx.fee  # a filler's fee was granted
                 for ref in tx.inputs:  # spent outputs leave: a second spend finds none
                     have, values = 0, set()
                     for a, b, out in _take(utxo, ref.txid, ref.index + first,

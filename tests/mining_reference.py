@@ -27,9 +27,9 @@ def oracle_block(pending, blockmaxweight):
     """Ids of the block mined from `pending` (submission order), in order.
 
     Repeatedly takes the best transaction that still fits and whose pending
-    parents are all already in the block.  A transaction that does not fit
-    now never fits later in the same block, so this is the greedy that skips
-    what does not fit."""
+    parents are all already in the block; a filler (no inputs) has none.  A
+    transaction that does not fit now never fits later in the same block, so
+    this is the greedy that skips what does not fit."""
     pending_ids = {t.id for t in pending}
     chosen = []
     chosen_ids = set()
@@ -65,7 +65,8 @@ def random_session(seed):
     chains, children often paying more than their parents), share a few
     (fee, weight) classes with near-ties one satoshi apart, sometimes exceed
     the block limit, and sometimes replace a pending transaction, so mining
-    meets entries whose transaction was evicted."""
+    meets entries whose transaction was evicted.  Input-less, output-less
+    fillers drawn from the same classes compete with them."""
     rng = random.Random(seed)
     limit = rng.choice((3_000, 6_000, 12_000))
     chain = ChainState(limit)
@@ -92,6 +93,13 @@ def random_session(seed):
     for j in range(rng.randint(15, 45)):
         if rng.random() < 0.25:
             mine()
+            continue
+        if rng.random() < 0.2:  # a filler: weight and fee, nothing to spend or keep
+            weight = rng.choice(WEIGHTS)
+            fee = max(0, rng.choice(FEERATES) * weight // 1000 + rng.choice((0, 0, 1, -1)))
+            tx = Transaction(f"f{seed}-{j}", (), (), weight, fee)
+            assert chain.submit(tx).status == "accepted"
+            pending.append(tx)
             continue
         free = [r for r in values if r not in spender]
         taken = list(spender)

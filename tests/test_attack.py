@@ -258,6 +258,32 @@ def test_background_traffic_different_seeds_may_differ():
     assert a != b or a.trace == b.trace
 
 
+@pytest.mark.parametrize("per_tick", [0, 5])
+def test_filler_costs_no_grant(monkeypatch, per_tick):
+    # A filler is input-less and output-less, so the only grants are the
+    # channel fundings, however much traffic runs, and none stays unspent.
+    grants = []
+    real_grant = ChainState.grant
+
+    def grant(self, owner, value, count=1):
+        grants.append(owner)
+        return real_grant(self, owner, value, count)
+
+    monkeypatch.setattr(ChainState, "grant", grant)
+    cfg = AttackConfig(num_victim_channels=2, seed=42,
+                       background_traffic=TrafficSpec(txs_per_tick=per_tick,
+                                                      weight_low=500, weight_high=2_000,
+                                                      feerate_low=500, feerate_high=3_000))
+    run = _Run(cfg)
+    run.execute()
+    mined = [tx for block in run.chain.blocks for tx in block.txs]
+    fundings = sum(tx.id.endswith("-fund") for tx in mined)
+    assert len(grants) == fundings == 2 * cfg.num_victim_channels
+    assert any(tx.id.startswith("bg") for tx in mined) == (per_tick > 0)
+    assert not any(out.owner == "background"
+                   for held in run.chain.utxo.values() for _, _, out in held)
+
+
 def test_staggered_release_still_settles_everything():
     # staggering eats one block per channel, so the expiry needs extra room
     r = run_attack(AttackConfig(num_victim_channels=3, seed=9,
@@ -324,6 +350,16 @@ def test_map_runs_forks_at_most_one_worker_per_item(monkeypatch):
     assert map_runs(abs, [-1, 2, -3, 4], 2) == [1, 2, 3, 4]
     assert map_runs(abs, [-5], 64) == [5]  # one item runs in this process
     assert sizes == [4, 2]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_map_runs_refuses_jobs_below_one(jobs):
+    ran = []
+    with pytest.raises(ConfigError, match=f"^jobs must be at least 1, got {jobs}$"):
+        map_runs(ran.append, [1, 2], jobs)
+    with pytest.raises(ConfigError, match="jobs must be at least 1"):
+        sweep_channels(AttackConfig(num_victim_channels=1), [1, 2], jobs=jobs)
+    assert ran == []  # refused before anything ran
 
 
 # ---------------------------------------------------------------------------

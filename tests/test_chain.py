@@ -820,3 +820,77 @@ def test_pending_transaction_without_outputs_is_replaced_and_mined():
     assert (res.status, res.evicted) == ("replaced", ("P",))
     assert [t.id for t in chain.mine_block().txs] == ["N"]
     chain.audit()
+
+
+# ---------------------------------------------------------------------------
+# filler: an input-less, output-less transaction whose fee is granted when mined
+# ---------------------------------------------------------------------------
+
+
+def test_submit_refuses_a_malformed_filler():
+    chain = ChainState()
+    with pytest.raises(ValueError, match="^filler 'F' has outputs$"):
+        chain.submit(Transaction("F", (), ((0, 1, TxOutput(0, "x")),), 400, 0))
+    with pytest.raises(ValueError, match="^filler 'F' has outputs$"):
+        chain.submit(Transaction("F", (), ((0, 1, TxOutput(5, "x")),), 400, 5))
+    with pytest.raises(ValueError, match="^tx 'F': fee -1 is negative$"):
+        chain.submit(Transaction("F", (), (), 400, -1))
+    assert not chain.mempool.pending and chain.mempool.seq == 0
+    assert chain.submit(Transaction("F", (), (), 400, 0)).status == "accepted"
+    with pytest.raises(ValueError, match="^duplicate transaction id 'F'$"):
+        chain.submit(Transaction("F", (), (), 400, 5))
+    assert [t.id for t in chain.mine_block().txs] == ["F"]
+    with pytest.raises(ValueError, match="^duplicate transaction id 'F'$"):
+        chain.submit(Transaction("F", (), (), 400, 5))  # confirmed
+    assert chain.mempool.seq == 1 and not chain.utxo
+
+
+def filler_chain():
+    """Two mined blocks in which fillers tie on feerate with spends: a
+    single filler, a cohort of three cut by the block limit, a zero-fee
+    filler, and a spend of a grant at the cohort's feerate."""
+    chain = ChainState(blockmaxweight=2_000)
+    g = chain.grant("g", 10_000)
+    fillers = (Transaction("F", (), (), 400, 2_000),
+               Transaction("Fs", (), (), 600, 600, count=3),
+               Transaction("Z", (), (), 400, 0))
+    for tx in fillers:
+        assert chain.submit(tx).status == "accepted"
+    assert chain.submit(spend("S", [g], 10_000, 400, 400)).ok
+    assert chain.mempool.seq == 6  # one per member, fillers included
+    chain.mine_block()
+    chain.mine_block()
+    assert [[(t.id, t.first, t.count) for t in b.txs] for b in chain.blocks] == [
+        [("F", 0, 1), ("S", 0, 1), ("Fs", 0, 2)], [("Fs", 2, 1), ("Z", 0, 1)]]
+    return chain
+
+
+def test_mined_fillers_grant_their_fees_and_audit_clean():
+    chain = filler_chain()
+    chain.audit()
+    assert list(chain.utxo) == ["S"]  # fillers leave nothing unspent
+    assert chain._granted_total == 10_000 + 2_000 + 3 * 600
+    assert chain._fees_confirmed == 2_000 + 400 + 3 * 600
+    assert not chain.mempool.pending and len(chain.mempool) == 0
+
+
+@pytest.mark.parametrize("height,at", [(1, 0), (1, 2), (2, 0), (2, 1)])
+def test_audit_rejects_an_altered_filler_fee(height, at):
+    chain = filler_chain()
+    block = chain.blocks[height - 1]
+    txs = list(block.txs)
+    txs[at] = txs[at]._replace(fee=txs[at].fee + 1)
+    chain.blocks[height - 1] = dataclasses.replace(block, txs=tuple(txs))
+    with pytest.raises(AssertionError, match="replayed value conservation"):
+        chain.audit()
+
+
+@pytest.mark.parametrize("height,at", [(1, 0), (1, 2), (2, 1)])
+def test_audit_rejects_an_altered_filler_weight(height, at):
+    chain = filler_chain()
+    block = chain.blocks[height - 1]
+    txs = list(block.txs)
+    txs[at] = txs[at]._replace(weight=txs[at].weight - 1)
+    chain.blocks[height - 1] = dataclasses.replace(block, txs=tuple(txs))
+    with pytest.raises(AssertionError, match="weight bookkeeping"):
+        chain.audit()

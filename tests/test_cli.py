@@ -236,6 +236,17 @@ def test_sweep_jobs_do_not_change_output(tmp_path):
         (tmp_path / "forked" / "report.csv").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_scenario_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    # The library entry point refuses what `htlcrace run --jobs` refuses.
+    out = tmp_path / "out"
+    assert run_scenario(write_scenario(tmp_path, FAST_SWEEP), out, None, jobs) == 2
+    assert capsys.readouterr().err == f"error (execute): jobs must be at least 1, got {jobs}\n"
+    assert (out / "summary.txt").read_text().splitlines()[-1] == \
+        f"status: FAILED at stage execute: jobs must be at least 1, got {jobs}"
+    assert not (out / "report.csv").exists()  # refused before anything ran
+
+
 def test_matrix_run(tmp_path):
     path = write_scenario(tmp_path, """
         [scenario]

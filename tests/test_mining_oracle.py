@@ -20,9 +20,12 @@ def test_random_sessions_mine_what_the_reference_mines():
             seen["feerate-tie"] += any(
                 a.fee * b.weight == b.fee * a.weight
                 for k, a in enumerate(picked) for b in picked[k + 1:])
+            seen["filler-spend-tie"] += any(
+                a.fee * b.weight == b.fee * a.weight and bool(a.inputs) != bool(b.inputs)
+                for k, a in enumerate(picked) for b in picked[k + 1:])
     # The generator must exercise the ordering rules, not just empty blocks.
     assert seen["blocks"] > 1_000
-    for what in ("oversize", "child-with-parent", "feerate-tie"):
+    for what in ("oversize", "child-with-parent", "feerate-tie", "filler-spend-tie"):
         assert seen[what] > 50, seen
 
 

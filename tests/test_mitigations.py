@@ -63,6 +63,13 @@ def test_matrix_needs_a_policy():
         run_mitigation_matrix(AttackConfig(num_victim_channels=1), [])
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_matrix_refuses_jobs_below_one(jobs):
+    with pytest.raises(ConfigError, match=f"^jobs must be at least 1, got {jobs}$"):
+        run_mitigation_matrix(AttackConfig(num_victim_channels=1),
+                              [MitigationPolicy(policy_id="baseline")], jobs=jobs)
+
+
 def test_apply_to_config_wires_every_knob():
     base = AttackConfig(num_victim_channels=3, seed=1)
     cfg = apply_to_config(MitigationPolicy(

@@ -23,7 +23,7 @@ from .channel import (
     fee_for_weight, open_channel, profile_params,
 )
 from .fees import (
-    ConfigError, FeerateSeries, StrategyOutcome,
+    ConfigError, FeerateSeries,
     fraction_of_time_above, ingest_feerate_csv, simulate_feerate_strategy,
     synthetic_blocks, synthetic_feerate_series, victim_available_space,
 )
@@ -43,7 +43,7 @@ __all__ = [
     "ChannelError", "ChannelParams", "ConfigError", "DEFAULT_BLOCKMAXWEIGHT",
     "FeerateSeries", "MAX_TX_WEIGHT", "MatrixRow",
     "MitigationPolicy", "OutputRef", "PROFILES",
-    "StrategyOutcome", "SubmitResult", "TraceRow", "TrafficSpec", "Transaction",
+    "SubmitResult", "TraceRow", "TrafficSpec", "Transaction",
     "TxOutput", "WeightSchedule", "apply_policy", "apply_to_config",
     "available_space", "break_even_channels", "compute_htlc_value",
     "fee_for_weight", "fraction_of_time_above", "ingest_feerate_csv",

@@ -10,7 +10,8 @@ The run proceeds in four phases:
   II.  load every source->victim channel with the maximum number of HTLCs it
        will carry, all sized identically and all expiring at the same height;
   III. the target settles every forwarded HTLC off-chain -- handing the
-       victims the preimages -- while the source goes silent, so the incoming
+       victims the preimages -- while the source goes silent, which the
+       engine models by never settling an incoming channel, so the incoming
        HTLCs can only be redeemed on-chain;
   IV.  victims force-close when expiry minus their broadcast delta arrives
        and race to confirm success claims; at the expiry height the attacker
@@ -98,9 +99,9 @@ class AttackConfig:
     dynamic_delta: tuple[float, int] | None = None  # (blocks per pending HTLC, cap)
     anchor_mode: bool = False
     victim_bump_feerate: int = 25_000
-    victim_bump_offset: int = 2
+    victim_bump_offset: int = 2  # the anchor bump is due this many blocks before expiry
     cpfp_demo: bool = False
-    victim_first_at_expiry: bool = False
+    victim_first_at_expiry: bool = False  # the victims' bids at expiry go before the attacker's
     drain_cap: int = 300
 
     def victim_params(self) -> ChannelParams:
@@ -278,8 +279,9 @@ class _Run:
         self.meta: dict[str, tuple[str, int, int]] = {}  # txid -> (kind, channel, first htlc id)
         # Per channel: a run map from unresolved HTLC ids to _Spans.
         self.spans: list[list[tuple[int, int, _Span]]] = []
-        # The race's victim events: (height, stage) -> channels, where stage 0
-        # releases a channel's preimages, 1 closes it and 2 sends its claims.
+        # The race's schedule: (height, stage) -> channels, where stage 0
+        # releases a channel's preimages, 1 closes it, 2 sends its claims and
+        # 3 on are its bids, in the order _race gives them.
         self.due: dict[tuple[int, int], list[int]] = {}
         self.victim_fees = 0
         self.attacker_cost = 0
@@ -341,13 +343,12 @@ class _Run:
     def _release_channel(self, i: int) -> None:
         """Phase III for one channel: the target settles the forwarded HTLCs,
         revealing every preimage to the victim, while the source has gone
-        silent, so the victim's incoming HTLCs cannot settle off-chain."""
+        silent.  The engine models that silence by never settling ch_in, so
+        the victim's incoming HTLCs can only be redeemed on-chain."""
         ch_in, ch_out, name = self.channels[i]
-        ch_in.silent.add(SOURCE)
         # Both were loaded fresh: a payment's HTLCs have one id, from 0.
         ch_out.fulfill_htlcs_offchain(0, self._preimages(i))
-        # The victim now holds the preimages of the matching incoming HTLCs,
-        # but the silent source will not co-sign their settlement.
+        # The victim now holds the preimages of the matching incoming HTLCs.
         ch_in.reveal_preimages(0, self._preimages(i))
         # Nothing settles on the incoming channel from here on, so its delta,
         # dynamic or not, and with it its close height, are fixed now.
@@ -366,16 +367,26 @@ class _Run:
         cfg = self.cfg
         expiry = self.expiry
         mempool = self.chain.mempool
-        # Phase III's schedule: channel i is released at the loading height,
-        # plus i when staggered.
+        # Each bid is due on every channel at its own height: the attacker's
+        # and the CPFP child's at expiry, the anchor bump victim_bump_offset
+        # blocks before.  Bids due at one height go in stage order: the
+        # attacker's first, or last when victim_first_at_expiry.
+        bids = [(expiry, self._attacker_pass)]
+        if cfg.anchor_mode:
+            bids.append((expiry - cfg.victim_bump_offset, self._anchor_bumps))
+        if cfg.cpfp_demo:
+            bids.append((expiry, self._cpfp_bumps))
+        if cfg.victim_first_at_expiry:
+            bids.append(bids.pop(0))
+        stages = (self._release_channel, self._close_channel, self._claim_channel,
+                  *(act for _, act in bids))
+        # Channel i is released (phase III) at the loading height, plus i
+        # when staggered, and each of its bids is due at the bid's height.
         staggered = cfg.preimage_release == "staggered"
         for i in range(len(self.channels)):
             self.due.setdefault((self.chain.height + i * staggered, 0), []).append(i)
-        stages = (self._release_channel, self._close_channel, self._claim_channel)
-        # Each bid acts at its own height; the order settles ties at expiry.
-        bids = ((self._anchor_bumps, self._cpfp_bumps, self._attacker_pass)
-                if cfg.victim_first_at_expiry else
-                (self._attacker_pass, self._anchor_bumps, self._cpfp_bumps))
+            for stage, (at, _) in enumerate(bids, 3):
+                self.due.setdefault((at, stage), []).append(i)
         quiet = 0
         while True:
             h = self.chain.height
@@ -385,8 +396,6 @@ class _Run:
             for stage, act in enumerate(stages):
                 for i in sorted(self.due.pop((h, stage), ())):
                     act(i)
-            for bid in bids:
-                bid(h)
             self._background_pass()
             block = self._mine()
             if self.chain.height > expiry:
@@ -434,71 +443,60 @@ class _Run:
         self.meta[tx.id] = (kind, i, lo)
         runs.restate(self.spans[i], lo, lo + tx.count, lambda s: s._replace(**span))
 
-    def _unbumped_victim_spans(self):
-        """(channel, lo, hi, span) for every span with a pending victim claim
-        not yet fee-bumped, in channel index order.  That is the order the
-        victims submitted their claims in: every channel has the same delta,
-        feerate and commitment weight, so channels close, and their
-        commitments confirm, in index order."""
-        for i, spans in enumerate(self.spans):
-            for lo, hi, span in list(spans):
-                if span.side == "victim" and not span.bumped:
-                    yield i, lo, hi, span
+    def _unbumped_victim_spans(self, i: int):
+        """(lo, hi, span) for every span of channel i with a pending victim
+        claim not yet fee-bumped."""
+        return [(lo, hi, span) for lo, hi, span in self.spans[i]
+                if span.side == "victim" and not span.bumped]
 
-    def _attacker_pass(self, h: int) -> None:
-        """Timeout-remote claims for every HTLC output not yet confirmed-spent,
-        replacing the pending victim claims (and fee-bump children) it can
-        outbid.  It runs once, at expiry: nothing it could take appears later,
-        as victims submit no new claim and nothing spends an attacker claim."""
-        if h != self.expiry:
-            return
-        cfg = self.cfg
+    def _attacker_pass(self, i: int) -> None:
+        """Timeout-remote claims for every HTLC output of channel i not yet
+        confirmed-spent, replacing the pending victim claims (and fee-bump
+        children) it can outbid.  It runs once, at expiry: nothing it could
+        take appears later, as victims submit no new claim and nothing spends
+        an attacker claim."""
         pending = self.chain.mempool.pending
         w_timeout = self.weights.htlc_timeout
-        for i, spans in enumerate(self.spans):
-            ch_in = self.channels[i][0]
-            for lo, hi, span in list(spans):
-                fee = fee_for_weight(ch_in.feerate, w_timeout)
-                if span.side == "victim":
-                    evicted = [pending[span.claim]] + ([pending[span.kid]] if span.kid else [])
-                    least = _outbid(evicted, w_timeout)
-                    if least > self.plan.htlc_value:
-                        continue  # no fee the HTLC can pay outbids the claim
-                    paid = sum(e.fee for e in evicted)
-                    fee = max(fee, least, paid + cfg.attacker_fee_bump_increment)
-                tx = ch_in.build_htlc_claims(SOURCE, lo, hi - lo, "timeout-remote", h,
-                                             fee_override=fee)
-                self._post(i, lo, tx, "aclaim", REJECT_NOT_REPLACEABLE,
-                           claim=tx.id, side="attacker", kid="")
+        ch_in = self.channels[i][0]
+        for lo, hi, span in list(self.spans[i]):
+            fee = fee_for_weight(ch_in.feerate, w_timeout)
+            if span.side == "victim":
+                evicted = [pending[span.claim]] + ([pending[span.kid]] if span.kid else [])
+                least = _outbid(evicted, w_timeout)
+                if least > self.plan.htlc_value:
+                    continue  # no fee the HTLC can pay outbids the claim
+                paid = sum(e.fee for e in evicted)
+                fee = max(fee, least, paid + self.cfg.attacker_fee_bump_increment)
+            tx = ch_in.build_htlc_claims(SOURCE, lo, hi - lo, "timeout-remote",
+                                         self.chain.height, fee_override=fee)
+            self._post(i, lo, tx, "aclaim", REJECT_NOT_REPLACEABLE,
+                       claim=tx.id, side="attacker", kid="")
 
-    def _anchor_bumps(self, h: int) -> None:
+    def _anchor_bumps(self, i: int) -> None:
         """With anchor-style commitments the success claim is no longer
-        fee-frozen: the victim re-issues it with an extra wallet input at an
-        aggressive feerate, `victim_bump_offset` blocks before expiry."""
-        cfg = self.cfg
-        if not (cfg.anchor_mode and h == self.expiry - cfg.victim_bump_offset):
-            return
-        chain = self.chain
+        fee-frozen: the victim re-issues channel i's claims with an extra
+        wallet input at an aggressive feerate, `victim_bump_offset` blocks
+        before expiry."""
+        cfg, chain = self.cfg, self.chain
+        ch_in, _, name = self.channels[i]
         weight = self.weights.htlc_success + ANCHOR_INPUT_WEIGHT
-        for i, lo, hi, span in self._unbumped_victim_spans():
-            ch_in, _, name = self.channels[i]
+        for lo, hi, span in self._unbumped_victim_spans(i):
             fee = max(fee_for_weight(cfg.victim_bump_feerate, weight),
                       _outbid([chain.mempool.pending[span.claim]], weight))
             spare = chain.grant(name, fee, count=hi - lo)
             tx = ch_in.build_htlc_claims(
-                name, lo, hi - lo, "success-local", h, fee_override=fee,
+                name, lo, hi - lo, "success-local", chain.height, fee_override=fee,
                 rbf_signal=True, extra_input=spare, extra_value=fee, anchor=True)
             self._post(i, lo, tx, "vclaim", claim=tx.id, bumped=True)
 
-    def _cpfp_bumps(self, h: int) -> None:
-        """Futile child-pays-for-parent attempt at expiry on still-unconfirmed
-        claims: the attacker's replacement of a claim evicts the child with
-        it, as a descendant of the replaced claim.  Nothing can refuse a
-        child: nothing else spends the claim outputs it spends."""
-        if not (self.cfg.cpfp_demo and h == self.expiry):
-            return
-        for i, lo, hi, span in self._unbumped_victim_spans():
-            name = self.channels[i][2]
+    def _cpfp_bumps(self, i: int) -> None:
+        """Futile child-pays-for-parent attempt at expiry on channel i's
+        still-unconfirmed claims: the attacker's replacement of a claim
+        evicts the child with it, as a descendant of the replaced claim.
+        Nothing can refuse a child: nothing else spends the claim outputs it
+        spends."""
+        name = self.channels[i][2]
+        for lo, hi, span in self._unbumped_victim_spans(i):
             parent = self.chain.mempool.pending[span.claim]
             member = lo - self.meta[span.claim][2]
             out_value = parent.outputs[0][2].value  # a claim's one output

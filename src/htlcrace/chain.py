@@ -577,11 +577,7 @@ class ChainState:
                                  f"{value} utxo + {fees} fees != {granted} granted")
         return block
 
-    # -- queries ---------------------------------------------------------
-
-    def is_confirmed(self, txid: str) -> bool:
-        """Whether any member of `txid` has confirmed."""
-        return txid in self.confirmed_ids
+    # -- audit -----------------------------------------------------------
 
     def audit(self) -> None:
         """Full structural audit: replay every block against fresh unspent

@@ -149,7 +149,6 @@ class Channel:
         self.balances = {self.initiator: self.funding_value, self.peer: 0}
         self.runs: list[tuple[int, int, Htlcs]] = []  # every HTLC added, by id
         self.next_htlc_id = 0
-        self.silent: set[str] = set()
         self.published: PublishedCommitment | None = None
         self._build_count = 0
 
@@ -229,9 +228,8 @@ class Channel:
                     f"insufficient-balance: initiator cannot cover fee {new_fee}")
 
     def fulfill_htlc_offchain(self, htlc_id: int, preimage: int) -> None:
-        """Receiver redeems with the preimage; needs the offerer to co-sign
-        the updated commitment, so a silent offerer blocks settlement (the
-        preimage still travels -- revealing it is a one-way message)."""
+        """Receiver redeems with the preimage, and the offerer co-signs the
+        updated commitment: the HTLC's amount moves to the receiver."""
         self.fulfill_htlcs_offchain(htlc_id, range(preimage, preimage + 1))
 
     def fulfill_htlcs_offchain(self, htlc_id: int, preimages: range) -> None:
@@ -242,8 +240,8 @@ class Channel:
     def reveal_preimages(self, htlc_id: int, preimages: range) -> None:
         """The one-way half of settlement, for HTLCs htlc_id, htlc_id + 1, ...
         with `preimages` (step 1) in order: each reaches both parties.  Unlike
-        fulfilling, it needs no cooperation, so a silent offerer cannot stop
-        it."""
+        fulfilling, it needs no cooperation: a caller models an offerer that
+        will not co-sign by revealing without ever fulfilling."""
         self._release(htlc_id, preimages, settle=False)
 
     def _release(self, lo: int, preimages: range, settle: bool) -> None:
@@ -253,23 +251,17 @@ class Channel:
         if self.published is not None:
             raise ChannelError(f"channel-not-open: {self.channel_id} is closing")
         end, offset = lo + len(preimages), preimages.start - lo
-        hi, h = self._scan(lo, end, lambda h: _settled(h) or h.preimage_offset != offset
-                           or settle and h.offerer in self.silent)
-        revealed, error = hi, None
-        if h is None or _settled(h):
-            error = ChannelError(f"not-pending: {hi}") if hi < end else None
-        elif h.preimage_offset != offset:
-            error = ChannelError(f"unknown-preimage: HTLC {hi}")
-        else:  # that HTLC's preimage is out, its settlement is not
-            revealed, error = hi + 1, ChannelError(f"unresponsive: {h.offerer} is silent")
+        hi, stop = self._scan(lo, end, lambda h: _settled(h) or h.preimage_offset != offset)
         both = {self.initiator, self.peer}
-        runs.restate(self.runs, lo, revealed, lambda h: h._replace(known_by=h.known_by | both))
+        runs.restate(self.runs, lo, hi, lambda h: h._replace(known_by=h.known_by | both))
         if settle:
             for a, b, h in runs.overlap(self.runs, lo, hi):
                 self.balances[self.other(h.offerer)] += h.amount * (b - a)
             runs.restate(self.runs, lo, hi, lambda h: h._replace(state="fulfilled-offchain"))
-        if error is not None:
-            raise error
+        if stop is not None and not _settled(stop):
+            raise ChannelError(f"unknown-preimage: HTLC {hi}")
+        if hi < end:
+            raise ChannelError(f"not-pending: {hi}")
 
     def _scan(self, lo: int, hi: int, stop_at) -> tuple[int, Htlcs | None]:
         """The first of HTLC ids lo .. hi - 1 never added or whose Htlcs meet

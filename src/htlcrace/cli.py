@@ -353,10 +353,9 @@ def _execute_fee(series: FeerateSeries, blocks, launches: range, window: int,
     # blocks: naive opened right there, minimize opened `duration` blocks
     # earlier and has been ratcheting the feerate down since.  One call takes
     # both, so the two share each (feerate, height) space they both read.
-    pairs = [(h, simulate_feerate_strategy(series, "naive", h).final_feerate)
-             for h in launches]
-    pairs += [(h, simulate_feerate_strategy(series, f"minimize:{duration}",
-                                            h - duration).final_feerate) for h in launches]
+    pairs = [(h, simulate_feerate_strategy(series, "naive", h)) for h in launches]
+    pairs += [(h, simulate_feerate_strategy(series, f"minimize:{duration}", h - duration))
+              for h in launches]
     spaces = victim_available_space(blocks, pairs, window, blockmaxweight)
     naive, mini = spaces[:len(launches)], spaces[len(launches):]
     _write_csv(out / "space.csv", ("launch_height", "avg_available_space"),

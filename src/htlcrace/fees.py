@@ -18,7 +18,6 @@ import bisect
 import csv
 import math
 import random
-from dataclasses import dataclass
 
 from .chain import DEFAULT_BLOCKMAXWEIGHT, available_space
 
@@ -132,16 +131,7 @@ def running_minimum(series: FeerateSeries, rate: int, start: int, stop: int):
             yield heights[i], estimate
 
 
-@dataclass(frozen=True)
-class StrategyOutcome:
-    strategy: str
-    open_height: int
-    launch_height: int
-    final_feerate: int
-    trace: tuple[tuple[int, int], ...]  # (height, feerate in force) at each change
-
-
-def simulate_feerate_strategy(series: FeerateSeries, strategy, open_height: int) -> StrategyOutcome:
+def simulate_feerate_strategy(series: FeerateSeries, strategy, open_height: int) -> int:
     """Channel feerate in force when the attack launches.
 
     naive: the estimate at open_height; attack launches immediately.
@@ -149,15 +139,10 @@ def simulate_feerate_strategy(series: FeerateSeries, strategy, open_height: int)
     blocks (victims accept them: each proposal is their own estimate), and
     launch at open_height + d.  The rate never rises.
     """
-    kind, duration = parse_strategy(strategy)
-    current = series.estimate_at(open_height)
-    trace = [(open_height, current)]
-    if kind == "naive":
-        return StrategyOutcome("naive", open_height, open_height, current, tuple(trace))
-    trace += running_minimum(series, current, open_height + 1,
-                             open_height + duration + 1)
-    return StrategyOutcome(f"minimize:{duration}", open_height,
-                           open_height + duration, trace[-1][1], tuple(trace))
+    _, duration = parse_strategy(strategy)  # naive has duration 0: no dips
+    rate = series.estimate_at(open_height)
+    dips = running_minimum(series, rate, open_height + 1, open_height + duration + 1)
+    return min((dip for _, dip in dips), default=rate)
 
 
 # -- block-space analysis --------------------------------------------------

@@ -212,7 +212,6 @@ class _Run:
 
     def release(self, i: int):
         ch_in, ch_out, name = self.channels[i]
-        ch_in.silent.add(SOURCE)
         preimages = [(hid, h.preimage) for hid, h in ch_out.pending_htlcs.items()]
         ch_out.fulfill_htlcs_offchain(preimages)
         ch_in.reveal_preimages(preimages)

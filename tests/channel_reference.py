@@ -70,7 +70,6 @@ class Channel:
         self.balances = {self.initiator: self.funding_value, self.peer: 0}
         self.pending_htlcs: dict[int, Htlc] = {}
         self.all_htlcs: dict[int, Htlc] = {}
-        self.silent: set[str] = set()
         self.published: PublishedCommitment | None = None
         self._next_htlc_id = 0
         self._offered_count = {self.initiator: 0, self.peer: 0}
@@ -154,9 +153,8 @@ class Channel:
                     f"insufficient-balance: initiator cannot cover fee {new_fee}")
 
     def fulfill_htlc_offchain(self, htlc_id: int, preimage: str) -> None:
-        """Receiver redeems with the preimage; needs the offerer to co-sign
-        the updated commitment, so a silent offerer blocks settlement (the
-        preimage still travels -- revealing it is a one-way message)."""
+        """Receiver redeems with the preimage, and the offerer co-signs the
+        updated commitment: the HTLC's amount moves to the receiver."""
         self.fulfill_htlcs_offchain(((htlc_id, preimage),))
 
     def fulfill_htlcs_offchain(self, preimages) -> None:
@@ -166,15 +164,13 @@ class Channel:
             raise ChannelError(f"channel-not-open: {self.channel_id} is closing")
         for htlc_id, preimage in preimages:
             htlc = self._reveal(htlc_id, preimage)
-            if htlc.offerer in self.silent:
-                raise ChannelError(f"unresponsive: {htlc.offerer} is silent")
             self._resolve(htlc, credit_to=self.other(htlc.offerer),
                           state="fulfilled-offchain")
 
     def reveal_preimages(self, preimages) -> None:
         """The one-way half of settlement, for each (htlc id, preimage) pair
         in order: the preimage reaches both parties.  Unlike fulfilling, it
-        needs no cooperation, so a silent offerer cannot stop it."""
+        needs no cooperation."""
         if self.status != "open":
             raise ChannelError(f"channel-not-open: {self.channel_id} is closing")
         for htlc_id, preimage in preimages:

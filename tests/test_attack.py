@@ -7,6 +7,7 @@ suite; everything here keeps n or blockmaxweight small to stay fast.
 
 import dataclasses
 import itertools
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -493,6 +494,30 @@ def test_victims_release_claims_in_channel_order_not_confirmation_order():
     run = _Run(cfg)
     run.chain = ReversedBlocks(cfg.blockmaxweight)
     assert run.execute() == report
+
+
+def test_each_bid_runs_once_per_channel(monkeypatch):
+    # Cost contract: the attacker's pass, the anchor bump and the CPFP child
+    # are each due once per channel on the race's schedule, however many
+    # heights the race runs.
+    bids = ("_attacker_pass", "_anchor_bumps", "_cpfp_bumps")
+    calls = Counter()
+    for name in bids:
+        def bid(self, i, name=name, real=getattr(_Run, name)):
+            calls[name, i] += 1
+            return real(self, i)
+        monkeypatch.setattr(_Run, name, bid)
+    cfg = AttackConfig(num_victim_channels=8, blockmaxweight=14_000, seed=5,
+                       victim_profile=profile_params("lnd", max_accepted_htlcs=20),
+                       anchor_mode=True, cpfp_demo=True)
+    run = _Run(cfg)
+    report = run.execute()
+    assert report.end_height > cfg.htlc_expiry_height  # every bid's height was reached
+    assert calls == {(name, i): 1 for name in bids for i in range(8)}
+    # Both sides' bids took effect: bumped claims (with a wallet input) and
+    # attacker claims confirmed.
+    assert any(len(tx.inputs) == 2 for block in run.chain.blocks for tx in block.txs)
+    assert report.stolen_htlcs > 0
 
 
 def test_weight_schedule_overrides_flow_through():

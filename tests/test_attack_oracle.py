@@ -4,7 +4,8 @@ Each seeded config is small -- 1 to 6 channels of 1 to 40 HTLCs, blocks
 sized around the closed-form break-even -- and draws the paths a race
 takes: each profile's broadcast and expiry deltas and eager claim
 publication, every MitigationPolicy field, traffic on and off, batch and
-staggered release, minimize windows, either pass order at expiry, and the
+staggered release, minimize windows, anchor bumps from 5 blocks before
+expiry to the expiry height itself, either pass order at expiry, and the
 race stopping with every HTLC resolved, at quiescence or at drain_cap.
 Each config with traffic runs once more with its ranges at one edge of the
 engine's inlined randint draws: one weight, feerates of exactly 0, or
@@ -82,7 +83,8 @@ def config(k: int) -> tuple[AttackConfig, str, str]:
         attacker_fee_bump_increment=rng.choice((1, 1, 500)),
         victim_bump_feerate=rng.choice((2_000, 12_000, 60_000)),
         victim_first_at_expiry=rng.random() < 0.5,
-        drain_cap=rng.choice((10, 30, 60)))
+        drain_cap=rng.choice((10, 30, 60)),
+        victim_bump_offset=rng.choice((0, 1, 2, 5)))
     return apply_to_config(MitigationPolicy(**policy), base), name, field
 
 
@@ -122,6 +124,8 @@ def test_run_attack_matches_per_htlc_reference():
         seen["config:traffic" if cfg.background_traffic else "config:no-traffic"] += 1
         seen["config:minimize-window"] += cfg.feerate_strategy != "naive"
         seen["config:victim-first"] += cfg.victim_first_at_expiry
+        if cfg.anchor_mode:
+            seen[f"offset:{cfg.victim_bump_offset}"] += 1
         seen[f"config:{got[0]}"] += 1
     need = {
         "profile:lnd": 20, "profile:c-lightning": 20, "profile:eclair": 20,
@@ -134,6 +138,9 @@ def test_run_attack_matches_per_htlc_reference():
         "victim:cpfp-child": 20, "classify:pending-attacker-claim": 20,
         "stop:all-resolved": 20, "stop:drain-cap": 5, "stop:quiescent": 5,
         "stolen": 20, "no-theft": 20, "unresolved": 1,
+        # At offset 0 the anchor bump shares the expiry height with the
+        # attacker's pass, and the pass order decides the outcome.
+        "offset:0": 3,
     }
     for path, least in need.items():
         assert seen[path] >= least, (path, seen)

@@ -235,17 +235,6 @@ def test_wrong_preimage_rejected():
         ch.fulfill_htlc_offchain(hid, 8)
 
 
-def test_silent_offerer_blocks_settlement_but_leaks_preimage():
-    chain, ch = fresh_channel()
-    hid = ch.add_htlc("alice", 40_000, 7, 100)
-    ch.silent.add("alice")
-    with pytest.raises(ChannelError, match="^unresponsive:"):
-        ch.fulfill_htlc_offchain(hid, 7)
-    assert "bob" in htlcs(ch)[hid][3]  # the reveal is one-way
-    assert htlcs(ch)[hid][4] == "pending"
-    assert ch.balances["bob"] == 0
-
-
 @given(st.integers(0, 3_000))
 @settings(max_examples=40)
 def test_random_offchain_traffic_conserves_funding(seed):
@@ -321,7 +310,7 @@ def test_update_fee_refused_once_closing():
 
 def closing_channel(profile_name, n_htlcs=3, feerate=2_500, funding=1_000_000):
     """Channel where bob (the `profile_name` node) has n incoming HTLCs with
-    known preimages, alice has gone silent, and bob force-closes."""
+    known preimages, none settled off-chain, and bob force-closes."""
     chain = ChainState()
     params = profile_params(profile_name, channel_feerate=feerate)
     ch = open_channel(chain, "chan", "alice", "bob", funding,
@@ -330,7 +319,6 @@ def closing_channel(profile_name, n_htlcs=3, feerate=2_500, funding=1_000_000):
     for k in range(n_htlcs):
         ch.add_htlc("alice", 10_000, k, expiry_height=60,
                     known_to=("bob",))
-    ch.silent.add("alice")
     return chain, ch
 
 
@@ -375,7 +363,6 @@ def test_remote_side_timeout_claim_is_free_form():
     # alice published nothing; bob closed, so alice's claims are
     # single-signer spends of bob's commitment: fee and signal at will.
     chain, ch = closing_channel("lnd", n_htlcs=1)
-    ch.silent.clear()
     ch.force_close(chain, "bob")
     hid = 0  # the commitment's only HTLC
     claim = ch.build_htlc_claim("alice", hid, "timeout-remote", height=60,
@@ -390,7 +377,6 @@ def test_remote_side_timeout_claim_is_free_form():
 
 def test_timeout_before_expiry_is_premature():
     chain, ch = closing_channel("lnd", n_htlcs=1)
-    ch.silent.clear()
     ch.force_close(chain, "bob")
     hid = 0  # the commitment's only HTLC
     with pytest.raises(ChannelError, match="^premature-timeout:"):
@@ -425,7 +411,6 @@ def test_mark_claimed_needs_a_force_closed_channel():
         ch.mark_claimed(0, by_timeout=False, count=3)
     assert [h[4] for h in htlcs(ch).values()] == ["pending"] * 3
     assert ch.pending_count == 3
-    ch.silent.clear()
     ch.fulfill_htlcs_offchain(0, range(3))  # still settles off-chain
     assert [h[4] for h in htlcs(ch).values()] == ["fulfilled-offchain"] * 3
     ch.force_close(chain, "bob")
@@ -517,7 +502,6 @@ def claims_channel():
     """bob holds four incoming HTLCs, three with known preimages, and one
     outgoing HTLC whose preimage alice knows; bob force-closes."""
     chain, ch = closing_channel("lnd", n_htlcs=3)
-    ch.silent.clear()
     ch.add_htlc("alice", 10_000, 3, expiry_height=60)
     ch.balances["bob"] += 50_000
     ch.balances["alice"] -= 50_000
@@ -555,7 +539,6 @@ def test_claimable_successes_equal_build_htlc_claim_per_htlc(rbf):
 
 def test_claimable_successes_split_where_amounts_differ():
     chain, ch = closing_channel("lnd", n_htlcs=0)
-    ch.silent.clear()
     for k, amount in enumerate((10_000, 10_000, 20_000, 10_000)):
         ch.add_htlc("alice", amount, k, expiry_height=60, known_to=("bob",))
     ch.force_close(chain, "bob")
@@ -624,8 +607,6 @@ def test_reveal_preimages_reaches_both_sides_of_a_silent_channel():
         assert htlcs(ch)[hid][3] == ["alice", "bob"]
     with pytest.raises(ChannelError, match="^unknown-preimage:"):
         ch.reveal_preimages(0, range(1, 2))
-    with pytest.raises(ChannelError, match="^unresponsive:"):
-        ch.fulfill_htlcs_offchain(0, range(1))
     assert pending(ch) == [0, 1]
 
 
@@ -633,7 +614,6 @@ def test_identical_htlcs_hold_one_run_per_stretch():
     chain, ch = fresh_channel(funding=10_000_000)
     assert ch.add_htlcs("alice", 2_049, range(483), 100) == range(483)
     assert len(ch.runs) == 1
-    ch.silent.add("alice")
     ch.reveal_preimages(0, range(483))
     ch.force_close(chain, "bob")
     assert ch.runs == \

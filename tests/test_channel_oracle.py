@@ -170,12 +170,6 @@ class Twin:
         seen[f"{op}:inside-a-run"] += inside and got[0] == "ok"
         seen[f"{op}:partial-then-raise"] += got[0] == "raise" and expand(self.new) != before
 
-    def silence(self, seen):
-        silent = set(self.rng.choice(((), ("alice",), ("bob",), PARTIES)))
-        self.new.silent = set(silent)
-        self.old.silent = set(silent)
-        seen["silence"] += 1
-
     def update_fee(self, seen):
         rng = self.rng
         proposer = rng.choice(PARTIES)
@@ -270,7 +264,7 @@ class Twin:
         seen["mark:" + reason(got)] += 1
         seen["mark:split"] += splits and got[0] == "ok"
 
-    OPEN = (("add", 6), ("fulfill", 3), ("reveal", 3), ("silence", 2), ("update_fee", 2),
+    OPEN = (("add", 6), ("fulfill", 3), ("reveal", 3), ("update_fee", 2),
             ("commitment", 1), ("force_close", 1), ("claimable", 1), ("claim", 1),
             ("mark", 1))
     CLOSING = (("claim", 8), ("claimable", 4), ("mark", 5), ("commitment", 1), ("add", 1),
@@ -288,17 +282,16 @@ class Twin:
 
 def test_run_channel_matches_per_htlc_reference():
     seen = Counter()
-    for seed in range(800):
+    for seed in range(1000):
         rng = random.Random(seed)
         twin = Twin(rng)
         for _ in range(rng.randint(10, 60)):
             twin.step(seen)
     need = ["add:ok", "add:refused", "fulfill:ok", "fulfill:not-pending",
-            "fulfill:unknown-preimage", "fulfill:unresponsive",
-            "fulfill:channel-not-open", "fulfill:inside-a-run",
+            "fulfill:unknown-preimage", "fulfill:channel-not-open", "fulfill:inside-a-run",
             "fulfill:partial-then-raise", "reveal:ok", "reveal:not-pending",
             "reveal:unknown-preimage", "reveal:inside-a-run",
-            "reveal:partial-then-raise", "silence", "update_fee:ok",
+            "reveal:partial-then-raise", "update_fee:ok",
             "update_fee:unreasonable-feerate", "update_fee:invalid-feerate",
             "update_fee:cannot-afford-fee", "commitment:ok", "force_close:alice",
             "force_close:bob", "force_close:already-closing", "claimable:1-cohorts",

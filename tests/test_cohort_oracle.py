@@ -385,7 +385,7 @@ def test_inputs_spending_one_pending_member_clear_together():
         assert s.seen["single"] == 1 + (count == 1) and "K" in s.chain.mempool.pending
         while s.mine():  # as oracle_block orders the members; checks readiness
             pass
-        assert s.chain.blocks[0].txs[0].id == "P" and s.chain.is_confirmed("K")
+        assert s.chain.blocks[0].txs[0].id == "P" and "K" in s.chain.confirmed_ids
         s.chain.audit()
 
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 from . import runs
 from .chain import (
     ChainState, DEFAULT_BLOCKMAXWEIGHT, MAX_TX_WEIGHT, OutputRef, REJECT_NOT_REPLACEABLE,
-    Transaction, TxOutput,
+    Transaction, TxOutput, replacement_floor,
 )
 from .channel import (
     ANCHOR_INPUT_WEIGHT, FUNDING_TX_WEIGHT, Channel, ChannelParams, WeightSchedule,
@@ -155,14 +155,6 @@ class _Plan(NamedTuple):
     htlc_value: int
 
 
-def _outbid(evicted, weight: int) -> int:
-    """Least fee of a member of `weight` that replaces one member of each
-    evicted transaction: more than their fees together, and a higher feerate
-    than each (ChainState._replace's rules, exact in integers)."""
-    return max([sum(e.fee for e in evicted) + 1]
-               + [e.fee * weight // e.weight + 1 for e in evicted])
-
-
 def validate_config(cfg: AttackConfig) -> _Plan:
     """Raise ConfigError for a config the run would refuse, set-up included;
     otherwise return its set-up plan (a _Plan), which the run carries out."""
@@ -235,6 +227,9 @@ def validate_config(cfg: AttackConfig) -> _Plan:
         raise ConfigError(
             f"htlc_expiry_height {cfg.htlc_expiry_height} leaves less than {needed} "
             f"blocks after setup ends at height {launch}")
+    if cfg.anchor_mode and not 0 <= cfg.victim_bump_offset <= cfg.htlc_expiry_height - launch:
+        raise ConfigError(f"victim_bump_offset {cfg.victim_bump_offset} puts the anchor bump "
+                          f"outside the race, heights {launch} to {cfg.htlc_expiry_height}")
     value = compute_htlc_value(
         cfg.channel_funding, victim.max_htlc_value_in_flight, count,
         fee_for_weight(min(dips.values(), default=feerate), w.commitment_weight(count)))
@@ -460,12 +455,12 @@ class _Run:
         ch_in = self.channels[i][0]
         for lo, hi, span in list(self.spans[i]):
             fee = fee_for_weight(ch_in.feerate, w_timeout)
-            if span.side == "victim":
-                evicted = [pending[span.claim]] + ([pending[span.kid]] if span.kid else [])
-                least = _outbid(evicted, w_timeout)
+            if span.side == "victim":  # a member evicts one of the claim and of its kid
+                evicted = [(pending[x], 1) for x in (span.claim, span.kid) if x]
+                least = replacement_floor(evicted, w_timeout)
                 if least > self.plan.htlc_value:
                     continue  # no fee the HTLC can pay outbids the claim
-                paid = sum(e.fee for e in evicted)
+                paid = sum(e.fee for e, _ in evicted)
                 fee = max(fee, least, paid + self.cfg.attacker_fee_bump_increment)
             tx = ch_in.build_htlc_claims(SOURCE, lo, hi - lo, "timeout-remote",
                                          self.chain.height, fee_override=fee)
@@ -482,7 +477,7 @@ class _Run:
         weight = self.weights.htlc_success + ANCHOR_INPUT_WEIGHT
         for lo, hi, span in self._unbumped_victim_spans(i):
             fee = max(fee_for_weight(cfg.victim_bump_feerate, weight),
-                      _outbid([chain.mempool.pending[span.claim]], weight))
+                      replacement_floor([(chain.mempool.pending[span.claim], 1)], weight))
             spare = chain.grant(name, fee, count=hi - lo)
             tx = ch_in.build_htlc_claims(
                 name, lo, hi - lo, "success-local", chain.height, fee_override=fee,

@@ -76,9 +76,13 @@ class Transaction(NamedTuple):
     count: int = 1  # shadows tuple.count, which nothing calls on a Transaction
     first: int = 0
 
-    def outranks(self, other: "Transaction") -> bool:
-        """Exact strictly-greater feerate comparison."""
-        return self.fee * other.weight > other.fee * self.weight
+
+def replacement_floor(evicted: list[tuple[Transaction, int]], weight: int) -> int:
+    """Least fee of one member of `weight` that replaces `members` members of
+    each (transaction, members) pair: more than their fees together, and a
+    higher feerate than each transaction (exact in integers)."""
+    return max([sum(tx.fee * k for tx, k in evicted) + 1]
+               + [tx.fee * weight // tx.weight + 1 for tx, _ in evicted])
 
 
 def _take(index: dict, txid: str, lo: int, hi: int) -> list:
@@ -434,8 +438,10 @@ class ChainState:
                     if b - a < count:
                         raise ValueError(f"cohort {tx.id!r} spends what it evicts unevenly")
                     return _REJECTED[REJECT_MISSING_INPUT]
-        if tx.fee * count <= sum(pending[txid].fee * (hi - lo) for txid, lo, hi in evicted) \
-                or not all(tx.outranks(pending[txid]) for txid, _, _ in evicted):
+        # Every evicted run has `count` members when count > 1 (_rival and
+        # _with_descendants raise otherwise), so one member's floor decides.
+        if tx.fee < replacement_floor([(pending[t], (hi - lo) // count)
+                                       for t, lo, hi in evicted], tx.weight):
             return _REJECTED[REJECT_INSUFFICIENT_FEE]
         order = sorted(evicted, key=lambda e: mp.pieces[e[0]][0].base + e[1])
         for txid, lo, hi in order:

@@ -31,11 +31,10 @@ HTLC_SUCCESS_WEIGHT = 703
 HTLC_TIMEOUT_WEIGHT = 663
 FUNDING_TX_WEIGHT = 800
 ANCHOR_INPUT_WEIGHT = 280  # the wallet input an anchor-style claim may add
-FEE_UPDATE_TOLERANCE = 0.10  # how far from its own estimate a peer accepts
 
-CLAIM_KINDS = ("success-local", "success-remote", "timeout-local", "timeout-remote")
 _KIND_CODE = {"success-local": "sl", "success-remote": "sr",
               "timeout-local": "tl", "timeout-remote": "tr"}
+CLAIM_KINDS = tuple(_KIND_CODE)
 
 
 def _settled(htlcs) -> bool:
@@ -97,10 +96,9 @@ class ChannelParams:
 
 # Defaults observed in the three mainstream node implementations.
 PROFILES: dict[str, ChannelParams] = {
-    "lnd": ChannelParams(max_accepted_htlcs=483, commitment_broadcast_delta=10,
-                         htlc_expiry_delta=40, wait_for_commit_confirmation=True),
+    "lnd": ChannelParams(),  # ChannelParams' defaults are lnd's
     "c-lightning": ChannelParams(max_accepted_htlcs=30, commitment_broadcast_delta=7,
-                                 htlc_expiry_delta=14, wait_for_commit_confirmation=True),
+                                 htlc_expiry_delta=14),
     "eclair": ChannelParams(max_accepted_htlcs=30, commitment_broadcast_delta=6,
                             htlc_expiry_delta=144, wait_for_commit_confirmation=False),
 }
@@ -275,15 +273,14 @@ class Channel:
 
     def update_fee(self, proposer: str, new_feerate: int, oracle_estimate: int) -> None:
         """Initiator-only feerate renegotiation.  The counterparty accepts
-        any proposal that tracks its own fee estimate within
-        FEE_UPDATE_TOLERANCE."""
+        any proposal within a tenth of its own fee estimate."""
         if self.published is not None:
             raise ChannelError(f"channel-not-open: {self.channel_id} is closing")
         if proposer != self.initiator:
             raise ChannelError(f"not-initiator: {proposer} did not open {self.channel_id}")
         if new_feerate <= 0:
             raise ChannelError(f"invalid-feerate: {new_feerate}")
-        if abs(new_feerate - oracle_estimate) > FEE_UPDATE_TOLERANCE * oracle_estimate:
+        if 10 * abs(new_feerate - oracle_estimate) > oracle_estimate:
             raise ChannelError(
                 f"unreasonable-feerate: {new_feerate} strays from estimate {oracle_estimate}")
         new_fee = fee_for_weight(new_feerate, self.weights.commitment_weight(self.pending_count))

@@ -96,12 +96,10 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
+    if value is None:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return value
 
 
 def _parse_pair(raw: str) -> tuple[float, int] | None:
@@ -294,14 +292,14 @@ def _execute_matrix(base: AttackConfig, policies, jobs: int, out: Path) -> list[
     _write_csv(out / "report.csv",
                ("policy_id", "n_channels", "stolen_htlcs", "stolen_value_sat",
                 "break_even_n"),
-               [(r.policy_id, r.n_channels, r.stolen_htlcs, r.stolen_value,
-                 r.break_even_n) for r in rows])
+               [(r.policy_id, r.report.num_victim_channels, r.report.stolen_htlcs,
+                 r.report.stolen_value, r.break_even_n) for r in rows])
     _write_csv(out / "trace.csv", ("policy_id",) + TRACE_COLUMNS,
                [(r.policy_id, *row) for r in rows for row in _trace_rows(r.report)])
     lines = [f"mitigation matrix at n={base.num_victim_channels}"]
     for r in rows:
-        lines.append(f"  {r.policy_id}: stolen={r.stolen_htlcs} "
-                     f"value={r.stolen_value} break_even_n={r.break_even_n}")
+        lines.append(f"  {r.policy_id}: stolen={r.report.stolen_htlcs} "
+                     f"value={r.report.stolen_value} break_even_n={r.break_even_n}")
     return lines
 
 

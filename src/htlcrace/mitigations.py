@@ -63,9 +63,6 @@ def apply_to_config(policy: MitigationPolicy, base: AttackConfig) -> AttackConfi
 @dataclass(frozen=True)
 class MatrixRow:
     policy_id: str
-    n_channels: int
-    stolen_htlcs: int
-    stolen_value: int
     break_even_n: int
     report: AttackReport
 
@@ -77,8 +74,7 @@ def _matrix_one(args: tuple[MitigationPolicy, AttackConfig]) -> MatrixRow:
     profile = cfg.victim_params()
     break_even = min_channels_guaranteed_theft(
         profile, cfg.weights, cfg.blockmaxweight)
-    return MatrixRow(policy.policy_id, cfg.num_victim_channels,
-                     report.stolen_htlcs, report.stolen_value, break_even, report)
+    return MatrixRow(policy.policy_id, break_even, report)
 
 
 def run_mitigation_matrix(base: AttackConfig, policies, jobs: int = 1) -> list[MatrixRow]:

@@ -17,9 +17,13 @@ from operator import attrgetter, contains
 
 from htlcrace.chain import ChainState, OutputRef, Transaction, TxOutput
 from htlcrace.channel import (
-    ANCHOR_INPUT_WEIGHT, CLAIM_KINDS, FEE_UPDATE_TOLERANCE, FUNDING_TX_WEIGHT,
+    ANCHOR_INPUT_WEIGHT, CLAIM_KINDS, FUNDING_TX_WEIGHT,
     ChannelError, ChannelParams, WeightSchedule, fee_for_weight,
 )
+
+# How far from its own estimate a peer accepts, stated in floats: the channel
+# states it in integers, so the oracle compares the two forms on every draw.
+FEE_UPDATE_TOLERANCE = 0.10
 
 # Builds a named tuple from a ready tuple of all its fields, skipping the
 # Python-level __new__: about half the cost, for the commitment output built

@@ -180,16 +180,16 @@ def test_criterion_8_mitigation_matrix():
     rows = {r.policy_id: r for r in run_mitigation_matrix(base, policies)}
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
-    wait = {d: rows[f"d{d}-wait"].stolen_htlcs for d in (10, 20, 30)}
+    wait = {d: rows[f"d{d}-wait"].report.stolen_htlcs for d in (10, 20, 30)}
     # broadcast-delta monotonicity
     assert wait[10] >= wait[20] >= wait[30]
     assert wait[10] > 0  # n is past break-even, the baseline must bleed
     # immediate-publication dominance, at every delta level
     for d in (10, 20, 30):
-        assert rows[f"d{d}-immediate"].stolen_htlcs <= wait[d]
+        assert rows[f"d{d}-immediate"].report.stolen_htlcs <= wait[d]
     # CPFP futility: bit-for-bit the same outcome as doing nothing
     for d in (10, 20, 30):
-        assert rows[f"d{d}-cpfp"].stolen_htlcs == wait[d]
+        assert rows[f"d{d}-cpfp"].report.stolen_htlcs == wait[d]
         assert rows[f"d{d}-cpfp"].report.victim_claimed_htlcs == \
             rows[f"d{d}-wait"].report.victim_claimed_htlcs
     print(f"CRITERION 8 PASS: 3x3 matrix at n={n}: delta curve "

@@ -635,7 +635,7 @@ def test_replacements_strictly_dominate(seed):
     for accepted, evicted in replacements:
         assert accepted.fee > sum(e.fee for e in evicted)
         for e in evicted:
-            assert accepted.outranks(e)
+            assert accepted.fee * e.weight > e.fee * accepted.weight
 
 
 @given(st.integers(0, 2_000))

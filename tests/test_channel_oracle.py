@@ -282,7 +282,7 @@ class Twin:
 
 def test_run_channel_matches_per_htlc_reference():
     seen = Counter()
-    for seed in range(1000):
+    for seed in range(2000):
         rng = random.Random(seed)
         twin = Twin(rng)
         for _ in range(rng.randint(10, 60)):

@@ -174,6 +174,21 @@ def test_anchor_mode_requires_replaceable_claims():
                                        victim_claims_replaceable=False))
 
 
+def test_anchor_bump_offset_must_fall_inside_the_race():
+    # 16 fundings fit one 14,000-weight block, so the race runs from the
+    # launch at height 1 to expiry at 44; the bump is due at expiry - offset.
+    cfg = AttackConfig(num_victim_channels=8, blockmaxweight=14_000, anchor_mode=True,
+                       victim_profile=profile_params("lnd", max_accepted_htlcs=20), seed=1)
+    assert validate_config(cfg).launch == 1
+    for offset in (-1, 44):  # after expiry, or before the race starts
+        with pytest.raises(ConfigError, match=f"^victim_bump_offset {offset} puts the "
+                                              "anchor bump outside the race, heights 1 to 44$"):
+            validate_config(dataclasses.replace(cfg, victim_bump_offset=offset))
+        validate_config(dataclasses.replace(cfg, victim_bump_offset=offset, anchor_mode=False))
+    for offset in (0, 43):
+        assert run_attack(dataclasses.replace(cfg, victim_bump_offset=offset)).total_htlcs == 160
+
+
 # anchor rescue: background traffic prices the victims' fixed-fee claims out
 # of blocks from height 35 on; only a wallet-funded bump gets them in before
 # the expiry at 44.
@@ -265,9 +280,9 @@ def test_matrix_rows_in_policy_order():
                                  commitment_broadcast_delta_override=20)]
     rows = run_mitigation_matrix(B400, policies)
     assert [r.policy_id for r in rows] == ["baseline", "delta20"]
-    assert rows[0].n_channels == 15
-    assert rows[0].stolen_htlcs == 3_296
-    assert rows[1].stolen_htlcs == 0
+    assert rows[0].report.num_victim_channels == 15
+    assert rows[0].report.stolen_htlcs == 3_296
+    assert rows[1].report.stolen_htlcs == 0
     assert rows[0].break_even_n == min_channels_guaranteed_theft("lnd", blockmaxweight=400_000)
     assert rows[1].break_even_n == min_channels_guaranteed_theft(
         apply_policy(policies[1], "lnd"), blockmaxweight=400_000)

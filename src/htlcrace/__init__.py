@@ -8,7 +8,7 @@ Layers, bottom up:
 - channel:     payment channels, HTLCs, commitment and claim transactions
                with their fee/replaceability asymmetries.
 - fees:        feerate series, fee-minimization strategy, block-space
-               analysis of the victims' claim window.
+               analysis of the victims' claim window, the fee analysis.
 - attack:      the four-phase theft campaign and its accounting.
 - mitigations: victim-side countermeasure policies and comparison matrix.
 - cli:         scenario files -> CSV artifacts.
@@ -23,8 +23,8 @@ from .channel import (
     fee_for_weight, open_channel, profile_params,
 )
 from .fees import (
-    ConfigError, FeerateSeries,
-    fraction_of_time_above, ingest_feerate_csv, simulate_feerate_strategy,
+    ConfigError, FeeAnalysisConfig, FeerateSeries, fraction_of_time_above,
+    ingest_feerate_csv, plan_fee_analysis, run_fee_analysis, simulate_feerate_strategy,
     synthetic_blocks, synthetic_feerate_series, victim_available_space,
 )
 from .attack import (
@@ -41,14 +41,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackConfig", "AttackReport", "Block", "ChainState", "Channel",
     "ChannelError", "ChannelParams", "ConfigError", "DEFAULT_BLOCKMAXWEIGHT",
-    "FeerateSeries", "MAX_TX_WEIGHT", "MatrixRow",
+    "FeeAnalysisConfig", "FeerateSeries", "MAX_TX_WEIGHT", "MatrixRow",
     "MitigationPolicy", "OutputRef", "PROFILES",
     "SubmitResult", "TraceRow", "TrafficSpec", "Transaction",
     "TxOutput", "WeightSchedule", "apply_policy", "apply_to_config",
     "available_space", "break_even_channels", "compute_htlc_value",
     "fee_for_weight", "fraction_of_time_above", "ingest_feerate_csv",
-    "min_channels_guaranteed_theft", "open_channel", "profile_params",
-    "run_attack", "run_mitigation_matrix", "simulate_feerate_strategy",
-    "sweep_channels", "synthetic_blocks", "synthetic_feerate_series",
-    "victim_available_space",
+    "min_channels_guaranteed_theft", "open_channel", "plan_fee_analysis",
+    "profile_params", "run_attack", "run_fee_analysis", "run_mitigation_matrix",
+    "simulate_feerate_strategy", "sweep_channels", "synthetic_blocks",
+    "synthetic_feerate_series", "victim_available_space",
 ]

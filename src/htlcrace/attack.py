@@ -29,6 +29,7 @@ import gc
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import NamedTuple
 
 from . import runs
@@ -96,7 +97,7 @@ class AttackConfig:
     preimage_release: str = "batch"  # batch | staggered (one channel per tick)
     # Victim-side behavior knobs; a mitigation policy may switch these on.
     victim_claims_replaceable: bool = True
-    dynamic_delta: tuple[float, int] | None = None  # (blocks per pending HTLC, cap)
+    dynamic_delta: tuple[Fraction | float, int] | None = None  # (blocks per pending HTLC, cap)
     anchor_mode: bool = False
     victim_bump_feerate: int = 25_000
     victim_bump_offset: int = 2  # the anchor bump is due this many blocks before expiry

@@ -22,6 +22,7 @@ import configparser
 import csv
 import sys
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -29,12 +30,11 @@ from .attack import (
     AttackConfig, AttackReport, TrafficSpec, break_even_channels,
     min_channels_guaranteed_theft, run_attack, sweep_channels, validate_config,
 )
-from .chain import DEFAULT_BLOCKMAXWEIGHT
 from .channel import WeightSchedule
-from .fees import (
-    ConfigError, FeerateSeries, fraction_of_time_above, ingest_feerate_csv,
-    parse_strategy, simulate_feerate_strategy, synthetic_blocks,
-    synthetic_feerate_series, victim_available_space,
+from .fees import (  # noqa: F401 -- unused fee functions: perfbench/spans.py wraps them here
+    ConfigError, FeeAnalysisConfig, FeerateSeries, ingest_feerate_csv, plan_fee_analysis,
+    run_fee_analysis, simulate_feerate_strategy, synthetic_blocks, synthetic_feerate_series,
+    victim_available_space,
 )
 from .mitigations import MitigationPolicy, apply_to_config, run_mitigation_matrix
 
@@ -102,19 +102,21 @@ def _parse_bool(raw: str) -> bool:
     return value
 
 
-def _parse_pair(raw: str) -> tuple[float, int] | None:
-    """`slope,cap`; an empty value means none."""
+def _parse_pair(raw: str) -> tuple[Fraction, int] | None:
+    """`slope,cap`, the slope exactly as written; an empty value means none."""
     if not raw:
         return None
     parts = raw.split(",")
     if len(parts) != 2:
         raise ValueError(f"wants 'slope,cap', got {raw!r}")
-    return float(parts[0]), int(parts[1])
+    return Fraction(parts[0]), int(parts[1])
 
 
 # A dataclass field's annotation string -> how its INI value is read.
-_CONVERTERS = {"int": int, "int | None": int, "bool": _parse_bool, "str": str,
-               "str | ChannelParams": str, "tuple[float, int] | None": _parse_pair}
+_CONVERTERS = {"int": int, "int | None": int, "float": float, "bool": _parse_bool,
+               "str": str, "str | ChannelParams": str,
+               "tuple[int, ...]": lambda raw: tuple(int(t) for t in raw.split(",") if t.strip()),
+               "tuple[Fraction | float, int] | None": _parse_pair}
 
 
 def _field_keys(cls, *skip: str) -> dict:
@@ -133,11 +135,7 @@ SECTION_KEYS = {
     "sweep": {"n_from": int, "n_to": int, "n_step": int},
     "feerates": {"csv": str, "synthetic_seed": int, "synthetic_length": int,
                  "synthetic_start": int, "synthetic_low": int, "synthetic_high": int},
-    "fee_analysis": {"window": int, "minimize_duration": int, "launch_from": int,
-                     "launch_to": int, "launch_step": int, "blockmaxweight": int,
-                     "thresholds": str, "blocks_seed": int, "fill_low": float,
-                     "fill_high": float, "block_feerate_low": int,
-                     "block_feerate_high": int},
+    "fee_analysis": _field_keys(FeeAnalysisConfig),
 }
 
 
@@ -305,72 +303,23 @@ def _execute_matrix(base: AttackConfig, policies, jobs: int, out: Path) -> list[
 
 def _configure_fee(sc: Scenario, seed: int):
     series = build_series(sc)
-    v = _read(sc, "fee_analysis")
-    window = v.get("window", 10)
-    duration = v.get("minimize_duration", 1008)
-    parse_strategy(f"minimize:{duration}")  # refuses a negative duration
-    launch_from = v.get("launch_from", series.first_height + duration)
-    launch_to = v.get("launch_to")
-    launch_step = v.get("launch_step", 1)
-    blockmaxweight = v.get("blockmaxweight", DEFAULT_BLOCKMAXWEIGHT)
-    if launch_to is None or launch_to < launch_from:
-        raise ConfigError("config-parse-error: [fee_analysis] needs launch_to >= launch_from")
-    if launch_step < 1 or window < 1:
-        raise ConfigError(
-            "config-parse-error: [fee_analysis] needs launch_step >= 1, window >= 1")
-    if launch_from - duration < series.first_height:
-        raise ConfigError(
-            f"config-parse-error: launch_from {launch_from} leaves no room for a "
-            f"{duration}-block minimization before it (series starts at "
-            f"{series.first_height})")
-    thresholds = v.get("thresholds",
-                       "500000,1000000,1500000,2000000,2500000,3000000,3500000,4000000")
-    thresholds = [int(t) for t in thresholds.split(",") if t.strip()]
-    if not thresholds:
-        raise ConfigError("config-parse-error: [fee_analysis] needs at least one threshold")
-    # Blocks launch_from to launch_to + window.  The windows read from
-    # launch_from + 1 on, but the block at launch_from stays: it is drawn
-    # first, and dropping it would shift every later draw.
+    cfg = FeeAnalysisConfig(**{"blocks_seed": seed, **_read(sc, "fee_analysis")})
     try:
-        blocks = synthetic_blocks(  # with its own defaults for the filler keys left unset
-            v.get("blocks_seed", seed), launch_from, (launch_to - launch_from) + window + 1,
-            blockmaxweight, **{key.removeprefix("block_"): v[key] for key in (
-                "fill_low", "fill_high", "block_feerate_low", "block_feerate_high")
-                if key in v})
-    except ConfigError as exc:  # bad [fee_analysis] filler keys, tagged as the reader tags them
+        return partial(_execute_fee, cfg, series, *plan_fee_analysis(cfg, series))
+    except ConfigError as exc:  # a bad [fee_analysis], tagged as the reader tags one
         raise ConfigError(f"config-parse-error: {exc}") from exc
-    return partial(_execute_fee, series, blocks,
-                   range(launch_from, launch_to + 1, launch_step), window, duration,
-                   blockmaxweight, thresholds)
 
 
-def _execute_fee(series: FeerateSeries, blocks, launches: range, window: int,
-                 duration: int, blockmaxweight: int, thresholds: list[int],
-                 jobs: int, out: Path) -> list[str]:
-    # Both strategies are compared at the same launch height over the same
-    # blocks: naive opened right there, minimize opened `duration` blocks
-    # earlier and has been ratcheting the feerate down since.  One call takes
-    # both, so the two share each (feerate, height) space they both read.
-    pairs = [(h, simulate_feerate_strategy(series, "naive", h)) for h in launches]
-    pairs += [(h, simulate_feerate_strategy(series, f"minimize:{duration}", h - duration))
-              for h in launches]
-    spaces = victim_available_space(blocks, pairs, window, blockmaxweight)
-    naive, mini = spaces[:len(launches)], spaces[len(launches):]
-    _write_csv(out / "space.csv", ("launch_height", "avg_available_space"),
-               zip(launches, naive))
-    _write_csv(out / "space_minimized.csv", ("launch_height", "avg_available_space"),
-               zip(launches, mini))
-    report_rows = [(t, fraction_of_time_above(naive, t), fraction_of_time_above(mini, t))
-                   for t in thresholds]
-    _write_csv(out / "report.csv",
-               ("threshold", "fraction_naive", "fraction_minimized"), report_rows)
+def _execute_fee(cfg, series, launches: range, blocks, jobs: int, out: Path) -> list[str]:
+    naive, mini, rows = run_fee_analysis(cfg, series, launches, blocks)
+    for name, spaces in (("space.csv", naive), ("space_minimized.csv", mini)):
+        _write_csv(out / name, ("launch_height", "avg_available_space"), zip(launches, spaces))
+    _write_csv(out / "report.csv", ("threshold", "fraction_naive", "fraction_minimized"), rows)
     _write_csv(out / "trace.csv", ("height", "feerate_estimate"),
                [(h, series.estimate_at(h)) for h in launches])
-    lines = [f"fee analysis over launches [{launches.start}, {launches.stop - 1}] "
-             f"window={window} minimize_duration={duration}"]
-    for t, fn, fm in report_rows:
-        lines.append(f"  space >= {t}: naive {fn:.3f}, minimized {fm:.3f}")
-    return lines
+    return [f"fee analysis over launches [{launches.start}, {launches.stop - 1}] "
+            f"window={cfg.window} minimize_duration={cfg.minimize_duration}",
+            *(f"  space >= {t}: naive {fn:.3f}, minimized {fm:.3f}" for t, fn, fm in rows)]
 
 
 # The scenario kinds: per kind, the sections it needs and the further ones

@@ -9,8 +9,8 @@ raising it ("minimize:<blocks>").  Victims accept any proposal that matches
 their own estimator within tolerance, so the minimized rate is exactly the
 running minimum of the estimate over the waiting window.
 
-victim_available_space answers all of an analysis's launches at once, and
-computes each (feerate, height) block space their windows read only once.
+FeeAnalysisConfig, plan_fee_analysis and run_fee_analysis compare both
+strategies' claim space after each launch, each (feerate, height) space once.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import bisect
 import csv
 import math
 import random
+from dataclasses import dataclass
 
 from .chain import DEFAULT_BLOCKMAXWEIGHT, available_space
 
@@ -180,6 +181,62 @@ def fraction_of_time_above(values, threshold: float) -> float:
     if not vals:
         raise ConfigError("no samples")
     return sum(1 for v in vals if v >= threshold) / len(vals)
+
+
+@dataclass(frozen=True)
+class FeeAnalysisConfig:
+    """Launches every launch_step from launch_from (default: the series' first
+    height plus minimize_duration) to launch_to, over blocks from blocks_seed."""
+    blocks_seed: int
+    window: int = 10
+    minimize_duration: int = 1008
+    launch_from: int | None = None
+    launch_to: int | None = None
+    launch_step: int = 1
+    blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT
+    thresholds: tuple[int, ...] = tuple(range(500_000, 4_000_001, 500_000))
+    fill_low: float = 0.3
+    fill_high: float = 1.0
+    block_feerate_low: int = 500
+    block_feerate_high: int = 20_000
+
+
+def plan_fee_analysis(cfg: FeeAnalysisConfig, series: FeerateSeries) -> tuple[range, dict]:
+    """The launch heights and the filler blocks; ConfigError if cfg cannot run."""
+    duration = cfg.minimize_duration
+    if duration < 0:
+        raise ConfigError("minimize duration must be non-negative")
+    launch_from = series.first_height + duration if cfg.launch_from is None else cfg.launch_from
+    if cfg.launch_to is None or cfg.launch_to < launch_from:
+        raise ConfigError("[fee_analysis] needs launch_to >= launch_from")
+    if cfg.launch_step < 1 or cfg.window < 1:
+        raise ConfigError("[fee_analysis] needs launch_step >= 1, window >= 1")
+    if launch_from - duration < series.first_height:
+        raise ConfigError(
+            f"launch_from {launch_from} leaves no room for a {duration}-block "
+            f"minimization before it (series starts at {series.first_height})")
+    if not cfg.thresholds:
+        raise ConfigError("[fee_analysis] needs at least one threshold")
+    launches = range(launch_from, cfg.launch_to + 1, cfg.launch_step)
+    # From launch_from, which no window reads: dropping it would shift every draw.
+    return launches, synthetic_blocks(
+        cfg.blocks_seed, launch_from, launches[-1] + cfg.window + 1 - launch_from,
+        cfg.blockmaxweight, cfg.fill_low, cfg.fill_high, cfg.block_feerate_low,
+        cfg.block_feerate_high)
+
+
+def run_fee_analysis(cfg: FeeAnalysisConfig, series: FeerateSeries, launches: range,
+                     blocks: dict) -> tuple[list[float], list[float], list[tuple]]:
+    """The naive and the minimized spaces, one per launch (minimize opened
+    minimize_duration blocks before it), and the rows (threshold, fraction
+    naive, fraction minimized).  One victim_available_space call reads both."""
+    d = cfg.minimize_duration
+    pairs = [(h, simulate_feerate_strategy(series, "naive", h)) for h in launches]
+    pairs += [(h, simulate_feerate_strategy(series, f"minimize:{d}", h - d)) for h in launches]
+    spaces = victim_available_space(blocks, pairs, cfg.window, cfg.blockmaxweight)
+    naive, mini = spaces[:len(launches)], spaces[len(launches):]
+    return naive, mini, [(t, fraction_of_time_above(naive, t), fraction_of_time_above(mini, t))
+                         for t in cfg.thresholds]
 
 
 # -- synthetic inputs --------------------------------------------------------

@@ -10,6 +10,7 @@ parent evicts the child with it).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .attack import (
     AttackConfig, AttackReport, ConfigError, map_runs, min_channels_guaranteed_theft,
@@ -26,7 +27,7 @@ class MitigationPolicy:
     commitment_broadcast_delta_override: int | None = None
     max_accepted_htlcs_override: int | None = None
     immediate_htlc_publication: bool = False
-    dynamic_delta: tuple[float, int] | None = None  # (blocks per pending HTLC, cap)
+    dynamic_delta: tuple[Fraction | float, int] | None = None  # (blocks per pending HTLC, cap)
     anchor_outputs_mode: bool = False
     non_replaceable_htlc_success: bool = False
     cpfp_demo: bool = False

@@ -401,6 +401,7 @@ def test_fee_analysis_needs_launch_to(tmp_path):
     ("launch_step = 5", "launch_step = 5\n    blockmaxweight = -5"),
     ("launch_step = 5", "launch_step = 5\n    blockmaxweight = 0"),
     ("launch_step = 5", "launch_step = 5\n    thresholds = ,"),
+    ("minimize_duration = 36", "minimize_duration = -5"),
 ])
 def test_bad_fee_analysis_values_are_config_errors(tmp_path, change):
     # Each one fails while the run's inputs are built, before anything runs:
@@ -461,6 +462,7 @@ def test_unknown_keys_are_config_errors(tmp_path, text):
     FAST_MATRIX + "\n    [policy:far]\n    commitment_broadcast_delta_override = 100\n",
     FAST_ATTACK + "    dynamic_delta = -5,0\n",
     FAST_ATTACK + "    dynamic_delta = nan,5\n",
+    FAST_ATTACK + "    dynamic_delta = inf,5\n",
     FAST_ATTACK + "    htlc_expiry_height = 8\n",
     FAST_FEE.replace("window = 4", "window = 0"),
     FAST_FEE.replace("minimize_duration = 36", "minimize_duration = -5"),
@@ -479,7 +481,8 @@ def test_unknown_keys_are_config_errors(tmp_path, text):
     FAST_SWEEP.replace("n_to = 2", "n_to = 30").replace(
         "blockmaxweight = 40000", "preimage_release = staggered\n    htlc_expiry_height = 60"),
 ], ids=["sweep-from-0", "policy-delta-out-of-range", "attack-dynamic-delta-negative",
-        "attack-dynamic-delta-nan", "attack-expiry-too-soon", "fee-window-0", "fee-minimize-negative",
+        "attack-dynamic-delta-nan", "attack-dynamic-delta-inf", "attack-expiry-too-soon",
+        "fee-window-0", "fee-minimize-negative",
         "attack-commitment-too-heavy", "attack-success-too-heavy", "attack-timeout-too-heavy",
         "attack-anchor-success-too-heavy", "policy-commitment-too-heavy",
         "attack-drain-cap-negative", "sweep-staggered-expiry-at-large-n"])
@@ -529,6 +532,28 @@ def test_matrix_policy_keeps_the_attack_settings(tmp_path, line):
     assert run_scenario(write_scenario(tmp_path, matrix, "m.ini"), tmp_path / "m") == 0
     stolen = read_csv(tmp_path / "a" / "report.csv")[1][4]
     assert read_csv(tmp_path / "m" / "report.csv")[1][2] == stolen
+
+
+def test_dynamic_delta_slope_is_read_exactly(tmp_path):
+    # c-lightning: base 7, 30 HTLCs per channel.  7 + 8.2 * 30 = 253 blocks
+    # before expiry, where floats give 245.99999999999997 and a delta of 252.
+    path = write_scenario(tmp_path, """
+        [scenario]
+        kind = attack
+        seed = 1
+
+        [attack]
+        num_victim_channels = 3
+        victim_profile = c-lightning
+        blockmaxweight = 40000
+        htlc_expiry_height = 300
+        dynamic_delta = 8.2,1000
+    """)
+    out = tmp_path / "out"
+    assert run_scenario(path, out) == 0
+    claimed = [int(row[0]) for row in read_csv(out / "trace.csv")[1:] if int(row[2])]
+    # closed at 300 - 253 = 47, the commitment mined at 48, the claims at 49
+    assert claimed[0] == 49
 
 
 # Every key a scenario section accepts.  A new dataclass field must not
@@ -642,6 +667,11 @@ def test_each_layer_refusal_exits_2_with_its_message(tmp_path, capsys, text, row
      "config-parse-error: [attack] anchor_mode: not a boolean: 'maybe'"),
     (FAST_ATTACK + "    dynamic_delta = 5\n", "configure",
      "config-parse-error: [attack] dynamic_delta: wants 'slope,cap', got '5'"),
+    (FAST_ATTACK + "    dynamic_delta = inf,5\n", "configure",
+     "config-parse-error: [attack] dynamic_delta: Invalid literal for Fraction: 'inf'"),
+    (FAST_FEE + "    thresholds = 5,x\n", "configure",
+     "config-parse-error: [fee_analysis] thresholds: "
+     "invalid literal for int() with base 10: 'x'"),
     (FAST_ATTACK.replace("seed = 9", "seed = one"), "parse",
      "config-parse-error: seed must be an integer: "
      "invalid literal for int() with base 10: 'one'"),
@@ -650,7 +680,7 @@ def test_each_layer_refusal_exits_2_with_its_message(tmp_path, capsys, text, row
     (FAST_ATTACK + "\n    [attack]\n", "parse",
      "config-parse-error: While reading from {path!r} [line 10]: "
      "section 'attack' already exists"),
-], ids=["int", "bool", "pair", "seed", "no-scenario", "malformed"])
+], ids=["int", "bool", "pair", "pair-inf", "list", "seed", "no-scenario", "malformed"])
 def test_reader_conversions_exit_2_with_their_message(tmp_path, capsys, text, stage, message):
     # A value the reader cannot convert, or a file it cannot read, is the
     # user's error: exit 2 with the message, at the stage that read it.

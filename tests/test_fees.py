@@ -7,18 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fee_reference
+import htlcrace.fees as fees_module
 from htlcrace.chain import available_space
+from htlcrace.cli import run_scenario, validate_scenario
 from htlcrace.fees import (
     ConfigError,
+    FeeAnalysisConfig,
     FeerateSeries,
     fraction_of_time_above,
     ingest_feerate_csv,
     parse_strategy,
+    plan_fee_analysis,
+    run_fee_analysis,
     simulate_feerate_strategy,
     synthetic_blocks,
     synthetic_feerate_series,
     victim_available_space,
 )
+from test_cli import FAST_FEE, read_csv, write_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +218,56 @@ def test_fraction_nonincreasing_in_threshold():
     vals = [rng.randint(0, 100) for _ in range(50)]
     fracs = [fraction_of_time_above(vals, t) for t in range(0, 105, 5)]
     assert fracs == sorted(fracs, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# fee analysis as a library run
+# ---------------------------------------------------------------------------
+
+
+def test_library_fee_analysis_matches_the_scenario_run(tmp_path):
+    # FAST_FEE's settings, with blocks_seed defaulting to its scenario seed 9.
+    assert run_scenario(write_scenario(tmp_path, FAST_FEE), tmp_path / "out") == 0
+    series = synthetic_feerate_series(7, 200)
+    cfg = FeeAnalysisConfig(blocks_seed=9, window=4, minimize_duration=36,
+                            launch_from=40, launch_to=80, launch_step=5)
+    launches, blocks = plan_fee_analysis(cfg, series)
+    naive, mini, rows = run_fee_analysis(cfg, series, launches, blocks)
+    assert launches == range(40, 81, 5)
+
+    def as_text(rows):
+        return [[str(value) for value in row] for row in rows]
+
+    for name, spaces in (("space.csv", naive), ("space_minimized.csv", mini)):
+        assert read_csv(tmp_path / "out" / name)[1:] == as_text(zip(launches, spaces))
+    assert read_csv(tmp_path / "out" / "report.csv")[1:] == as_text(rows)
+    assert [t for t, _, _ in rows] == list(range(500_000, 4_000_001, 500_000))
+
+
+def test_launch_from_defaults_to_the_first_height_after_minimizing():
+    series = synthetic_feerate_series(7, 200, start_height=30)
+    launches, blocks = plan_fee_analysis(
+        FeeAnalysisConfig(blocks_seed=1, minimize_duration=36, launch_to=80), series)
+    assert launches == range(66, 81)
+    assert sorted(blocks) == list(range(66, 91))  # through the last window's end
+    with pytest.raises(ConfigError, match=r"^\[fee_analysis\] needs launch_to >= launch_from$"):
+        plan_fee_analysis(FeeAnalysisConfig(blocks_seed=1, minimize_duration=36), series)
+
+
+@pytest.mark.parametrize("command", [run_scenario, validate_scenario])
+def test_a_fee_analysis_draws_its_blocks_once(tmp_path, monkeypatch, command):
+    # validate builds the blocks as run does; run then reuses them.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return synthetic_blocks(*args)
+
+    monkeypatch.setattr(fees_module, "synthetic_blocks", counted)
+    path = write_scenario(tmp_path, FAST_FEE)
+    args = (path, tmp_path / "out") if command is run_scenario else (path,)
+    assert command(*args) == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ Layers, bottom up:
 
 from .chain import (
     Block, ChainState, DEFAULT_BLOCKMAXWEIGHT, MAX_TX_WEIGHT, OutputRef,
-    SubmitResult, Transaction, TxOutput, available_space,
+    SubmitResult, Transaction, TxOutput,
 )
 from .channel import (
     Channel, ChannelError, ChannelParams, PROFILES, WeightSchedule,
@@ -39,16 +39,14 @@ from .mitigations import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackConfig", "AttackReport", "Block", "ChainState", "Channel",
-    "ChannelError", "ChannelParams", "ConfigError", "DEFAULT_BLOCKMAXWEIGHT",
-    "FeeAnalysisConfig", "FeerateSeries", "MAX_TX_WEIGHT", "MatrixRow",
-    "MitigationPolicy", "OutputRef", "PROFILES",
-    "SubmitResult", "TraceRow", "TrafficSpec", "Transaction",
-    "TxOutput", "WeightSchedule", "apply_policy", "apply_to_config",
-    "available_space", "break_even_channels", "compute_htlc_value",
-    "fee_for_weight", "fraction_of_time_above", "ingest_feerate_csv",
-    "min_channels_guaranteed_theft", "open_channel", "plan_fee_analysis",
-    "profile_params", "run_attack", "run_fee_analysis", "run_mitigation_matrix",
-    "simulate_feerate_strategy", "sweep_channels", "synthetic_blocks",
-    "synthetic_feerate_series", "victim_available_space",
+    "AttackConfig", "AttackReport", "Block", "ChainState", "Channel", "ChannelError",
+    "ChannelParams", "ConfigError", "DEFAULT_BLOCKMAXWEIGHT", "FeeAnalysisConfig",
+    "FeerateSeries", "MAX_TX_WEIGHT", "MatrixRow", "MitigationPolicy", "OutputRef",
+    "PROFILES", "SubmitResult", "TraceRow", "TrafficSpec", "Transaction", "TxOutput",
+    "WeightSchedule", "apply_policy", "apply_to_config", "break_even_channels",
+    "compute_htlc_value", "fee_for_weight", "fraction_of_time_above",
+    "ingest_feerate_csv", "min_channels_guaranteed_theft", "open_channel",
+    "plan_fee_analysis", "profile_params", "run_attack", "run_fee_analysis",
+    "run_mitigation_matrix", "simulate_feerate_strategy", "sweep_channels",
+    "synthetic_blocks", "synthetic_feerate_series", "victim_available_space",
 ]

@@ -522,13 +522,11 @@ class _Run:
         # A filler is an input-less, output-less transaction whose fee the chain
         # grants when it is mined: nothing spends or replaces it, nor refuses it.
         for j in range(spec.txs_per_tick):
-            r = getrandbits(k_weight)
-            while r >= n_weight:
-                r = getrandbits(k_weight)
+            while (r := getrandbits(k_weight)) >= n_weight:
+                pass
             weight = spec.weight_low + r
-            r = getrandbits(k_fee)
-            while r >= n_fee:
-                r = getrandbits(k_fee)
+            while (r := getrandbits(k_fee)) >= n_fee:
+                pass
             fee = fee_for_weight(spec.feerate_low + r, weight)
             chain.submit(Transaction(f"bg{h}.{j}", (), (), weight, fee))
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from . import runs
 
@@ -620,11 +620,3 @@ class ChainState:
         if utxo != self.utxo:
             raise AssertionError("replayed UTXO set diverges from live state")
 
-
-def available_space(feerate: int, entries: Iterable[tuple[int, int, int]],
-                    blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT) -> int:
-    """Block weight not claimed by the (fee, weight, count) entries paying
-    strictly more than `feerate` (sat/kWU): the room a transaction at that
-    feerate could have competed for.  Strictness is exact (cross-multiplied)."""
-    return blockmaxweight - sum(weight * count for fee, weight, count in entries
-                                if fee * 1000 > feerate * weight)

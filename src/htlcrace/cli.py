@@ -170,11 +170,14 @@ def build_series(sc: Scenario) -> FeerateSeries | None:
         if not resolved.is_file():
             raise ConfigError(f"missing-input: feerate csv not found: {resolved}")
         return ingest_feerate_csv(resolved)
-    return synthetic_feerate_series(  # with its own defaults for the keys left unset
-        v.get("synthetic_seed", sc.seed), v.get("synthetic_length", 2016),
-        **{param: v[key] for key, param in (("synthetic_start", "start_height"),
-                                            ("synthetic_low", "low"),
-                                            ("synthetic_high", "high")) if key in v})
+    try:
+        return synthetic_feerate_series(  # with its own defaults for the keys left unset
+            v.get("synthetic_seed", sc.seed), v.get("synthetic_length", 2016),
+            **{param: v[key] for key, param in (("synthetic_start", "start_height"),
+                                                ("synthetic_low", "low"),
+                                                ("synthetic_high", "high")) if key in v})
+    except ConfigError as exc:  # a bad [feerates] range, tagged as the reader tags one
+        raise ConfigError(f"config-parse-error: {exc}") from exc
 
 
 def build_attack_config(sc: Scenario, seed: int) -> AttackConfig:
@@ -310,8 +313,8 @@ def _configure_fee(sc: Scenario, seed: int):
         raise ConfigError(f"config-parse-error: {exc}") from exc
 
 
-def _execute_fee(cfg, series, launches: range, blocks, jobs: int, out: Path) -> list[str]:
-    naive, mini, rows = run_fee_analysis(cfg, series, launches, blocks)
+def _execute_fee(cfg, series, launches: range, pairs, spaces, jobs: int, out: Path) -> list[str]:
+    naive, mini, rows = run_fee_analysis(cfg, pairs, spaces)
     for name, spaces in (("space.csv", naive), ("space_minimized.csv", mini)):
         _write_csv(out / name, ("launch_height", "avg_available_space"), zip(launches, spaces))
     _write_csv(out / "report.csv", ("threshold", "fraction_naive", "fraction_minimized"), rows)

@@ -1,5 +1,5 @@
 """Fee-estimate series, the attacker's channel-feerate strategies, and
-victim block-space analysis over filler blocks of (fee, weight, 1) entries.
+victim block-space analysis over synthetic filler blocks.
 
 A FeerateSeries is a step function from block height to the fee estimator's
 suggestion (sat/kWU).  The attacker either takes the estimate at channel-open
@@ -10,17 +10,19 @@ their own estimator within tolerance, so the minimized rate is exactly the
 running minimum of the estimate over the waiting window.
 
 FeeAnalysisConfig, plan_fee_analysis and run_fee_analysis compare both
-strategies' claim space after each launch, each (feerate, height) space once.
+strategies' claim space after each launch: each filler block is measured at
+the feerates its windows read while it is drawn, and never stored.
 """
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Iterable
 
-from .chain import DEFAULT_BLOCKMAXWEIGHT, available_space
+from .chain import DEFAULT_BLOCKMAXWEIGHT
 
 SAT_PER_VB_TO_KWU = 250  # 1 vbyte == 4 weight units => sat/vB * 1000/4
 MAX_REGIME_RUN = 144  # longest run of blocks a synthetic estimate holds
@@ -51,7 +53,7 @@ class FeerateSeries:
 
     def estimate_at(self, height: int) -> int:
         """Latest sample at or before `height` (step function)."""
-        i = bisect.bisect_right(self._heights, height)
+        i = bisect_right(self._heights, height)
         if i == 0:
             raise ConfigError(
                 f"height {height} precedes first sample {self._heights[0]}")
@@ -74,9 +76,7 @@ def ingest_feerate_csv(path) -> FeerateSeries:
             if len(row) != 4:
                 raise ConfigError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
             try:
-                height = int(row[0])
-                rate = float(row[1])
-                conf = int(row[3])
+                height, rate, conf = int(row[0]), float(row[1]), int(row[3])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
             unit = row[2].strip()
@@ -124,8 +124,7 @@ def running_minimum(series: FeerateSeries, rate: int, start: int, stop: int):
         rate = estimate
         yield start, estimate
     heights, points = series._heights, series.points
-    for i in range(bisect.bisect_right(heights, start),
-                   bisect.bisect_left(heights, stop)):
+    for i in range(bisect_right(heights, start), bisect_left(heights, stop)):
         estimate = points[i][1]
         if estimate < rate:
             rate = estimate
@@ -149,31 +148,21 @@ def simulate_feerate_strategy(series: FeerateSeries, strategy, open_height: int)
 # -- block-space analysis --------------------------------------------------
 
 
-def victim_available_space(blocks: dict[int, list[tuple[int, int, int]]],
-                           launches: list[tuple[int, int]], window: int,
-                           blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT) -> list[float]:
+def victim_available_space(spaces: dict[tuple[int, int], int],
+                           launches: list[tuple[int, int]], window: int) -> list[float]:
     """For each (launch_height, feerate) in `launches`, in order: the average
-    weight per block still open to transactions at that (fixed) claim
-    feerate over the `window` blocks after launch, as the difference of two
-    running sums of the feerate's spaces.  A missing block raises
-    ConfigError naming the lowest missing height any window reads."""
+    of the blocks' {(feerate, height): space} over the `window` blocks after
+    launch.  A missing space raises ConfigError naming the lowest height any
+    window misses."""
     if window <= 0:
         raise ConfigError("window must be positive")
-    reads: dict[int, set[int]] = {}  # feerate -> every height its windows read
-    for launch, feerate in launches:
-        reads.setdefault(feerate, set()).update(range(launch + 1, launch + window + 1))
-    missing = set().union(*reads.values()) - blocks.keys()
-    if missing:
-        raise ConfigError(f"insufficient block data: missing height {min(missing)}")
-    sums = {}  # (feerate, h) -> the feerate's spaces summed over the heights read to h
-    for feerate, read in reads.items():
-        total = 0
-        for h in sorted(read):
-            sums[feerate, h - 1] = total  # through h - 1, where a window may start
-            total += available_space(feerate, blocks[h], blockmaxweight)
-            sums[feerate, h] = total
-    return [(sums[feerate, launch + window] - sums[feerate, launch]) / window
-            for launch, feerate in launches]
+    windows = [(feerate, range(launch + 1, launch + window + 1)) for launch, feerate in launches]
+    try:
+        return [sum(spaces[feerate, h] for h in heights) / window for feerate, heights in windows]
+    except KeyError:
+        missing = min(h for feerate, heights in windows for h in heights
+                      if (feerate, h) not in spaces)
+        raise ConfigError(f"insufficient block data: missing height {missing}") from None
 
 
 def fraction_of_time_above(values, threshold: float) -> float:
@@ -201,8 +190,11 @@ class FeeAnalysisConfig:
     block_feerate_high: int = 20_000
 
 
-def plan_fee_analysis(cfg: FeeAnalysisConfig, series: FeerateSeries) -> tuple[range, dict]:
-    """The launch heights and the filler blocks; ConfigError if cfg cannot run."""
+def plan_fee_analysis(cfg: FeeAnalysisConfig, series: FeerateSeries
+                      ) -> tuple[range, list[tuple[int, int]], dict[tuple[int, int], int]]:
+    """The launch heights, the (launch, feerate) pairs (naive, then minimized
+    from minimize_duration blocks before), and the spaces the pairs' windows
+    read; ConfigError if cfg cannot run."""
     duration = cfg.minimize_duration
     if duration < 0:
         raise ConfigError("minimize duration must be non-negative")
@@ -218,23 +210,24 @@ def plan_fee_analysis(cfg: FeeAnalysisConfig, series: FeerateSeries) -> tuple[ra
     if not cfg.thresholds:
         raise ConfigError("[fee_analysis] needs at least one threshold")
     launches = range(launch_from, cfg.launch_to + 1, cfg.launch_step)
+    pairs = [(h, simulate_feerate_strategy(series, strategy, h - d)) for strategy, d
+             in (("naive", 0), (f"minimize:{duration}", duration)) for h in launches]
+    heights = range(launch_from, launches[-1] + cfg.window + 1)
+    reads: dict[int, set[int]] = {h: set() for h in heights}  # height -> feerates read
+    for launch, feerate in pairs:
+        for h in range(launch + 1, launch + cfg.window + 1):
+            reads[h].add(feerate)
     # From launch_from, which no window reads: dropping it would shift every draw.
-    return launches, synthetic_blocks(
-        cfg.blocks_seed, launch_from, launches[-1] + cfg.window + 1 - launch_from,
-        cfg.blockmaxweight, cfg.fill_low, cfg.fill_high, cfg.block_feerate_low,
-        cfg.block_feerate_high)
+    return launches, pairs, synthetic_blocks(cfg, launch_from, len(heights), reads)
 
 
-def run_fee_analysis(cfg: FeeAnalysisConfig, series: FeerateSeries, launches: range,
-                     blocks: dict) -> tuple[list[float], list[float], list[tuple]]:
-    """The naive and the minimized spaces, one per launch (minimize opened
-    minimize_duration blocks before it), and the rows (threshold, fraction
-    naive, fraction minimized).  One victim_available_space call reads both."""
-    d = cfg.minimize_duration
-    pairs = [(h, simulate_feerate_strategy(series, "naive", h)) for h in launches]
-    pairs += [(h, simulate_feerate_strategy(series, f"minimize:{d}", h - d)) for h in launches]
-    spaces = victim_available_space(blocks, pairs, cfg.window, cfg.blockmaxweight)
-    naive, mini = spaces[:len(launches)], spaces[len(launches):]
+def run_fee_analysis(cfg: FeeAnalysisConfig, pairs: list[tuple[int, int]],
+                     spaces: dict[tuple[int, int], int]
+                     ) -> tuple[list[float], list[float], list[tuple]]:
+    """The naive and the minimized spaces of plan_fee_analysis's pairs, one
+    per launch, and the rows (threshold, fraction naive, fraction minimized)."""
+    averages = victim_available_space(spaces, pairs, cfg.window)
+    naive, mini = averages[:len(pairs) // 2], averages[len(pairs) // 2:]
     return naive, mini, [(t, fraction_of_time_above(naive, t), fraction_of_time_above(mini, t))
                          for t in cfg.thresholds]
 
@@ -246,55 +239,57 @@ def synthetic_feerate_series(seed: int, length: int, start_height: int = 0,
                              low: int = 500, high: int = 20_000) -> FeerateSeries:
     """Piecewise-constant regime series: the estimator holds a level for a
     random run of blocks, then jumps.  Deterministic in `seed`."""
+    if not 1 <= low <= high:
+        raise ConfigError(f"synthetic feerate range [{low}, {high}] is empty or below 1")
     rng = random.Random(seed)
-    points = []
-    h = start_height
-    end = start_height + length
-    while h < end:
-        level = rng.randint(low, high)
-        run = rng.randint(1, MAX_REGIME_RUN)
-        points.append((h, level, 1))
-        h += run
+    points, h = [], start_height
+    while h < start_height + length:
+        points.append((h, rng.randint(low, high), 1))  # the level, then its run
+        h += rng.randint(1, MAX_REGIME_RUN)
     return FeerateSeries(points)
 
 
-def synthetic_blocks(seed: int, start_height: int, count: int,
-                     blockmaxweight: int = DEFAULT_BLOCKMAXWEIGHT,
-                     fill_low: float = 0.3, fill_high: float = 1.0,
-                     feerate_low: int = 500, feerate_high: int = 20_000
-                     ) -> dict[int, list[tuple[int, int, int]]]:
-    """Filler blocks for space analysis: per height, (fee, weight, 1) entries
-    whose weights fill a uniform share in [fill_low, fill_high] of blockmaxweight."""
-    if not 1 <= feerate_low <= feerate_high:
-        raise ConfigError(f"block feerate range [{feerate_low}, {feerate_high}] is empty or below 1")
-    if not (0 <= fill_low <= fill_high <= 1 and blockmaxweight >= 1):
+def synthetic_blocks(cfg: FeeAnalysisConfig, start_height: int, count: int,
+                     feerates: dict[int, Iterable[int]]) -> dict[tuple[int, int], int]:
+    """Draw `count` filler blocks from start_height, each filling a uniform
+    share in [fill_low, fill_high] of blockmaxweight, and measure each as it
+    is drawn: {(feerate, height): blockmaxweight less the fillers' weight
+    paying strictly more} for each feerate (sat/kWU) in feerates[height]."""
+    low, high = cfg.block_feerate_low, cfg.block_feerate_high
+    if not 1 <= low <= high:
+        raise ConfigError(f"block feerate range [{low}, {high}] is empty or below 1")
+    if not (0 <= cfg.fill_low <= cfg.fill_high <= 1 and cfg.blockmaxweight >= 1):
         raise ConfigError("need 0 <= fill_low <= fill_high <= 1 and blockmaxweight >= 1")
     # Each randint(a, b) is inlined as a + r, r the first getrandbits(k)
     # draw below n = b - a + 1 with k = n.bit_length(): what the standard
     # library's randint does, draw for draw, at a fraction of its cost.
-    n_fee = feerate_high - feerate_low + 1
+    n_fee = high - low + 1
     k_fee = n_fee.bit_length()
     n_weight = 40_000 - 400 + 1
     k_weight = n_weight.bit_length()
-    rng = random.Random(seed)
+    rng = random.Random(cfg.blocks_seed)
     getrandbits = rng.getrandbits
-    blocks = {}
+    spaces = {}
     for h in range(start_height, start_height + count):
-        room = int(blockmaxweight * rng.uniform(fill_low, fill_high))
-        entries = []
+        room = int(cfg.blockmaxweight * rng.uniform(cfg.fill_low, cfg.fill_high))
+        rates = sorted(feerates.get(h, ()))
+        outbid = [0] * (len(rates) + 1)  # [i]: weight paying above exactly rates[:i]
         while room > 0:
-            r = getrandbits(k_weight)
-            while r >= n_weight:
-                r = getrandbits(k_weight)
+            while (r := getrandbits(k_weight)) >= n_weight:
+                pass
             weight = 400 + r  # clipped to the room left; under 100 left ends the block
             if weight > room:
                 if room < 100:
                     break
                 weight = room
-            r = getrandbits(k_fee)
-            while r >= n_fee:
-                r = getrandbits(k_fee)
-            entries.append(((feerate_low + r) * weight // 1000, weight, 1))
+            while (r := getrandbits(k_fee)) >= n_fee:
+                pass
+            fee = (low + r) * weight // 1000
+            # fee * 1000 > rate * weight exactly for the rates at or below this
+            outbid[bisect_right(rates, (fee * 1000 - 1) // weight)] += weight
             room -= weight
-        blocks[h] = entries
-    return blocks
+        space = cfg.blockmaxweight - sum(outbid)
+        for rate, taken in zip(rates, outbid):
+            space += taken
+            spaces[rate, h] = space
+    return spaces

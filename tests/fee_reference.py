@@ -2,7 +2,8 @@
 
 Both are the straightforward versions the fast ones must agree with, draw
 for draw and height for height: a running minimum that reads the estimate at
-every height of the range, and filler blocks drawn with `random.randint`.
+every height of the range, and filler blocks drawn with `random.randint` and
+kept whole, to be measured by tests/test_fee_oracle.py's reference_space.
 They share no code with `htlcrace.fees` beyond `FeerateSeries.estimate_at`
 and the chain's `Block` and `Transaction`.
 """
@@ -23,21 +24,22 @@ def running_minimum(series, rate, heights):
             yield h, estimate
 
 
-def synthetic_blocks(seed, start_height, count, blockmaxweight=4_000_000,
-                     fill_low=0.3, fill_high=1.0, feerate_low=500, feerate_high=20_000):
-    """Filler blocks: per block a uniform fill target, then per transaction
-    a weight draw, the `< 100` break, and a feerate draw."""
-    rng = random.Random(seed)
+def synthetic_blocks(cfg, start_height, count):
+    """The filler blocks of a FeeAnalysisConfig's blocks_seed, blockmaxweight,
+    fill_low, fill_high, block_feerate_low and block_feerate_high: per block
+    a uniform fill target, then per transaction a weight draw, the `< 100`
+    break, and a feerate draw."""
+    rng = random.Random(cfg.blocks_seed)
     blocks = {}
     for h in range(start_height, start_height + count):
-        target = int(blockmaxweight * rng.uniform(fill_low, fill_high))
+        target = int(cfg.blockmaxweight * rng.uniform(cfg.fill_low, cfg.fill_high))
         used = 0
         txs = []
         while used < target:
             weight = min(rng.randint(400, 40_000), target - used)
             if weight < 100:
                 break
-            feerate = rng.randint(feerate_low, feerate_high)
+            feerate = rng.randint(cfg.block_feerate_low, cfg.block_feerate_high)
             fee = feerate * weight // 1000
             txs.append(Transaction(id=f"filler-{h}-{len(txs)}", inputs=(),
                                    outputs=(), weight=weight, fee=fee))

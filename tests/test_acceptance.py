@@ -22,8 +22,9 @@ from htlcrace.attack import (
 from htlcrace.channel import ChannelParams, WeightSchedule, open_channel
 from htlcrace.chain import ChainState
 from htlcrace.fees import (
+    FeeAnalysisConfig,
+    plan_fee_analysis,
     simulate_feerate_strategy,
-    synthetic_blocks,
     synthetic_feerate_series,
     victim_available_space,
 )
@@ -138,9 +139,11 @@ def test_criterion_7_fee_strategy_ordering():
     for seed in range(100):
         series = synthetic_feerate_series(seed, length=duration + 200)
         open_h = series.first_height
-        launches = range(open_h + duration, open_h + duration + 100, 20)
-        blocks = synthetic_blocks(seed + 1, start_height=launches[0],
-                                  count=(launches[-1] - launches[0]) + 12)
+        cfg = FeeAnalysisConfig(blocks_seed=seed + 1, window=10, minimize_duration=duration,
+                                launch_from=open_h + duration,
+                                launch_to=open_h + duration + 99, launch_step=20)
+        launches, pairs, spaces = plan_fee_analysis(cfg, series)
+        assert launches == range(open_h + duration, open_h + duration + 100, 20)
         naive_pairs, min_pairs = [], []
         for launch in launches:
             naive = simulate_feerate_strategy(series, "naive", launch)
@@ -152,8 +155,9 @@ def test_criterion_7_fee_strategy_ordering():
             assert mini == min(estimates)
             naive_pairs.append((launch, naive))
             min_pairs.append((launch, mini))
-        naive_avgs = victim_available_space(blocks, naive_pairs, 10)
-        min_avgs = victim_available_space(blocks, min_pairs, 10)
+        assert pairs == naive_pairs + min_pairs
+        naive_avgs = victim_available_space(spaces, naive_pairs, 10)
+        min_avgs = victim_available_space(spaces, min_pairs, 10)
         for t in thresholds:
             frac_naive = sum(1 for v in naive_avgs if v >= t) / len(naive_avgs)
             frac_min = sum(1 for v in min_avgs if v >= t) / len(min_avgs)

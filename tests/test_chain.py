@@ -22,7 +22,6 @@ from htlcrace.chain import (
     Transaction,
     TxOutput,
     _rank,
-    available_space,
 )
 
 
@@ -546,38 +545,6 @@ def test_cohort_output_runs_expand_member_by_member(shape, k, pick, child):
         chain.mine_block()
     assert utxo_of(chain) == want
     chain.audit()
-
-
-# ---------------------------------------------------------------------------
-# available space
-# ---------------------------------------------------------------------------
-
-
-def filler(weight, feerate, count=1):
-    """A (fee, weight, count) entry paying `feerate` sat/kWU."""
-    return feerate * weight // 1000, weight, count
-
-
-def test_available_space_examples():
-    assert available_space(1, []) == 4_000_000
-    block = [filler(1_000_000, 8), filler(500_000, 3)]
-    assert available_space(5, block) == 3_000_000
-    assert available_space(8, block) == 4_000_000  # strictly-above excludes ties
-    assert available_space(0, block) == 2_500_000
-    assert available_space(5, block, blockmaxweight=2_000_000) == 1_000_000
-    # a cohort takes its weight once per member
-    assert available_space(5, [filler(250_000, 8, count=4)]) == 3_000_000
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=40)
-def test_available_space_nondecreasing_in_feerate(seed):
-    rng = random.Random(seed)
-    block = [filler(rng.randint(400, 600_000), rng.randint(1, 5_000), rng.randint(1, 3))
-             for _ in range(rng.randint(0, 12))]
-    rates = sorted(rng.randint(0, 6_000) for _ in range(6))
-    spaces = [available_space(f, block) for f in rates]
-    assert spaces == sorted(spaces)
 
 
 # ---------------------------------------------------------------------------

@@ -322,17 +322,17 @@ def test_fee_analysis_run(tmp_path):
 
 
 def test_fee_analysis_computes_each_block_space_once(tmp_path, monkeypatch):
-    """Cost contract: one fee-analysis run computes a block's open space once
-    per (feerate, height) pair the two strategies' windows read, however
-    many overlapping windows read it."""
+    """Cost contract: one fee-analysis run measures a block's open space
+    once per (feerate, height) pair the two strategies' windows read,
+    however many overlapping windows read it, and no other."""
     path = write_scenario(tmp_path, FAST_FEE.replace("launch_step = 5", "launch_step = 1"))
-    counted = []
+    draw, drawn = fees_module.synthetic_blocks, []
 
-    def available_space(feerate, entries, blockmaxweight):
-        counted.append(feerate)
-        return chain_module.available_space(feerate, entries, blockmaxweight)
+    def recorded(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
 
-    monkeypatch.setattr(fees_module, "available_space", available_space)
+    monkeypatch.setattr(fees_module, "synthetic_blocks", recorded)
     assert run_scenario(path, tmp_path / "out") == 0
     series = fees_module.synthetic_feerate_series(7, 200)
     pairs = set()
@@ -341,7 +341,8 @@ def test_fee_analysis_computes_each_block_space_once(tmp_path, monkeypatch):
         mini = min(series.estimate_at(h) for h in range(launch - 36, launch + 1))
         pairs.update((rate, h) for rate in (naive, mini) for h in range(launch + 1, launch + 5))
     assert len(pairs) < 2 * 41 * 4  # the windows overlap: one scan per launch costs more
-    assert sorted(counted) == sorted(rate for rate, _ in pairs)
+    [spaces] = drawn
+    assert sorted(spaces) == sorted(pairs)
 
 
 def test_fee_analysis_needs_room_to_minimize(tmp_path):
@@ -389,6 +390,7 @@ def test_fee_analysis_needs_launch_to(tmp_path):
 @pytest.mark.parametrize("change", [
     ("synthetic_length = 200", "synthetic_length = 200\n    synthetic_low = 900\n"
                                "    synthetic_high = 800"),
+    ("synthetic_length = 200", "synthetic_length = 200\n    synthetic_low = 0"),
     ("launch_step = 5", "launch_step = 0"),
     ("launch_to = 80", "launch_to = 39"),
     ("launch_step = 5", "launch_step = 5\n    block_feerate_low = 900\n"

@@ -6,8 +6,8 @@ row.  Each randomized session here drives a ChainState with cohorts of 1 to
 cohort, replacements of part of a cohort and the evictions they cause --
 and replays every step, expanded member by member, through the brute-force
 references of tests/mining_reference.py and tests/rbf_reference.py.  Submit
-verdicts, evicted members and mined blocks must agree, and so must the block
-space available_space reports.  Where the chain
+verdicts, evicted members and mined blocks must agree, and so must the
+weight each block counts.  Where the chain
 raises ValueError (members whose conflicts, evictions or inputs do not line
 up, so that they might not share a verdict), the session submits the two
 halves of the cohort instead, as a caller splitting it would, and those
@@ -18,7 +18,7 @@ import random
 from collections import Counter
 
 from htlcrace.chain import (
-    ChainState, OutputRef, Transaction, TxOutput, available_space,
+    ChainState, OutputRef, Transaction, TxOutput,
 )
 from mining_reference import oracle_block
 from rbf_reference import oracle_submit
@@ -135,12 +135,9 @@ class Session:
             got += [t.id for t in self.members(self.cohorts[tx.id], tx.first, tx.count)]
             self.seen["part-mined"] += tx.count != self.cohorts[tx.id].count
         assert got == want
-        cohorts = [(t.fee, t.weight, t.count) for t in block.txs]
-        flat = [(m.fee, m.weight, m.count) for tx in block.txs
-                for m in self.members(self.cohorts[tx.id], tx.first, tx.count)]
-        for feerate in (0, 999, 2_000, 2_500, 4_999, 10**6):
-            assert available_space(feerate, cohorts, self.limit) == \
-                available_space(feerate, flat, self.limit)
+        # a block counts a cohort's weight once per member it took
+        assert block.weight_used == sum(self.cohorts[tx.id].weight * tx.count
+                                        for tx in block.txs)
         mined = set(got)
         self.seen["ties"] += len({(t.fee, t.weight) for t in self.pending if t.id in mined}) \
             < len({self.cohort_of(i) for i in mined})

@@ -1,15 +1,15 @@
 """The fee layer's fast paths against the references in fee_reference.py."""
 
-import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import fee_reference
-from htlcrace.chain import available_space
 from htlcrace.fees import (
     ConfigError,
+    FeeAnalysisConfig,
     FeerateSeries,
     running_minimum,
     synthetic_blocks,
@@ -68,74 +68,15 @@ def test_running_minimum_matches_per_height_reference():
 BLOCK_PARAMS = [
     {},
     {"blockmaxweight": 1_000_000, "fill_low": 0.0, "fill_high": 0.2},
-    {"feerate_low": 700, "feerate_high": 700},  # one value: still one draw each
-    {"feerate_low": 1, "feerate_high": 2, "fill_low": 0.9},
+    {"block_feerate_low": 700, "block_feerate_high": 700},  # one value: still one draw each
+    {"block_feerate_low": 1, "block_feerate_high": 2, "fill_low": 0.9},
     # Small blocks: the weight is clipped to what the target leaves, and a
     # remainder under 100 ends the block.
     {"blockmaxweight": 5_000, "fill_low": 0.5, "fill_high": 1.0},
-    {"blockmaxweight": 41_000, "feerate_low": 3_000, "feerate_high": 3_001},
+    {"blockmaxweight": 41_000, "block_feerate_low": 3_000, "block_feerate_high": 3_001},
     # A room of exactly 100 takes one last entry of weight 100.
     {"blockmaxweight": 100, "fill_low": 1.0, "fill_high": 1.0},
 ]
-
-
-@pytest.mark.parametrize("params", BLOCK_PARAMS)
-def test_synthetic_blocks_match_randint_reference(params):
-    for seed in (0, 1, 7, 12_345):
-        got = synthetic_blocks(seed, 50, 40, **params)
-        want = fee_reference.synthetic_blocks(seed, 50, 40, **params)
-        assert list(got) == list(want)
-        for h in want:
-            assert sum(weight for _, weight, _ in got[h]) == want[h].weight_used
-            assert got[h] == [(t.fee, t.weight, 1) for t in want[h].txs]
-
-
-def window_spaces(blocks, launches, window, blockmaxweight):
-    """Each launch's window average as the sum of its blocks' spaces, one
-    window at a time, or the error the batch must raise."""
-    if window <= 0:
-        return ("ConfigError", "window must be positive")
-    reads = [h for launch, _ in launches for h in range(launch + 1, launch + window + 1)]
-    missing = [h for h in reads if h not in blocks]
-    if missing:
-        return ("ConfigError", f"insufficient block data: missing height {min(missing)}")
-    return [sum(available_space(feerate, blocks[h], blockmaxweight)
-                for h in range(launch + 1, launch + window + 1)) / window
-            for launch, feerate in launches]
-
-
-def test_window_spaces_equal_per_block_sums():
-    blocks = synthetic_blocks(11, 0, 80, blockmaxweight=400_000)
-    rng = random.Random(4)
-    seen = dict.fromkeys(("ok", "window-error", "missing-error", "reused-far",
-                          "step-wider", "overlap", "repeat"), 0)
-    for _ in range(1_000):
-        window = rng.choice((0, rng.randint(1, 4), rng.randint(1, 14), rng.randint(1, 14)))
-        h = rng.randint(-4, 40)
-        launches = []
-        for _ in range(rng.randint(1, 10)):
-            launches.append((h, rng.choice((500, 2_000, 9_000, 15_000))))
-            h += rng.choice((0, 1, rng.randint(1, 8), rng.randint(1, 20)))
-        rng.shuffle(launches)  # answers come back in the order asked
-        want = window_spaces(blocks, launches, window, 400_000)
-        try:
-            got = victim_available_space(blocks, launches, window, 400_000)
-        except ConfigError as exc:
-            got = ("ConfigError", str(exc))
-        assert got == want, (launches, window)
-        if want[0] != "ConfigError":
-            seen["ok"] += 1
-        else:
-            seen["window-error" if window <= 0 else "missing-error"] += 1
-        if window <= 0:
-            continue
-        gaps = {(b[0] - a[0], a[1] == b[1]) for a in launches for b in launches if b[0] > a[0]}
-        seen["reused-far"] += any(same and gap > window for gap, same in gaps)
-        seen["step-wider"] += any(gap > window for gap, _ in gaps)
-        seen["overlap"] += any(gap < window for gap, _ in gaps)
-        seen["repeat"] += len(set(launches)) < len(launches)
-    for what, n in seen.items():
-        assert n >= 50, seen
 
 
 def reference_space(feerate, entries, blockmaxweight):
@@ -146,28 +87,116 @@ def reference_space(feerate, entries, blockmaxweight):
                                 if Fraction(fee, weight) > above)
 
 
-def test_available_space_matches_fraction_reference():
-    rng = random.Random(8)
-    seen = dict.fromkeys(("tie", "tie-above-1", "above", "below", "count>1"), 0)
-    for _ in range(2_000):
-        feerate = rng.choice((0, 1, rng.randint(2, 30_000)))
-        entries = []
-        step = 1000 // math.gcd(feerate, 1000)  # weights where feerate * weight / 1000 is whole
-        for _ in range(rng.randint(0, 8)):
-            if rng.random() < 0.3:
-                weight = step * rng.randint(1, 50_000 // step)
-                fee = feerate * weight // 1000  # exactly at the feerate
-            else:
-                weight = rng.randint(1, 50_000)
-                fee = max(0, feerate * weight // 1000 + rng.randint(-3, 3))
-            entries.append((fee, weight, rng.choice((1, 1, 2, 500))))
-        blockmaxweight = rng.choice((4_000_000, 100_000))
-        assert available_space(feerate, entries, blockmaxweight) \
-            == reference_space(feerate, entries, blockmaxweight), (feerate, entries)
-        for fee, weight, count in entries:
-            cross = fee * 1000 - feerate * weight
-            seen["tie" if cross == 0 else "above" if cross > 0 else "below"] += 1
-            seen["tie-above-1"] += cross == 0 and feerate > 1
-            seen["count>1"] += count > 1
+def entries(block):
+    return [(t.fee, t.weight, t.count) for t in block.txs]
+
+
+def boundaries(block):
+    """Per filler, the highest feerate it outbids and the lowest it does
+    not; the second is its fee * 1000 / weight when that is whole."""
+    return {rate for t in block.txs
+            for rate in ((t.fee * 1_000 - 1) // t.weight, (t.fee * 1_000 - 1) // t.weight + 1)}
+
+
+def compare_with_reference(params, seen):
+    """Draw each seed's blocks both ways, read at 0, 1, 2, 3 or all of each
+    block's filler boundaries, 0 and a random feerate, and compare every
+    space with reference_space over the randint blocks."""
+    for seed in (0, 1, 7, 12_345):
+        cfg = FeeAnalysisConfig(blocks_seed=seed, **params)
+        blocks = fee_reference.synthetic_blocks(cfg, 50, 40)
+        rng = random.Random(seed)
+        feerates = {49: [1_000], 90: [1_000]}  # outside the draw: measured by neither
+        for h, block in blocks.items():
+            rates = sorted(boundaries(block) | {0, rng.randint(1, 25_000)})
+            feerates[h] = sorted(rng.sample(rates, min(rng.choice((0, 1, 2, 3, 99)), len(rates))))
+        got = synthetic_blocks(cfg, 50, 40, feerates)
+        assert got == {(rate, h): reference_space(rate, entries(block), cfg.blockmaxweight)
+                       for h, block in blocks.items() for rate in feerates[h]}, (params, seed)
+        for h, block in blocks.items():
+            read = feerates[h]
+            seen["unread" if not read else "one-rate" if len(read) == 1
+                 else "two-rates" if len(read) == 2 else "three-or-more"] += 1
+            for t in block.txs:
+                seen["tie"] += t.fee * 1_000 % t.weight == 0 and t.fee * 1_000 // t.weight in read
+                seen["just-outbid"] += (t.fee * 1_000 - 1) // t.weight in read
+            last = block.txs[-1] if block.txs else None
+            seen["room-100"] += last is not None and last.weight == 100 \
+                and block.weight_used == cfg.blockmaxweight and any(
+                    last.fee * 1_000 > rate * 100 for rate in read)
+
+
+@pytest.mark.parametrize("params", BLOCK_PARAMS)
+def test_synthetic_blocks_match_randint_reference(params):
+    seen = Counter()
+    compare_with_reference(params, seen)
+    assert seen["unread"] + seen["one-rate"] + seen["two-rates"] + seen["three-or-more"] == 160
+
+
+def test_randint_reference_reaches_every_bucket_boundary():
+    """Over every parameter set: heights read by 0, 1 and 3 or more
+    feerates, feerates exactly at a filler's fee * 1000 / weight (a tie it
+    does not outbid) and one below that (the highest it outbids), and the
+    room of exactly 100 filled by a last entry a feerate reads."""
+    seen = Counter()
+    for params in BLOCK_PARAMS:
+        compare_with_reference(params, seen)
+    for what in ("unread", "one-rate", "three-or-more", "tie", "just-outbid", "room-100"):
+        assert seen[what] >= 50, seen
+
+
+def window_spaces(blocks, reads, launches, window, blockmaxweight):
+    """Each launch's window average as the sum of its blocks' reference
+    spaces, one window at a time, or the error the batch must raise: a
+    height is missing at a feerate `reads` does not read it at."""
+    if window <= 0:
+        return ("ConfigError", "window must be positive")
+    missing = [h for launch, feerate in launches
+               for h in range(launch + 1, launch + window + 1) if not reads(feerate, h)]
+    if missing:
+        return ("ConfigError", f"insufficient block data: missing height {min(missing)}")
+    return [sum(reference_space(feerate, entries(blocks[h]), blockmaxweight)
+                for h in range(launch + 1, launch + window + 1)) / window
+            for launch, feerate in launches]
+
+
+def test_window_spaces_equal_per_block_sums():
+    cfg = FeeAnalysisConfig(blocks_seed=11, blockmaxweight=400_000)
+    blocks = fee_reference.synthetic_blocks(cfg, 0, 80)
+
+    def reads(feerate, h):  # 15,000 is read only below height 60
+        return h in blocks and (feerate != 15_000 or h < 60)
+
+    spaces = synthetic_blocks(cfg, 0, 80, {h: [r for r in (500, 2_000, 9_000, 15_000)
+                                               if reads(r, h)] for h in blocks})
+    rng = random.Random(4)
+    seen = dict.fromkeys(("ok", "window-error", "missing-error", "unread-feerate", "reused-far",
+                          "step-wider", "overlap", "repeat"), 0)
+    for _ in range(1_000):
+        window = rng.choice((0, rng.randint(1, 4), rng.randint(1, 14), rng.randint(1, 14)))
+        h = rng.randint(-4, 40)
+        launches = []
+        for _ in range(rng.randint(1, 10)):
+            launches.append((h, rng.choice((500, 2_000, 9_000, 15_000))))
+            h += rng.choice((0, 1, rng.randint(1, 8), rng.randint(1, 20)))
+        rng.shuffle(launches)  # answers come back in the order asked
+        want = window_spaces(blocks, reads, launches, window, 400_000)
+        try:
+            got = victim_available_space(spaces, launches, window)
+        except ConfigError as exc:
+            got = ("ConfigError", str(exc))
+        assert got == want, (launches, window)
+        if want[0] != "ConfigError":
+            seen["ok"] += 1
+        else:
+            seen["window-error" if window <= 0 else "missing-error"] += 1
+            seen["unread-feerate"] += window > 0 and 0 <= int(want[1].split()[-1]) < 80
+        if window <= 0:
+            continue
+        gaps = {(b[0] - a[0], a[1] == b[1]) for a in launches for b in launches if b[0] > a[0]}
+        seen["reused-far"] += any(same and gap > window for gap, same in gaps)
+        seen["step-wider"] += any(gap > window for gap, _ in gaps)
+        seen["overlap"] += any(gap < window for gap, _ in gaps)
+        seen["repeat"] += len(set(launches)) < len(launches)
     for what, n in seen.items():
-        assert n > 100, seen
+        assert n >= 50, seen

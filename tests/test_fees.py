@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import fee_reference
 import htlcrace.fees as fees_module
-from htlcrace.chain import available_space
 from htlcrace.cli import run_scenario, validate_scenario
 from htlcrace.fees import (
     ConfigError,
@@ -25,6 +24,7 @@ from htlcrace.fees import (
     victim_available_space,
 )
 from test_cli import FAST_FEE, read_csv, write_scenario
+from test_fee_oracle import entries, reference_space
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +179,34 @@ def test_minimize_is_exact_running_min(seed, duration):
 # ---------------------------------------------------------------------------
 
 
-def full_block(weight, feerate):
-    return [(feerate * weight // 1000, weight, 1)]
-
-
 def test_space_over_empty_blocks():
-    blocks = {h: [] for h in range(10, 22)}
-    assert victim_available_space(blocks, [(10, 2_000)], window=10) == [4_000_000]
+    # fill_high = 0: every block is empty, so every feerate sees all of it
+    cfg = FeeAnalysisConfig(blocks_seed=1, fill_low=0.0, fill_high=0.0)
+    spaces = synthetic_blocks(cfg, 10, 12, {h: [2_000] for h in range(11, 22)})
+    assert victim_available_space(spaces, [(10, 2_000)], window=10) == [4_000_000]
     # one-block windows give each block's space
-    assert victim_available_space(blocks, [(h, 2_000) for h in range(10, 20)],
+    assert victim_available_space(spaces, [(h, 2_000) for h in range(10, 20)],
                                   window=1) == [4_000_000] * 10
 
 
 def test_space_with_two_megaweight_of_better_payers():
     # every block carries 2M wu paying above the channel feerate
-    blocks = {h: full_block(2_000_000, 5_000) for h in range(5, 10)}
-    assert victim_available_space(blocks, [(5, 2_000)], window=4) == [2_000_000]
+    spaces = {(2_000, h): 4_000_000 - 2_000_000 for h in range(5, 10)}
+    assert victim_available_space(spaces, [(5, 2_000)], window=4) == [2_000_000]
+    # and on the draw: 0.5 of each block at 5,000 leaves 2M, short of under 100 at most
+    cfg = FeeAnalysisConfig(blocks_seed=1, fill_low=0.5, fill_high=0.5,
+                            block_feerate_low=5_000, block_feerate_high=5_000)
+    drawn = synthetic_blocks(cfg, 5, 5, {h: [2_000] for h in range(6, 10)})
+    [space] = victim_available_space(drawn, [(5, 2_000)], window=4)
+    assert 2_000_000 <= space < 2_000_100
 
 
 def test_space_requires_block_coverage():
-    blocks = {h: [] for h in range(3)}
+    spaces = {(2_000, h): 4_000_000 for h in range(3)} | {(1_000, 3): 4_000_000}
     with pytest.raises(ConfigError, match="insufficient block data: missing height 3"):
-        victim_available_space(blocks, [(0, 2_000)], window=5)
+        victim_available_space(spaces, [(0, 2_000)], window=5)  # 3 is read at 1,000 only
     with pytest.raises(ConfigError, match="window must be positive"):
-        victim_available_space(blocks, [(0, 2_000)], window=0)
+        victim_available_space(spaces, [(0, 2_000)], window=0)
 
 
 def test_fraction_of_time_above():
@@ -231,8 +235,8 @@ def test_library_fee_analysis_matches_the_scenario_run(tmp_path):
     series = synthetic_feerate_series(7, 200)
     cfg = FeeAnalysisConfig(blocks_seed=9, window=4, minimize_duration=36,
                             launch_from=40, launch_to=80, launch_step=5)
-    launches, blocks = plan_fee_analysis(cfg, series)
-    naive, mini, rows = run_fee_analysis(cfg, series, launches, blocks)
+    launches, pairs, spaces = plan_fee_analysis(cfg, series)
+    naive, mini, rows = run_fee_analysis(cfg, pairs, spaces)
     assert launches == range(40, 81, 5)
 
     def as_text(rows):
@@ -246,10 +250,11 @@ def test_library_fee_analysis_matches_the_scenario_run(tmp_path):
 
 def test_launch_from_defaults_to_the_first_height_after_minimizing():
     series = synthetic_feerate_series(7, 200, start_height=30)
-    launches, blocks = plan_fee_analysis(
+    launches, pairs, spaces = plan_fee_analysis(
         FeeAnalysisConfig(blocks_seed=1, minimize_duration=36, launch_to=80), series)
     assert launches == range(66, 81)
-    assert sorted(blocks) == list(range(66, 91))  # through the last window's end
+    assert [h for h, _ in pairs] == [*launches, *launches]  # naive, then minimized
+    assert sorted({h for _, h in spaces}) == list(range(67, 91))  # through the last window's end
     with pytest.raises(ConfigError, match=r"^\[fee_analysis\] needs launch_to >= launch_from$"):
         plan_fee_analysis(FeeAnalysisConfig(blocks_seed=1, minimize_duration=36), series)
 
@@ -286,28 +291,70 @@ def test_synthetic_series_deterministic_and_bounded():
 
 
 def test_synthetic_blocks_deterministic_and_within_limit():
-    a = synthetic_blocks(3, start_height=100, count=20)
-    b = synthetic_blocks(3, start_height=100, count=20)
-    want = fee_reference.synthetic_blocks(3, start_height=100, count=20)
-    assert set(a) == set(range(100, 120))
-    for h in a:
-        used = sum(weight for _, weight, _ in a[h])
-        assert used <= 4_000_000
-        assert used == sum(weight for _, weight, _ in b[h]) == want[h].weight_used
-        assert a[h] == b[h] == [(t.fee, t.weight, t.count) for t in want[h].txs]
+    # Every default filler pays at least 500 sat/kWU, so at 0 each one
+    # outbids and the space is what the block leaves; none outbids 20,000.
+    cfg = FeeAnalysisConfig(blocks_seed=3)
+    reads = {h: [0, 1_500, 20_000] for h in range(100, 120)}
+    a = synthetic_blocks(cfg, 100, 20, reads)
+    b = synthetic_blocks(cfg, 100, 20, reads)
+    want = fee_reference.synthetic_blocks(cfg, 100, 20)
+    assert a == b
+    assert sorted(a) == sorted((rate, h) for h in range(100, 120) for rate in reads[h])
+    for h in range(100, 120):
+        assert 0 <= a[0, h] == 4_000_000 - want[h].weight_used
+        assert a[0, h] <= a[1_500, h] <= a[20_000, h] == 4_000_000
 
 
 def test_inverted_block_feerate_range_is_refused():
     # Refused before any draw: rejection sampling over an empty range would
     # never end.
-    with pytest.raises(ConfigError, match="feerate range"):
-        synthetic_blocks(1, 0, 5, feerate_low=900, feerate_high=800)
+    cfg = FeeAnalysisConfig(blocks_seed=1, block_feerate_low=900, block_feerate_high=800)
+    with pytest.raises(ConfigError, match=r"^block feerate range \[900, 800\] is empty"):
+        synthetic_blocks(cfg, 0, 5, {})
 
 
-def test_available_space_consistency_with_chain_layer():
-    blocks = synthetic_blocks(9, start_height=0, count=8)
-    manual = [available_space(1_500, blocks[h]) for h in range(1, 8)]
-    per_block = victim_available_space(blocks, [(h, 1_500) for h in range(7)], window=1)
+def test_window_spaces_consistency_with_the_reference_blocks():
+    cfg = FeeAnalysisConfig(blocks_seed=9)
+    spaces = synthetic_blocks(cfg, 0, 8, {h: [1_500] for h in range(1, 8)})
+    blocks = fee_reference.synthetic_blocks(cfg, 0, 8)
+    manual = [reference_space(1_500, entries(blocks[h]), 4_000_000) for h in range(1, 8)]
+    per_block = victim_available_space(spaces, [(h, 1_500) for h in range(7)], window=1)
     assert per_block == manual
-    [avg] = victim_available_space(blocks, [(0, 1_500)], window=7)
+    [avg] = victim_available_space(spaces, [(0, 1_500)], window=7)
     assert avg == pytest.approx(sum(manual) / 7)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([(500, 20_000), (1, 3), (999, 1_001)]))
+@settings(max_examples=40)
+def test_space_on_the_draw_is_nondecreasing_in_feerate(seed, block_feerates):
+    rng = random.Random(seed)
+    cfg = FeeAnalysisConfig(blocks_seed=seed, blockmaxweight=rng.choice((4_000, 400_000)),
+                            block_feerate_low=block_feerates[0],
+                            block_feerate_high=block_feerates[1])
+    reads = {h: sorted(rng.sample(range(2 * block_feerates[1] + 2), 8)) for h in range(6)}
+    spaces = synthetic_blocks(cfg, 0, 6, reads)
+    for h, rates in reads.items():
+        column = [spaces[rate, h] for rate in rates]
+        assert column == sorted(column)
+        assert 0 <= column[0] and column[-1] <= cfg.blockmaxweight
+
+
+def test_a_filler_at_the_feerate_leaves_its_room():
+    # At 1,000 sat/kWU a filler's fee is its weight exactly: it ties with a
+    # claim at 1,000, which it does not outbid, and outbids one at 999.
+    cfg = FeeAnalysisConfig(blocks_seed=2, block_feerate_low=1_000, block_feerate_high=1_000)
+    spaces = synthetic_blocks(cfg, 0, 3, {h: [999, 1_000] for h in range(3)})
+    used = {h: block.weight_used for h, block in fee_reference.synthetic_blocks(cfg, 0, 3).items()}
+    for h in range(3):
+        assert spaces[1_000, h] == 4_000_000
+        assert spaces[999, h] == 4_000_000 - used[h] < 4_000_000
+
+
+def test_synthetic_series_refuses_an_empty_or_non_positive_range():
+    # An empty range used to fail inside randrange, and a low of 0 only when
+    # a draw came out 0; both are the caller's ConfigError up front.
+    for seed, length, low, high in [(1, 10, 900, 800), (3, 1_200, 0, 3), (1, 10, 0, 5)]:
+        with pytest.raises(ConfigError) as exc:
+            synthetic_feerate_series(seed, length, 0, low, high)
+        assert str(exc.value) == f"synthetic feerate range [{low}, {high}] is empty or below 1"
+    assert {f for _, f, _ in synthetic_feerate_series(1, 300, 0, 1, 1).points} == {1}

@@ -4,7 +4,8 @@ can come to depend on HTLCs, channels or the race.  A configuration error
 has one type, fees.ConfigError, in every layer, and a refused channel
 operation one, channel.ChannelError.  The attack run raises no
 ConfigError: validate_config refuses a config before it starts.  The
-package exports exactly its public names."""
+package exports exactly its public names.  The layers below fees compute
+without floats."""
 
 import ast
 import builtins
@@ -101,3 +102,40 @@ def test_all_names_exactly_the_public_attributes():
     public = {name for name, obj in vars(htlcrace).items()
               if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
     assert sorted(htlcrace.__all__) == sorted(public)
+
+
+EXACT_MODULES = ("chain", "channel", "runs", "mitigations", "attack")
+
+
+def inexact_nodes(module: str) -> list[tuple[int, str]]:
+    """(line, what) of each float literal, true division and `float` name in
+    `module`, but the `float` in a `dynamic_delta` field's annotation."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    allowed = {id(node) for field in ast.walk(tree) if isinstance(field, ast.AnnAssign)
+               and getattr(field.target, "id", None) == "dynamic_delta"
+               for node in ast.walk(field.annotation)
+               if isinstance(node, ast.Name) and node.id == "float"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, f"float literal {node.value!r}"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "true division"))
+        elif isinstance(node, ast.Name) and node.id == "float" and id(node) not in allowed:
+            found.append((node.lineno, "float"))
+    return found
+
+
+def test_the_simulation_layers_compute_exactly():
+    """Fees, weights and heights are integers, and a slope is a Fraction:
+    the chain, channel, run-map, mitigation and attack layers hold no float
+    literal, no true division and no float, but the annotations of the
+    two dynamic_delta fields, which accept a float slope from a caller."""
+    assert {module: inexact_nodes(module) for module in EXACT_MODULES} \
+        == dict.fromkeys(EXACT_MODULES, [])
+    annotations = [(path.stem, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.AnnAssign)
+                   and getattr(node.target, "id", None) == "dynamic_delta"
+                   and "float" in ast.unparse(node.annotation)]
+    assert [module for module, _ in annotations] == ["attack", "mitigations"]

@@ -152,17 +152,22 @@ def victim_available_space(spaces: dict[tuple[int, int], int],
                            launches: list[tuple[int, int]], window: int) -> list[float]:
     """For each (launch_height, feerate) in `launches`, in order: the average
     of the blocks' {(feerate, height): space} over the `window` blocks after
-    launch.  A missing space raises ConfigError naming the lowest height any
-    window misses."""
+    launch, a difference of running sums in key order.  A missing space raises
+    ConfigError naming the lowest height any window misses."""
     if window <= 0:
         raise ConfigError("window must be positive")
-    windows = [(feerate, range(launch + 1, launch + window + 1)) for launch, feerate in launches]
-    try:
-        return [sum(spaces[feerate, h] for h in heights) / window for feerate, heights in windows]
-    except KeyError:
-        missing = min(h for feerate, heights in windows for h in heights
-                      if (feerate, h) not in spaces)
-        raise ConfigError(f"insufficient block data: missing height {missing}") from None
+    before, total = {}, 0  # (feerate, height) -> (rank, sum of the spaces before it)
+    for rank, key in enumerate(sorted(spaces)):
+        before[key], total = (rank, total), total + spaces[key]
+    averages = []
+    for launch, feerate in launches:
+        first, last = before.get((feerate, launch + 1)), before.get((feerate, launch + window))
+        if first is None or last is None or last[0] - first[0] != window - 1:  # a gap
+            missing = min(h for at, rate in launches for h in range(at + 1, at + window + 1)
+                          if (rate, h) not in spaces)
+            raise ConfigError(f"insufficient block data: missing height {missing}")
+        averages.append((last[1] + spaces[feerate, launch + window] - first[1]) / window)
+    return averages
 
 
 def fraction_of_time_above(values, threshold: float) -> float:
@@ -213,10 +218,12 @@ def plan_fee_analysis(cfg: FeeAnalysisConfig, series: FeerateSeries
     pairs = [(h, simulate_feerate_strategy(series, strategy, h - d)) for strategy, d
              in (("naive", 0), (f"minimize:{duration}", duration)) for h in launches]
     heights = range(launch_from, launches[-1] + cfg.window + 1)
-    reads: dict[int, set[int]] = {h: set() for h in heights}  # height -> feerates read
-    for launch, feerate in pairs:
-        for h in range(launch + 1, launch + cfg.window + 1):
-            reads[h].add(feerate)
+    reads: dict[int, list[int]] = {h: [] for h in heights}  # height -> feerates read
+    ends: dict[int, int] = {}  # feerate -> the height past its last window so far
+    for launch, feerate in sorted(pairs):  # each height once per feerate
+        start, ends[feerate] = max(launch + 1, ends.get(feerate, launch)), launch + cfg.window + 1
+        for h in range(start, ends[feerate]):
+            reads[h].append(feerate)
     # From launch_from, which no window reads: dropping it would shift every draw.
     return launches, pairs, synthetic_blocks(cfg, launch_from, len(heights), reads)
 
@@ -253,8 +260,9 @@ def synthetic_blocks(cfg: FeeAnalysisConfig, start_height: int, count: int,
                      feerates: dict[int, Iterable[int]]) -> dict[tuple[int, int], int]:
     """Draw `count` filler blocks from start_height, each filling a uniform
     share in [fill_low, fill_high] of blockmaxweight, and measure each as it
-    is drawn: {(feerate, height): blockmaxweight less the fillers' weight
-    paying strictly more} for each feerate (sat/kWU) in feerates[height]."""
+    is drawn, a filler of 1,000 weight or more bucketed by its drawn feerate:
+    {(feerate, height): blockmaxweight less the fillers' weight paying
+    strictly more} for each feerate (sat/kWU) in feerates[height]."""
     low, high = cfg.block_feerate_low, cfg.block_feerate_high
     if not 1 <= low <= high:
         raise ConfigError(f"block feerate range [{low}, {high}] is empty or below 1")
@@ -273,6 +281,7 @@ def synthetic_blocks(cfg: FeeAnalysisConfig, start_height: int, count: int,
     for h in range(start_height, start_height + count):
         room = int(cfg.blockmaxweight * rng.uniform(cfg.fill_low, cfg.fill_high))
         rates = sorted(feerates.get(h, ()))
+        cuts = [rate - low for rate in rates]
         outbid = [0] * (len(rates) + 1)  # [i]: weight paying above exactly rates[:i]
         while room > 0:
             while (r := getrandbits(k_weight)) >= n_weight:
@@ -284,9 +293,12 @@ def synthetic_blocks(cfg: FeeAnalysisConfig, start_height: int, count: int,
                 weight = room
             while (r := getrandbits(k_fee)) >= n_fee:
                 pass
-            fee = (low + r) * weight // 1000
-            # fee * 1000 > rate * weight exactly for the rates at or below this
-            outbid[bisect_right(rates, (fee * 1000 - 1) // weight)] += weight
+            # At the drawn f = low + r, fee = f * weight // 1000 outbids exactly
+            # the rates at or below (fee * 1000 - 1) // weight.  As f * weight -
+            # fee * 1000 <= 999 < weight from 1,000 weight, those are the rates
+            # below f, the cuts below r.  Tight: 999 weight at 1,001 pays 999, a tie at 1,000.
+            outbid[bisect_left(cuts, r) if weight >= 1000 else bisect_right(
+                rates, ((low + r) * weight // 1000 * 1000 - 1) // weight)] += weight
             room -= weight
         space = cfg.blockmaxweight - sum(outbid)
         for rate, taken in zip(rates, outbid):

@@ -1,5 +1,7 @@
-"""The fee layer's fast paths against the references in fee_reference.py."""
+"""The fee layer's fast paths, and the traffic fillers' inline draw, against
+the references in fee_reference.py and random.randint."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 import fee_reference
+from htlcrace.attack import AttackConfig, TrafficSpec, run_attack
+from htlcrace.chain import ChainState
 from htlcrace.fees import (
     ConfigError,
     FeeAnalysisConfig,
@@ -105,6 +109,7 @@ def compare_with_reference(params, seen):
     for seed in (0, 1, 7, 12_345):
         cfg = FeeAnalysisConfig(blocks_seed=seed, **params)
         blocks = fee_reference.synthetic_blocks(cfg, 50, 40)
+        drawn = fee_reference.fillers(cfg, 50, 40)
         rng = random.Random(seed)
         feerates = {49: [1_000], 90: [1_000]}  # outside the draw: measured by neither
         for h, block in blocks.items():
@@ -117,9 +122,12 @@ def compare_with_reference(params, seen):
             read = feerates[h]
             seen["unread" if not read else "one-rate" if len(read) == 1
                  else "two-rates" if len(read) == 2 else "three-or-more"] += 1
-            for t in block.txs:
+            for t, (weight, feerate) in zip(block.txs, drawn[h]):
                 seen["tie"] += t.fee * 1_000 % t.weight == 0 and t.fee * 1_000 // t.weight in read
                 seen["just-outbid"] += (t.fee * 1_000 - 1) // t.weight in read
+                # drawn one above a read feerate that its rounded-down fee does not outbid
+                seen["light-one-above"] += weight < 1_000 and feerate - 1 in read \
+                    and t.fee * 1_000 <= (feerate - 1) * weight
             last = block.txs[-1] if block.txs else None
             seen["room-100"] += last is not None and last.weight == 100 \
                 and block.weight_used == cfg.blockmaxweight and any(
@@ -136,13 +144,73 @@ def test_synthetic_blocks_match_randint_reference(params):
 def test_randint_reference_reaches_every_bucket_boundary():
     """Over every parameter set: heights read by 0, 1 and 3 or more
     feerates, feerates exactly at a filler's fee * 1000 / weight (a tie it
-    does not outbid) and one below that (the highest it outbids), and the
-    room of exactly 100 filled by a last entry a feerate reads."""
+    does not outbid) and one below that (the highest it outbids), the room
+    of exactly 100 filled by a last entry a feerate reads, and fillers
+    under 1,000 weight, drawn or clipped, read one below their drawn
+    feerate, which their rounded-down fee does not outbid."""
     seen = Counter()
     for params in BLOCK_PARAMS:
         compare_with_reference(params, seen)
-    for what in ("unread", "one-rate", "three-or-more", "tie", "just-outbid", "room-100"):
+    for what in ("unread", "one-rate", "three-or-more", "tie", "just-outbid", "room-100",
+                 "light-one-above"):
         assert seen[what] >= 50, seen
+
+
+@pytest.mark.parametrize("weight, outbids", [(999, False), (1_000, True)])
+def test_the_drawn_feerate_decides_from_1000_weight(weight, outbids):
+    """A filler drawn at 1,001 sat/kWU, clipped to a block of `weight`,
+    pays 999 sat at 999 weight, a tie at 1,000 sat/kWU that leaves it its
+    room, and 1,001 sat at 1,000 weight, which outbids 1,000."""
+    cfg = FeeAnalysisConfig(blocks_seed=0, blockmaxweight=weight, fill_low=1.0, fill_high=1.0,
+                            block_feerate_low=1_001, block_feerate_high=1_001)
+    assert fee_reference.fillers(cfg, 0, 1) == {0: [(weight, 1_001)]}
+    got = synthetic_blocks(cfg, 0, 1, {0: [999, 1_000, 1_001]})
+    assert got == {(999, 0): 0, (1_000, 0): 0 if outbids else weight, (1_001, 0): weight}
+    [block] = fee_reference.synthetic_blocks(cfg, 0, 1).values()
+    assert got == {key: reference_space(key[0], entries(block), weight) for key in got}
+
+
+# Ranges of size 1, a power of two, one above it, and the workloads': the
+# fee analysis' block feerates (its weights are 400-40,000 in every draw),
+# and the mitigation matrix's traffic weights and feerates.  From 1,000
+# weight a filler's fee tells its feerate.
+DRAW_RANGES = [((1_500, 1_500), (700, 700)), ((500, 1_523), (500, 1_523)),
+               ((500, 1_524), (500, 1_524)), ((400, 40_000), (500, 20_000)),
+               ((500, 20_000), (500, 8_000))]
+
+
+@pytest.mark.parametrize("weights, feerates", DRAW_RANGES)
+def test_both_inline_draws_are_randint_draw_for_draw(monkeypatch, weights, feerates):
+    """fees.synthetic_blocks and attack._Run._background_pass each inline
+    randint as a getrandbits rejection loop.  The traffic fillers handed to
+    ChainState.submit have the weights and fees of random.Random(seed)'s
+    randint pairs, one pair per filler.  The fee analysis keeps no filler,
+    so each block's drawn weights and feerates are read back from its space
+    at every feerate of the range and one below, against randint's draws."""
+    submitted = []
+    submit = ChainState.submit
+    monkeypatch.setattr(ChainState, "submit", lambda chain, tx: submitted.append(tx)
+                        or submit(chain, tx))
+    traffic = TrafficSpec(txs_per_tick=5, weight_low=weights[0], weight_high=weights[1],
+                          feerate_low=feerates[0], feerate_high=feerates[1])
+    run_attack(AttackConfig(num_victim_channels=1, seed=3, background_traffic=traffic))
+    rng = random.Random(3)
+    fillers = [(tx.weight, tx.fee) for tx in submitted if tx.id.startswith("bg")]
+    assert len(fillers) >= 100
+    for got in fillers:
+        weight = rng.randint(*weights)
+        assert got == (weight, rng.randint(*feerates) * weight // 1_000)
+
+    cfg = FeeAnalysisConfig(blocks_seed=3, blockmaxweight=1_000_000,
+                            block_feerate_low=feerates[0], block_feerate_high=feerates[1])
+    rates = range(feerates[0] - 1, feerates[1] + 1)
+    got = synthetic_blocks(cfg, 0, 4, dict.fromkeys(range(4), rates))
+    for h, drawn in fee_reference.fillers(cfg, 0, 4).items():
+        # a filler takes its weight at the feerates below its fee * 1000 / weight
+        tops = [(math.ceil(Fraction(feerate * weight // 1_000 * 1_000, weight)) - 1, weight)
+                for weight, feerate in drawn]
+        assert [got[rate, h] for rate in rates] == [
+            1_000_000 - sum(weight for top, weight in tops if top >= rate) for rate in rates], h
 
 
 def window_spaces(blocks, reads, launches, window, blockmaxweight):

@@ -209,6 +209,20 @@ def test_space_requires_block_coverage():
         victim_available_space(spaces, [(0, 2_000)], window=0)
 
 
+def test_window_sums_see_a_gap_between_present_ends():
+    # Height 4 is missing at 2,000 only: inside the window 1-7, whose ends
+    # are both there, and in 3-5; the lowest gap of any window is named.
+    spaces = {(2_000, h): 10 * h for h in (7, 3, 1, 6, 2, 5, 8)} | {(1_000, 4): 1}
+    with pytest.raises(ConfigError, match=r"insufficient block data: missing height 4$"):
+        victim_available_space(spaces, [(0, 2_000)], window=7)
+    with pytest.raises(ConfigError, match=r"missing height 4$"):
+        victim_available_space(spaces, [(7, 2_000), (2, 2_000)], window=3)  # 8-10, 3-5
+    # A dict out of height order still averages each window in height order.
+    assert victim_available_space(spaces, [(4, 2_000), (0, 2_000), (5, 2_000)],
+                                  window=3) == [60, 20, 70]
+    assert victim_available_space(spaces, [(3, 1_000), (0, 2_000)], window=1) == [1, 10]
+
+
 def test_fraction_of_time_above():
     assert fraction_of_time_above([1, 2, 3], 2) == pytest.approx(2 / 3)
     assert fraction_of_time_above([1, 2, 3], 0) == 1.0

@@ -5,11 +5,12 @@ has one type, fees.ConfigError, in every layer, and a refused channel
 operation one, channel.ChannelError.  The attack run raises no
 ConfigError: validate_config refuses a config before it starts.  The
 package exports exactly its public names.  The layers below fees compute
-without floats."""
+without floats, and fees only where it names them."""
 
 import ast
 import builtins
 import types
+from collections import Counter
 from pathlib import Path
 
 import htlcrace
@@ -105,34 +106,66 @@ def test_all_names_exactly_the_public_attributes():
 
 
 EXACT_MODULES = ("chain", "channel", "runs", "mitigations", "attack")
+FLOAT_CALLS = ("uniform", "isfinite")  # a float draw, a float check
 
 
-def inexact_nodes(module: str) -> list[tuple[int, str]]:
-    """(line, what) of each float literal, true division and `float` name in
-    `module`, but the `float` in a `dynamic_delta` field's annotation."""
+def inexact_nodes(module: str) -> list[tuple[int, str, str]]:
+    """(line, where, what) of each float literal, true division, `float`
+    name and call of a FLOAT_CALLS function in `module`, `where` being the
+    top-level function or class it is in, but the `float` in a
+    `dynamic_delta` field's annotation."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     allowed = {id(node) for field in ast.walk(tree) if isinstance(field, ast.AnnAssign)
                and getattr(field.target, "id", None) == "dynamic_delta"
                for node in ast.walk(field.annotation)
                if isinstance(node, ast.Name) and node.id == "float"}
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            found.append((node.lineno, f"float literal {node.value!r}"))
-        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-            found.append((node.lineno, "true division"))
-        elif isinstance(node, ast.Name) and node.id == "float" and id(node) not in allowed:
-            found.append((node.lineno, "float"))
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append((node.lineno, where, f"float literal {node.value!r}"))
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append((node.lineno, where, "true division"))
+            elif isinstance(node, ast.Name) and node.id == "float" and id(node) not in allowed:
+                found.append((node.lineno, where, "float"))
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) in FLOAT_CALLS:
+                found.append((node.lineno, where, f"{ast.unparse(node.func)} call"))
     return found
+
+
+# Where fees still computes in floats, by construct: the window average's
+# `/ window` and fraction_of_time_above's quotient, output values written to
+# CSV; the fill share drawn by rng.uniform, whose draws set the artifacts'
+# bytes; the float fill fields and the float return annotations; and
+# ingest_feerate_csv's float parse and its isfinite check, which an exact
+# ingest of the feerate text would remove.
+FEES_INEXACT = Counter({
+    ("ingest_feerate_csv", "float"): 1,
+    ("ingest_feerate_csv", "math.isfinite call"): 1,
+    ("victim_available_space", "float"): 1,
+    ("victim_available_space", "true division"): 1,
+    ("fraction_of_time_above", "float"): 2,
+    ("fraction_of_time_above", "true division"): 1,
+    ("FeeAnalysisConfig", "float"): 2,
+    ("FeeAnalysisConfig", "float literal 0.3"): 1,
+    ("FeeAnalysisConfig", "float literal 1.0"): 1,
+    ("run_fee_analysis", "float"): 2,
+    ("synthetic_blocks", "rng.uniform call"): 1,
+})
 
 
 def test_the_simulation_layers_compute_exactly():
     """Fees, weights and heights are integers, and a slope is a Fraction:
     the chain, channel, run-map, mitigation and attack layers hold no float
-    literal, no true division and no float, but the annotations of the
-    two dynamic_delta fields, which accept a float slope from a caller."""
+    literal, no true division, no float draw or check and no float, but the
+    annotations of the two dynamic_delta fields, which accept a float slope
+    from a caller.  The fee layer holds exactly the floats FEES_INEXACT
+    names, so its filler buckets and window sums compute exactly."""
     assert {module: inexact_nodes(module) for module in EXACT_MODULES} \
         == dict.fromkeys(EXACT_MODULES, [])
+    assert Counter((where, what) for _, where, what in inexact_nodes("fees")) == FEES_INEXACT
     annotations = [(path.stem, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
                    for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.AnnAssign)

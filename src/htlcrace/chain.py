@@ -29,7 +29,8 @@ best queued piece as fit in one step, and replacement evicts member-aligned
 runs.  The unspent set and the mempool's spent index map a txid to a run
 map from output index to the output or to its spender, so cost follows
 cohorts and runs of alike outputs, not members.  A filler is an input-less,
-output-less transaction whose fee is granted when it is mined.
+output-less transaction whose fee is granted when it is mined: it holds a
+pending entry, a piece and a queue entry, and no spend, mint or conflict work.
 """
 from __future__ import annotations
 
@@ -299,6 +300,9 @@ class ChainState:
     # -- mempool policy --------------------------------------------------
 
     def submit(self, tx: Transaction) -> SubmitResult:
+        """Accept, replace (naming the evicted) or reject (with a REJECT_*
+        reason) a cohort whole, or raise ValueError if no mempool may hold it.
+        A filler is checked only for its id, weight, start and fee, then queued."""
         mp = self.mempool
         pending = mp.pending
         txid = tx.id
@@ -320,25 +324,26 @@ class ChainState:
                     raise ValueError(f"members of cohort {txid!r} spend one another's inputs")
 
         total_in = 0 if inputs else tx.fee  # a filler's fee is granted when mined
-        links: list[tuple[int, int, str]] = []  # one per pending input
-        direct: set[tuple[str, int, int]] = set()
-        for ref in inputs:
-            value = self._input_value(ref, count, links)
-            if value is None:
-                return _REJECTED[REJECT_MISSING_INPUT]
-            total_in += value
-            rival = self._rival(ref, count)
-            if rival is not None:
-                direct.add(rival)
-        out_value, at, last = 0, 0, None
-        for a, b, out in tx.outputs:
-            if a != at or b <= a or out == last:  # alike neighbours must be one run
-                raise ValueError(f"tx {txid!r}: outputs are not non-empty runs from 0 on")
-            if out.value < 0:
-                raise ValueError(f"tx {txid!r}: output value {out.value} is negative")
-            out_value, at, last = out_value + (b - a) * out.value, b, out
-        if not inputs and tx.outputs:
-            raise ValueError(f"filler {txid!r} has outputs")
+        out_value, links, direct = 0, (), ()  # a filler's: it spends and mints nothing
+        if inputs or tx.outputs:
+            links, direct = [], set()  # one link per pending input; direct conflicts
+            for ref in inputs:
+                value = self._input_value(ref, count, links)
+                if value is None:
+                    return _REJECTED[REJECT_MISSING_INPUT]
+                total_in += value
+                rival = self._rival(ref, count)
+                if rival is not None:
+                    direct.add(rival)
+            at, last = 0, None
+            for a, b, out in tx.outputs:
+                if a != at or b <= a or out == last:  # alike neighbours must be one run
+                    raise ValueError(f"tx {txid!r}: outputs are not non-empty runs from 0 on")
+                if out.value < 0:
+                    raise ValueError(f"tx {txid!r}: output value {out.value} is negative")
+                out_value, at, last = out_value + (b - a) * out.value, b, out
+            if not inputs:
+                raise ValueError(f"filler {txid!r} has outputs")
         if tx.fee < 0:
             raise ValueError(f"tx {txid!r}: fee {tx.fee} is negative")
         if total_in - out_value != tx.fee:
@@ -518,7 +523,8 @@ class ChainState:
         best queued piece, and as many of its members as fit go in at once
         -- one at a time while any of its remaining members has a pending
         spender, which may outrank it once freed.  A piece too heavy for the
-        room left is set aside and queued again after the block."""
+        room left is set aside and queued again after the block.  A filler
+        only adds its weight, fee and fee grant: it takes and mints nothing."""
         mp = self.mempool
         queue = mp._queue
         pieces = mp.pieces
@@ -548,22 +554,26 @@ class ChainState:
             end = lo + 1 if kids else min(hi, lo + room // weight)
             taken = end - lo
             piece.lo = end  # a piece left in the queue keeps its key
+            room -= weight * taken
+            fees += taken * tx.fee
+            confirmed.add(txid)
+            selected.append(tx if taken == tx.count else Transaction(
+                txid, tx.inputs, tx.outputs, weight, tx.fee, tx.rbf_signal, taken, lo))
+            if not tx.inputs:  # a filler, one piece: its fee enters the chain as it is mined
+                granted += taken * tx.fee
+                if end == hi:
+                    heapq.heappop(queue)
+                    mp._forget(tx)
+                continue
             if end == hi:
                 heapq.heappop(queue)
                 pieces[txid].remove(piece)
-            room -= weight * taken
             for ref in tx.inputs:  # parents precede children: topological
                 for a, b, out in _take(utxo, ref.txid, ref.index + lo, ref.index + end):
                     value -= (b - a) * out.value
             mp._unspend(tx, lo, end)
             _mint(utxo, txid, tx.outputs, lo, end)
             value += taken * sum((b - a) * out.value for a, b, out in tx.outputs)
-            fees += taken * tx.fee
-            if not tx.inputs:  # a filler: its fee enters the chain as it is mined
-                granted += taken * tx.fee
-            confirmed.add(txid)
-            selected.append(tx if taken == tx.count else Transaction(
-                txid, tx.inputs, tx.outputs, weight, tx.fee, tx.rbf_signal, taken, lo))
             if kids:  # members that spend them lose a pending input each
                 for kid, a, b in mp._spenders(txid, lo * n, end * n):
                     mp._adjust(kid, a, b)
@@ -600,7 +610,10 @@ class ChainState:
                 raise AssertionError(f"block {block.height} weight bookkeeping broken")
             for tx in txs:
                 first, count = tx.first, tx.count
-                in_val = 0 if tx.inputs else tx.fee  # a filler's fee was granted
+                fees += tx.fee * count
+                if not (tx.inputs or tx.outputs):  # a filler: its weight and granted fee
+                    continue
+                in_val = 0 if tx.inputs else tx.fee  # a filler given outputs: refused below
                 for ref in tx.inputs:  # spent outputs leave: a second spend finds none
                     have, values = 0, set()
                     for a, b, out in _take(utxo, ref.txid, ref.index + first,
@@ -611,7 +624,6 @@ class ChainState:
                         raise AssertionError(f"missing or double-spent input {ref} for {tx.id}")
                     in_val += values.pop()
                 _mint(utxo, tx.id, tx.outputs, first, first + count)
-                fees += tx.fee * count
                 if in_val - sum((b - a) * out.value for a, b, out in tx.outputs) != tx.fee:
                     raise AssertionError(f"fee mismatch in confirmed tx {tx.id}")
         left = sum((b - a) * out.value for runs in utxo.values() for a, b, out in runs)

@@ -26,7 +26,8 @@ from htlcrace.attack import (
     sweep_channels,
     validate_config,
 )
-from htlcrace.chain import ChainState
+import htlcrace.chain
+from htlcrace.chain import ChainState, MempoolState
 from htlcrace.channel import FUNDING_TX_WEIGHT, WeightSchedule, profile_params
 from htlcrace.fees import FeerateSeries
 
@@ -283,6 +284,49 @@ def test_filler_costs_no_grant(monkeypatch, per_tick):
     assert any(tx.id.startswith("bg") for tx in mined) == (per_tick > 0)
     assert not any(out.owner == "background"
                    for held in run.chain.utxo.values() for _, _, out in held)
+
+
+def test_filler_costs_no_spend_mint_or_conflict_work(monkeypatch):
+    # Nothing spends, conflicts with or evicts a filler, so submit, mine_block
+    # and audit look up, rival, unspend and mint nothing for one.  Each call
+    # is counted against the transaction submit is checking, else against
+    # the transaction it names.
+    calls = Counter()
+    submitting = []
+    real_submit = ChainState.submit
+
+    def submit(self, tx):
+        submitting.append(tx.id)
+        try:
+            return real_submit(self, tx)
+        finally:
+            submitting.pop()
+
+    def count(owner, name, txid_of):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            txid = submitting[-1] if submitting else txid_of(*args)
+            calls[name, txid.startswith("bg")] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    monkeypatch.setattr(ChainState, "submit", submit)
+    count(htlcrace.chain, "_mint", lambda utxo, txid, outputs, lo, hi: txid)
+    count(MempoolState, "_unspend", lambda mempool, tx, lo, hi: tx.id)
+    count(ChainState, "_input_value", lambda chain, ref, n, links: ref.txid)
+    count(MempoolState, "_spenders", lambda mempool, txid, lo, hi: txid)
+    cfg = AttackConfig(num_victim_channels=2, seed=42,
+                       background_traffic=TrafficSpec(txs_per_tick=5,
+                                                      weight_low=500, weight_high=2_000,
+                                                      feerate_low=500, feerate_high=3_000))
+    run = _Run(cfg)
+    run.execute()  # audits at the end
+    mined = [tx.id for block in run.chain.blocks for tx in block.txs]
+    assert sum(txid.startswith("bg") for txid in mined) > 100
+    assert not [key for key in calls if key[1]], calls
+    assert {name for name, _ in calls} == {"_mint", "_unspend", "_input_value", "_spenders"}
 
 
 def test_staggered_release_still_settles_everything():

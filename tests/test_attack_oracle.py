@@ -3,10 +3,11 @@
 Each seeded config is small -- 1 to 6 channels of 1 to 40 HTLCs, blocks
 sized around the closed-form break-even -- and draws the paths a race
 takes: each profile's broadcast and expiry deltas and eager claim
-publication, every MitigationPolicy field, traffic on and off, batch and
-staggered release, minimize windows, anchor bumps from 5 blocks before
-expiry to the expiry height itself, either pass order at expiry, and the
-race stopping with every HTLC resolved, at quiescence or at drain_cap.
+publication, every MitigationPolicy field, traffic on and off and from
+height 0 or a later start, batch and staggered release, minimize windows,
+anchor bumps from 5 blocks before expiry to the expiry height itself,
+either pass order at expiry, and the race stopping with every HTLC
+resolved, at quiescence or at drain_cap.
 Each config with traffic runs once more with its ranges at one edge of the
 engine's inlined randint draws: one weight, feerates of exactly 0, or
 widths that are powers of two, where half the raw draws are thrown back.
@@ -85,6 +86,9 @@ def config(k: int) -> tuple[AttackConfig, str, str]:
         victim_first_at_expiry=rng.random() < 0.5,
         drain_cap=rng.choice((10, 30, 60)),
         victim_bump_offset=rng.choice((0, 1, 2, 5)))
+    if traffic is not None:  # drawn last, so the draws above stay as they were
+        start = rng.choice((0, rng.randint(1, expiry)))
+        base = replace(base, background_traffic=replace(traffic, start_height=start))
     return apply_to_config(MitigationPolicy(**policy), base), name, field
 
 
@@ -122,6 +126,8 @@ def test_run_attack_matches_per_htlc_reference():
         seen[f"policy:{field or 'none'}"] += 1
         seen[f"release:{cfg.preimage_release}"] += 1
         seen["config:traffic" if cfg.background_traffic else "config:no-traffic"] += 1
+        seen["config:late-traffic"] += bool(cfg.background_traffic
+                                            and cfg.background_traffic.start_height)
         seen["config:minimize-window"] += cfg.feerate_strategy != "naive"
         seen["config:victim-first"] += cfg.victim_first_at_expiry
         if cfg.anchor_mode:
@@ -131,6 +137,7 @@ def test_run_attack_matches_per_htlc_reference():
         "profile:lnd": 20, "profile:c-lightning": 20, "profile:eclair": 20,
         **{f"policy:{field or 'none'}": 10 for field in POLICIES},
         "release:batch": 20, "release:staggered": 20, "config:traffic": 20,
+        "config:late-traffic": 20,
         "config:no-traffic": 20, "config:minimize-window": 20, "config:victim-first": 20,
         "config:refused": 1, "minimize:dip": 20, "close:claims-at-once": 20,
         "attacker:accepted": 20, "attacker:replaced": 20, "attacker:blocked": 20,

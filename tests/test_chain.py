@@ -852,6 +852,24 @@ def test_audit_rejects_an_altered_filler_fee(height, at):
         chain.audit()
 
 
+@pytest.mark.parametrize("gain,message", [
+    ({"outputs": ((0, 1, TxOutput(1, "x")),)}, "fee mismatch in confirmed tx"),
+    ({"outputs": ((0, 1, TxOutput(0, "x")),)}, "replayed UTXO set diverges"),
+    ({"inputs": (OutputRef("nowhere", 0),)}, "missing or double-spent input"),
+], ids=["output", "zero-output", "input"])
+@pytest.mark.parametrize("height,at", [(1, 0), (1, 2), (2, 0), (2, 1)])
+def test_audit_rejects_a_filler_record_that_is_no_filler(height, at, gain, message):
+    # A record that gained an output run or an input is no filler, and the
+    # audit must check it as the spend it now claims to be.
+    chain = filler_chain()
+    block = chain.blocks[height - 1]
+    txs = list(block.txs)
+    txs[at] = txs[at]._replace(**gain)
+    chain.blocks[height - 1] = dataclasses.replace(block, txs=tuple(txs))
+    with pytest.raises(AssertionError, match=message):
+        chain.audit()
+
+
 @pytest.mark.parametrize("height,at", [(1, 0), (1, 2), (2, 1)])
 def test_audit_rejects_an_altered_filler_weight(height, at):
     chain = filler_chain()

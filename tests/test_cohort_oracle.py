@@ -3,7 +3,8 @@
 A cohort of k is meant to be exactly k member transactions submitted in a
 row.  Each randomized session here drives a ChainState with cohorts of 1 to
 500 members -- feerate ties, parent/child chains, blocks that take part of a
-cohort, replacements of part of a cohort and the evictions they cause --
+cohort, fillers (input-less, output-less cohorts) tied with spends,
+replacements of part of a cohort and the evictions they cause --
 and replays every step, expanded member by member, through the brute-force
 references of tests/mining_reference.py and tests/rbf_reference.py.  Submit
 verdicts, evicted members and mined blocks must agree, and so must the
@@ -103,8 +104,9 @@ class Session:
             cohorts_gone = {self.cohort_of(i) for i in gone}
             assert set(result.evicted) == cohorts_gone, (result.evicted, gone)
             self.pending = mirror
-            self.seen["cohort" if tx.count > 1 else "single"] += 1
-            self.seen["large-cohort"] += tx.count >= 200
+            kind = ("filler-" if not tx.inputs else "") + ("cohort" if tx.count > 1 else "single")
+            self.seen[kind] += 1  # fillers apart, so the spends' floors stay theirs
+            self.seen["large-cohort"] += tx.count >= 200 and bool(tx.inputs)
             self.seen["commitment"] += tx.id in self.commitments
             for parent in parents if tx.count > 1 else ():
                 self.seen["commitment-child-" + (
@@ -134,6 +136,8 @@ class Session:
         for tx in block.txs:
             got += [t.id for t in self.members(self.cohorts[tx.id], tx.first, tx.count)]
             self.seen["part-mined"] += tx.count != self.cohorts[tx.id].count
+            self.seen["filler-cut"] += (tx.count != self.cohorts[tx.id].count
+                                        and not tx.inputs and not tx.outputs)
         assert got == want
         # a block counts a cohort's weight once per member it took
         assert block.weight_used == sum(self.cohorts[tx.id].weight * tx.count
@@ -214,9 +218,10 @@ class Session:
     def conflicting(self):
         """Inputs of pending members of one cohort: a replacement target."""
         pend = self.chain.mempool.pending
-        if not pend:
+        spends = sorted(txid for txid, tx in pend.items() if tx.inputs)  # no filler
+        if not spends:
             return None
-        tx = pend[self.rng.choice(sorted(pend))]
+        tx = pend[self.rng.choice(spends)]
         a, b = self.rng.choice(self.chain.mempool.parts(tx.id, 0, tx.count))
         lo = self.rng.randint(a, b - 1)
         hi = self.rng.randint(lo + 1, b)
@@ -248,6 +253,16 @@ class Session:
                                             "to_remote")),
                             (2, 2 + htlcs, TxOutput(amount, "n", "htlc"))),
                            weight, fee, rng.random() < 0.7)
+
+    def filler(self):
+        """An input-less, output-less cohort of 1 to 500 members in one of
+        the feerate and weight classes the spends draw from."""
+        rng = self.rng
+        self.counter += 1
+        weight = rng.choice(WEIGHTS)
+        return Transaction(f"f{self.counter}", (), (), weight,
+                           rng.choice(FEERATES) * weight // 1000,
+                           count=rng.choice((1, rng.randint(2, 500))))
 
     def random_cohort(self, among=None):
         """A random cohort; given `among`, one spending stretches of outputs
@@ -302,6 +317,9 @@ def run_session(seed, commitments=False):
         step = rng.random()
         if step < 0.3:
             s.mine()
+            continue
+        if rng.random() < 0.1:
+            s.submit(s.filler())
             continue
         if commitments and step < 0.45:
             tx = s.commitment()
@@ -392,7 +410,7 @@ def test_cohort_sessions_match_member_by_member_references():
         seen.update(run_session(7_000 + seed))
     # The generator must reach every path, not just accept whole cohorts.
     for what in ("cohort", "large-cohort", "single", "replaced", "part-mined",
-                 "partial-replacement",
+                 "partial-replacement", "filler-cut",
                  "ties", "split", "conflict-not-replaceable",
                  "insufficient-replacement-fee"):
         assert seen[what] > 5, seen
